@@ -8,9 +8,9 @@ simulation work):
 
 * **Enabled overhead** — the same batch timed with recording off and
   on; the enabled wall time must stay within 5% of the disabled one.
-  While enabled, every simulation records its ``sim.run`` span, the
-  kernel flushes its per-span profiling counters, and the engine
-  records the batch accounting — the full instrumentation cost.
+  While enabled, every simulation records its ``sim.run`` span and
+  run counters, and the engine records the batch accounting — the
+  full instrumentation cost.
 * **Disabled overhead** — what the instrumentation costs when nobody
   asked for it. The in-simulation call sites all guard on one
   module-global boolean (``span()`` additionally returns a shared

@@ -1,20 +1,22 @@
-"""perf2/perf5 — reference-vs-kernel single-process simulation timing.
+"""perf2/perf5 — reference-vs-engine single-process simulation timing.
 
 Times one ``Simulator.run()`` per workload twice — once through the
 scalar reference loop (``reference=True``) and once through the
-columnar kernel (the default) — on mixed cache/stream/SRAM/uncached
+simulation engine (the default) — on mixed cache/stream/SRAM/uncached
 architectures, asserting exact result equality on every pair. Each
 workload runs with the paper's time-sampling configuration, and
 *compress*, *li*, and *vocoder* add unsampled pairs covering the
-whole-trace regime the batched contention walk (perf5) targets. The
-full run uses million-access traces for *compress* and *li*;
-``REPRO_BENCH_SMOKE=1`` shrinks the scales to CI size (equality still
-asserted, timing thresholds skipped).
+whole-trace regime the batched contention walk (perf5) targets.
+*compress* also adds one DMA pair (a ``si_dma_32`` self-indirect DMA
+engine, sampled, AMBA connectivity), which runs the engine's replay
+walk over every access. The full run uses million-access traces for
+*compress* and *li*; ``REPRO_BENCH_SMOKE=1`` shrinks the scales to CI
+size (equality still asserted, timing thresholds skipped).
 
 Records land in ``benchmarks/out/BENCH_sim_kernel.json`` via
 ``common.record_kernel_timing``, plus one ``summary_sampled`` /
 ``summary_unsampled`` aggregate pair via
-``common.record_kernel_summary``. The full run asserts the kernel is
+``common.record_kernel_summary``. The full run asserts the engine is
 at least 2× faster on one of the million-access sampled workloads, at
 least 5× faster on the million-access unsampled compress run, and
 slower on none (with a small tolerance for timer noise); see
@@ -105,7 +107,7 @@ def _time_pair(stem, trace, memory, connectivity, sampling, **extra):
     start = time.perf_counter()
     kernel = simulator.run(reference=False)
     kernel_seconds = time.perf_counter() - start
-    assert kernel == reference, f"kernel diverged from reference on {stem}"
+    assert kernel == reference, f"engine diverged from reference on {stem}"
     return common.record_kernel_timing(
         stem, reference_seconds, kernel_seconds, len(trace), **extra
     )
@@ -122,7 +124,7 @@ def regenerate() -> str:
             _time_pair(name, trace, memory, None, SAMPLING, sampled=True)
         )
         if name == "compress":
-            # One connectivity-loaded pair shows the kernel helps
+            # One connectivity-loaded pair shows the engine helps
             # beyond the ideal+sampled sweet spot.
             records.append(
                 _time_pair(
@@ -133,6 +135,24 @@ def regenerate() -> str:
                     SAMPLING,
                     sampled=True,
                     conn="amba",
+                )
+            )
+            # A single DMA run: the replay walk visits every access,
+            # on- and off-window, since a DMA stall depends on the
+            # engine's own earlier arrivals.
+            dma_memory = mixed_architecture(
+                trace, common.MEMORY_LIBRARY, dma_preset="si_dma_32"
+            )
+            records.append(
+                _time_pair(
+                    "compress_dma_amba",
+                    trace,
+                    dma_memory,
+                    _amba_connectivity(dma_memory, trace),
+                    SAMPLING,
+                    sampled=True,
+                    conn="amba",
+                    dma="si_dma_32",
                 )
             )
         if name in ("compress", "li", "vocoder"):
@@ -188,4 +208,4 @@ def test_sim_kernel(benchmark):
         unsampled["compress_unsampled"]
     )
     slow = [r for r in records if r["speedup"] < NOISE_FLOOR]
-    assert not slow, f"kernel slower than reference: {slow}"
+    assert not slow, f"engine slower than reference: {slow}"

@@ -19,7 +19,7 @@ module replaces the scatter with one documented, typed snapshot:
   the environment until removed.
 
 The consumers (``repro.exec.runtime``, ``repro.exec.cache``,
-``repro.sim.kernels``, ``repro.conex.estimator``, ``repro.trace.shm``,
+``repro.sim.simulator``, ``repro.conex.estimator``, ``repro.trace.shm``,
 ``repro.obs``) all route through :func:`current_settings`; no library
 code reads a ``REPRO_*`` variable directly anymore.
 """

@@ -29,12 +29,12 @@ batch moves only the (small) architecture descriptions. Pass
 ``REPRO_PERSISTENT_RUNTIME=0`` to fall back to the legacy per-batch
 pool whose initializer ships the trace to each worker.
 
-Each simulation call runs the columnar fast-path kernel
-(:mod:`repro.sim.kernels`) by default, in workers and in-process
-alike. The kernel is bit-identical to the scalar reference loop, so
-engine selection needs no cache-key component: cached results mix
-freely across engines and across ``REPRO_REFERENCE_SIM`` settings
-(the opt-out env var propagates to pool workers like any other).
+Each simulation call runs the simulation engine
+(:mod:`repro.sim.batch`) by default, in workers and in-process alike.
+The engine is bit-identical to the scalar reference loop, so path
+selection needs no cache-key component: cached results mix freely
+across paths and across ``REPRO_REFERENCE_SIM`` settings (the opt-out
+env var propagates to pool workers like any other).
 """
 
 from __future__ import annotations

@@ -122,18 +122,15 @@ class SelfIndirectDma(MemoryModule):
         while len(self._buffer) > self.entries:
             self._buffer.popitem(last=False)
 
-    def access_raw(
+    def access(
         self, address: int, size: int, kind: AccessKind, tick: int
-    ) -> tuple[bool, int, int, int, int]:
-        """:meth:`access` without the response record.
+    ) -> ModuleResponse:
+        """Serve one access and prefetch ahead along the primed chain.
 
-        Returns ``(hit, latency, refill_bytes, writeback_bytes,
-        prefetch_bytes)``. DMA engines are tick-dependent (prefetch
-        timeliness compares the arrival tick against buffered ready
-        times), so they cannot honour the columnar ``access_many``
-        contract; this tuple form is the synchronization-point call the
-        simulation kernel makes between its batched segments, skipping
-        one :class:`ModuleResponse` allocation per access.
+        DMA engines are tick-dependent (prefetch timeliness compares the
+        arrival tick against buffered ready times), so they cannot
+        honour the columnar ``access_many`` contract;
+        :meth:`record_replay` is this method's symbolic twin.
         """
         chunk = address // self.node_size
         position = self._position
@@ -157,14 +154,21 @@ class SelfIndirectDma(MemoryModule):
             stall = max(0, ready - tick)
             self.hits += 1
             self.stall_cycles += stall
-            return (
-                True, self.hit_latency + stall, 0, writeback, prefetch_bytes,
+            return ModuleResponse(
+                hit=True,
+                latency=self.hit_latency + stall,
+                writeback_bytes=writeback,
+                prefetch_bytes=prefetch_bytes,
             )
 
         self.misses += 1
         self._insert(chunk, tick)
-        return (
-            False, self.hit_latency, self.node_size, writeback, prefetch_bytes,
+        return ModuleResponse(
+            hit=False,
+            latency=self.hit_latency,
+            refill_bytes=self.node_size,
+            writeback_bytes=writeback,
+            prefetch_bytes=prefetch_bytes,
         )
 
     # -- symbolic replay ------------------------------------------------
@@ -200,7 +204,7 @@ class SelfIndirectDma(MemoryModule):
     def record_replay(self, sizes, kinds) -> ReplayTrace:
         """Record the primed sequence without mutating module state.
 
-        A structural twin of :meth:`access_raw` driven over
+        A structural twin of :meth:`access` driven over
         :attr:`_sequence` with symbolic ticks: every buffered ready
         time is kept as its affine ``(src, alpha, beta)`` term
         (``arrival[src] + alpha * backing_latency_hint + beta``)
@@ -255,18 +259,4 @@ class SelfIndirectDma(MemoryModule):
             stall_src=stall_src,
             stall_alpha=stall_alpha,
             stall_beta=stall_beta,
-        )
-
-    def access(
-        self, address: int, size: int, kind: AccessKind, tick: int
-    ) -> ModuleResponse:
-        hit, latency, refill, writeback, prefetch = self.access_raw(
-            address, size, kind, tick
-        )
-        return ModuleResponse(
-            hit=hit,
-            latency=latency,
-            refill_bytes=refill,
-            writeback_bytes=writeback,
-            prefetch_bytes=prefetch,
         )

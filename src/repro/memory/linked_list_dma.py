@@ -23,11 +23,13 @@ Unprimed, the module degrades exactly to
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Sequence
 
 from repro.errors import ConfigurationError
 from repro.memory.area import GATES_PER_SRAM_BIT
 from repro.memory.dma import SelfIndirectDma
+from repro.memory.module import ModuleResponse
 from repro.trace.events import AccessKind
 
 
@@ -116,7 +118,7 @@ class LinkedListDma(SelfIndirectDma):
         return chain
 
     def _record_burst(self, buffer, position, chunk) -> int:
-        """Recording twin of the burst block in :meth:`access_raw`.
+        """Recording twin of the burst block in :meth:`access`.
 
         A burst member's ready time is ``tick + delay + position`` —
         the affine term ``(src=position_of_this_access, alpha=1,
@@ -138,9 +140,9 @@ class LinkedListDma(SelfIndirectDma):
                         )
         return burst_bytes
 
-    def access_raw(
+    def access(
         self, address: int, size: int, kind: AccessKind, tick: int
-    ) -> tuple[bool, int, int, int, int]:
+    ) -> ModuleResponse:
         chunk = address // self.node_size
         burst_bytes = 0
         if (
@@ -155,7 +157,9 @@ class LinkedListDma(SelfIndirectDma):
                         burst_bytes += self.node_size
                         self._insert(member, tick + delay + position)
                 self.burst_prefetches += 1
-        hit, latency, refill, writeback, prefetch = super().access_raw(
-            address, size, kind, tick
+        response = super().access(address, size, kind, tick)
+        if not burst_bytes:
+            return response
+        return replace(
+            response, prefetch_bytes=response.prefetch_bytes + burst_bytes
         )
-        return hit, latency, refill, writeback, prefetch + burst_bytes

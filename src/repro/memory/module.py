@@ -103,14 +103,12 @@ class MemoryModule(ABC):
     kind: str = "module"
 
     #: Whether :meth:`access_many` is a faithful batched equivalent of
-    #: :meth:`access` that the simulation kernel may batch over. A
+    #: :meth:`access` that the simulation engine may batch over. A
     #: subclass overriding :meth:`access` without keeping
     #: :meth:`access_many` in lockstep MUST set this back to ``False``;
-    #: the kernel then treats the module as tick-dependent and advances
-    #: it access by access at synchronization points (optionally via a
-    #: tuple-returning ``access_raw``, see
-    #: :meth:`repro.memory.dma.SelfIndirectDma.access_raw`), batching
-    #: only the modules around it.
+    #: the engine then records the module through :meth:`record_replay`
+    #: if it :attr:`supports_replay`, and otherwise runs the whole
+    #: simulation through the scalar reference loop.
     supports_batch: bool = False
 
     #: Whether :meth:`record_replay` is a faithful symbolic recording

@@ -18,8 +18,8 @@ Two interleaving policies are offered:
   channels (channel = (address // block_bytes) mod C). Fine-grained
   striping: even accesses inside one row spread over channels.
 
-Both are deterministic functions of the address, so the columnar
-kernel vectorizes them (:meth:`channel_column`) and the batched
+Both are deterministic functions of the address, so the simulation
+engine vectorizes them (:meth:`channel_column`) and the batched
 open-row pass partitions per (channel, bank) slot exactly as the
 scalar reference does.
 """

@@ -8,7 +8,7 @@ full rate; back-to-back accesses to the *same* bank lose arbitration
 and stall for ``conflict_penalty`` cycles. The conflict pattern is a
 deterministic function of the address order alone — never of the
 issue ticks — so the module honours the ``supports_batch`` contract
-and the columnar kernel evaluates whole runs in one
+and the simulation engine evaluates whole runs in one
 :meth:`access_many` call.
 
 Connectivity-side, the part advertises its port count through the

@@ -31,7 +31,7 @@ from repro.apex.explorer import ApexConfig, explore_memory_architectures
 from repro.conex.explorer import ConExConfig, explore_connectivity
 from repro.core.design_point import summarize
 from repro.errors import ReproError
-from repro.exec.backend import ExecutionBackend, resolve_backend
+from repro.exec.backend import ExecutionBackend, PoolBackend, resolve_backend
 from repro.exec.cache import SimulationCache
 from repro.exec.runtime import ExecutionRuntime
 from repro.service import jobs as jobstates
@@ -134,7 +134,13 @@ def execute_job(
         store.transition(job, jobstates.RUNNING)
         cache = caches.get(spec.tenant)
         backend_spec = spec.backend if spec.backend is not None else default_backend
-        backend = resolve_backend(backend_spec, spec.workers)
+        if backend_spec == "pool" and spec.workers is None and runtime is not None:
+            # The runner thread's runtime is the one sized by the
+            # daemon's --workers; a default-sized runtime would have
+            # one worker and evaluate every group inline.
+            backend = PoolBackend(runtime)
+        else:
+            backend = resolve_backend(backend_spec, spec.workers)
         try:
             result = _run_spec(job, store, cache, runtime, backend)
         finally:

@@ -1,47 +1,56 @@
-"""Cross-candidate batch evaluation: shared trace plans + module columns.
+"""The simulation engine: shared trace plans, group plans, delta passes.
 
-Phase II explorations simulate *many candidates over one trace*, and
-most of those candidates share the identical memory-module architecture,
-differing only in connectivity assignment. A single
-:meth:`~repro.sim.simulator.Simulator.run` re-derives from scratch, per
-candidate, work that is invariant across the whole sweep:
+Every non-reference simulation runs here. :meth:`Simulator.run
+<repro.sim.simulator.Simulator.run>` evaluates itself as a group of one
+(:func:`evaluate_single`), and Phase II explorations evaluate many
+candidates over one trace as same-memory-signature groups
+(:func:`evaluate_group`). Both go through the same three stages:
 
-* **per-trace** — sampling masks and window lists, tick/write columns,
-  the list conversions backing the contention walks. Hoisted into a
-  :class:`TracePlan`, built once per trace fingerprint and reused by
-  every candidate (an LRU registry keeps the few live traces).
-* **per memory signature** — module outcomes. For batch-capable
-  modules, the whole-run ``access_many`` columns; for the tick-affine
-  DMA engines, a symbolic :class:`~repro.memory.module.ReplayTrace`
-  recording (:meth:`~repro.memory.module.MemoryModule.record_replay`)
-  whose stall terms are re-priced per candidate against its arrivals
-  and backing delay. Module state evolution is tick-independent
-  (membership, replacement, byte amounts), so one merged DRAM open-row
-  pass is also shared. All of it lives in a :class:`GroupPlan`, built
-  once per (trace, memory-architecture signature) group by a
-  connectivity-free *lead* simulation.
+* **per trace** — a :class:`TracePlan` holds sampling masks, the write
+  column, and the tick list backing the contention walks. The registry
+  behind :func:`trace_plan` keeps the few live traces for
+  :func:`evaluate_group`; a single run builds a private plan and drops
+  it with the run.
+* **per memory signature** — a :class:`GroupPlan` holds the module
+  outcomes, which the memory architecture alone determines. For
+  batch-capable modules (see
+  :attr:`repro.memory.module.MemoryModule.supports_batch`) these are
+  whole-run ``access_many`` columns; for the tick-affine DMA engines a
+  symbolic :class:`~repro.memory.module.ReplayTrace` recording
+  (:meth:`~repro.memory.module.MemoryModule.record_replay`) whose
+  stall terms are re-priced per member against its arrivals and
+  backing delay. Module state evolution is tick-independent, so one
+  merged DRAM open-row pass over the run's transactions (each access
+  makes at most one) is shared too.
+* **per member** — the delta pass: connectivity-priced transfer
+  columns (:func:`_member_columns`), one walk, and the measured-window
+  fold. The walk is :func:`_contended_pass` when no module of the group
+  replays — a pure vector fold under ideal connectivity, a lean integer
+  loop over the on-window rows otherwise — and :func:`_replay_pass`
+  when one does, which walks every row because a replay module's
+  latency depends on its own arrivals.
 
-Each candidate then runs only its **delta pass**: connectivity-priced
-transfer columns, the contention/stall walk (or the pure vector fold
-when the architecture has no replay modules), and the measured-window
-statistics — exactly the parts that depend on the candidate's
-connectivity, sampling, and write model. Results are **bit-identical**
-to independent :meth:`Simulator.run` calls (and to the scalar
-reference loop): the walk replicates the reference recurrence's update
-order over the shared columns, and the shared columns equal what the
-candidate's own modules would have produced, by the
-``supports_batch`` / ``supports_replay`` contracts.
+Results are **bit-identical** to the scalar reference loop
+(:meth:`Simulator.run(reference=True) <repro.sim.simulator.Simulator.run>`):
+the walks replicate the reference recurrence's update order over the
+shared columns, and where energy is accumulated columnar the vector
+expressions replicate the reference loop's float accumulation order
+term by term (``np.cumsum`` is a sequential left fold, and adding an
+exact ``0.0`` is the identity). ``tests/test_sim_kernel_equivalence.py``
+asserts it.
 
-Safety valves: when ``REPRO_REFERENCE_SIM=1`` requests the reference
-loop, or when a group contains a module that is neither batch-capable
-nor replay-recordable (or a non-batchable DRAM), the group falls back
-to independent per-candidate runs — correctness never depends on a
-module opting in.
+The reference loop is the only other path. It runs when
+``REPRO_REFERENCE_SIM=1`` requests it, and when a group contains a
+module that is neither batch-capable nor replay-recordable (or a
+non-batchable DRAM), so correctness never depends on a module opting
+in.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
+from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING, Protocol, Sequence
 
 import numpy as np
@@ -49,19 +58,15 @@ import numpy as np
 from repro import obs
 from repro.channels import DRAM
 from repro.errors import SimulationError
-from repro.sim.kernels import (
-    _WRITE_CODE,
-    _Columns,
-    _build_columns,
-    _build_groups,
-    _evaluate_columns,
-    _fold_measured,
-    _openrow_core,
-    reference_requested,
+from repro.memory.energy import (
+    DRAM_ACTIVATE_NJ,
+    DRAM_PAGE_ACCESS_NJ,
+    DRAM_PER_BYTE_NJ,
 )
 from repro.sim.metrics import SimulationResult
-from repro.sim.simulator import Simulator, _RunState
+from repro.sim.simulator import RunState, Simulator, reference_requested
 from repro.timing.batch import transfer_timing_columns
+from repro.trace.events import AccessKind
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
     from repro.apex.architectures import MemoryArchitecture
@@ -73,8 +78,11 @@ __all__ = [
     "TracePlan",
     "clear_plan_registry",
     "evaluate_group",
+    "evaluate_single",
     "trace_plan",
 ]
+
+_WRITE_CODE = int(AccessKind.WRITE)
 
 
 class _JobLike(Protocol):
@@ -97,34 +105,79 @@ _GROUP_PLAN_LIMIT = 32
 _TRACE_PLAN_LIMIT = 4
 
 
+@dataclass
+class _Group:
+    """One routing target of a member simulator."""
+
+    target: str
+    module: object  # MemoryModule | None for direct-DRAM routes
+    cpu_state: object  # the simulator's CPU-side channel state
+    backing_state: object | None  # its DRAM-side channel state, if any
+    batchable: bool
+
+
+def _build_groups(sim: Simulator) -> tuple[list[_Group], np.ndarray]:
+    """One :class:`_Group` per routing target, plus the struct→gid map."""
+    channels = sim._channels
+    groups: list[_Group] = []
+    index_of: dict[str, int] = {}
+    struct_group = np.empty(len(sim._routes), dtype=np.int64)
+    for struct_id, route in enumerate(sim._routes):
+        gid = index_of.get(route.target)
+        if gid is None:
+            gid = len(groups)
+            index_of[route.target] = gid
+            module = route.module
+            groups.append(
+                _Group(
+                    target=route.target,
+                    module=module,
+                    cpu_state=channels[route.cpu_channel],
+                    backing_state=(
+                        channels[route.backing_channel]
+                        if route.backing_channel >= 0
+                        else None
+                    ),
+                    batchable=module is None or bool(
+                        getattr(type(module), "supports_batch", False)
+                    ),
+                )
+            )
+        struct_group[struct_id] = gid
+    return groups, struct_group
+
+
 class TracePlan:
     """Reusable per-trace planning state shared across candidates.
 
     Holds the columns every candidate evaluation needs but no candidate
-    changes: tick/write lists for the walks, sampling masks per
-    distinct :meth:`~repro.sim.sampling.SamplingConfig.key`, and the
+    changes: the write mask, sampling masks per distinct
+    :meth:`~repro.sim.sampling.SamplingConfig.key`, the tick and write
+    lists for the walks (built on the first walk), and the
     :class:`GroupPlan` cache keyed by memory-architecture signature.
     """
 
     def __init__(self, trace: "Trace") -> None:
         self.trace = trace
-        self.fingerprint = trace.fingerprint()
-        self.ticks_l = trace.ticks.tolist()
         self.write_mask = trace.kinds == _WRITE_CODE
-        self._write_l: list | None = None
         self._sampling: dict = {}
+        self._on_lists: dict = {}
         self._groups: OrderedDict = OrderedDict()
 
-    def write_list(self) -> list:
+    @cached_property
+    def ticks_l(self) -> list:
+        """Issue ticks as a Python list (built on the first walk)."""
+        return self.trace.ticks.tolist()
+
+    @cached_property
+    def write_l(self) -> list:
         """Posted-write column as a Python list (built on first use)."""
-        if self._write_l is None:
-            self._write_l = self.write_mask.tolist()
-        return self._write_l
+        return self.write_mask.tolist()
 
     def sampling_columns(
         self, sampling: "SamplingConfig | None"
-    ) -> tuple[list | None, np.ndarray | None, int]:
-        """``(on_list, counted_mask, measured)`` for one schedule.
+    ) -> tuple[np.ndarray | None, np.ndarray | None, int]:
+        """``(on_mask, counted_mask, measured)`` for one schedule.
 
         ``(None, None, n)`` for unsampled runs; cached per
         :meth:`SamplingConfig.key` so candidates sharing a schedule
@@ -138,13 +191,20 @@ class TracePlan:
                 columns = (None, None, n)
             else:
                 on_mask, counted = sampling.masks(n)
-                columns = (
-                    on_mask.tolist(),
-                    counted,
-                    int(np.count_nonzero(counted)),
-                )
+                columns = (on_mask, counted, int(np.count_nonzero(counted)))
             self._sampling[key] = columns
         return columns
+
+    def on_list(self, sampling: "SamplingConfig | None") -> list | None:
+        """The on-window mask as a Python list, for the replay walk."""
+        if sampling is None:
+            return None
+        key = sampling.key()
+        on_l = self._on_lists.get(key)
+        if on_l is None:
+            on_l = self.sampling_columns(sampling)[0].tolist()
+            self._on_lists[key] = on_l
+        return on_l
 
     def group_plan(self, memory: "MemoryArchitecture") -> "GroupPlan":
         """The memory architecture's :class:`GroupPlan`, built on demand.
@@ -162,54 +222,86 @@ class TracePlan:
                 obs.incr("sim.batch.groupplan_hits")
             return plan
         with obs.span("sim.batch.build_group_plan"):
-            plan = GroupPlan(self, memory)
+            # A connectivity-free lead: routes and modules are all the
+            # plan reads, and it validates once per group.
+            plan = GroupPlan(self, Simulator(self.trace, memory))
         self._groups[signature] = plan
         while len(self._groups) > _GROUP_PLAN_LIMIT:
             self._groups.popitem(last=False)
         return plan
 
 
+class _WalkLists:
+    """A group plan's per-row Python lists for the contention walks.
+
+    Plain list indexing beats any per-row tuple machinery in CPython;
+    the rarely-read lists are only indexed on the rows needing them.
+    The replay lists exist only when the group has a replay module.
+    """
+
+    __slots__ = (
+        "gid", "refill", "bg", "core", "dch", "mlat", "rsrc", "ralpha",
+        "rbeta",
+    )
+
+
 class GroupPlan:
     """Shared module outcomes for one (trace, memory signature) group.
 
-    Built by a connectivity-free *lead* :class:`Simulator` over the
-    group's first candidate: module behaviour (state evolution, hit and
-    byte columns) is memory-determined, and architectures with equal
-    signatures have identical module names, routes, and channel sets,
-    so the recording transfers to every member verbatim. Only the
-    stall *latency* of a replay module depends on the candidate — kept
-    symbolic in the recording and re-priced per member.
+    Built from a *lead* :class:`Simulator` over the group's memory
+    architecture, whose modules it primes and advances: module
+    behaviour (state evolution, hit and byte columns) is
+    memory-determined, and architectures with equal signatures have
+    identical module names, routes, and channel sets, so the recording
+    transfers to every member verbatim. Only the stall *latency* of a
+    replay module depends on the member — kept symbolic in the
+    recording and re-priced per member. ``replay_ok`` is false when a
+    module (or the DRAM) can be neither batched nor recorded; the plan
+    then holds nothing else and its members run the reference loop.
     """
 
-    def __init__(self, plan: TracePlan, memory: "MemoryArchitecture") -> None:
+    def __init__(self, plan: TracePlan, lead: Simulator) -> None:
         trace = plan.trace
-        lead = Simulator(trace, memory)  # validates once per group
-        lead._prime_modules()
-        groups, struct_group, _ = _build_groups(lead)
-        gid_col = struct_group[trace.struct_ids]
-        sizes64 = trace.sizes.astype(np.int64)
-
-        self.signature = memory.signature()
+        memory = lead.memory
+        groups, struct_group = _build_groups(lead)
         self.targets = [group.target for group in groups]
-        #: gid -> (latency, refill, offpath, hits) outcome columns.
-        self.outcomes: dict[int, tuple] = {}
+        self.replay_ok = bool(
+            getattr(type(memory.dram), "supports_batch", False)
+        )
+        if not self.replay_ok:
+            return
+        lead._prime_modules()
+        n = len(trace)
+        gid_col = struct_group[trace.struct_ids]
+        self.sizes64 = sizes64 = trace.sizes.astype(np.int64)
+        uncached = np.zeros(n, dtype=bool)
+        mlat = np.zeros(n, dtype=np.int64)
+        refill = np.zeros(n, dtype=np.int64)
+        offpath = np.zeros(n, dtype=np.int64)
         #: gid -> ReplayTrace for the tick-affine modules.
         self.replay: dict[int, object] = {}
         self.node_sizes: dict[int, int] = {}
         self.positions_of: dict[int, np.ndarray] = {}
-        replay_ok = bool(
-            getattr(type(memory.dram), "supports_batch", False)
-        )
+        #: Per-gid counter folds: everything a member adds to its run
+        #: state and channel counters apart from transfer timing.
+        self.fold: list[tuple] = []
 
         for gid, group in enumerate(groups):
             positions = np.flatnonzero(gid_col == gid)
             if not len(positions):
                 continue
             self.positions_of[gid] = positions
+            g_sizes = sizes64[positions]
+            count = len(positions)
+            size_sum = int(g_sizes.sum())
             module = group.module
             if module is None:
+                uncached[positions] = True
+                self.fold.append(
+                    (gid, True, count, 0, size_sum,
+                     None, None, 0, None, None, 0, 0)
+                )
                 continue
-            g_sizes = sizes64[positions]
             g_kinds = trace.kinds[positions]
             if group.batchable:
                 outcome = module.access_many(
@@ -223,126 +315,104 @@ class GroupPlan:
                     off = writeback
                 else:
                     off = writeback + prefetch
-                self.outcomes[gid] = (
-                    outcome.latency,
-                    outcome.refill_bytes,
-                    off,
-                    int(np.count_nonzero(outcome.hit)),
+                latency = outcome.latency
+                refill_col = outcome.refill_bytes
+                hit = outcome.hit
+            else:
+                recording = (
+                    module.record_replay(g_sizes, g_kinds)
+                    if getattr(type(module), "supports_replay", False)
+                    else None
                 )
-            elif getattr(type(module), "supports_replay", False):
-                recording = module.record_replay(g_sizes, g_kinds)
                 if recording is None:
-                    replay_ok = False
-                    continue
-                self.outcomes[gid] = (
-                    recording.latency,
-                    recording.refill_bytes,
-                    recording.writeback_bytes + recording.prefetch_bytes,
-                    int(np.count_nonzero(recording.hit)),
-                )
+                    self.replay_ok = False
+                    return
                 self.replay[gid] = recording
                 self.node_sizes[gid] = int(getattr(module, "node_size", 0))
-            else:
-                replay_ok = False
-
-        self.replay_ok = replay_ok
-        if not replay_ok:
-            return
-
-        # Shared whole-run columns: build them through the kernel's own
-        # column pass on the lead (counter folds go to a throwaway
-        # state), then keep every candidate-independent column by
-        # reference — members read but never mutate them.
-        throwaway = _RunState(lead)
-        cols, _ = _build_columns(
-            lead, throwaway, groups, struct_group, shared=self
-        )
-        core, merged = _openrow_core(lead, cols)
-        self.core = core
-        self.merged_dram = merged
-        self.cols_gid = cols.gid
-        self.cols_row_batchable = cols.row_batchable
-        self.cols_row_replay = cols.row_replay
-        self.cols_uncached = cols.uncached
-        self.cols_mlat = cols.mlat
-        self.cols_refill = cols.refill
-        self.cols_offpath = cols.offpath
-        self.cols_dram_mask = cols.dram_mask
-
-        # Per-gid fold amounts: everything _build_columns adds to the
-        # run state and channel counters, minus the connectivity-priced
-        # transfer columns that stay per member.
-        fold = []
-        for gid in sorted(self.positions_of):
-            positions = self.positions_of[gid]
-            group = groups[gid]
-            g_sizes = sizes64[positions]
-            count = len(positions)
-            size_sum = int(g_sizes.sum())
-            if group.module is None:
-                fold.append(
-                    (gid, True, count, 0, size_sum, g_sizes,
-                     None, None, 0, None, None, 0, 0)
-                )
-                continue
-            _, refill_col, off, hits = self.outcomes[gid]
-            r_pos = r_bytes = None
-            r_sum = 0
-            if refill_col is not None and refill_col.any():
-                r_local = np.flatnonzero(refill_col)
-                r_pos = positions[r_local]
-                r_bytes = refill_col[r_local].astype(np.int64, copy=False)
-                r_sum = int(r_bytes.sum())
-            bg_pos = bg_bytes = None
-            off_sum = bg_count = 0
-            if off is not None and off.any():
-                bg_local = np.flatnonzero(off)
-                bg_pos = positions[bg_local]
-                bg_bytes = off[bg_local].astype(np.int64, copy=False)
-                off_sum = int(off.sum())
-                bg_count = len(bg_local)
-            fold.append(
-                (gid, False, count, hits, size_sum, g_sizes,
-                 r_pos, r_bytes, r_sum, bg_pos, bg_bytes, off_sum,
-                 bg_count)
+                latency = recording.latency
+                refill_col = recording.refill_bytes
+                off = recording.writeback_bytes + recording.prefetch_bytes
+                hit = recording.hit
+            mlat[positions] = latency
+            r_pos = r_bytes = bg_pos = bg_bytes = None
+            r_sum = off_sum = bg_count = 0
+            if group.backing_state is not None:
+                # A module without a DRAM channel never misses to DRAM.
+                if refill_col is not None and refill_col.any():
+                    refill[positions] = refill_col
+                    r_local = np.flatnonzero(refill_col)
+                    r_pos = positions[r_local]
+                    r_bytes = refill_col[r_local].astype(np.int64, copy=False)
+                    r_sum = int(r_bytes.sum())
+                if off is not None and off.any():
+                    offpath[positions] = off
+                    bg_local = np.flatnonzero(off)
+                    bg_pos = positions[bg_local]
+                    bg_bytes = off[bg_local].astype(np.int64, copy=False)
+                    off_sum = int(off.sum())
+                    bg_count = len(bg_local)
+            self.fold.append(
+                (gid, False, count, int(np.count_nonzero(hit)), size_sum,
+                 r_pos, r_bytes, r_sum, bg_pos, bg_bytes, off_sum, bg_count)
             )
-        self.fold = fold
 
-        # Flat per-row lists for the contention walk (plain list
-        # indexing beats any per-row tuple machinery in CPython; the
-        # rarely-read columns are only indexed on the rows needing
-        # them). Tick and write columns are shared from the trace plan.
-        n = len(trace)
-        stall_src = np.full(n, -1, dtype=np.int64)
-        stall_alpha = np.zeros(n, dtype=np.int64)
-        stall_beta = np.zeros(n, dtype=np.int64)
-        for gid, recording in self.replay.items():
-            positions = self.positions_of[gid]
-            stall_src[positions] = recording.stall_src
-            stall_alpha[positions] = recording.stall_alpha
-            stall_beta[positions] = recording.stall_beta
-        self.ticks_l = plan.ticks_l
-        self.write_l = plan.write_list()
-        self.gid_l = cols.gid.tolist()
-        self.mlat_l = cols.mlat.tolist()
-        self.refill_l = (cols.refill > 0).tolist()
-        self.bg_l = (cols.offpath > 0).tolist()
-        self.core_l = core.tolist()
-        # Per-access DRAM channel column (memory-determined, so shared
-        # across the group's members like the other outcome columns).
-        dram = memory.dram
-        if dram.channels == 1:
-            self.dch_l = [0] * n
-        else:
-            self.dch_l = dram.channel_column(trace.addresses).tolist()
-        self.rsrc_l = stall_src.tolist()
-        self.ralpha_l = stall_alpha.tolist()
-        self.rbeta_l = stall_beta.tolist()
+        self.gid = gid_col
+        self.uncached = uncached
+        self.mlat = mlat
+        self.refill = refill
+        self.offpath = offpath
+        self.dram_mask = uncached | (refill > 0)
+        # The merged open-row pass: each access makes at most one DRAM
+        # transaction (uncached or refill) and background bursts never
+        # touch row state, so the run's DRAM stream is exactly the
+        # masked rows in trace order.
+        self.core = np.zeros(n, dtype=np.int64)
+        dram_idx = np.flatnonzero(self.dram_mask)
+        self.merged_dram = int(len(dram_idx))
+        if self.merged_dram:
+            self.core[dram_idx] = memory.dram.open_row_latencies(
+                trace.addresses[dram_idx]
+            )
         self.has_replay = bool(self.replay)
-        self.write_mask = plan.write_mask
-        #: Candidate-independent energy terms, memoized by the kernel's
-        #: :func:`~repro.sim.kernels._accumulate_energy` on first use.
+        self._channel_column = (
+            memory.dram.channel_column if memory.dram.channels > 1 else None
+        )
+        self._addresses = trace.addresses
+        #: Candidate-independent energy terms, memoized by
+        #: :func:`_accumulate_energy` on first use.
         self.energy_statics: dict = {}
+
+    def dram_channels(self, sel, count: int) -> list:
+        """DRAM channel indices of the ``count`` rows ``sel``, as a list."""
+        if self._channel_column is None:
+            return [0] * count
+        return self._channel_column(self._addresses)[sel].tolist()
+
+    @cached_property
+    def walk_lists(self) -> _WalkLists:
+        """The whole-run walk lists, built on the first walk."""
+        lists = _WalkLists()
+        lists.gid = self.gid.tolist()
+        lists.refill = (self.refill > 0).tolist()
+        lists.bg = (self.offpath > 0).tolist()
+        lists.core = self.core.tolist()
+        lists.dch = self.dram_channels(slice(None), len(lists.gid))
+        lists.mlat = lists.rsrc = lists.ralpha = lists.rbeta = None
+        if self.has_replay:
+            n = len(self.gid)
+            stall_src = np.full(n, -1, dtype=np.int64)
+            stall_alpha = np.zeros(n, dtype=np.int64)
+            stall_beta = np.zeros(n, dtype=np.int64)
+            for gid, recording in self.replay.items():
+                positions = self.positions_of[gid]
+                stall_src[positions] = recording.stall_src
+                stall_alpha[positions] = recording.stall_alpha
+                stall_beta[positions] = recording.stall_beta
+            lists.mlat = self.mlat.tolist()
+            lists.rsrc = stall_src.tolist()
+            lists.ralpha = stall_alpha.tolist()
+            lists.rbeta = stall_beta.tolist()
+        return lists
 
 
 # -- trace-plan registry ----------------------------------------------------
@@ -373,7 +443,23 @@ def clear_plan_registry() -> None:
     _PLANS.clear()
 
 
-# -- group evaluation -------------------------------------------------------
+# -- entry points -----------------------------------------------------------
+
+
+def evaluate_single(sim: Simulator) -> SimulationResult | None:
+    """:meth:`Simulator.run`'s engine path: ``sim`` as a group of one.
+
+    Uses a private :class:`TracePlan` (never the registry, so separate
+    runs stay independent and a long trace's walk lists die with the
+    run) and ``sim`` itself as the group plan's lead. Returns ``None``
+    when a module can be neither batched nor recorded; the caller then
+    runs the reference loop, which re-primes every module.
+    """
+    plan = TracePlan(sim.trace)
+    gplan = GroupPlan(plan, sim)
+    if not gplan.replay_ok:
+        return None
+    return _evaluate_member(plan, gplan, sim)
 
 
 def evaluate_group(
@@ -389,9 +475,8 @@ def evaluate_group(
     Returns ``(results, delta_candidates)`` with ``results[i]``
     bit-identical to ``Simulator(trace, ...).run()`` of ``jobs[i]``;
     ``delta_candidates`` counts members served by the shared-column
-    delta pass — 0 when the group fell back to independent runs (the
-    reference engine was requested, or a member module neither batches
-    nor replays).
+    delta pass — 0 when the group ran the reference loop (it was
+    requested, or a member module neither batches nor replays).
     """
     jobs = list(jobs)
     if not jobs:
@@ -399,12 +484,26 @@ def evaluate_group(
     if plan is None:
         plan = trace_plan(trace)
     if reference_requested():
-        return [_fallback_run(trace, job) for job in jobs], 0
+        return [_reference_run(trace, job) for job in jobs], 0
     gplan = plan.group_plan(jobs[0].memory)
     if not gplan.replay_ok:
-        return [_fallback_run(trace, job) for job in jobs], 0
+        return [_reference_run(trace, job) for job in jobs], 0
     with obs.span("sim.batch.group"):
-        results = [_evaluate_member(plan, gplan, job) for job in jobs]
+        results = [
+            _evaluate_member(
+                plan,
+                gplan,
+                Simulator(
+                    trace,
+                    job.memory,
+                    job.connectivity,
+                    job.sampling,
+                    job.posted_writes,
+                    validated=True,
+                ),
+            )
+            for job in jobs
+        ]
     if obs.enabled():
         obs.incr("sim.batch.groups")
         obs.incr("sim.batch.module_column_group_size", len(jobs))
@@ -412,97 +511,142 @@ def evaluate_group(
     return results, len(jobs)
 
 
-def _fallback_run(trace: "Trace", job: "_JobLike") -> SimulationResult:
-    """Independent per-candidate run (reference engine or opt-outs)."""
+def _reference_run(trace: "Trace", job: "_JobLike") -> SimulationResult:
+    """One job through the scalar reference loop."""
     return Simulator(
         trace,
         job.memory,
         job.connectivity,
         job.sampling,
         job.posted_writes,
-    ).run()
+    ).run(reference=True)
+
+
+# -- the delta pass ---------------------------------------------------------
+
+
+class _Columns:
+    """One member's whole-run per-access columns.
+
+    The module-outcome columns (``gid``, ``uncached``, ``mlat``,
+    ``refill``, ``offpath``, ``dram_mask``) are the group plan's,
+    shared by reference and never mutated; the transfer-timing columns
+    are priced under the member's connectivity.
+    """
+
+    __slots__ = (
+        "gid",
+        "uncached",
+        "mlat",
+        "refill",
+        "offpath",
+        "dram_mask",
+        "conn",
+        "occ",
+        "dbeats",
+        "docc",
+        "bgocc",
+        "u_partial",
+    )
 
 
 def _evaluate_member(
-    plan: TracePlan, gplan: GroupPlan, job: "_JobLike"
+    plan: TracePlan, gplan: GroupPlan, sim: Simulator
 ) -> SimulationResult:
-    """One candidate's delta pass against the group's shared columns."""
-    trace = plan.trace
-    sim = Simulator(
-        trace,
-        job.memory,
-        job.connectivity,
-        job.sampling,
-        job.posted_writes,
-        validated=True,
-    )
-    groups, struct_group, _ = _build_groups(sim)
+    """One member's delta pass against the group's shared columns."""
+    groups, _ = _build_groups(sim)
     if [group.target for group in groups] != gplan.targets:
         raise SimulationError(
             "batch group plan does not match the candidate's routing"
         )
-    state = _RunState(sim)
-    cols = _member_columns(sim, state, gplan, groups)
-    group_positions = gplan.positions_of
-    if not gplan.has_replay:
-        _evaluate_columns(
-            sim, state, groups, group_positions, cols, gplan.core,
-            gplan.merged_dram, shared=gplan,
+    state = RunState(sim)
+    cols = _member_columns(state, gplan, groups, sim.connectivity is not None)
+    n = len(sim.trace)
+    sampling = sim.sampling
+    on_mask, counted, measured = plan.sampling_columns(sampling)
+    # Ideal connectivity without replay needs no walk: no channel has a
+    # component, so the reference loop never touches cluster_free,
+    # dram_free or the wait/busy counters, and on- and off-window
+    # accesses alike complete in exactly their contention-free latency.
+    no_walk = not gplan.has_replay and sim.connectivity is None
+    if gplan.has_replay:
+        latency = _replay_pass(
+            sim, state, groups, plan, gplan, cols, plan.on_list(sampling)
         )
-        return sim._finalize(state)
-    on_l, counted, measured = plan.sampling_columns(sim.sampling)
-    latencies = _replay_pass(sim, state, groups, gplan, cols, on_l)
-    if sim.posted_writes:
-        eff = np.where(plan.write_mask, np.int64(1), latencies)
     else:
-        eff = latencies
-    _fold_measured(
-        sim, state, groups, group_positions, cols, gplan.core, eff,
-        counted, measured, shared=gplan,
-    )
-    if obs.enabled() and gplan.merged_dram:
-        obs.incr("sim.kernel.openrow_merged_passes")
-        obs.incr("sim.kernel.openrow_merged_accesses", gplan.merged_dram)
+        latency = cols.u_partial + gplan.core
+        if not no_walk:
+            spans = [(0, n, True)] if sampling is None else sampling.windows(n)
+            _contended_pass(
+                sim, state, groups, plan, gplan, cols, latency, spans, on_mask
+            )
+        elif int(latency.min()) < 1:
+            bad = int(np.argmax(latency < 1))
+            raise SimulationError(
+                f"access {bad} completed in {int(latency[bad])} cycles"
+            )
+    if sim.posted_writes:
+        eff = np.where(plan.write_mask, np.int64(1), latency)
+    else:
+        eff = latency
+    if no_walk:
+        state.lag += int(eff.sum()) - n
+    _fold_measured(sim, state, groups, gplan, cols, eff, counted, measured)
+    if obs.enabled():
+        if gplan.merged_dram:
+            obs.incr("sim.kernel.openrow_merged_passes")
+            obs.incr("sim.kernel.openrow_merged_accesses", gplan.merged_dram)
+        if not gplan.has_replay:
+            n_on = n if on_mask is None else int(np.count_nonzero(on_mask))
+            obs.incr("sim.kernel.onwindow_batched", n_on)
+            if sampling is None and no_walk:
+                obs.incr("sim.kernel.unsampled_batched_spans")
     return sim._finalize(state)
 
 
 def _member_columns(
-    sim: Simulator, state: "_RunState", gplan: GroupPlan, groups: list
+    state: RunState, gplan: GroupPlan, groups: list[_Group], priced: bool
 ) -> _Columns:
     """One member's column set over the group's shared arrays.
 
-    The per-member remainder of :func:`_build_columns`: the shared,
-    candidate-independent columns are taken from the group plan by
-    reference, the counter folds replay the plan's precomputed per-gid
-    amounts into this member's state, and only the connectivity-priced
-    transfer columns are computed fresh.
+    The shared, candidate-independent columns are taken from the group
+    plan by reference, the counter folds replay the plan's precomputed
+    per-gid amounts into this member's state, and only the
+    connectivity-priced transfer columns are computed fresh. Without
+    connectivity (``priced`` false) every transfer costs zero cycles,
+    so the transfer columns share one zero column.
     """
     cols = _Columns()
-    cols.gid = gplan.cols_gid
-    cols.row_batchable = gplan.cols_row_batchable
-    cols.row_replay = gplan.cols_row_replay
-    cols.uncached = gplan.cols_uncached
-    cols.mlat = gplan.cols_mlat
-    cols.refill = gplan.cols_refill
-    cols.offpath = gplan.cols_offpath
-    cols.dram_mask = gplan.cols_dram_mask
+    cols.gid = gplan.gid
+    cols.uncached = gplan.uncached
+    cols.mlat = gplan.mlat
+    cols.refill = gplan.refill
+    cols.offpath = gplan.offpath
+    cols.dram_mask = gplan.dram_mask
 
-    n = len(gplan.cols_gid)
-    conn = np.zeros(n, dtype=np.int64)
-    occ = np.zeros(n, dtype=np.int64)
-    dbase = np.zeros(n, dtype=np.int64)
-    dbeats = np.zeros(n, dtype=np.int64)
-    docc = np.zeros(n, dtype=np.int64)
-    bgocc = np.zeros(n, dtype=np.int64)
+    n = len(gplan.gid)
+    if priced:
+        conn = np.zeros(n, dtype=np.int64)
+        occ = np.zeros(n, dtype=np.int64)
+        dbase = np.zeros(n, dtype=np.int64)
+        dbeats = np.zeros(n, dtype=np.int64)
+        docc = np.zeros(n, dtype=np.int64)
+        bgocc = np.zeros(n, dtype=np.int64)
+    else:
+        conn = occ = dbase = dbeats = docc = bgocc = np.zeros(
+            n, dtype=np.int64
+        )
 
-    for (gid, uncached, count, hits, size_sum, g_sizes,
-         r_pos, r_bytes, r_sum, bg_pos, bg_bytes, off_sum,
-         bg_count) in gplan.fold:
+    for (gid, uncached, count, hits, size_sum, r_pos, r_bytes, r_sum,
+         bg_pos, bg_bytes, off_sum, bg_count) in gplan.fold:
         group = groups[gid]
         positions = gplan.positions_of[gid]
         cpu_state = group.cpu_state
         component = cpu_state.component
+        if component is not None:
+            g_sizes = gplan.sizes64[positions]
         if uncached:
+            # Uncached: straight to DRAM over the off-chip connection.
             if component is not None:
                 lat_col, occ_col = transfer_timing_columns(
                     component, g_sizes
@@ -527,27 +671,26 @@ def _member_columns(
                 conn[positions] = conn_col
                 occ[positions] = occ_col
             back_state = group.backing_state
-            if back_state is not None:
-                if r_pos is not None:
-                    back_component = back_state.component
-                    if back_component is not None:
-                        lat_col, occ_col = transfer_timing_columns(
-                            back_component, r_bytes
-                        )
-                        dbase[r_pos] = back_component.base_latency
-                        dbeats[r_pos] = lat_col - back_component.base_latency
-                        docc[r_pos] = occ_col
-                    back_state.bytes_moved += r_sum
-                    back_state.transactions += len(r_pos)
-                if bg_pos is not None:
-                    back_component = back_state.component
-                    if back_component is not None:
-                        _, occ_col = transfer_timing_columns(
-                            back_component, bg_bytes
-                        )
-                        bgocc[bg_pos] = occ_col
-                    back_state.bytes_moved += off_sum
-                    back_state.background_transactions += bg_count
+            if r_pos is not None:
+                back_component = back_state.component
+                if back_component is not None:
+                    lat_col, occ_col = transfer_timing_columns(
+                        back_component, r_bytes
+                    )
+                    dbase[r_pos] = back_component.base_latency
+                    dbeats[r_pos] = lat_col - back_component.base_latency
+                    docc[r_pos] = occ_col
+                back_state.bytes_moved += r_sum
+                back_state.transactions += len(r_pos)
+            if bg_pos is not None:
+                back_component = back_state.component
+                if back_component is not None:
+                    _, occ_col = transfer_timing_columns(
+                        back_component, bg_bytes
+                    )
+                    bgocc[bg_pos] = occ_col
+                back_state.bytes_moved += off_sum
+                back_state.background_transactions += bg_count
         cpu_state.bytes_moved += size_sum
         cpu_state.transactions += count
 
@@ -557,18 +700,394 @@ def _member_columns(
     cols.docc = docc
     cols.bgocc = bgocc
     if not gplan.has_replay:
-        # Only the columnar tail reads the contention-free partial sum;
-        # the replay walk rebuilds latencies row by row.
-        cols.u_partial = conn + cols.mlat + dbase + dbeats
+        # Contention-free latency minus the DRAM core term: connection
+        # transfer + module latency + backing command/data cycles. The
+        # replay walk rebuilds latencies row by row instead.
+        cols.u_partial = (
+            conn + cols.mlat + dbase + dbeats if priced else cols.mlat
+        )
     return cols
+
+
+def _fold_measured(
+    sim: Simulator,
+    state: RunState,
+    groups: list[_Group],
+    gplan: GroupPlan,
+    cols: _Columns,
+    eff: np.ndarray,
+    counted: np.ndarray | None,
+    measured: int,
+) -> None:
+    """Fold the measured-window statistics of an effective-latency column.
+
+    ``eff`` is the whole-run effective (post-posted-write) latency
+    column, ``counted`` the measured mask (``None`` for unsampled runs)
+    and ``measured`` its popcount.
+    """
+    trace = sim.trace
+    state.measured += measured
+    if not measured:
+        return
+    eff_counted = eff if counted is None else eff[counted]
+    state.latency_sum += int(eff_counted.sum())
+    struct_col = (
+        trace.struct_ids if counted is None else trace.struct_ids[counted]
+    )
+    n_structs = len(sim._routes)
+    counts = np.bincount(struct_col, minlength=n_structs)
+    # float64 bincount weights stay exact below 2**53.
+    totals = np.bincount(
+        struct_col, weights=eff_counted, minlength=n_structs
+    ).astype(np.int64)
+    struct_counts = state.struct_counts
+    struct_latency = state.struct_latency
+    for struct_id, count in enumerate(counts.tolist()):
+        if count:
+            struct_counts[struct_id] += count
+            struct_latency[struct_id] += int(totals[struct_id])
+    _accumulate_energy(sim, state, groups, gplan, cols, counted)
+
+
+def _accumulate_energy(
+    sim: Simulator,
+    state: RunState,
+    groups: list[_Group],
+    gplan: GroupPlan,
+    cols: _Columns,
+    counted: np.ndarray | None,
+) -> None:
+    """Vectorized energy accounting over the measured accesses.
+
+    Replicates the reference loop's accumulation order exactly: each
+    access's energy is the reference's nested pair sums (absent terms
+    contribute an exact ``0.0``, the float identity), and the running
+    totals are sequential left folds (``np.cumsum``) over the counted
+    rows, with the per-transaction DRAM/wire terms interleaved in
+    reference order via row-major ravels.
+
+    Only the wire terms depend on the member (per-byte channel energies
+    follow the connectivity assignment); the DRAM and module terms
+    follow the memory architecture alone, so the group plan's
+    ``energy_statics`` memoizes them — same expressions, same floats —
+    across the group's members.
+    """
+    n = len(gplan.core)
+    sizes64 = gplan.sizes64
+    statics = gplan.energy_statics
+    cpu_epb = np.zeros(n, dtype=np.float64)
+    back_epb = np.zeros(n, dtype=np.float64)
+    for gid, positions in gplan.positions_of.items():
+        group = groups[gid]
+        cpu_epb[positions] = group.cpu_state.energy_per_byte
+        if group.backing_state is not None:
+            back_epb[positions] = group.backing_state.energy_per_byte
+    if not statics:
+        module_nj = np.zeros(n, dtype=np.float64)
+        for gid, positions in gplan.positions_of.items():
+            module = groups[gid].module
+            if module is not None:
+                module_nj[positions] = module.access_energy_nj
+        page_hit = gplan.core == sim.memory.dram.page_hit_latency
+        dram_bytes = np.where(cols.uncached, sizes64, cols.refill)
+        e_dram1 = DRAM_PAGE_ACCESS_NJ + DRAM_PER_BYTE_NJ * dram_bytes
+        e_dram1 = np.where(page_hit, e_dram1, e_dram1 + DRAM_ACTIVATE_NJ)
+        statics["dram_bytes"] = dram_bytes
+        statics["e_dram1"] = np.where(cols.dram_mask, e_dram1, 0.0)
+        statics["e_dram2"] = np.where(
+            cols.offpath > 0,
+            DRAM_PAGE_ACCESS_NJ + DRAM_PER_BYTE_NJ * cols.offpath,
+            0.0,
+        )
+        statics["e_module"] = np.where(cols.uncached, 0.0, module_nj)
+    dram_bytes = statics["dram_bytes"]
+    e_dram1 = statics["e_dram1"]
+    e_dram2 = statics["e_dram2"]
+    e_module = statics["e_module"]
+
+    e_wire1 = dram_bytes * np.where(cols.uncached, cpu_epb, back_epb)
+    e_wire2 = cols.offpath * back_epb
+    e_wire3 = np.where(cols.uncached, 0.0, sizes64 * cpu_epb)
+    # Reference per-access order: (refill-or-uncached DRAM + wire) then
+    # (background DRAM + wire) then (module + CPU wire); zero terms are
+    # exact identities, so one expression covers every path.
+    energy = ((e_dram1 + e_wire1) + (e_dram2 + e_wire2)) + (
+        e_module + e_wire3
+    )
+
+    wire_triples = np.column_stack((e_wire1, e_wire2, e_wire3))
+    if counted is not None:
+        energy = energy[counted]
+        e_module = e_module[counted]
+        dram_pairs = np.column_stack((e_dram1, e_dram2))[counted]
+        wire_triples = wire_triples[counted]
+        state.energy_sum += float(np.cumsum(energy)[-1])
+        state.energy_modules += float(np.cumsum(e_module)[-1])
+        state.energy_dram += float(np.cumsum(dram_pairs.ravel())[-1])
+        state.energy_wires += float(np.cumsum(wire_triples.ravel())[-1])
+        return
+    state.energy_sum += float(np.cumsum(energy)[-1])
+    if "module_sum" not in statics:
+        statics["module_sum"] = float(np.cumsum(e_module)[-1])
+        statics["dram_sum"] = float(
+            np.cumsum(np.column_stack((e_dram1, e_dram2)).ravel())[-1]
+        )
+    state.energy_modules += statics["module_sum"]
+    state.energy_dram += statics["dram_sum"]
+    state.energy_wires += float(np.cumsum(wire_triples.ravel())[-1])
+
+
+# -- the walks --------------------------------------------------------------
+
+
+def _contended_pass(
+    sim: Simulator,
+    state: RunState,
+    groups: list[_Group],
+    plan: TracePlan,
+    gplan: GroupPlan,
+    cols: _Columns,
+    latency: np.ndarray,
+    spans: list[tuple[int, int, bool]],
+    on_mask: np.ndarray | None,
+) -> None:
+    """Serial contention walk over the on-window accesses (no replay).
+
+    ``latency`` enters as the contention-free column. Off-window spans
+    reduce to slice sums of it; on-window spans run a lean integer loop
+    that replays the reference recurrence's state updates in the exact
+    reference order over the precomputed columns (no ``timing()``
+    calls, no module calls, no response allocations), overwriting the
+    on-window entries of ``latency`` and adding the wait/busy sums to
+    the channel states. An unsampled walk reads the group plan's
+    whole-run lists; a sampled walk converts only its on-window rows.
+    """
+    channels = sim._channels
+    posted = sim.posted_writes
+    page_hit_latency = sim.memory.dram.page_hit_latency
+    write_mask = plan.write_mask
+    u = latency
+
+    channel_of = {id(channel): i for i, channel in enumerate(channels)}
+    ginfo = []
+    for group in groups:
+        cpu = group.cpu_state
+        component = cpu.component
+        back = group.backing_state
+        back_component = back.component if back is not None else None
+        ginfo.append(
+            (
+                group.module is None,
+                cpu.cluster_index,
+                channel_of[id(cpu)],
+                bool(component.split_transactions),
+                component.base_latency,
+                back.cluster_index if back is not None else 0,
+                channel_of[id(back)] if back is not None else 0,
+                (
+                    bool(back_component.split_transactions)
+                    if back_component is not None
+                    else False
+                ),
+                (
+                    back_component.base_latency
+                    if back_component is not None
+                    else 0
+                ),
+            )
+        )
+
+    on_idx = None if on_mask is None else np.flatnonzero(on_mask)
+    sel = slice(None) if on_idx is None else on_idx
+    # No replay rows here, so a hit's arrival tick is never needed on
+    # its own — the wire and module latencies fold into one column.
+    serve_l = (cols.conn + cols.mlat)[sel].tolist()
+    occ_l = cols.occ[sel].tolist()
+    dbeats_l = cols.dbeats[sel].tolist()
+    docc_l = cols.docc[sel].tolist()
+    bgocc_l = cols.bgocc[sel].tolist()
+    if on_idx is None:
+        lists = gplan.walk_lists
+        ticks_l = plan.ticks_l
+        gid_l = lists.gid
+        refill_l = lists.refill
+        core_l = lists.core
+        bg_l = lists.bg
+        dch_l = lists.dch
+        write_l = plan.write_l if posted else None
+    else:
+        ticks_l = sim.trace.ticks[sel].tolist()
+        gid_l = cols.gid[sel].tolist()
+        refill_l = (cols.refill[sel] > 0).tolist()
+        core_l = gplan.core[sel].tolist()
+        bg_l = (cols.offpath[sel] > 0).tolist()
+        dch_l = gplan.dram_channels(sel, len(ticks_l))
+        write_l = write_mask[sel].tolist() if posted else None
+    lat_out = [0] * len(ticks_l)
+
+    cluster_free = state.cluster_free
+    dram_free = state.dram_free
+    lag = state.lag
+    waits = [0] * len(channels)
+    busys = [0] * len(channels)
+    cch = wait_acc = busy_acc = 0
+
+    k = 0
+    last_gid = -1
+    for span_start, span_stop, on in spans:
+        if not on:
+            segment = u[span_start:span_stop]
+            if int(segment.min()) < 1:
+                bad = int(np.argmax(segment < 1))
+                raise SimulationError(
+                    f"access {span_start + bad} completed in "
+                    f"{int(segment[bad])} cycles"
+                )
+            if posted:
+                eff = np.where(
+                    write_mask[span_start:span_stop],
+                    np.int64(1),
+                    segment,
+                )
+                lag += int(eff.sum()) - (span_stop - span_start)
+            else:
+                lag += int(segment.sum()) - (span_stop - span_start)
+            continue
+        stop_k = k + (span_stop - span_start)
+        for k in range(k, stop_k):
+            gid = gid_l[k]
+            if gid != last_gid:
+                # Routing constants change only on a group switch;
+                # traces run the same structure for long stretches, so
+                # the CPU channel's wait/busy sums also accumulate in
+                # locals and flush on the switch.
+                if wait_acc:
+                    waits[cch] += wait_acc
+                    wait_acc = 0
+                if busy_acc:
+                    busys[cch] += busy_acc
+                    busy_acc = 0
+                (
+                    is_uncached,
+                    ci,
+                    cch,
+                    csplit,
+                    cbase,
+                    bci,
+                    bch,
+                    bsplit,
+                    bbase,
+                ) = ginfo[gid]
+                last_gid = gid
+            issue = ticks_l[k] + lag
+            if is_uncached:
+                free = cluster_free[ci]
+                start = issue if issue >= free else free
+                wait_acc += start - issue
+                command_done = start + cbase
+                dch = dch_l[k]
+                chfree = dram_free[dch]
+                dram_start = (
+                    command_done if command_done >= chfree else chfree
+                )
+                core_k = core_l[k]
+                completion = dram_start + core_k + dbeats_l[k]
+                dram_free[dch] = dram_start + core_k
+                busy_until = start + occ_l[k] if csplit else completion
+                busy_acc += busy_until - start
+                if busy_until > cluster_free[ci]:
+                    cluster_free[ci] = busy_until
+            else:
+                free = cluster_free[ci]
+                start = issue if issue >= free else free
+                wait = start - issue
+                served = start + serve_l[k]
+                completion = served
+                has_refill = refill_l[k]
+                if has_refill:
+                    free = cluster_free[bci]
+                    back_start = served if served >= free else free
+                    waits[bch] += back_start - served
+                    command_done = back_start + bbase
+                    dch = dch_l[k]
+                    chfree = dram_free[dch]
+                    dram_start = (
+                        command_done
+                        if command_done >= chfree
+                        else chfree
+                    )
+                    core_k = core_l[k]
+                    completion = dram_start + core_k + dbeats_l[k]
+                    dram_free[dch] = dram_start + core_k
+                    busy_until = (
+                        back_start + docc_l[k] if bsplit else completion
+                    )
+                    delta = busy_until - back_start
+                    if delta > 0:
+                        busys[bch] += delta
+                    if busy_until > cluster_free[bci]:
+                        cluster_free[bci] = busy_until
+                if bg_l[k]:
+                    free = cluster_free[bci]
+                    bg_start = served if served >= free else free
+                    occupancy = bgocc_l[k]
+                    busys[bch] += occupancy
+                    cluster_free[bci] = bg_start + occupancy
+                    dram_start = bg_start + bbase
+                    dch = dch_l[k]
+                    chfree = dram_free[dch]
+                    if dram_start < chfree:
+                        dram_start = chfree
+                    dram_free[dch] = dram_start + page_hit_latency
+                # Non-split bus held for the whole miss (the reference
+                # busy rule: completion == served exactly when there
+                # was no refill).
+                if csplit or not has_refill:
+                    busy_until = start + occ_l[k]
+                else:
+                    busy_until = completion
+                busy_acc += busy_until - start
+                if busy_until > cluster_free[ci]:
+                    cluster_free[ci] = busy_until
+                wait_acc += wait
+
+            lat = completion - issue
+            if lat < 1:
+                index = k if on_idx is None else int(on_idx[k])
+                raise SimulationError(
+                    f"access {index} completed in {lat} cycles"
+                )
+            lat_out[k] = lat
+            if posted and write_l[k]:
+                lat = 1
+            lag += lat - 1
+        k = stop_k
+
+    if wait_acc:
+        waits[cch] += wait_acc
+    if busy_acc:
+        busys[cch] += busy_acc
+    state.lag = lag
+    for i, wait in enumerate(waits):
+        if wait:
+            channels[i].wait_cycles += wait
+    for i, busy in enumerate(busys):
+        if busy:
+            channels[i].busy_cycles += busy
+    lat_column = np.array(lat_out, dtype=np.int64)
+    if on_idx is None:
+        latency[:] = lat_column
+    else:
+        latency[on_idx] = lat_column
 
 
 def _replay_pass(
     sim: Simulator,
-    state: "_RunState",
-    groups: list,
+    state: RunState,
+    groups: list[_Group],
+    plan: TracePlan,
     gplan: GroupPlan,
-    cols,
+    cols: _Columns,
     on_l: list | None,
 ) -> np.ndarray:
     """The candidate's contention/stall walk over the shared columns.
@@ -644,18 +1163,19 @@ def _replay_pass(
     dbeats_l = cols.dbeats.tolist()
     docc_l = cols.docc.tolist()
     bgocc_l = cols.bgocc.tolist()
-    ticks_l = gplan.ticks_l
-    gid_l = gplan.gid_l
-    mlat_l = gplan.mlat_l
-    refill_l = gplan.refill_l
-    bg_l = gplan.bg_l
-    core_l = gplan.core_l
-    dch_l = gplan.dch_l
-    rsrc_l = gplan.rsrc_l
-    ralpha_l = gplan.ralpha_l
-    rbeta_l = gplan.rbeta_l
+    lists = gplan.walk_lists
+    ticks_l = plan.ticks_l
+    gid_l = lists.gid
+    mlat_l = lists.mlat
+    refill_l = lists.refill
+    bg_l = lists.bg
+    core_l = lists.core
+    dch_l = lists.dch
+    rsrc_l = lists.rsrc
+    ralpha_l = lists.ralpha
+    rbeta_l = lists.rbeta
     posted = sim.posted_writes
-    write_l = gplan.write_l if posted else None
+    write_l = plan.write_l if posted else None
 
     n = len(conn_l)
     lat_out = [0] * n

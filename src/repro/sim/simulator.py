@@ -25,12 +25,15 @@ Energy model: module array energy per access, DRAM core + pin energy
 per DRAM transaction, and wire switching energy per byte per
 connection (from the connectivity architecture's wire models).
 
-Execution engines: :meth:`Simulator.run` dispatches to the columnar
-fast-path kernel (:mod:`repro.sim.kernels`) by default and to the
-scalar reference loop kept in this module with ``run(reference=True)``
-or ``REPRO_REFERENCE_SIM=1``. The two produce bit-identical
-:class:`SimulationResult`\\ s — the kernel's golden-equivalence suite
-asserts it — so callers and caches never need to know which ran.
+Execution: :meth:`Simulator.run` evaluates the simulator as a group of
+one through the simulation engine (:mod:`repro.sim.batch`), the same
+engine that evaluates Phase II candidate groups. The scalar reference
+loop kept in this module is the only other path: ``run(reference=True)``
+or ``REPRO_REFERENCE_SIM=1`` selects it, and the engine falls back to
+it for a module that can be neither batched nor replay-recorded. The
+two produce bit-identical :class:`SimulationResult`\\ s — the
+golden-equivalence suite asserts it — so callers and caches never need
+to know which ran.
 """
 
 from __future__ import annotations
@@ -43,6 +46,7 @@ import numpy as np
 
 from repro import obs
 from repro.channels import DRAM, Channel
+from repro.config import current_settings
 from repro.connectivity.architecture import ConnectivityArchitecture
 from repro.errors import SimulationError
 from repro.memory.dma import SelfIndirectDma
@@ -58,6 +62,12 @@ from repro.trace.events import AccessKind, Trace
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from repro.apex.architectures import MemoryArchitecture
+
+
+def reference_requested() -> bool:
+    """Has the environment (``REPRO_REFERENCE_SIM``) asked for the
+    reference loop?"""
+    return current_settings().reference_sim
 
 
 @dataclass
@@ -93,12 +103,14 @@ class _ChannelState:
         self.busy_cycles = 0
 
 
-class _RunState:
-    """Mutable whole-run accumulators shared by both execution engines.
+class RunState:
+    """Mutable whole-run accumulators of one run.
 
-    The reference loop and the columnar kernel both read and write this
-    record span by span, so a run can interleave scalar and batched
-    spans while accumulating one consistent set of statistics.
+    The reference loop and the engine's delta pass
+    (:mod:`repro.sim.batch`) both fill this record, and
+    :meth:`Simulator._finalize` folds it into the result. Creating one
+    starts a run: it zeroes the simulator's channel counters, so one
+    :class:`Simulator` can run repeatedly.
     """
 
     __slots__ = (
@@ -115,11 +127,12 @@ class _RunState:
         "module_counts",
         "struct_counts",
         "struct_latency",
-        "plan",
     )
 
     def __init__(self, simulator: "Simulator") -> None:
         channels = simulator._channels
+        for channel_state in channels:
+            channel_state.reset()
         self.cluster_free = [0] * (1 + max(c.cluster_index for c in channels))
         #: One core-occupancy timeline per DRAM channel: transactions
         #: serialize only against other transactions on their own
@@ -138,9 +151,6 @@ class _RunState:
         }
         self.struct_counts = [0] * len(simulator._routes)
         self.struct_latency = [0] * len(simulator._routes)
-        #: Lazily-built per-run Python-list trace columns (the kernel's
-        #: scalar residue builds them once per run, not once per span).
-        self.plan = None
 
 
 class Simulator:
@@ -277,8 +287,8 @@ class Simulator:
         """The prefetch-timeliness round trip for a DMA at ``target``.
 
         Exactly the ``backing_latency_hint`` :meth:`_prime_modules`
-        installs; exposed separately so the batch evaluator can price a
-        shared replay recording under each candidate's connectivity.
+        installs; exposed separately so the engine can price a shared
+        replay recording under each candidate's connectivity.
         """
         backing = Channel(target, DRAM)
         if self.connectivity is not None and backing in self._channel_index:
@@ -296,33 +306,26 @@ class Simulator:
 
         Args:
             reference: ``True`` forces the scalar reference loop,
-                ``False`` forces the columnar kernel, and ``None`` (the
-                default) selects the kernel unless the
-                ``REPRO_REFERENCE_SIM`` environment variable opts out.
-                Both engines return bit-identical results.
+                ``False`` forces the engine, and ``None`` (the default)
+                selects the engine unless the ``REPRO_REFERENCE_SIM``
+                environment variable opts out. Both return
+                bit-identical results.
         """
-        from repro.sim.kernels import reference_requested, run_kernel
+        # The engine imports this module, so it is imported lazily.
+        from repro.sim.batch import evaluate_single
 
         if reference is None:
             reference = reference_requested()
         with obs.span("sim.run"):
-            self._prime_modules()
-            for channel_state in self._channels:
-                channel_state.reset()
-            state = _RunState(self)
-            if reference:
+            result = None if reference else evaluate_single(self)
+            if result is None:
+                self._prime_modules()
+                state = RunState(self)
                 self._reference_loop(state)
-            else:
-                run_kernel(self, state)
-            result = self._finalize(state)
-        if obs.enabled():
-            obs.incr("sim.runs")
-            obs.incr("sim.accesses", len(self.trace))
-            obs.incr("sim.measured_accesses", state.measured)
-            obs.incr("sim.misses", state.misses)
+                result = self._finalize(state)
         return result
 
-    def _reference_loop(self, state: _RunState) -> None:
+    def _reference_loop(self, state: RunState) -> None:
         """The original per-access Python loop, kept as ground truth."""
         trace = self.trace
         dram = self.memory.dram
@@ -498,12 +501,21 @@ class Simulator:
         state.energy_wires = energy_wires
         state.misses = misses
 
-    def _finalize(self, state: _RunState) -> SimulationResult:
-        """Fold the accumulated run state into a :class:`SimulationResult`."""
+    def _finalize(self, state: RunState) -> SimulationResult:
+        """Fold the accumulated run state into a :class:`SimulationResult`.
+
+        Every run, on either path, ends here exactly once, so this is
+        where the ``sim.*`` run counters are recorded.
+        """
         trace = self.trace
         measured = state.measured
         if measured == 0:
             raise SimulationError("sampling measured no accesses")
+        if obs.enabled():
+            obs.incr("sim.runs")
+            obs.incr("sim.accesses", len(trace))
+            obs.incr("sim.measured_accesses", measured)
+            obs.incr("sim.misses", state.misses)
 
         latency_sum = state.latency_sum
         lag = state.lag
@@ -634,30 +646,12 @@ class Simulator:
         dram_free: list[int],
         on_window: bool,
     ) -> None:
-        """Off-critical-path traffic: occupies connection + DRAM only."""
+        """Off-critical-path traffic: occupies connection + DRAM only.
+
+        ``dram_free`` is the per-channel core timeline, updated in place.
+        """
         state.bytes_moved += size
         state.background_transactions += 1
-        self._background_contention(
-            state, ready, address, size, cluster_free, dram_free, on_window
-        )
-
-    def _background_contention(
-        self,
-        state: _ChannelState,
-        ready: int,
-        address: int,
-        size: int,
-        cluster_free: list[int],
-        dram_free: list[int],
-        on_window: bool,
-    ) -> None:
-        """The contention half of :meth:`_background_traffic`.
-
-        The kernel counts background bytes/transactions columnar once
-        per run, so its loops need the occupancy/timeline updates
-        without re-touching the traffic counters. ``dram_free`` is the
-        per-channel core timeline, updated in place.
-        """
         component = state.component
         if component is None or not on_window:
             return

@@ -41,6 +41,27 @@ class TestDesignDoc:
 
         for package in re.findall(r"`repro\.([a-z]+)`", read("DESIGN.md")):
             importlib.import_module(f"repro.{package}")
+        # Every dotted `repro.a.b[.c]` citation in the prose docs must
+        # name an importable module or an attribute reachable from one,
+        # so deleting a module cannot leave citations behind.
+        docs = ["DESIGN.md", "README.md"] + [
+            f"docs/{p.name}" for p in sorted((ROOT / "docs").glob("*.md"))
+        ]
+        unresolved = []
+        for doc in docs:
+            for name in set(re.findall(r"`(repro(?:\.\w+)+)", read(doc))):
+                parts = name.split(".")
+                for cut in range(len(parts), 0, -1):
+                    try:
+                        owner = importlib.import_module(".".join(parts[:cut]))
+                    except ModuleNotFoundError:
+                        continue
+                    for attribute in parts[cut:]:
+                        owner = getattr(owner, attribute, None)
+                    if owner is None:
+                        unresolved.append(f"{doc}: {name}")
+                    break
+        assert not unresolved, unresolved
 
 
 class TestReadme:

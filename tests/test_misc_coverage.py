@@ -126,11 +126,11 @@ class TestArchitectureEdges:
     def test_negative_latency_guard(self, mem_library, tiny_trace, batch):
         """Modules returning nonsense latencies are caught.
 
-        Covered for both kernel paths: ``batch=True`` keeps the broken
-        scalar/batched pair in lockstep (the columnar engine's
-        vectorized guard fires), ``batch=False`` honours the
-        ``supports_batch`` contract for a scalar-only override (the
-        scalar residue's guard fires).
+        Covered for both paths: ``batch=True`` keeps the broken
+        scalar/batched pair in lockstep (the engine's vectorized guard
+        fires), ``batch=False`` honours the ``supports_batch`` contract
+        for a scalar-only override, which neither batches nor replays,
+        so the run falls back to the reference loop (its guard fires).
         """
         from repro.errors import SimulationError
         from repro.memory.sram import Sram

@@ -223,6 +223,20 @@ class TestWorkerMerge:
         assert snap.counters["exec.cache_misses"] == len(jobs)
         assert snap.counters["exec.cache_hits"] == 0
 
+    def test_batch_path_counts_every_run(self, tiny_trace, mem_library, obs_on):
+        """Group evaluation counts each simulated job exactly once."""
+        from dataclasses import replace
+
+        from repro.exec.engine import simulate_batch
+
+        base = _jobs(mem_library)
+        jobs = base + [replace(job, posted_writes=True) for job in base]
+        report = simulate_batch(tiny_trace, jobs, workers=1, cache=NullCache())
+        assert report.cache_misses == len(jobs)
+        snap = obs.snapshot()
+        assert snap.counters["sim.runs"] == len(jobs)
+        assert snap.counters["sim.accesses"] == len(jobs) * len(tiny_trace)
+
     def test_cache_hits_are_counted(self, tiny_trace, mem_library, obs_on):
         jobs = _jobs(mem_library)
         cache = SimulationCache()

@@ -209,6 +209,26 @@ class TestJobStore:
         assert store.get(live.id) is live
 
 
+class TestRunner:
+    def test_pool_backend_without_workers_uses_the_runner_runtime(self):
+        """``serve --backend pool`` runs a job without ``workers`` on the
+        runner thread's own runtime, not a fresh one-worker default."""
+        from repro.exec.runtime import ExecutionRuntime
+        from repro.service.runner import TenantCaches, execute_job
+
+        store = JobStore()
+        job = Job(spec=parse_job_spec(_spec(kind="apex")))
+        store.add(job)
+        with ExecutionRuntime(workers=2) as runtime:
+            execute_job(
+                job, store, TenantCaches(), runtime=runtime,
+                default_backend="pool",
+            )
+            batches = runtime.stats.batches
+        assert job.state == jobstates.DONE, job.error
+        assert batches >= 1
+
+
 @pytest.fixture(scope="module")
 def running_server(tmp_path_factory):
     cache_dir = tmp_path_factory.mktemp("service-cache")

@@ -1,6 +1,6 @@
-"""Golden equivalence: the columnar kernel vs the reference loop.
+"""Golden equivalence: the simulation engine vs the reference loop.
 
-The contract of :mod:`repro.sim.kernels` is exact — not approximate —
+The contract of :mod:`repro.sim.batch` is exact — not approximate —
 equality: for any trace, architecture, connectivity, sampling, and
 write model, ``run(reference=False)`` must return a
 :class:`SimulationResult` equal field-for-field (including every float,
@@ -38,14 +38,13 @@ from repro.memory.dram import Dram
 from repro.memory.library import default_memory_library, mixed_architecture
 from repro.memory.stream_buffer import StreamBuffer
 from repro.sim.batch import clear_plan_registry
-from repro.sim.kernels import MIN_BATCH_SPAN, _batch_spans, reference_requested
 from repro.sim.sampling import SamplingConfig
-from repro.sim.simulator import simulate
+from repro.sim.simulator import reference_requested, simulate
 from repro.trace.events import AccessKind, TraceBuilder
 from repro.workloads import get_workload
 
 #: Scales chosen so every workload's trace spans multiple sampling
-#: periods (so batched spans actually run) while the grid stays fast.
+#: periods (so off-window spans actually run) while the grid stays fast.
 WORKLOAD_SCALES = {
     "compress": 0.12,
     "li": 0.08,
@@ -127,10 +126,9 @@ def test_kernel_matches_reference(workload, sampling_mode, posted, conn_mode):
     assert kernel == reference
 
 
-#: DMA-heavy grid: tick-dependent modules force the segmented engine,
+#: DMA-heavy grid: tick-dependent modules force the replay walk,
 #: crossed with sampling, posted writes, and connectivity so the
-#: synchronization-point walk is exercised against every contention
-#: regime (including whole-trace scalar residues when unsampled).
+#: stall re-pricing is exercised against every contention regime.
 DMA_GRID = list(
     itertools.product(
         ("unsampled", "sampled"),
@@ -145,7 +143,7 @@ DMA_GRID = list(
 def test_kernel_matches_reference_with_dma(
     sampling_mode, posted, conn_mode, dma_preset
 ):
-    """DMA-mapped structures run segmented; results stay exact."""
+    """DMA-mapped structures run the replay walk; results stay exact."""
     trace = _trace("li")
     memory = mixed_architecture(trace, MEM_LIBRARY, dma_preset=dma_preset)
     connectivity = _connectivity(memory, trace, conn_mode)
@@ -179,20 +177,6 @@ def test_environment_opt_out(monkeypatch):
     # Unsampled cross-check: the env-routed reference equals the
     # default kernel on a whole-trace run too.
     assert simulate(trace, memory, None, None) == via_env_unsampled
-
-
-def test_batch_span_segmentation():
-    """Only maximal fast runs of at least MIN_BATCH_SPAN batch."""
-    fast = np.zeros(1000, dtype=bool)
-    fast[100:200] = True  # long enough
-    fast[300 : 300 + MIN_BATCH_SPAN - 1] = True  # one short
-    fast[900:1000] = True  # runs to the end
-    assert _batch_spans(fast) == [(100, 200), (900, 1000)]
-    assert _batch_spans(np.ones(5, dtype=bool)) == []
-    assert _batch_spans(np.ones(MIN_BATCH_SPAN, dtype=bool)) == [
-        (0, MIN_BATCH_SPAN)
-    ]
-    assert _batch_spans(np.zeros(MIN_BATCH_SPAN, dtype=bool)) == []
 
 
 # -- module-level batch-vs-scalar properties --------------------------------
@@ -292,15 +276,15 @@ def test_stream_buffer_access_many_matches_access(seed, depth):
 
 # -- property tests: random traces vs the reference -------------------------
 #
-# Hypothesis drives randomly shaped traces through both engines. Two
-# properties matter most to the batched kernel: (a) tick-dependent
-# modules (DMA engines) advanced in chunked segments between
-# synchronization points must land in exactly the state the
-# access-by-access reference leaves them in, and (b) the compacted
-# on-window contention walk must reproduce every per-channel wait/busy
-# counter. ``SimulationResult`` equality covers both, but the channel
-# counters are also asserted explicitly so a regression names the
-# broken accounting rather than just "results differ".
+# Hypothesis drives randomly shaped traces through both paths. Two
+# properties matter most to the engine: (a) tick-dependent modules
+# (DMA engines) recorded once and re-priced by the replay walk must
+# reproduce exactly the latencies the access-by-access reference
+# produces, and (b) the compacted on-window contention walk must
+# reproduce every per-channel wait/busy counter. ``SimulationResult``
+# equality covers both, but the channel counters are also asserted
+# explicitly so a regression names the broken accounting rather than
+# just "results differ".
 
 
 @st.composite
