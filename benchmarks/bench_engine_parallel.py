@@ -5,10 +5,12 @@ simulation batch in the library), both with the result cache disabled
 so each run measures real simulation work:
 
 * **per-run vs batch (serial)** — the Phase II candidate list evaluated
-  through :func:`repro.exec.simulate_many` (one independent kernel
-  dispatch per candidate, the pre-batch path) and through
-  :func:`repro.exec.simulate_batch` (candidates grouped by memory
-  signature, sharing trace plans and module columns). Interleaved
+  as independent :func:`repro.sim.simulator.simulate` calls (one per
+  distinct candidate — duplicates are dropped by
+  :func:`repro.exec.simulation_key` as the engine does — each with its
+  own private trace plan) and through :func:`repro.exec.simulate_batch`
+  (candidates grouped by memory signature, sharing trace plans and
+  module columns). Interleaved
   rounds; each leg records its minimum (the least-noise estimator).
   Single-process on both sides, so the speedup is real on any machine
   and the ≥5x assertion always fires.
@@ -57,9 +59,10 @@ from repro.exec import (
     ShardedBackend,
     SimulationJob,
     simulate_batch,
-    simulate_many,
+    simulation_key,
 )
 from repro.sim.batch import clear_plan_registry
+from repro.sim.simulator import simulate
 from repro.workloads import get_workload
 
 WORKERS = 4
@@ -127,6 +130,37 @@ def _full_grid_jobs(trace, hints):
     return jobs
 
 
+def _run_each(trace, jobs):
+    """One independent ``simulate()`` call per distinct job.
+
+    Jobs are deduplicated by :func:`repro.exec.simulation_key`, as the
+    engine does, so this leg runs the same simulations as the batch
+    leg. Returns the index of each job run and its result.
+    """
+    seen = set()
+    indices = []
+    results = []
+    for index, job in enumerate(jobs):
+        key = simulation_key(
+            trace, job.memory, job.connectivity, job.sampling,
+            job.posted_writes,
+        )
+        if key in seen:
+            continue
+        seen.add(key)
+        indices.append(index)
+        results.append(
+            simulate(
+                trace,
+                job.memory,
+                job.connectivity,
+                sampling=job.sampling,
+                posted_writes=job.posted_writes,
+            )
+        )
+    return indices, results
+
+
 def regenerate() -> str:
     cpu_count = os.cpu_count() or 1
     workload = get_workload("compress", scale=TRACE_SCALE, seed=1)
@@ -155,7 +189,7 @@ def regenerate() -> str:
     for _ in range(rounds):
         with _timing_region():
             start = time.perf_counter()
-            per_run = simulate_many(trace, jobs, workers=1, cache=NullCache())
+            distinct, per_run = _run_each(trace, jobs)
             per_run_times.append(time.perf_counter() - start)
 
         with _timing_region():
@@ -163,7 +197,8 @@ def regenerate() -> str:
             batched = simulate_batch(trace, jobs, workers=1, cache=NullCache())
             batch_times.append(time.perf_counter() - start)
 
-        assert batched.results == per_run.results  # bit-identical, job-keyed
+        # Bit-identical, job-keyed.
+        assert [batched.results[i] for i in distinct] == per_run
     per_run_seconds = min(per_run_times)
     batch_seconds = min(batch_times)
     batch_record = common.record_parallel_timing(

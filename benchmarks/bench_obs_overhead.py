@@ -3,14 +3,14 @@
 The :mod:`repro.obs` layer promises to be effectively free: near-zero
 when disabled (the default), and a small bounded cost when enabled.
 This benchmark holds it to that promise with two measurements over a
-serial ``simulate_many`` batch (cache disabled, so every run is real
+serial ``simulate_batch`` batch (cache disabled, so every run is real
 simulation work):
 
 * **Enabled overhead** — the same batch timed with recording off and
   on; the enabled wall time must stay within 5% of the disabled one.
-  While enabled, every simulation records its ``sim.run`` span and
-  run counters, and the engine records the batch accounting — the
-  full instrumentation cost.
+  While enabled, every memory-signature group records its
+  ``sim.batch.group`` span, every simulation its run counters, and the
+  engine the batch accounting — the full instrumentation cost.
 * **Disabled overhead** — what the instrumentation costs when nobody
   asked for it. The in-simulation call sites all guard on one
   module-global boolean (``span()`` additionally returns a shared
@@ -31,7 +31,7 @@ import time
 import common
 from repro import obs
 from repro.apex.architectures import MemoryArchitecture
-from repro.exec import NullCache, SimulationJob, simulate_many
+from repro.exec import NullCache, SimulationJob, simulate_batch
 from repro.workloads import get_workload
 
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "").strip() == "1"
@@ -66,7 +66,7 @@ def _time_batch(trace, jobs) -> float:
     best = float("inf")
     for _ in range(REPEATS):
         start = time.perf_counter()
-        simulate_many(trace, jobs, workers=1, cache=NullCache())
+        simulate_batch(trace, jobs, workers=1, cache=NullCache())
         best = min(best, time.perf_counter() - start)
     return best
 

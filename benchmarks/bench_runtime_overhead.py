@@ -3,10 +3,11 @@
 Two measurements of what this iteration of the execution layer saves:
 
 * **Batch dispatch** — an exploration session issues many small
-  ``simulate_many`` batches. The legacy engine built a fresh process
-  pool per batch and shipped the trace through the pool initializer;
-  the persistent :class:`repro.exec.ExecutionRuntime` builds the pool
-  once and exports the trace to shared memory once. Both parallel
+  ``simulate_batch`` batches. The cold-pool mode gives every batch a
+  fresh :class:`repro.exec.ExecutionRuntime`, so each one pays pool
+  start-up and the shared-memory trace export; the persistent mode
+  threads one runtime through every batch, building the pool and
+  exporting the trace once. Both parallel
   modes run the same batches over a compress trace (about a million
   accesses at full scale) with aggressive sampling, so per-batch
   *work* is small and the per-batch *setup* dominates — exactly the
@@ -46,12 +47,8 @@ from repro.conex.brg import build_brg
 from repro.conex.clustering import clustering_levels
 from repro.conex.estimator import estimate_design, estimate_plan
 from repro.conex.explorer import ConExConfig
-from repro.exec import NullCache, SimulationJob, simulate_many
-from repro.exec.runtime import (
-    FAULT_INJECT_ENV,
-    RUNTIME_ENV,
-    ExecutionRuntime,
-)
+from repro.exec import NullCache, SimulationJob, simulate_batch
+from repro.exec.runtime import FAULT_INJECT_ENV, ExecutionRuntime
 from repro.sim.sampling import SamplingConfig
 from repro.workloads import get_workload
 
@@ -93,33 +90,40 @@ def _batches(trace):
     return [list(jobs) for _ in range(N_BATCHES)]
 
 
-def _time_batches(trace, batches, **kwargs):
+def _time_batches(batches, run):
     start = time.perf_counter()
-    outcomes = [
-        simulate_many(trace, batch, cache=NullCache(), **kwargs).results
-        for batch in batches
-    ]
+    outcomes = [run(batch).results for batch in batches]
     return time.perf_counter() - start, outcomes
+
+
+def _cold_pool_batch(trace, batch):
+    """One batch on a fresh runtime: pool start-up and export per batch."""
+    with ExecutionRuntime(workers=WORKERS) as runtime:
+        return simulate_batch(trace, batch, cache=NullCache(), runtime=runtime)
 
 
 def _dispatch_overhead(trace):
     batches = _batches(trace)
-    serial_seconds, serial_results = _time_batches(trace, batches, workers=1)
+    serial_seconds, serial_results = _time_batches(
+        batches,
+        lambda batch: simulate_batch(
+            trace, batch, workers=1, cache=NullCache()
+        ),
+    )
 
-    # Legacy mode: a fresh pool per batch, trace via pool initializer.
-    os.environ[RUNTIME_ENV] = "0"
-    try:
-        cold_seconds, cold_results = _time_batches(
-            trace, batches, workers=WORKERS
-        )
-    finally:
-        os.environ.pop(RUNTIME_ENV, None)
+    # Cold-pool mode: a fresh runtime (pool + trace export) per batch.
+    cold_seconds, cold_results = _time_batches(
+        batches, lambda batch: _cold_pool_batch(trace, batch)
+    )
 
     # Persistent mode: one pool, one shared-memory trace export. Pool
     # construction is paid inside the timing, on the first batch.
     with ExecutionRuntime(workers=WORKERS) as runtime:
         persistent_seconds, persistent_results = _time_batches(
-            trace, batches, runtime=runtime
+            batches,
+            lambda batch: simulate_batch(
+                trace, batch, cache=NullCache(), runtime=runtime
+            ),
         )
 
     assert cold_results == serial_results, "cold-pool results diverged"
@@ -150,7 +154,7 @@ def _crash_recovery(trace):
 
     with ExecutionRuntime(workers=WORKERS) as runtime:
         start = time.perf_counter()
-        clean = simulate_many(
+        clean = simulate_batch(
             trace, jobs, cache=NullCache(), runtime=runtime
         )
         clean_seconds = time.perf_counter() - start
@@ -160,7 +164,7 @@ def _crash_recovery(trace):
         try:
             with ExecutionRuntime(workers=WORKERS) as runtime:
                 start = time.perf_counter()
-                faulted = simulate_many(
+                faulted = simulate_batch(
                     trace, jobs, cache=NullCache(), runtime=runtime
                 )
                 faulted_seconds = time.perf_counter() - start

@@ -35,7 +35,7 @@ from repro.memory.library import MemoryLibrary
 from repro.memory.module import MemoryModule
 from repro.sim.metrics import SimulationResult
 from repro.sim.sampling import SamplingConfig
-from repro.stats import BatchStats, StatsReport, deprecated_stat
+from repro.stats import BatchStats, StatsReport
 from repro.trace.events import Trace
 from repro.trace.patterns import AccessPattern, PatternProfile, profile_patterns
 from repro.util.pareto import pareto_front
@@ -110,9 +110,7 @@ class ApexResult(StatsReport):
 
     ``stats`` bundles the evaluation batch's accounting (cache
     hits/misses, dedup, retries, pool rebuilds, degraded flag) as a
-    :class:`repro.stats.BatchStats`; the old flat ``pool_rebuilds`` /
-    ``degraded`` attribute names still read, with a
-    :class:`DeprecationWarning`.
+    :class:`repro.stats.BatchStats`.
     """
 
     trace_name: str
@@ -122,12 +120,6 @@ class ApexResult(StatsReport):
     stats: BatchStats = field(default_factory=BatchStats)
 
     _STATS_EXCLUDE = ("evaluated", "selected")
-
-    # Deprecated flat names (pre-1.1) for the bundled batch stats.
-    pool_rebuilds = deprecated_stat(
-        "ApexResult", "pool_rebuilds", "stats.pool_rebuilds"
-    )
-    degraded = deprecated_stat("ApexResult", "degraded", "stats.degraded")
 
     def architecture_names(self) -> tuple[str, ...]:
         return tuple(e.architecture.name for e in self.selected)

@@ -96,8 +96,8 @@ def _add_backend_argument(parser: argparse.ArgumentParser) -> None:
         choices=("serial", "pool", "remote"),
         default=None,
         help="execution backend for simulation batches (default: "
-        "REPRO_BACKEND, else the classic workers dispatch; 'remote' "
-        "shards over the REPRO_WORKER_ADDRS socket workers)",
+        "REPRO_BACKEND, else serial for --jobs 1 and the pool otherwise; "
+        "'remote' shards over the REPRO_WORKER_ADDRS socket workers)",
     )
 
 

@@ -43,7 +43,7 @@ from repro.exec.engine import (
 from repro.exec.runtime import ExecutionRuntime
 from repro.sim.metrics import SimulationResult
 from repro.sim.sampling import SamplingConfig
-from repro.stats import BatchStats, StatsReport, deprecated_stat
+from repro.stats import BatchStats, StatsReport
 from repro.trace.events import Trace
 from repro.util.pareto import pareto_front
 
@@ -159,9 +159,7 @@ class ConExResult(StatsReport):
     Phase-II simulations of the locally selected designs; ``selected``
     the global cost/performance/power pareto set. ``phase2`` bundles the
     Phase-II batch accounting (cache hits/misses, dedup, retries, pool
-    rebuilds, degraded flag) as a :class:`repro.stats.BatchStats`; the
-    old flat ``phase2_*`` attribute names still read, with a
-    :class:`DeprecationWarning`.
+    rebuilds, degraded flag) as a :class:`repro.stats.BatchStats`.
     """
 
     trace_name: str
@@ -176,23 +174,6 @@ class ConExResult(StatsReport):
     phase2: BatchStats = field(default_factory=BatchStats)
 
     _STATS_EXCLUDE = ("estimated", "simulated", "selected", "brgs")
-
-    # Deprecated flat names (pre-1.1) for the bundled Phase-II stats.
-    phase2_cache_hits = deprecated_stat(
-        "ConExResult", "phase2_cache_hits", "phase2.cache_hits"
-    )
-    phase2_cache_misses = deprecated_stat(
-        "ConExResult", "phase2_cache_misses", "phase2.cache_misses"
-    )
-    phase2_deduplicated = deprecated_stat(
-        "ConExResult", "phase2_deduplicated", "phase2.deduplicated"
-    )
-    phase2_pool_rebuilds = deprecated_stat(
-        "ConExResult", "phase2_pool_rebuilds", "phase2.pool_rebuilds"
-    )
-    phase2_degraded = deprecated_stat(
-        "ConExResult", "phase2_degraded", "phase2.degraded"
-    )
 
     @property
     def total_seconds(self) -> float:

@@ -36,9 +36,6 @@ from repro.errors import ExecutionError, ExplorationError
 #: Worker-process count for simulation/estimation batches.
 WORKERS_ENV = "REPRO_WORKERS"
 
-#: ``0`` disables the persistent execution runtime (legacy per-batch pools).
-RUNTIME_ENV = "REPRO_PERSISTENT_RUNTIME"
-
 #: Per-job timeout in seconds for fault-tolerant dispatch.
 JOB_TIMEOUT_ENV = "REPRO_JOB_TIMEOUT"
 
@@ -49,7 +46,8 @@ MAX_RETRIES_ENV = "REPRO_MAX_RETRIES"
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 
 #: Execution backend for simulation/estimate batches: ``serial``,
-#: ``pool``, or ``remote`` (unset keeps the engine's built-in dispatch).
+#: ``pool``, or ``remote`` (unset: serial for one worker or one unit of
+#: work, else the pool).
 BACKEND_ENV = "REPRO_BACKEND"
 
 #: Comma-separated ``host:port`` list of remote ``repro worker``
@@ -131,7 +129,6 @@ class Settings:
     attribute                   environment variable           default
     ==========================  =============================  ==========
     ``workers``                 ``REPRO_WORKERS``              ``1``
-    ``persistent_runtime``      ``REPRO_PERSISTENT_RUNTIME``   ``True``
     ``job_timeout``             ``REPRO_JOB_TIMEOUT``          ``None``
     ``max_retries``             ``REPRO_MAX_RETRIES``          ``2``
     ``cache_dir``               ``REPRO_CACHE_DIR``            ``None``
@@ -162,7 +159,6 @@ class Settings:
     """
 
     workers: int = 1
-    persistent_runtime: bool = True
     job_timeout: float | None = None
     max_retries: int = 2
     cache_dir: str | None = None
@@ -305,7 +301,6 @@ class Settings:
 
         return cls(
             workers=workers,
-            persistent_runtime=_get(env, RUNTIME_ENV) != "0",
             job_timeout=job_timeout,
             max_retries=max_retries,
             cache_dir=_get(env, CACHE_DIR_ENV) or None,
@@ -339,7 +334,6 @@ class Settings:
         """
         env: dict[str, str] = {
             WORKERS_ENV: str(self.workers),
-            RUNTIME_ENV: "1" if self.persistent_runtime else "0",
             MAX_RETRIES_ENV: str(self.max_retries),
             WORKERS_CAP_ENV: "1" if self.workers_cap else "0",
             MAX_FRAME_MB_ENV: repr(self.max_frame_mb),

@@ -22,7 +22,7 @@ from repro.connectivity.architecture import (
 from repro.connectivity.library import ConnectivityLibrary
 from repro.errors import ExplorationError
 from repro.exec.cache import SimulationCache
-from repro.exec.engine import SimulationJob, simulate_many
+from repro.exec.engine import SimulationJob, simulate_batch
 from repro.exec.runtime import ExecutionRuntime
 from repro.memory.library import MemoryLibrary
 from repro.sim.metrics import SimulationResult
@@ -74,7 +74,7 @@ def _run_sweep(
 ) -> list[SweepPoint]:
     """Dispatch one sweep's job list and pair results with settings."""
     with obs.span("sweep.run"):
-        report = simulate_many(
+        report = simulate_batch(
             trace, jobs, workers=workers, cache=cache, runtime=runtime,
             backend=backend,
         )

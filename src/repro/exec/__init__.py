@@ -4,30 +4,32 @@ The exploration layers (:mod:`repro.apex`, :mod:`repro.conex`,
 :mod:`repro.core`) evaluate thousands of independent (trace, memory,
 connectivity) design points. This package makes that the fast path:
 
-* :mod:`repro.exec.engine` — :func:`simulate_many` /
-  :func:`estimate_many` batch evaluators with a process pool,
-  deterministic job-index result ordering, and a bit-identical serial
-  fallback (``workers=1`` / ``REPRO_WORKERS`` unset).
-* :mod:`repro.exec.runtime` — the persistent
-  :class:`ExecutionRuntime`: a long-lived worker pool reused across
-  batches, with traces exported once per fingerprint to shared memory
-  so workers attach zero-copy instead of unpickling them
-  (``REPRO_PERSISTENT_RUNTIME=0`` opts out). Dispatch is fault
-  tolerant: worker deaths and job timeouts (``REPRO_JOB_TIMEOUT``)
-  rebuild the pool and re-dispatch only the unfinished jobs, and
-  after ``REPRO_MAX_RETRIES`` rebuilds the batch degrades to the
-  serial in-process path instead of failing. Pools are capped at the
-  machine's CPU count (``REPRO_WORKERS_CAP=0`` opts out).
-* :mod:`repro.exec.backend` — the pluggable
-  :class:`ExecutionBackend` interface behind the engine:
-  :class:`SerialBackend`, :class:`PoolBackend` (the runtime),
+* :mod:`repro.exec.engine` — :func:`simulate_batch` /
+  :func:`estimate_many`: cache lookups, in-batch dedup,
+  memory-signature grouping, and deterministic job-index result
+  ordering, with exactly one backend call per batch for the misses.
+* :mod:`repro.exec.backend` — the :class:`ExecutionBackend` interface
+  every batch dispatches through: :class:`SerialBackend` (in-process,
+  the reference), :class:`PoolBackend` (the runtime below),
   :class:`RemoteBackend` (one socket worker), and
   :class:`ShardedBackend` (N backends with fault-tolerant re-dispatch
   of memory-signature groups). Select with ``backend=`` or
-  ``REPRO_BACKEND`` / ``REPRO_WORKER_ADDRS``.
+  ``REPRO_BACKEND`` / ``REPRO_WORKER_ADDRS``; unset, a batch runs
+  serially for one worker (``REPRO_WORKERS`` unset) or one unit of
+  work and on the pool otherwise.
+* :mod:`repro.exec.runtime` — the persistent
+  :class:`ExecutionRuntime`: a long-lived worker pool reused across
+  batches, with traces exported once per fingerprint to shared memory
+  so workers attach zero-copy instead of unpickling them. Dispatch is
+  fault tolerant: worker deaths and job timeouts
+  (``REPRO_JOB_TIMEOUT``) rebuild the pool and re-dispatch only the
+  unfinished work, and after ``REPRO_MAX_RETRIES`` rebuilds the batch
+  degrades to the serial in-process path instead of failing. Pools
+  are capped at the machine's CPU count (``REPRO_WORKERS_CAP=0`` opts
+  out).
 * :mod:`repro.exec.net` / :mod:`repro.exec.worker` — the
   dependency-free length-prefixed socket protocol and the ``repro
-  worker`` server that serves simulate/estimate jobs and networked
+  worker`` server that serves simulation groups, estimates and networked
   cache traffic over it.
 * :mod:`repro.exec.cache` — a content-addressed
   :class:`SimulationCache` keyed by trace fingerprint, architecture
@@ -67,20 +69,17 @@ from repro.exec.engine import (
     SimulationJob,
     estimate_many,
     simulate_batch,
-    simulate_many,
 )
 from repro.exec.net import BackendUnavailable, Connection
 from repro.exec.runtime import (
     JOB_TIMEOUT_ENV,
     MAX_RETRIES_ENV,
-    RUNTIME_ENV,
     WORKERS_ENV,
     DispatchStats,
     ExecutionRuntime,
     RuntimeStats,
     default_runtime,
     effective_pool_workers,
-    persistent_runtime_enabled,
     resolve_job_timeout,
     resolve_max_retries,
     resolve_workers,
@@ -105,7 +104,6 @@ __all__ = [
     "NULL_CACHE",
     "NullCache",
     "PoolBackend",
-    "RUNTIME_ENV",
     "RemoteBackend",
     "RuntimeStats",
     "SerialBackend",
@@ -119,7 +117,6 @@ __all__ = [
     "effective_pool_workers",
     "estimate_many",
     "key_digest",
-    "persistent_runtime_enabled",
     "resolve_backend",
     "resolve_job_timeout",
     "resolve_max_retries",
@@ -128,6 +125,5 @@ __all__ = [
     "set_default_cache",
     "set_default_runtime",
     "simulate_batch",
-    "simulate_many",
     "simulation_key",
 ]

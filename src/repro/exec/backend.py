@@ -28,11 +28,13 @@ Implementations:
   :class:`SerialBackend`. Job-raised errors are *not* faults and
   propagate unchanged.
 
-Selection: pass ``backend=`` to an engine entry point (an instance or
-one of the names ``"serial"``/``"pool"``/``"remote"``), or set
-``REPRO_BACKEND`` — ``"remote"`` builds a :class:`ShardedBackend` of
-one :class:`RemoteBackend` per ``REPRO_WORKER_ADDRS`` address. Unset
-(the default) keeps the engine's classic dispatch paths untouched.
+Every engine batch runs through exactly one backend, chosen by
+:func:`resolve_backend`: pass ``backend=`` to an engine entry point (an
+instance or one of the names ``"serial"``/``"pool"``/``"remote"``), or
+set ``REPRO_BACKEND`` — ``"remote"`` builds a :class:`ShardedBackend`
+of one :class:`RemoteBackend` per ``REPRO_WORKER_ADDRS`` address.
+Unset, a batch runs on :class:`SerialBackend` when it has one worker
+or at most one unit of work, and on :class:`PoolBackend` otherwise.
 """
 
 from __future__ import annotations
@@ -51,10 +53,10 @@ from repro.exec.runtime import (
     ExecutionRuntime,
     default_runtime,
     resolve_max_retries,
+    resolve_workers,
 )
 from repro.sim import batch as sim_batch
 from repro.sim.metrics import SimulationResult
-from repro.sim.simulator import simulate
 from repro.trace.events import Trace
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
@@ -75,8 +77,8 @@ GroupOutcome = "tuple[list[SimulationResult], int]"
 class ExecutionBackend:
     """Interface: run ordered work lists, return results in order.
 
-    Subclasses implement the three ``run_*`` methods and keep
-    :attr:`last_dispatch` current; :attr:`bytes_sent` /
+    Subclasses implement :meth:`run_groups` and :meth:`run_estimates`
+    and keep :attr:`last_dispatch` current; :attr:`bytes_sent` /
     :attr:`bytes_received` stay zero for local backends.
     """
 
@@ -97,8 +99,14 @@ class ExecutionBackend:
     def run_simulations(
         self, trace: Trace, jobs: "Sequence[SimulationJob]"
     ) -> list[SimulationResult]:
-        """Simulate every job over ``trace``, ordered like ``jobs``."""
-        raise NotImplementedError
+        """Simulate every job over ``trace``, ordered like ``jobs``.
+
+        Each job runs as a group of one through :meth:`run_groups`,
+        which is bit-identical to :func:`repro.sim.simulator.simulate`
+        (a simulation evaluates itself as a group of one as well).
+        """
+        outcomes = self.run_groups(trace, [(job,) for job in jobs])
+        return [results[0] for results, _ in outcomes]
 
     def run_groups(
         self, trace: Trace, groups: "Sequence[Sequence[SimulationJob]]"
@@ -135,19 +143,6 @@ class SerialBackend(ExecutionBackend):
     """In-process loops — the reference every other backend must match."""
 
     name = "serial"
-
-    def run_simulations(self, trace, jobs):
-        self.last_dispatch = DispatchStats(jobs=len(jobs))
-        return [
-            simulate(
-                trace,
-                job.memory,
-                job.connectivity,
-                sampling=job.sampling,
-                posted_writes=job.posted_writes,
-            )
-            for job in jobs
-        ]
 
     def run_groups(self, trace, groups):
         self.last_dispatch = DispatchStats(
@@ -194,11 +189,6 @@ class PoolBackend(ExecutionBackend):
         results = call()
         self.last_dispatch = self._runtime.last_dispatch
         return results
-
-    def run_simulations(self, trace, jobs):
-        return self._delegate(
-            lambda: self._runtime.map_simulations(trace, jobs)
-        )
 
     def run_groups(self, trace, groups):
         return self._delegate(
@@ -338,14 +328,6 @@ class RemoteBackend(ExecutionBackend):
             self.ensure_trace(trace)
             return self._run_remote(kind, request, jobs)
 
-    def run_simulations(self, trace, jobs):
-        return self._run_traced(
-            trace,
-            net.MSG_SIM_JOBS,
-            {"fingerprint": trace.fingerprint(), "jobs": list(jobs)},
-            len(jobs),
-        )
-
     def run_groups(self, trace, groups):
         return self._run_traced(
             trace,
@@ -421,7 +403,7 @@ class ShardedBackend(ExecutionBackend):
         run_fallback: Callable[[list], list],
         jobs: int,
     ) -> list:
-        """The sharding core shared by all three ``run_*`` methods.
+        """The sharding core shared by both ``run_*`` methods.
 
         ``run(backend, subset)`` executes a shard's item subset;
         ``run_fallback(subset)`` is the local degraded path. Mirrors
@@ -491,14 +473,6 @@ class ShardedBackend(ExecutionBackend):
         self.last_dispatch = stats
         return results
 
-    def run_simulations(self, trace, jobs):
-        return self._run_sharded(
-            list(jobs),
-            lambda backend, subset: backend.run_simulations(trace, subset),
-            lambda subset: self.fallback.run_simulations(trace, subset),
-            len(jobs),
-        )
-
     def run_groups(self, trace, groups):
         return self._run_sharded(
             [tuple(group) for group in groups],
@@ -530,26 +504,39 @@ class ShardedBackend(ExecutionBackend):
 def resolve_backend(
     backend: "ExecutionBackend | str | None" = None,
     workers: int | None = None,
-) -> ExecutionBackend | None:
-    """Turn a backend spec into an instance, or ``None`` for the classic paths.
+    runtime: ExecutionRuntime | None = None,
+    units: int | None = None,
+) -> ExecutionBackend:
+    """The backend that runs a batch; always an instance.
 
-    ``None`` consults ``Settings.backend`` (``REPRO_BACKEND``); the
-    empty default keeps the engine's pre-backend dispatch exactly as
-    it was. ``"remote"`` shards across one :class:`RemoteBackend` per
-    ``REPRO_WORKER_ADDRS`` address, with the runtime's retry budget
-    and a serial local fallback.
+    First match wins:
+
+    * an :class:`ExecutionBackend` instance is used as given;
+    * ``"serial"`` gives a :class:`SerialBackend`;
+    * ``"pool"`` gives a :class:`PoolBackend` over ``runtime`` when one
+      is passed, else over the process-wide default runtime sized for
+      ``workers``;
+    * ``"remote"`` shards across one :class:`RemoteBackend` per
+      ``REPRO_WORKER_ADDRS`` address, with the runtime's retry budget
+      and a serial local fallback;
+    * ``None`` consults ``Settings.backend`` (``REPRO_BACKEND``). When
+      that is unset too, a batch with one worker or at most one unit
+      of work (``units``: the groups or jobs it would dispatch;
+      ``None`` when unknown) runs on a :class:`SerialBackend`, and any
+      other batch on the pool exactly as for ``"pool"``.
     """
     if backend is None:
-        spec = current_settings().backend
-        if not spec:
-            return None
-        backend = spec
+        backend = current_settings().backend or None
     if isinstance(backend, ExecutionBackend):
         return backend
     if backend == "serial":
         return SerialBackend()
+    if backend is None:
+        if resolve_workers(workers) <= 1 or (units is not None and units <= 1):
+            return SerialBackend()
+        backend = "pool"
     if backend == "pool":
-        return PoolBackend(workers=workers)
+        return PoolBackend(runtime, workers)
     if backend == "remote":
         addresses = current_settings().worker_addrs
         if not addresses:

@@ -1,70 +1,55 @@
-"""Parallel evaluation engine: simulate/estimate many design points.
+"""Batch evaluation engine: simulate/estimate many design points.
 
-The exploration algorithms spend essentially all their wall time in
-:func:`repro.sim.simulator.simulate` — one call per candidate design,
-every call independent of every other. This module turns those serial
-loops into batch jobs:
+The exploration algorithms spend essentially all their wall time
+simulating candidate designs, every one independent of every other.
+This module turns those loops into batch jobs:
 
-* :func:`simulate_many` — run a list of :class:`SimulationJob` specs
-  over one trace, against the content-addressed result cache, with the
-  cache misses dispatched to a ``ProcessPoolExecutor`` when more than
-  one worker is requested.
+* :func:`simulate_batch` — run a list of :class:`SimulationJob` specs
+  over one trace against the content-addressed result cache. The
+  misses are deduplicated, partitioned into same-memory-signature
+  groups, and handed to one :class:`~repro.exec.backend.ExecutionBackend`
+  call; each group shares its trace plan and module columns
+  (:func:`repro.sim.batch.evaluate_group`).
 * :func:`estimate_many` — the Phase-I analogue for
   :func:`repro.conex.estimator.estimate_design`.
 
 Determinism contract: results are returned **keyed by job index**,
-never by completion order — ``simulate_many(trace, jobs)[i]`` always
-corresponds to ``jobs[i]``, and the simulator itself is deterministic,
-so a parallel run is bit-identical to a serial run of the same job
-list. ``workers=1`` (or ``REPRO_WORKERS=1``, the default) short-circuits
-to a plain in-process loop with no executor, no pickling, and no
-subprocesses — exactly the code path the pre-engine explorers ran.
+never by completion order — ``simulate_batch(trace, jobs).results[i]``
+always corresponds to ``jobs[i]``, and the simulator itself is
+deterministic, so a parallel run is bit-identical to a serial run of
+the same job list.
 
-Job specs are plain picklable dataclasses. Parallel batches dispatch
-through the persistent :class:`repro.exec.runtime.ExecutionRuntime` by
-default: the worker pool is built once per runtime and the trace is
-exported once per (runtime, trace-fingerprint) to shared memory, so a
-batch moves only the (small) architecture descriptions. Pass
-``runtime=`` for an explicit handle, or set
-``REPRO_PERSISTENT_RUNTIME=0`` to fall back to the legacy per-batch
-pool whose initializer ships the trace to each worker.
+Where a batch runs is :func:`repro.exec.backend.resolve_backend`'s
+choice: an explicit ``backend=`` (or ``REPRO_BACKEND``) wins; unset, a
+batch with one worker (``REPRO_WORKERS`` unset) or at most one group
+runs in-process on a :class:`~repro.exec.backend.SerialBackend`, and
+any other batch on a :class:`~repro.exec.backend.PoolBackend` over the
+passed ``runtime`` or the process-wide default runtime. The pool is
+built once per runtime and the trace is exported once per (runtime,
+trace-fingerprint) to shared memory, so a batch moves only the (small)
+architecture descriptions.
 
-Each simulation call runs the simulation engine
-(:mod:`repro.sim.batch`) by default, in workers and in-process alike.
-The engine is bit-identical to the scalar reference loop, so path
-selection needs no cache-key component: cached results mix freely
-across paths and across ``REPRO_REFERENCE_SIM`` settings (the opt-out
-env var propagates to pool workers like any other).
+The simulation engine is bit-identical to the scalar reference loop,
+so path selection needs no cache-key component: cached results mix
+freely across backends and across ``REPRO_REFERENCE_SIM`` settings
+(the opt-out env var propagates to pool workers like any other).
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
-from typing import Sequence
+from typing import Callable, Sequence
 
 from repro import obs
 from repro.apex.architectures import MemoryArchitecture
-from repro.conex.estimator import ConnectivityEstimate, estimate_design
 from repro.connectivity.architecture import ConnectivityArchitecture
-from repro.errors import ExecutionError, ExplorationError
-from repro.exec.backend import ExecutionBackend, resolve_backend
+from repro.errors import ExecutionError
+from repro.exec.backend import ExecutionBackend, SerialBackend, resolve_backend
 from repro.exec.cache import SimulationCache, default_cache, simulation_key
-from repro.exec.runtime import (
-    WORKERS_ENV,
-    ExecutionRuntime,
-    default_runtime,
-    dispatch_chunksize,
-    effective_pool_workers,
-    persistent_runtime_enabled,
-    resolve_workers,
-)
-from repro.sim import batch as sim_batch
+from repro.exec.runtime import ExecutionRuntime, resolve_workers
 from repro.sim.metrics import SimulationResult
 from repro.sim.sampling import SamplingConfig
-from repro.sim.simulator import simulate
 from repro.stats import BatchStats, StatsReport
 from repro.trace.events import Trace
 
@@ -113,17 +98,16 @@ class EngineReport(StatsReport):
     serial degraded path after the rebuild budget ran out. All zero /
     ``False`` on an undisturbed batch.
 
-    ``batch_groups`` / ``delta_pass_candidates`` are filled only by
-    :func:`simulate_batch`: how many same-memory-signature groups the
+    ``batch_groups`` / ``delta_pass_candidates`` are filled by
+    simulation batches: how many same-memory-signature groups the
     simulated misses were partitioned into, and how many of those
     candidates ran the shared-column delta pass (as opposed to falling
     back to independent full runs).
 
-    ``backend`` names what dispatched the misses — ``"local"`` for the
-    classic serial/runtime/legacy-pool paths, else the
-    :attr:`~repro.exec.backend.ExecutionBackend.name` of the backend
-    used — and ``bytes_sent`` / ``bytes_received`` count its wire
-    traffic (zero for local backends). ``cache_memory_hits`` /
+    ``backend`` is the :attr:`~repro.exec.backend.ExecutionBackend.name`
+    of the backend that ran the batch (``"serial"``, ``"pool"``,
+    ``"sharded"``, …), and ``bytes_sent`` / ``bytes_received`` count
+    its wire traffic (zero for local backends). ``cache_memory_hits`` /
     ``cache_disk_hits`` / ``cache_net_hits`` split ``cache_hits`` by
     the :class:`~repro.exec.cache.SimulationCache` layer that served
     each hit (all three stay zero for cache objects that predate the
@@ -142,7 +126,7 @@ class EngineReport(StatsReport):
     degraded: bool = False
     batch_groups: int = 0
     delta_pass_candidates: int = 0
-    backend: str = "local"
+    backend: str = "serial"
     bytes_sent: int = 0
     bytes_received: int = 0
     cache_memory_hits: int = 0
@@ -166,45 +150,6 @@ class EngineReport(StatsReport):
             pool_rebuilds=self.pool_rebuilds,
             degraded=self.degraded,
         )
-
-
-# -- worker-process plumbing ------------------------------------------------
-
-_WORKER_TRACE: Trace | None = None
-
-
-def _init_worker(trace: Trace) -> None:
-    """Pool initializer: install the shared trace in this worker."""
-    global _WORKER_TRACE
-    _WORKER_TRACE = trace
-
-
-def _run_simulation(job: SimulationJob) -> SimulationResult:
-    """Execute one job against the worker's installed trace."""
-    assert _WORKER_TRACE is not None, "worker used before initialization"
-    return simulate(
-        _WORKER_TRACE,
-        job.memory,
-        job.connectivity,
-        sampling=job.sampling,
-        posted_writes=job.posted_writes,
-    )
-
-
-def _run_group(
-    jobs: "tuple[SimulationJob, ...]",
-) -> "tuple[list[SimulationResult], int]":
-    """Legacy-pool twin of the runtime's group worker."""
-    assert _WORKER_TRACE is not None, "worker used before initialization"
-    return sim_batch.evaluate_group(_WORKER_TRACE, jobs)
-
-
-def _run_estimate(job: EstimateJob) -> ConnectivityEstimate:
-    return estimate_design(job.memory, job.connectivity, job.profile)
-
-
-#: Backwards-compatible alias; the helper moved to the runtime module.
-_chunksize = dispatch_chunksize
 
 
 def _relabel(result: SimulationResult, job: SimulationJob) -> SimulationResult:
@@ -268,186 +213,41 @@ def _cache_layers(cache: SimulationCache) -> tuple[int, int, int]:
     )
 
 
-def _backend_traffic(backend: ExecutionBackend) -> tuple[int, int]:
-    return (backend.bytes_sent, backend.bytes_received)
+def _prepare(
+    runtime: ExecutionRuntime | None, workers: int | None, entry: str
+) -> int:
+    """The batch's worker count, after the eager closed-runtime check.
 
-
-def simulate_many(
-    trace: Trace,
-    jobs: Sequence[SimulationJob],
-    workers: int | None = None,
-    cache: SimulationCache | None = None,
-    runtime: ExecutionRuntime | None = None,
-    backend: "ExecutionBackend | str | None" = None,
-) -> EngineReport:
-    """Simulate every job over ``trace``; results ordered like ``jobs``.
-
-    Args:
-        trace: the shared access trace (exported to the workers once
-            per runtime).
-        jobs: picklable job specs; duplicates are simulated once and
-            share the cached result.
-        workers: process count; ``None`` consults the ``runtime`` (when
-            given), else ``REPRO_WORKERS``, and falls back to 1
-            (serial, in-process).
-        cache: result cache; ``None`` selects the process-wide default
-            (:func:`repro.exec.cache.default_cache`). Pass
-            :data:`repro.exec.cache.NULL_CACHE` to force fresh runs.
-        runtime: persistent execution runtime to dispatch through;
-            ``None`` uses the process-wide default
-            (:func:`repro.exec.runtime.default_runtime`) unless
-            ``REPRO_PERSISTENT_RUNTIME=0`` reverts to per-batch pools.
-        backend: an :class:`~repro.exec.backend.ExecutionBackend`
-            instance or name (``"serial"``/``"pool"``/``"remote"``)
-            that dispatches the cache misses instead of the classic
-            paths; ``None`` consults ``REPRO_BACKEND`` (unset: the
-            classic workers/runtime dispatch above).
+    The check runs before any cache lookup or dispatch: a batch must
+    never get half-served by a dead runtime. ``workers=None`` with a
+    runtime takes the runtime's size.
     """
-    with obs.span("exec.simulate_many"):
-        report = _simulate_many(trace, jobs, workers, cache, runtime, backend)
-    if obs.enabled():
-        _record_batch(report)
-    return report
-
-
-def _simulate_many(
-    trace: Trace,
-    jobs: Sequence[SimulationJob],
-    workers: int | None,
-    cache: SimulationCache | None,
-    runtime: ExecutionRuntime | None,
-    backend: "ExecutionBackend | str | None" = None,
-) -> EngineReport:
-    start = time.perf_counter()
     if runtime is not None and runtime.closed:
-        # Fail eagerly, before cache lookups or pool dispatch: a batch
-        # must never get half-served by a dead runtime.
         raise ExecutionError(
-            "cannot dispatch simulate_many through a closed runtime"
+            f"cannot dispatch {entry} through a closed runtime"
         )
     if workers is None and runtime is not None:
         workers = runtime.workers
-    workers = resolve_workers(workers)
-    active_backend = resolve_backend(backend, workers)
-    cache = cache if cache is not None else default_cache()
-    layers_before = _cache_layers(cache)
-    results: list[SimulationResult | None] = [None] * len(jobs)
-    pending: list[int] = []
-    keys: list[tuple] = []
-    for index, job in enumerate(jobs):
-        key = simulation_key(
-            trace, job.memory, job.connectivity, job.sampling,
-            job.posted_writes,
+    return resolve_workers(workers)
+
+
+def _dispatch(backend: ExecutionBackend, call: Callable[[], list]):
+    """Run one backend call; return its values and report accounting."""
+    sent, received = backend.bytes_sent, backend.bytes_received
+    values = call()
+    dispatch = backend.last_dispatch
+    accounting = {
+        "backend": backend.name,
+        "bytes_sent": backend.bytes_sent - sent,
+        "bytes_received": backend.bytes_received - received,
+    }
+    if dispatch is not None:
+        accounting.update(
+            retries=dispatch.retries,
+            pool_rebuilds=dispatch.pool_rebuilds,
+            degraded=dispatch.degraded,
         )
-        keys.append(key)
-        cached = cache.get(key)
-        if cached is None:
-            pending.append(index)
-        else:
-            results[index] = _relabel(cached, job)
-    hits = len(jobs) - len(pending)
-    memory_hits, disk_hits, net_hits = (
-        after - before
-        for after, before in zip(_cache_layers(cache), layers_before)
-    )
-    simulated = 0
-    retries = pool_rebuilds = 0
-    degraded = False
-    bytes_sent = bytes_received = 0
-
-    if pending:
-        # Duplicate keys inside one batch run once; later copies reuse.
-        first_of: dict[tuple, int] = {}
-        unique: list[int] = []
-        for index in pending:
-            if keys[index] in first_of:
-                continue
-            first_of[keys[index]] = index
-            unique.append(index)
-        simulated = len(unique)
-
-        if active_backend is not None:
-            traffic_before = _backend_traffic(active_backend)
-            outcomes = active_backend.run_simulations(
-                trace, [jobs[i] for i in unique]
-            )
-            dispatch = active_backend.last_dispatch
-            if dispatch is not None:
-                retries = dispatch.retries
-                pool_rebuilds = dispatch.pool_rebuilds
-                degraded = dispatch.degraded
-            traffic_after = _backend_traffic(active_backend)
-            bytes_sent = traffic_after[0] - traffic_before[0]
-            bytes_received = traffic_after[1] - traffic_before[1]
-            for index, result in zip(unique, outcomes):
-                results[index] = result
-        elif workers <= 1 or len(unique) <= 1:
-            for index in unique:
-                results[index] = _execute_inline(trace, jobs[index])
-        else:
-            job_list = [jobs[i] for i in unique]
-            if runtime is not None or persistent_runtime_enabled():
-                active = runtime or default_runtime(workers)
-                outcomes = active.map_simulations(trace, job_list)
-                dispatch = active.last_dispatch
-                if dispatch is not None:
-                    retries = dispatch.retries
-                    pool_rebuilds = dispatch.pool_rebuilds
-                    degraded = dispatch.degraded
-            else:
-                # Legacy path: a fresh pool per batch, the trace shipped
-                # through the initializer. No rebuild machinery here —
-                # a broken pool degrades straight to the serial path.
-                try:
-                    with ProcessPoolExecutor(
-                        max_workers=min(
-                            effective_pool_workers(workers), len(unique)
-                        ),
-                        initializer=_init_worker,
-                        initargs=(trace,),
-                    ) as pool:
-                        outcomes = list(
-                            pool.map(
-                                _run_simulation,
-                                job_list,
-                                chunksize=dispatch_chunksize(
-                                    len(unique), workers
-                                ),
-                            )
-                        )
-                except BrokenProcessPool:
-                    outcomes = [
-                        _execute_inline(trace, job) for job in job_list
-                    ]
-                    retries = 1
-                    degraded = True
-            for index, result in zip(unique, outcomes):
-                results[index] = result
-        for index in unique:
-            cache.put(keys[index], results[index])
-        for index in pending:
-            if results[index] is None:
-                results[index] = _relabel(
-                    results[first_of[keys[index]]], jobs[index]
-                )
-
-    return EngineReport(
-        results=tuple(results),
-        workers=workers,
-        cache_hits=hits,
-        cache_misses=simulated,
-        deduplicated=len(pending) - simulated,
-        seconds=time.perf_counter() - start,
-        retries=retries,
-        pool_rebuilds=pool_rebuilds,
-        degraded=degraded,
-        backend="local" if active_backend is None else active_backend.name,
-        bytes_sent=bytes_sent,
-        bytes_received=bytes_received,
-        cache_memory_hits=memory_hits,
-        cache_disk_hits=disk_hits,
-        cache_net_hits=net_hits,
-    )
+    return values, accounting
 
 
 def simulate_batch(
@@ -458,22 +258,37 @@ def simulate_batch(
     runtime: ExecutionRuntime | None = None,
     backend: "ExecutionBackend | str | None" = None,
 ) -> EngineReport:
-    """Simulate every job over ``trace`` with cross-candidate sharing.
+    """Simulate every job over ``trace``; results ordered like ``jobs``.
 
-    The drop-in batch-evaluating sibling of :func:`simulate_many`:
-    identical signature, identical determinism contract (``results[i]``
-    corresponds to ``jobs[i]``, bit-identical to independent
-    :func:`~repro.sim.simulator.simulate` calls), identical cache and
-    dedup behaviour. The difference is *how* the cache misses run:
-    they are partitioned into same-memory-signature groups and each
-    group is evaluated through :func:`repro.sim.batch.evaluate_group`,
-    which shares the trace plan, module outcome columns, and the merged
-    DRAM open-row pass across the group's candidates so each candidate
-    pays only its connectivity/sampling delta pass. Parallel dispatch
-    ships whole groups to workers (a group is never split — splitting
-    would forfeit the sharing); a ``backend`` (or ``REPRO_BACKEND``)
-    receives the same whole groups, which makes the memory-signature
-    group the unit of distribution for :class:`~repro.exec.backend.ShardedBackend`.
+    ``results[i]`` corresponds to ``jobs[i]`` and is bit-identical to
+    an independent :func:`~repro.sim.simulator.simulate` call. Cache
+    hits are served directly; in-batch duplicates are simulated once.
+    The remaining misses are partitioned into same-memory-signature
+    groups, each evaluated through :func:`repro.sim.batch.evaluate_group`
+    so the group shares the trace plan, module outcome columns, and
+    the merged DRAM open-row pass, and each candidate pays only its
+    connectivity/sampling delta pass. All groups go to the backend in
+    one call; a group is never split (splitting would forfeit the
+    sharing), which makes it the unit of distribution for
+    :class:`~repro.exec.backend.ShardedBackend`.
+
+    Args:
+        trace: the shared access trace (exported to pool workers once
+            per runtime).
+        jobs: picklable job specs; duplicates are simulated once and
+            share the cached result.
+        workers: process count; ``None`` consults the ``runtime`` (when
+            given), else ``REPRO_WORKERS``, and falls back to 1.
+        cache: result cache; ``None`` selects the process-wide default
+            (:func:`repro.exec.cache.default_cache`). Pass
+            :data:`repro.exec.cache.NULL_CACHE` to force fresh runs.
+        runtime: persistent execution runtime for pool dispatch;
+            ``None`` uses the process-wide default
+            (:func:`repro.exec.runtime.default_runtime`).
+        backend: an :class:`~repro.exec.backend.ExecutionBackend`
+            instance or name (``"serial"``/``"pool"``/``"remote"``);
+            ``None`` consults ``REPRO_BACKEND`` and then the default
+            rule of :func:`~repro.exec.backend.resolve_backend`.
     """
     with obs.span("exec.simulate_batch"):
         report = _simulate_batch(trace, jobs, workers, cache, runtime, backend)
@@ -488,17 +303,10 @@ def _simulate_batch(
     workers: int | None,
     cache: SimulationCache | None,
     runtime: ExecutionRuntime | None,
-    backend: "ExecutionBackend | str | None" = None,
+    backend: "ExecutionBackend | str | None",
 ) -> EngineReport:
     start = time.perf_counter()
-    if runtime is not None and runtime.closed:
-        raise ExecutionError(
-            "cannot dispatch simulate_batch through a closed runtime"
-        )
-    if workers is None and runtime is not None:
-        workers = runtime.workers
-    workers = resolve_workers(workers)
-    active_backend = resolve_backend(backend, workers)
+    workers = _prepare(runtime, workers, "simulate_batch")
     cache = cache if cache is not None else default_cache()
     layers_before = _cache_layers(cache)
     results: list[SimulationResult | None] = [None] * len(jobs)
@@ -515,97 +323,40 @@ def _simulate_batch(
             pending.append(index)
         else:
             results[index] = _relabel(cached, job)
-    hits = len(jobs) - len(pending)
     memory_hits, disk_hits, net_hits = (
         after - before
         for after, before in zip(_cache_layers(cache), layers_before)
     )
-    simulated = 0
-    retries = pool_rebuilds = 0
-    degraded = False
-    batch_groups = 0
-    delta_candidates = 0
-    bytes_sent = bytes_received = 0
 
-    if pending:
-        first_of: dict[tuple, int] = {}
-        unique: list[int] = []
-        for index in pending:
-            if keys[index] in first_of:
-                continue
+    # Duplicate keys inside one batch run once; later copies reuse.
+    first_of: dict[tuple, int] = {}
+    unique: list[int] = []
+    for index in pending:
+        if keys[index] not in first_of:
             first_of[keys[index]] = index
             unique.append(index)
-        simulated = len(unique)
-
-        # Partition the misses by memory-architecture signature — the
-        # grouping under which module columns are shareable — keeping
-        # first-appearance order for deterministic dispatch.
-        group_of: dict = {}
-        groups: list[list[int]] = []
-        for index in unique:
-            signature = keys[index][1]
-            slot = group_of.get(signature)
-            if slot is None:
-                group_of[signature] = len(groups)
-                groups.append([index])
-            else:
-                groups[slot].append(index)
-        batch_groups = len(groups)
-        group_jobs = [[jobs[i] for i in group] for group in groups]
-
-        if active_backend is not None:
-            traffic_before = _backend_traffic(active_backend)
-            outcomes = active_backend.run_groups(trace, group_jobs)
-            dispatch = active_backend.last_dispatch
-            if dispatch is not None:
-                retries = dispatch.retries
-                pool_rebuilds = dispatch.pool_rebuilds
-                degraded = dispatch.degraded
-            traffic_after = _backend_traffic(active_backend)
-            bytes_sent = traffic_after[0] - traffic_before[0]
-            bytes_received = traffic_after[1] - traffic_before[1]
-        elif workers <= 1 or len(groups) <= 1:
-            plan = sim_batch.trace_plan(trace)
-            outcomes = [
-                sim_batch.evaluate_group(trace, members, plan)
-                for members in group_jobs
-            ]
-        elif runtime is not None or persistent_runtime_enabled():
-            active = runtime or default_runtime(workers)
-            outcomes = active.map_simulation_groups(trace, group_jobs)
-            dispatch = active.last_dispatch
-            if dispatch is not None:
-                retries = dispatch.retries
-                pool_rebuilds = dispatch.pool_rebuilds
-                degraded = dispatch.degraded
+    # Partition the misses by memory-architecture signature — the
+    # grouping under which module columns are shareable — keeping
+    # first-appearance order for deterministic dispatch.
+    group_of: dict = {}
+    groups: list[list[int]] = []
+    for index in unique:
+        signature = keys[index][1]
+        slot = group_of.get(signature)
+        if slot is None:
+            group_of[signature] = len(groups)
+            groups.append([index])
         else:
-            # Legacy path: fresh pool, trace via initializer, whole
-            # groups as map items. A broken pool degrades to serial.
-            try:
-                with ProcessPoolExecutor(
-                    max_workers=min(
-                        effective_pool_workers(workers), len(groups)
-                    ),
-                    initializer=_init_worker,
-                    initargs=(trace,),
-                ) as pool:
-                    outcomes = list(
-                        pool.map(
-                            _run_group,
-                            [tuple(members) for members in group_jobs],
-                            chunksize=dispatch_chunksize(
-                                len(groups), workers
-                            ),
-                        )
-                    )
-            except BrokenProcessPool:
-                plan = sim_batch.trace_plan(trace)
-                outcomes = [
-                    sim_batch.evaluate_group(trace, members, plan)
-                    for members in group_jobs
-                ]
-                retries = 1
-                degraded = True
+            groups[slot].append(index)
+
+    active = resolve_backend(backend, workers, runtime, len(groups))
+    accounting: dict = {"backend": active.name}
+    delta_candidates = 0
+    if groups:
+        group_jobs = [[jobs[i] for i in group] for group in groups]
+        outcomes, accounting = _dispatch(
+            active, lambda: active.run_groups(trace, group_jobs)
+        )
         for group, (group_results, delta) in zip(groups, outcomes):
             delta_candidates += delta
             for index, result in zip(group, group_results):
@@ -621,32 +372,16 @@ def _simulate_batch(
     return EngineReport(
         results=tuple(results),
         workers=workers,
-        cache_hits=hits,
-        cache_misses=simulated,
-        deduplicated=len(pending) - simulated,
+        cache_hits=len(jobs) - len(pending),
+        cache_misses=len(unique),
+        deduplicated=len(pending) - len(unique),
         seconds=time.perf_counter() - start,
-        retries=retries,
-        pool_rebuilds=pool_rebuilds,
-        degraded=degraded,
-        batch_groups=batch_groups,
+        batch_groups=len(groups),
         delta_pass_candidates=delta_candidates,
-        backend="local" if active_backend is None else active_backend.name,
-        bytes_sent=bytes_sent,
-        bytes_received=bytes_received,
         cache_memory_hits=memory_hits,
         cache_disk_hits=disk_hits,
         cache_net_hits=net_hits,
-    )
-
-
-def _execute_inline(trace: Trace, job: SimulationJob) -> SimulationResult:
-    """Serial fallback: run one job in-process (no pickling)."""
-    return simulate(
-        trace,
-        job.memory,
-        job.connectivity,
-        sampling=job.sampling,
-        posted_writes=job.posted_writes,
+        **accounting,
     )
 
 
@@ -658,12 +393,14 @@ def estimate_many(
 ) -> EngineReport:
     """Run Phase-I estimates for every job; results ordered like ``jobs``.
 
-    Estimates are analytic (microseconds each), so the pool only engages
-    for batches large enough to amortize job pickling; smaller batches —
-    and ``workers=1`` — run serially in-process (an explicit ``backend``
-    obeys the same size floor: shipping microsecond jobs over a socket
-    is never a win). Estimates never touch the result cache: the report
-    counts them as ``uncached``, not as hits or misses.
+    Estimates are analytic (microseconds each), so batches below
+    :data:`_MIN_PARALLEL_ESTIMATES` jobs run in-process on a
+    :class:`~repro.exec.backend.SerialBackend` whatever backend was
+    asked for (shipping microsecond jobs to a pool or over a socket is
+    never a win); larger batches resolve their backend like
+    :func:`simulate_batch` does. Estimates never touch the result
+    cache: the report counts them as ``uncached``, not as hits or
+    misses.
     """
     with obs.span("exec.estimate_many"):
         report = _estimate_many(jobs, workers, runtime, backend)
@@ -676,72 +413,21 @@ def _estimate_many(
     jobs: Sequence[EstimateJob],
     workers: int | None,
     runtime: ExecutionRuntime | None,
-    backend: "ExecutionBackend | str | None" = None,
+    backend: "ExecutionBackend | str | None",
 ) -> EngineReport:
     start = time.perf_counter()
-    if runtime is not None and runtime.closed:
-        raise ExecutionError(
-            "cannot dispatch estimate_many through a closed runtime"
-        )
-    if workers is None and runtime is not None:
-        workers = runtime.workers
-    workers = resolve_workers(workers)
-    active_backend = resolve_backend(backend, workers)
-    retries = pool_rebuilds = 0
-    degraded = False
-    bytes_sent = bytes_received = 0
-    backend_name = "local"
-    if active_backend is not None and len(jobs) >= _MIN_PARALLEL_ESTIMATES:
-        backend_name = active_backend.name
-        traffic_before = _backend_traffic(active_backend)
-        results = tuple(active_backend.run_estimates(jobs))
-        dispatch = active_backend.last_dispatch
-        if dispatch is not None:
-            retries = dispatch.retries
-            pool_rebuilds = dispatch.pool_rebuilds
-            degraded = dispatch.degraded
-        traffic_after = _backend_traffic(active_backend)
-        bytes_sent = traffic_after[0] - traffic_before[0]
-        bytes_received = traffic_after[1] - traffic_before[1]
-    elif workers <= 1 or len(jobs) < _MIN_PARALLEL_ESTIMATES:
-        results = tuple(
-            estimate_design(job.memory, job.connectivity, job.profile)
-            for job in jobs
-        )
-    elif runtime is not None or persistent_runtime_enabled():
-        active = runtime or default_runtime(workers)
-        results = tuple(active.map_estimates(jobs))
-        dispatch = active.last_dispatch
-        if dispatch is not None:
-            retries = dispatch.retries
-            pool_rebuilds = dispatch.pool_rebuilds
-            degraded = dispatch.degraded
+    workers = _prepare(runtime, workers, "estimate_many")
+    if len(jobs) < _MIN_PARALLEL_ESTIMATES:
+        active: ExecutionBackend = SerialBackend()
     else:
-        try:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                results = tuple(
-                    pool.map(
-                        _run_estimate,
-                        jobs,
-                        chunksize=dispatch_chunksize(len(jobs), workers),
-                    )
-                )
-        except BrokenProcessPool:
-            results = tuple(
-                estimate_design(job.memory, job.connectivity, job.profile)
-                for job in jobs
-            )
-            retries = 1
-            degraded = True
+        active = resolve_backend(backend, workers, runtime, len(jobs))
+    results, accounting = _dispatch(
+        active, lambda: active.run_estimates(jobs)
+    )
     return EngineReport(
-        results=results,
+        results=tuple(results),
         workers=workers,
         uncached=len(jobs),
         seconds=time.perf_counter() - start,
-        retries=retries,
-        pool_rebuilds=pool_rebuilds,
-        degraded=degraded,
-        backend=backend_name,
-        bytes_sent=bytes_sent,
-        bytes_received=bytes_received,
+        **accounting,
     )

@@ -42,7 +42,6 @@ __all__ = [
     "MSG_ERROR",
     "MSG_TRACE_QUERY",
     "MSG_TRACE_PUSH",
-    "MSG_SIM_JOBS",
     "MSG_SIM_GROUPS",
     "MSG_ESTIMATES",
     "MSG_RESULT",
@@ -59,7 +58,9 @@ __all__ = [
 ]
 
 #: Bumped on any incompatible wire change; checked in the handshake.
-PROTOCOL_VERSION = 1
+#: Version 2 retired the per-job ``SIM_JOBS`` request (kind 6): every
+#: simulation now travels as a memory-signature group.
+PROTOCOL_VERSION = 2
 
 _HEADER = struct.Struct("!BI")
 
@@ -82,7 +83,6 @@ MSG_OK = 2           # generic success (payload depends on the request)
 MSG_ERROR = 3        # payload: {"error": str}; the request failed remotely
 MSG_TRACE_QUERY = 4  # -> fingerprint str; reply MSG_OK {"have": bool}
 MSG_TRACE_PUSH = 5   # -> (meta, column buffer); reply MSG_OK
-MSG_SIM_JOBS = 6     # -> {"fingerprint", "jobs", "collect"}; reply MSG_RESULT
 MSG_SIM_GROUPS = 7   # -> {"fingerprint", "groups", "collect"}; reply MSG_RESULT
 MSG_ESTIMATES = 8    # -> {"jobs", "collect"}; reply MSG_RESULT
 MSG_RESULT = 9       # payload: {"values", "obs"} (obs: ObsSnapshot | None)

@@ -1,18 +1,14 @@
 """Persistent execution runtime: one pool, one trace export, many batches.
 
-The engine's original dispatch built a fresh ``ProcessPoolExecutor``
-per ``simulate_many`` batch and shipped the trace to every worker via
-the pool initializer — megabytes of pickling (under spawn) and full
-process start-up paid on *every* batch. An exploration session issues
-many batches (APEX evaluation, ConEx Phase II per memory architecture,
-neighborhood expansion, sweeps), so per-batch setup dominates once the
-simulations themselves are fast.
-
+An exploration session issues many batches (APEX evaluation, ConEx
+Phase II per memory architecture, neighborhood expansion, sweeps).
+Building a process pool and shipping the trace per batch would pay
+process start-up and megabytes of pickling every time, so
 :class:`ExecutionRuntime` amortizes all of it:
 
 * the worker pool is created once (lazily, on first parallel dispatch)
-  and reused by every subsequent ``simulate_many`` / ``estimate_many``
-  call routed through the runtime;
+  and reused by every batch routed through the runtime — the engine
+  reaches it through :class:`~repro.exec.backend.PoolBackend`;
 * each distinct trace is exported once per (runtime, fingerprint) to
   shared memory (:meth:`repro.trace.events.Trace.export_shared`);
   workers attach to the columns zero-copy on first use and keep the
@@ -22,6 +18,10 @@ simulations themselves are fast.
   the shared blocks; a process-wide default runtime
   (:func:`default_runtime`) is closed automatically at exit.
 
+The runtime dispatches two kinds of work: whole same-signature
+simulation groups (:meth:`ExecutionRuntime.map_simulation_groups`) and
+Phase-I estimates (:meth:`ExecutionRuntime.map_estimates`).
+
 **Fault tolerance.** A worker death (OOM kill, segfault, SIGKILL)
 breaks a ``ProcessPoolExecutor`` permanently: every in-flight and
 future submission raises ``BrokenProcessPool``. The runtime survives
@@ -29,8 +29,8 @@ this instead of failing the batch. Dispatch is chunked through
 ``pool.submit`` with per-chunk bookkeeping, so when a pool breaks (or
 a chunk exceeds the per-job timeout from ``REPRO_JOB_TIMEOUT``) the
 runtime collects every chunk that already finished, rebuilds the pool,
-and re-dispatches only the unfinished job indices — results stay keyed
-by job index, so a recovered batch is bit-identical to an undisturbed
+and re-dispatches only the unfinished item indices — results stay keyed
+by index, so a recovered batch is bit-identical to an undisturbed
 one. After ``REPRO_MAX_RETRIES`` pool rebuilds (default 2) the batch
 degrades to the serial in-process path rather than erroring. Per-dispatch accounting lands in
 :attr:`ExecutionRuntime.last_dispatch` (a :class:`DispatchStats`) and
@@ -45,11 +45,7 @@ construction sweeps blocks leaked by dead processes.
 ``workers=1`` keeps the serial in-process fallback: no pool, no
 export, bit-identical results — the determinism contract of
 :mod:`repro.exec.engine` is unchanged because results stay keyed by
-job index and the simulator is deterministic.
-
-Opt-outs: ``REPRO_PERSISTENT_RUNTIME=0`` makes the engine fall back to
-the legacy per-batch pool construction (the pre-runtime behaviour);
-an explicitly passed runtime is always honoured.
+index and the simulator is deterministic.
 """
 
 from __future__ import annotations
@@ -71,7 +67,6 @@ from repro.config import (
     FAULT_INJECT_ENV,
     JOB_TIMEOUT_ENV,
     MAX_RETRIES_ENV,
-    RUNTIME_ENV,
     WORKERS_ENV,
     current_settings,
 )
@@ -79,7 +74,6 @@ from repro.errors import ExecutionError, ExplorationError
 from repro.obs.registry import ObsSnapshot
 from repro.sim import batch
 from repro.sim.metrics import SimulationResult
-from repro.sim.simulator import simulate
 from repro.stats import StatsReport
 from repro.trace import shm as shm_registry
 from repro.trace.events import SharedTraceExport, SharedTraceHandle, Trace
@@ -91,7 +85,6 @@ __all__ = [
     "FAULT_INJECT_ENV",
     "JOB_TIMEOUT_ENV",
     "MAX_RETRIES_ENV",
-    "RUNTIME_ENV",
     "WORKERS_ENV",
     "DEFAULT_MAX_RETRIES",
     "DispatchStats",
@@ -100,7 +93,6 @@ __all__ = [
     "default_runtime",
     "dispatch_chunksize",
     "effective_pool_workers",
-    "persistent_runtime_enabled",
     "resolve_job_timeout",
     "resolve_max_retries",
     "resolve_workers",
@@ -180,11 +172,6 @@ def resolve_max_retries(retries: int | None = None) -> int:
     return retries
 
 
-def persistent_runtime_enabled() -> bool:
-    """Is the persistent runtime the default parallel dispatch path?"""
-    return current_settings().persistent_runtime
-
-
 def dispatch_chunksize(pending: int, workers: int) -> int:
     """Dispatch granularity: ~4 chunks per worker amortizes the IPC."""
     return max(1, -(-pending // (workers * 4)))
@@ -192,7 +179,7 @@ def dispatch_chunksize(pending: int, workers: int) -> int:
 
 @dataclass
 class DispatchStats(StatsReport):
-    """Fault accounting for one ``map_simulations``/``map_estimates`` call.
+    """Fault accounting for one ``map_simulation_groups``/``map_estimates`` call.
 
     Attributes:
         jobs: jobs the call was asked to run.
@@ -293,20 +280,6 @@ def _maybe_inject_fault(spec: str) -> None:
     time.sleep(600.0)  # "hang": park until the timeout reaper kills us
 
 
-def _run_shared_simulation(
-    item: "tuple[SharedTraceHandle, SimulationJob]",
-) -> SimulationResult:
-    handle, job = item
-    trace = _attached_trace(handle)
-    return simulate(
-        trace,
-        job.memory,
-        job.connectivity,
-        sampling=job.sampling,
-        posted_writes=job.posted_writes,
-    )
-
-
 def _chunk_observation(collect: bool) -> ObsSnapshot | None:
     """Worker-side setup for one chunk's obs collection.
 
@@ -322,21 +295,6 @@ def _chunk_observation(collect: bool) -> ObsSnapshot | None:
         obs.enable()
     obs.reset_span_stack()
     return obs.snapshot()
-
-
-def _run_simulation_chunk(
-    items: "Sequence[tuple[SharedTraceHandle, SimulationJob]]",
-    collect: bool = False,
-) -> "tuple[list[SimulationResult], ObsSnapshot | None]":
-    fault_spec = current_settings().fault_inject
-    baseline = _chunk_observation(collect)
-    results = []
-    for item in items:
-        if fault_spec:
-            _maybe_inject_fault(fault_spec)
-        results.append(_run_shared_simulation(item))
-    delta = obs.snapshot().subtract(baseline) if collect else None
-    return results, delta
 
 
 def _run_shared_group(
@@ -403,7 +361,7 @@ class ExecutionRuntime:
 
     Construct one per exploration session (the CLI does this per
     command) or rely on :func:`default_runtime`. Thread it through
-    ``simulate_many(..., runtime=...)`` / driver ``runtime=``
+    ``simulate_batch(..., runtime=...)`` / driver ``runtime=``
     parameters; every batch then reuses the same pool and the same
     shared trace blocks.
 
@@ -630,53 +588,15 @@ class ExecutionRuntime:
         self.stats.absorb(stats)
         if collect:
             # retries / pool_rebuilds / degraded travel on the engine
-            # report and are counted there (covering the serial and
-            # legacy-pool paths too); only dispatch-local facts the
-            # report does not carry are recorded here.
+            # report and are counted there (covering every backend);
+            # only dispatch-local facts the report does not carry are
+            # recorded here.
             obs.incr("runtime.dispatches")
             obs.incr("runtime.jobs", stats.jobs)
             obs.incr("runtime.timeouts", stats.timeouts)
         return results
 
     # -- batch entry points --------------------------------------------
-
-    def map_simulations(
-        self, trace: Trace, jobs: "Sequence[SimulationJob]"
-    ) -> list[SimulationResult]:
-        """Run every job over ``trace``; results ordered like ``jobs``."""
-        self._ensure_open()
-        if not jobs:
-            self.last_dispatch = DispatchStats()
-            return []
-        if self.workers <= 1:
-            self.last_dispatch = DispatchStats(jobs=len(jobs))
-            return [
-                simulate(
-                    trace,
-                    job.memory,
-                    job.connectivity,
-                    sampling=job.sampling,
-                    posted_writes=job.posted_writes,
-                )
-                for job in jobs
-            ]
-        handle = self.share_trace(trace)
-
-        def inline(item: "tuple[SharedTraceHandle, SimulationJob]"):
-            _, job = item
-            return simulate(
-                trace,
-                job.memory,
-                job.connectivity,
-                sampling=job.sampling,
-                posted_writes=job.posted_writes,
-            )
-
-        return self._dispatch(
-            _run_simulation_chunk,
-            [(handle, job) for job in jobs],
-            inline,
-        )
 
     def map_simulation_groups(
         self,

@@ -1,4 +1,4 @@
-"""Socket worker: serves simulate/estimate jobs and cache traffic.
+"""Socket worker: serves simulation groups, estimates and cache traffic.
 
 ``python -m repro worker`` (see :mod:`repro.cli`) runs one
 :class:`WorkerServer`: a thread-per-connection TCP server speaking the
@@ -62,7 +62,6 @@ from repro.exec import net
 from repro.exec.cache import KERNEL_PLAN_VERSION, _SUFFIX
 from repro.exec.runtime import _chunk_observation
 from repro.sim import batch as sim_batch
-from repro.sim.simulator import simulate
 from repro.trace.events import Trace
 
 __all__ = ["ByteLRU", "DEFAULT_STORE_MB", "WorkerServer", "serve"]
@@ -311,8 +310,6 @@ class WorkerServer:
             self._traces.put(trace.fingerprint(), trace, _trace_nbytes(trace))
             obs.incr("worker.trace_pushes")
             return net.MSG_OK, b""
-        if kind == net.MSG_SIM_JOBS:
-            return self._handle_simulations(frame.unpickle())
         if kind == net.MSG_SIM_GROUPS:
             return self._handle_groups(frame.unpickle())
         if kind == net.MSG_ESTIMATES:
@@ -362,24 +359,6 @@ class WorkerServer:
         return trace
 
     # -- job execution -------------------------------------------------
-
-    def _handle_simulations(self, request: dict) -> tuple[int, bytes]:
-        trace = self._trace(request["fingerprint"])
-        baseline = _chunk_observation(request.get("collect", False))
-        values = [
-            simulate(
-                trace,
-                job.memory,
-                job.connectivity,
-                sampling=job.sampling,
-                posted_writes=job.posted_writes,
-            )
-            for job in request["jobs"]
-        ]
-        obs.incr("worker.jobs", len(values))
-        return net.MSG_RESULT, _pickled(
-            {"values": values, "obs": _obs_delta(baseline)}
-        )
 
     def _handle_groups(self, request: dict) -> tuple[int, bytes]:
         trace = self._trace(request["fingerprint"])

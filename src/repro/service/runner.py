@@ -30,8 +30,9 @@ from repro import obs, registry
 from repro.apex.explorer import ApexConfig, explore_memory_architectures
 from repro.conex.explorer import ConExConfig, explore_connectivity
 from repro.core.design_point import summarize
+from repro.config import current_settings
 from repro.errors import ReproError
-from repro.exec.backend import ExecutionBackend, PoolBackend, resolve_backend
+from repro.exec.backend import ExecutionBackend, resolve_backend
 from repro.exec.cache import SimulationCache
 from repro.exec.runtime import ExecutionRuntime
 from repro.service import jobs as jobstates
@@ -133,14 +134,18 @@ def execute_job(
     try:
         store.transition(job, jobstates.RUNNING)
         cache = caches.get(spec.tenant)
-        backend_spec = spec.backend if spec.backend is not None else default_backend
-        if backend_spec == "pool" and spec.workers is None and runtime is not None:
-            # The runner thread's runtime is the one sized by the
-            # daemon's --workers; a default-sized runtime would have
-            # one worker and evaluate every group inline.
-            backend = PoolBackend(runtime)
-        else:
-            backend = resolve_backend(backend_spec, spec.workers)
+        backend_spec = (
+            spec.backend or default_backend or current_settings().backend or None
+        )
+        # A named backend is resolved once per job, so a remote one
+        # keeps its connections across the job's batches; "pool" runs
+        # on the runner thread's runtime. Without a name every batch
+        # applies the engine's default rule itself.
+        backend = (
+            resolve_backend(backend_spec, spec.workers, runtime)
+            if backend_spec is not None
+            else None
+        )
         try:
             result = _run_spec(job, store, cache, runtime, backend)
         finally:

@@ -67,8 +67,8 @@ class ExplorationService:
         workers: per-runner :class:`ExecutionRuntime` pool size;
             ``None`` consults ``REPRO_WORKERS``.
         backend: default execution backend spec for jobs that do not
-            choose one (``serial``/``pool``/``remote`` or ``None`` for
-            the classic dispatch).
+            choose one (``serial``/``pool``/``remote``, or ``None`` for
+            the engine's default rule per batch).
         drain_timeout: seconds :meth:`drain` waits for running jobs;
             ``None`` consults ``REPRO_SERVICE_DRAIN_TIMEOUT``.
     """

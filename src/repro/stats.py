@@ -12,15 +12,12 @@ Three PRs of engine work grew three divergent report shapes:
   batch cost": cache hits/misses/dedup, wall seconds, and the fault
   accounting (retries, pool rebuilds, degraded). ``ApexResult.stats``
   and ``ConExResult.phase2`` carry one of these instead of loose
-  fields.
-* :func:`deprecated_stat` — property factory keeping the old loose
-  attribute names readable (with a :class:`DeprecationWarning`) during
-  the migration; see ``docs/api.md`` for the rename table.
+  fields (the old loose names are gone; see ``docs/api.md`` for the
+  rename table).
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, fields
 from typing import Any
 
@@ -68,27 +65,3 @@ class BatchStats(StatsReport):
     pool_rebuilds: int = 0
     degraded: bool = False
 
-
-def deprecated_stat(owner: str, old: str, new: str) -> property:
-    """A read-only property aliasing ``old`` to the dotted path ``new``.
-
-    Reading it emits a :class:`DeprecationWarning` naming the
-    replacement, then resolves ``new`` attribute by attribute on the
-    instance — e.g. ``deprecated_stat("ConExResult",
-    "phase2_cache_hits", "phase2.cache_hits")``.
-    """
-    path = new.split(".")
-
-    def getter(self: Any) -> Any:
-        warnings.warn(
-            f"{owner}.{old} is deprecated; read {owner}.{new} instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        value = self
-        for part in path:
-            value = getattr(value, part)
-        return value
-
-    getter.__doc__ = f"Deprecated alias for ``{new}``."
-    return property(getter)

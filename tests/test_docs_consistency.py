@@ -1,8 +1,10 @@
 """Documentation consistency: the docs reference what actually exists.
 
 Guards against doc rot: the experiment index's benchmark files, the
-README's example commands, and the packages named in the architecture
-docs must all exist in the repository.
+README's example commands, the packages named in the architecture
+docs, and the ``REPRO_*`` knobs the prose names must all exist, the
+``Settings`` docstring table must list every field, and the batch
+evaluator's quoted figures must match their benchmark record.
 """
 
 import pathlib
@@ -121,3 +123,81 @@ class TestDocsDirectory:
         assert f"| `GATES_PER_SRAM_BIT` | {area.GATES_PER_SRAM_BIT} |" in text
         assert f"| `PAD_CAP_PF` | {wire.PAD_CAP_PF} |" in text
         assert f"| `DRAM_ACTIVATE_NJ` | {int(energy.DRAM_ACTIVATE_NJ)} |" in text
+
+
+#: Prose docs that may name ``REPRO_*`` environment variables.
+_KNOB_DOCS = ["README.md", "DESIGN.md", "EXPERIMENTS.md"] + [
+    f"docs/{p.name}" for p in sorted((ROOT / "docs").glob("*.md"))
+]
+
+
+class TestConfigDocs:
+    def test_every_documented_env_var_exists(self):
+        from repro import config
+
+        defined = {
+            value
+            for value in vars(config).values()
+            if isinstance(value, str) and value.startswith("REPRO_")
+        }
+        unknown = []
+        for doc in _KNOB_DOCS:
+            for name in set(re.findall(r"\bREPRO_[A-Z0-9_]+", read(doc))):
+                if name.endswith("_"):
+                    # A wildcard such as `REPRO_SERVICE_*` must still
+                    # cover at least one real knob.
+                    if not any(knob.startswith(name) for knob in defined):
+                        unknown.append(f"{doc}: {name}*")
+                elif name not in defined:
+                    unknown.append(f"{doc}: {name}")
+        assert not unknown, unknown
+
+    def test_settings_table_lists_every_field(self):
+        from dataclasses import fields
+
+        from repro.config import Settings
+
+        table = dict(
+            re.findall(
+                r"^\s*``(\w+)``\s+``(REPRO_\w+)``", Settings.__doc__, re.M
+            )
+        )
+        assert set(table) == {spec.name for spec in fields(Settings)}
+
+
+class TestPerformanceDoc:
+    def test_batch_evaluator_figures_match_the_json(self):
+        """The perf6 trajectory row and the batch-evaluator prose quote
+        the ``full_strategy_batch`` record of ``BENCH_parallel.json``."""
+        import json
+
+        records = json.loads(
+            (ROOT / "benchmarks/out/BENCH_parallel.json").read_text()
+        )
+        record = next(
+            r for r in records if r["name"] == "full_strategy_batch"
+        )
+        text = read("docs/performance.md")
+        row = next(
+            line
+            for line in text.splitlines()
+            if line.startswith("|") and "`BENCH_parallel.json`, perf6" in line
+        )
+        start = text.index("## Cross-candidate batch evaluation")
+        # Whitespace-normalized, so a figure may wrap across lines.
+        prose = " ".join(text[start : text.index("\n## ", start + 1)].split())
+        expected = [
+            f"{record['speedup']}×",
+            f"per-run {record['serial_seconds']:.2f} s",
+            f"batch {record['parallel_seconds']:.2f} s",
+            f"{record['simulated']} candidates",
+            f"{record['batch_groups']} memory-signature groups",
+        ]
+        for where, section in (("perf6 row", row), ("prose", prose)):
+            missing = [figure for figure in expected if figure not in section]
+            assert not missing, (where, missing)
+        # No other speedup figure may sit in the row, and every
+        # single-process figure in the prose is the recorded one.
+        assert re.findall(r"\d+(?:\.\d+)?×", row) == [expected[0]], row
+        quoted = re.findall(r"(\d+(?:\.\d+)?×) single-process", prose)
+        assert quoted and set(quoted) == {expected[0]}, quoted

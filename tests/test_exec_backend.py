@@ -23,10 +23,13 @@ from repro.exec import (
     SimulationJob,
     resolve_backend,
     simulate_batch,
-    simulate_many,
 )
 from repro.exec.net import BackendUnavailable
-from repro.exec.runtime import _CAP_WARNED, effective_pool_workers
+from repro.exec.runtime import (
+    _CAP_WARNED,
+    effective_pool_workers,
+    set_default_runtime,
+)
 
 from .conftest import simple_connectivity
 
@@ -56,7 +59,7 @@ def _estimate_jobs(tiny_trace, mem_library, conn_library) -> list[EstimateJob]:
     for i, preset in enumerate(_PRESETS):
         memory = _arch(mem_library, preset, f"e{i}")
         connectivity = simple_connectivity(memory, tiny_trace, conn_library)
-        profile = simulate_many(
+        profile = simulate_batch(
             tiny_trace, [SimulationJob(memory=memory)], cache=NullCache()
         ).results[0]
         jobs.append(
@@ -81,10 +84,6 @@ class FlakyBackend(SerialBackend):
         if self.calls <= self.failures:
             raise BackendUnavailable("injected shard death")
 
-    def run_simulations(self, trace, jobs):
-        self._maybe_fail()
-        return super().run_simulations(trace, jobs)
-
     def run_groups(self, trace, groups):
         self._maybe_fail()
         return super().run_groups(trace, groups)
@@ -97,10 +96,10 @@ class FlakyBackend(SerialBackend):
 class TestBackendEquivalence:
     def test_serial_backend_matches_engine(self, tiny_trace, mem_library):
         jobs = _jobs(mem_library)
-        reference = simulate_many(
+        reference = simulate_batch(
             tiny_trace, jobs, workers=1, cache=NullCache()
         )
-        report = simulate_many(
+        report = simulate_batch(
             tiny_trace, jobs, cache=NullCache(), backend=SerialBackend()
         )
         assert report.results == reference.results
@@ -216,9 +215,25 @@ class TestShardedFaults:
 
 
 class TestResolveBackend:
-    def test_unset_returns_none(self, monkeypatch):
+    def test_unset_applies_the_default_rule(self, monkeypatch):
         monkeypatch.delenv(BACKEND_ENV, raising=False)
-        assert resolve_backend(None) is None
+        assert isinstance(resolve_backend(None, workers=1), SerialBackend)
+        assert isinstance(
+            resolve_backend(None, workers=2, units=1), SerialBackend
+        )
+        with ExecutionRuntime(workers=2) as runtime:
+            pooled = resolve_backend(
+                None, workers=2, runtime=runtime, units=3
+            )
+            assert isinstance(pooled, PoolBackend)
+            assert pooled.runtime is runtime
+
+    def test_pool_name_honours_an_explicit_runtime(self):
+        with ExecutionRuntime(workers=2) as runtime:
+            backend = resolve_backend("pool", workers=4, runtime=runtime)
+            assert backend.runtime is runtime
+            backend.close()  # borrowed: closing the backend keeps it open
+            assert not runtime.closed
 
     def test_names_resolve(self):
         assert isinstance(resolve_backend("serial"), SerialBackend)
@@ -258,6 +273,53 @@ class TestResolveBackend:
             resolve_backend(None)
 
 
+class TestEngineSelection:
+    @pytest.fixture(autouse=True)
+    def _isolate_default(self, monkeypatch):
+        monkeypatch.delenv(BACKEND_ENV, raising=False)
+        previous = set_default_runtime(None)
+        yield
+        current = set_default_runtime(previous)
+        if current is not None:
+            current.close()
+
+    def test_pool_backend_runs_on_the_explicit_runtime(
+        self, tiny_trace, mem_library
+    ):
+        """``backend="pool"`` with ``runtime=`` dispatches through that
+        runtime, and never builds the process-wide default one."""
+        jobs = _jobs(mem_library)
+        reference = simulate_batch(
+            tiny_trace, jobs, workers=1, cache=NullCache()
+        )
+        with ExecutionRuntime(workers=2) as runtime:
+            report = simulate_batch(
+                tiny_trace, jobs, cache=NullCache(), runtime=runtime,
+                backend="pool",
+            )
+            assert runtime.stats.batches == 1
+        assert set_default_runtime(None) is None
+        assert report.results == reference.results
+        assert report.backend == "pool"
+
+    def test_report_names_the_backend_that_ran(
+        self, tiny_trace, mem_library
+    ):
+        jobs = _jobs(mem_library)
+        serial = simulate_batch(tiny_trace, jobs, workers=1, cache=NullCache())
+        one_group = simulate_batch(
+            tiny_trace, jobs[:1], workers=2, cache=NullCache()
+        )
+        with ExecutionRuntime(workers=2) as runtime:
+            pooled = simulate_batch(
+                tiny_trace, jobs, cache=NullCache(), runtime=runtime
+            )
+        assert serial.backend == "serial"
+        assert one_group.backend == "serial"
+        assert pooled.backend == "pool"
+        assert set_default_runtime(None) is None
+
+
 class TestWorkerCap:
     def test_cap_applies_above_cpu_count(self, monkeypatch):
         monkeypatch.delenv(WORKERS_CAP_ENV, raising=False)
@@ -292,7 +354,7 @@ class TestWorkerCap:
     ):
         """The cap sizes the pool, not the report's worker accounting."""
         monkeypatch.delenv(WORKERS_CAP_ENV, raising=False)
-        report = simulate_many(
+        report = simulate_batch(
             tiny_trace, _jobs(mem_library), workers=4, cache=NullCache()
         )
         assert report.workers == 4

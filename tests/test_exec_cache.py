@@ -20,7 +20,7 @@ from repro.exec.cache import (
     set_default_cache,
     simulation_key,
 )
-from repro.exec.engine import SimulationJob, simulate_many
+from repro.exec.engine import SimulationJob, simulate_batch
 from repro.sim.metrics import SimulationResult
 from repro.sim.sampling import SamplingConfig
 
@@ -225,9 +225,9 @@ class TestLayerCounters:
                 ("cache_4k_16b_1w", "cache_8k_32b_1w", "cache_8k_32b_2w")
             )
         ]
-        simulate_many(tiny_trace, jobs, cache=SimulationCache(tmp_path))
+        simulate_batch(tiny_trace, jobs, cache=SimulationCache(tmp_path))
         cold = SimulationCache(tmp_path)
-        report = simulate_many(tiny_trace, jobs, cache=cold)
+        report = simulate_batch(tiny_trace, jobs, cache=cold)
         assert report.cache_disk_hits == len(jobs)
         assert report.cache_memory_hits == 0
         assert report.cache_net_hits == 0

@@ -11,13 +11,13 @@ from repro.apex.architectures import MemoryArchitecture
 from repro.conex.estimator import estimate_design
 from repro.errors import ExplorationError
 from repro.exec.cache import NullCache, SimulationCache
+from repro.config import WORKERS_ENV
 from repro.exec.engine import (
-    WORKERS_ENV,
     EstimateJob,
     SimulationJob,
     estimate_many,
     resolve_workers,
-    simulate_many,
+    simulate_batch,
 )
 
 from .conftest import simple_connectivity
@@ -71,10 +71,10 @@ class TestSerialParallelEquivalence:
         self, tiny_trace, mem_library
     ):
         jobs = _jobs(mem_library)
-        serial = simulate_many(
+        serial = simulate_batch(
             tiny_trace, jobs, workers=1, cache=NullCache()
         )
-        parallel = simulate_many(
+        parallel = simulate_batch(
             tiny_trace, jobs, workers=4, cache=NullCache()
         )
         assert serial.workers == 1
@@ -83,14 +83,14 @@ class TestSerialParallelEquivalence:
 
     def test_results_ordered_by_job_index(self, tiny_trace, mem_library):
         jobs = _jobs(mem_library)
-        report = simulate_many(
+        report = simulate_batch(
             tiny_trace, jobs, workers=4, cache=NullCache()
         )
         for job, result in zip(jobs, report.results):
             assert result.memory_name == job.memory.name
 
     def test_empty_batch(self, tiny_trace):
-        report = simulate_many(tiny_trace, [], workers=4)
+        report = simulate_batch(tiny_trace, [], workers=4)
         assert report.results == ()
         assert report.cache_hits == report.cache_misses == 0
 
@@ -99,10 +99,10 @@ class TestEngineCaching:
     def test_second_batch_is_all_hits(self, tiny_trace, mem_library):
         jobs = _jobs(mem_library)
         cache = SimulationCache()
-        first = simulate_many(tiny_trace, jobs, cache=cache)
+        first = simulate_batch(tiny_trace, jobs, cache=cache)
         assert first.cache_misses == len(jobs)
         assert first.cache_hits == 0
-        second = simulate_many(tiny_trace, jobs, cache=cache)
+        second = simulate_batch(tiny_trace, jobs, cache=cache)
         assert second.cache_hits == len(jobs)
         assert second.cache_misses == 0
         assert second.results == first.results
@@ -112,7 +112,7 @@ class TestEngineCaching:
             memory=_arch(mem_library, "cache_8k_32b_2w", "m")
         )
         cache = SimulationCache()
-        report = simulate_many(tiny_trace, [job, job, job], cache=cache)
+        report = simulate_batch(tiny_trace, [job, job, job], cache=cache)
         assert len(cache) == 1
         assert report.results[0] == report.results[1] == report.results[2]
         # Only one simulation actually ran; the in-batch duplicates are
@@ -132,20 +132,20 @@ class TestEngineCaching:
             memory=_arch(mem_library, "cache_8k_32b_2w", "beta")
         )
         cache = SimulationCache()
-        report = simulate_many(tiny_trace, [alpha, beta], cache=cache)
+        report = simulate_batch(tiny_trace, [alpha, beta], cache=cache)
         assert len(cache) == 1  # one simulation served both
         assert report.results[0].memory_name == "alpha"
         assert report.results[1].memory_name == "beta"
         # Same across separate batches (the cache-hit path).
-        rerun = simulate_many(tiny_trace, [beta], cache=cache)
+        rerun = simulate_batch(tiny_trace, [beta], cache=cache)
         assert rerun.cache_hits == 1
         assert rerun.results[0].memory_name == "beta"
 
     def test_null_cache_forces_fresh_runs(self, tiny_trace, mem_library):
         jobs = _jobs(mem_library)[:2]
         cache = NullCache()
-        simulate_many(tiny_trace, jobs, cache=cache)
-        again = simulate_many(tiny_trace, jobs, cache=cache)
+        simulate_batch(tiny_trace, jobs, cache=cache)
+        again = simulate_batch(tiny_trace, jobs, cache=cache)
         assert again.cache_hits == 0
         assert again.cache_misses == len(jobs)
 
@@ -155,7 +155,7 @@ class TestEstimateMany:
         self, tiny_trace, mem_library, conn_library
     ):
         arch = _arch(mem_library, "cache_8k_32b_2w", "m")
-        profile = simulate_many(
+        profile = simulate_batch(
             tiny_trace,
             [SimulationJob(memory=arch)],
             cache=NullCache(),

@@ -1,7 +1,7 @@
 """Fault tolerance: crash recovery, timeouts, and shm hygiene.
 
 The regression surface of the fault-tolerant runtime: a worker
-SIGKILLed mid-batch must not fail ``simulate_many`` (the batch
+SIGKILLed mid-batch must not fail ``simulate_batch`` (the batch
 completes bit-identical to serial on a rebuilt pool), repeated crashes
 must degrade to the serial path instead of erroring, a stuck worker
 must be reaped by the job timeout, dispatch through a closed runtime
@@ -24,8 +24,9 @@ import pytest
 
 from repro.apex.architectures import MemoryArchitecture
 from repro.errors import ExecutionError, ExplorationError
+from repro.exec.backend import PoolBackend
 from repro.exec.cache import NullCache
-from repro.exec.engine import SimulationJob, estimate_many, simulate_many
+from repro.exec.engine import SimulationJob, estimate_many, simulate_batch
 from repro.exec.runtime import (
     FAULT_INJECT_ENV,
     JOB_TIMEOUT_ENV,
@@ -77,7 +78,7 @@ class TestCrashRecovery:
         not fail the batch, results must match serial exactly, and the
         pool must have been rebuilt."""
         jobs = _jobs(mem_library)
-        serial = simulate_many(tiny_trace, jobs, workers=1, cache=NullCache())
+        serial = simulate_batch(tiny_trace, jobs, workers=1, cache=NullCache())
         # Exports memoized by other suites' default runtime are
         # legitimately alive; only blocks *this* runtime creates must go.
         preexisting = set(_stale_shm_blocks())
@@ -85,7 +86,7 @@ class TestCrashRecovery:
             FAULT_INJECT_ENV, f"once:{tmp_path / 'crash.marker'}"
         )
         with ExecutionRuntime(workers=2) as runtime:
-            report = simulate_many(
+            report = simulate_batch(
                 tiny_trace, jobs, cache=NullCache(), runtime=runtime
             )
             assert runtime.stats.pool_rebuilds >= 1
@@ -103,10 +104,10 @@ class TestCrashRecovery:
         """Killing every worker exhausts the rebuild budget; the batch
         must still complete — serially — rather than raise."""
         jobs = _jobs(mem_library)
-        serial = simulate_many(tiny_trace, jobs, workers=1, cache=NullCache())
+        serial = simulate_batch(tiny_trace, jobs, workers=1, cache=NullCache())
         monkeypatch.setenv(FAULT_INJECT_ENV, "always")
         with ExecutionRuntime(workers=2, max_retries=1) as runtime:
-            report = simulate_many(
+            report = simulate_batch(
                 tiny_trace, jobs, cache=NullCache(), runtime=runtime
             )
             assert runtime.last_dispatch is not None
@@ -121,10 +122,10 @@ class TestCrashRecovery:
         """Chunk bookkeeping: jobs finished before the crash are not
         re-simulated (their chunks are collected, not re-dispatched)."""
         jobs = _jobs(mem_library) * 2  # 8 jobs -> several chunks
-        serial = simulate_many(tiny_trace, jobs, workers=1, cache=NullCache())
+        serial = simulate_batch(tiny_trace, jobs, workers=1, cache=NullCache())
         monkeypatch.setenv(FAULT_INJECT_ENV, f"once:{tmp_path / 'c.marker'}")
         with ExecutionRuntime(workers=2) as runtime:
-            report = simulate_many(
+            report = simulate_batch(
                 tiny_trace, jobs, cache=NullCache(), runtime=runtime
             )
             dispatch = runtime.last_dispatch
@@ -140,7 +141,7 @@ class TestCrashRecovery:
         from .conftest import simple_connectivity
 
         arch = _arch(mem_library, "cache_8k_32b_2w", "m")
-        profile = simulate_many(
+        profile = simulate_batch(
             tiny_trace, [SimulationJob(memory=arch)], cache=NullCache()
         ).results[0]
         connectivity = simple_connectivity(arch, tiny_trace, conn_library)
@@ -163,10 +164,10 @@ class TestJobTimeout:
         self, tiny_trace, mem_library, monkeypatch, tmp_path
     ):
         jobs = _jobs(mem_library)
-        serial = simulate_many(tiny_trace, jobs, workers=1, cache=NullCache())
+        serial = simulate_batch(tiny_trace, jobs, workers=1, cache=NullCache())
         monkeypatch.setenv(FAULT_INJECT_ENV, f"hang:{tmp_path / 'h.marker'}")
         with ExecutionRuntime(workers=2, job_timeout=1.0) as runtime:
-            report = simulate_many(
+            report = simulate_batch(
                 tiny_trace, jobs, cache=NullCache(), runtime=runtime
             )
             assert runtime.stats.timeouts >= 1
@@ -204,7 +205,7 @@ class TestEagerClosedDispatch:
         runtime = ExecutionRuntime(workers=2)
         runtime.close()
         with pytest.raises(ExplorationError):
-            simulate_many(
+            simulate_batch(
                 tiny_trace, _jobs(mem_library), cache=NullCache(),
                 runtime=runtime,
             )
@@ -252,15 +253,15 @@ class TestDefaultRuntimeHealth:
         assert default_runtime(2) is runtime
 
     def test_runtime_self_heals_between_batches(self, tiny_trace, mem_library):
-        """map_simulations on a runtime whose pool died while idle
+        """Pool dispatch on a runtime whose pool died while idle
         silently rebuilds instead of raising."""
         jobs = _jobs(mem_library)
-        serial = simulate_many(tiny_trace, jobs, workers=1, cache=NullCache())
+        serial = simulate_batch(tiny_trace, jobs, workers=1, cache=NullCache())
         with ExecutionRuntime(workers=2) as runtime:
-            first = runtime.map_simulations(tiny_trace, jobs)
+            first = PoolBackend(runtime).run_simulations(tiny_trace, jobs)
             for process in runtime._pool._processes.values():
                 process.kill()
-            second = runtime.map_simulations(tiny_trace, jobs)
+            second = PoolBackend(runtime).run_simulations(tiny_trace, jobs)
         assert first == list(serial.results) == second
 
 
@@ -299,7 +300,7 @@ class TestShmHygiene:
     def test_runtime_close_leaves_no_blocks(self, tiny_trace, mem_library):
         preexisting = set(_stale_shm_blocks())
         with ExecutionRuntime(workers=2) as runtime:
-            runtime.map_simulations(tiny_trace, _jobs(mem_library))
+            PoolBackend(runtime).run_simulations(tiny_trace, _jobs(mem_library))
         assert set(_stale_shm_blocks()) <= preexisting
 
     def test_fork_child_cleanup_spares_parent_blocks(self, tiny_trace):

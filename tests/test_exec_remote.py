@@ -21,7 +21,6 @@ from repro.exec import (
     SimulationCache,
     SimulationJob,
     simulate_batch,
-    simulate_many,
 )
 from repro.exec import net
 from repro.exec.cache import (
@@ -131,7 +130,7 @@ class TestRemoteBackend:
     ):
         memory = _arch(mem_library, "cache_8k_32b_2w", "e0")
         connectivity = simple_connectivity(memory, tiny_trace, conn_library)
-        profile = simulate_many(
+        profile = simulate_batch(
             tiny_trace, [SimulationJob(memory=memory)], cache=NullCache()
         ).results[0]
         jobs = [
@@ -280,10 +279,10 @@ class TestNetworkedCache:
     ):
         jobs = _jobs(mem_library)
         publisher = SimulationCache(url=worker.address)
-        baseline = simulate_many(tiny_trace, jobs, cache=publisher)
+        baseline = simulate_batch(tiny_trace, jobs, cache=publisher)
         publisher.close()
         subscriber = SimulationCache(url=worker.address)
-        report = simulate_many(tiny_trace, jobs, cache=subscriber)
+        report = simulate_batch(tiny_trace, jobs, cache=subscriber)
         subscriber.close()
         assert report.results == baseline.results
         assert subscriber.net_hits == len(jobs)
@@ -296,10 +295,10 @@ class TestNetworkedCache:
         dead = WorkerServer()
         dead.stop()
         jobs = _jobs(mem_library)
-        reference = simulate_many(tiny_trace, jobs, cache=NullCache())
+        reference = simulate_batch(tiny_trace, jobs, cache=NullCache())
         cache = SimulationCache(url=dead.address)
         cache._client.timeout = 0.5
-        report = simulate_many(tiny_trace, jobs, cache=cache)
+        report = simulate_batch(tiny_trace, jobs, cache=cache)
         cache.close()
         assert report.results == reference.results
         assert cache.net_hits == 0

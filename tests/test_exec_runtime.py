@@ -15,18 +15,17 @@ import pytest
 from repro.apex.architectures import MemoryArchitecture
 from repro.conex.estimator import estimate_design
 from repro.errors import ExplorationError
+from repro.exec.backend import PoolBackend
 from repro.exec.cache import NullCache
 from repro.exec.engine import (
     EstimateJob,
     SimulationJob,
     estimate_many,
-    simulate_many,
+    simulate_batch,
 )
 from repro.exec.runtime import (
-    RUNTIME_ENV,
     ExecutionRuntime,
     default_runtime,
-    persistent_runtime_enabled,
     set_default_runtime,
 )
 from repro.trace.events import TRACE_COLUMNS, Trace
@@ -93,7 +92,7 @@ class TestSharedTraceTransport:
 class TestRuntimeLifecycle:
     def test_serial_runtime_stays_inert(self, tiny_trace, mem_library):
         with ExecutionRuntime(workers=1) as runtime:
-            results = runtime.map_simulations(tiny_trace, _jobs(mem_library))
+            results = PoolBackend(runtime).run_simulations(tiny_trace, _jobs(mem_library))
             assert len(results) == len(_PRESETS)
             assert runtime._pool is None
             assert not runtime._exports
@@ -103,7 +102,7 @@ class TestRuntimeLifecycle:
         runtime.close()
         assert runtime.closed
         with pytest.raises(ExplorationError):
-            runtime.map_simulations(tiny_trace, _jobs(mem_library))
+            PoolBackend(runtime).run_simulations(tiny_trace, _jobs(mem_library))
         with pytest.raises(ExplorationError):
             runtime.share_trace(tiny_trace)
 
@@ -123,10 +122,10 @@ class TestRuntimeLifecycle:
     def test_pool_survives_across_batches(self, tiny_trace, mem_library):
         jobs = _jobs(mem_library)
         with ExecutionRuntime(workers=2) as runtime:
-            runtime.map_simulations(tiny_trace, jobs[:2])
+            PoolBackend(runtime).run_simulations(tiny_trace, jobs[:2])
             pool = runtime._pool
             assert pool is not None
-            runtime.map_simulations(tiny_trace, jobs[2:])
+            PoolBackend(runtime).run_simulations(tiny_trace, jobs[2:])
             assert runtime._pool is pool
 
 
@@ -135,9 +134,9 @@ class TestRuntimeDispatchEquivalence:
         self, tiny_trace, mem_library
     ):
         jobs = _jobs(mem_library)
-        serial = simulate_many(tiny_trace, jobs, workers=1, cache=NullCache())
+        serial = simulate_batch(tiny_trace, jobs, workers=1, cache=NullCache())
         with ExecutionRuntime(workers=2) as runtime:
-            pooled = simulate_many(
+            pooled = simulate_batch(
                 tiny_trace, jobs, cache=NullCache(), runtime=runtime
             )
         assert pooled.workers == 2
@@ -146,10 +145,10 @@ class TestRuntimeDispatchEquivalence:
     def test_repeated_batches_reuse_one_export(self, tiny_trace, mem_library):
         jobs = _jobs(mem_library)
         with ExecutionRuntime(workers=2) as runtime:
-            first = simulate_many(
+            first = simulate_batch(
                 tiny_trace, jobs, cache=NullCache(), runtime=runtime
             )
-            second = simulate_many(
+            second = simulate_batch(
                 tiny_trace, jobs, cache=NullCache(), runtime=runtime
             )
             assert len(runtime._exports) == 1
@@ -159,7 +158,7 @@ class TestRuntimeDispatchEquivalence:
         self, tiny_trace, mem_library, conn_library
     ):
         arch = _arch(mem_library, "cache_8k_32b_2w", "m")
-        profile = simulate_many(
+        profile = simulate_batch(
             tiny_trace, [SimulationJob(memory=arch)], cache=NullCache()
         ).results[0]
         connectivities = [
@@ -201,21 +200,13 @@ class TestDefaultRuntime:
         assert second is not first
         assert not second.closed
 
-    def test_env_opt_out_observed(self, monkeypatch):
-        monkeypatch.setenv(RUNTIME_ENV, "0")
-        assert not persistent_runtime_enabled()
-        monkeypatch.setenv(RUNTIME_ENV, "1")
-        assert persistent_runtime_enabled()
-        monkeypatch.delenv(RUNTIME_ENV)
-        assert persistent_runtime_enabled()
-
 
 class TestEstimateAccounting:
     def test_estimates_count_as_uncached(
         self, tiny_trace, mem_library, conn_library
     ):
         arch = _arch(mem_library, "cache_8k_32b_2w", "m")
-        profile = simulate_many(
+        profile = simulate_batch(
             tiny_trace, [SimulationJob(memory=arch)], cache=NullCache()
         ).results[0]
         connectivity = simple_connectivity(arch, tiny_trace, conn_library)
@@ -235,7 +226,7 @@ class TestEstimateAccounting:
         self, tiny_trace, mem_library
     ):
         jobs = _jobs(mem_library)
-        report = simulate_many(tiny_trace, jobs, cache=NullCache())
+        report = simulate_batch(tiny_trace, jobs, cache=NullCache())
         assert report.uncached == 0
         assert (
             report.cache_hits + report.cache_misses + report.uncached

@@ -16,7 +16,6 @@ import pytest
 
 from repro import obs
 from repro.apex.explorer import ApexResult
-from repro.conex.explorer import ConExResult
 from repro.config import (
     JOB_TIMEOUT_ENV,
     OBS_ENV,
@@ -28,10 +27,9 @@ from repro.config import (
 )
 from repro.errors import ExecutionError, ExplorationError
 from repro.exec.cache import NullCache, SimulationCache
-from repro.exec.engine import SimulationJob, simulate_many
+from repro.exec.engine import SimulationJob, simulate_batch
 from repro.exec.runtime import FAULT_INJECT_ENV, ExecutionRuntime, RuntimeStats
 from repro.obs.registry import ObsSnapshot
-from repro.stats import BatchStats
 
 from .test_exec_faults import _jobs
 
@@ -177,17 +175,18 @@ class TestWorkerMerge:
     ):
         jobs = _jobs(mem_library)
         with ExecutionRuntime(workers=2) as runtime:
-            report = simulate_many(
+            report = simulate_batch(
                 tiny_trace, jobs, cache=NullCache(), runtime=runtime
             )
         assert len(report.results) == len(jobs)
         snap = obs.snapshot()
         # Worker-side recordings travelled back through the job-result
-        # channel: each job ran exactly one simulation in some worker.
+        # channel: each job (its own memory signature, so its own group)
+        # ran exactly one simulation in some worker.
         assert snap.counters["sim.runs"] == len(jobs)
         assert snap.counters["sim.accesses"] == len(jobs) * len(tiny_trace)
-        assert "sim.run" in snap.spans
-        assert snap.spans["sim.run"][0] == len(jobs)
+        assert "sim.batch.group" in snap.spans
+        assert snap.spans["sim.batch.group"][0] == len(jobs)
         # Engine-side accounting was recorded in the parent.
         assert snap.counters["exec.jobs"] == len(jobs)
         assert snap.counters["runtime.dispatches"] >= 1
@@ -203,7 +202,7 @@ class TestWorkerMerge:
             FAULT_INJECT_ENV, f"once:{tmp_path / 'obs.marker'}"
         )
         with ExecutionRuntime(workers=2) as runtime:
-            report = simulate_many(
+            report = simulate_batch(
                 tiny_trace, jobs, cache=NullCache(), runtime=runtime
             )
             assert runtime.stats.pool_rebuilds >= 1
@@ -216,7 +215,7 @@ class TestWorkerMerge:
 
     def test_serial_path_records_in_process(self, tiny_trace, mem_library, obs_on):
         jobs = _jobs(mem_library)
-        report = simulate_many(tiny_trace, jobs, workers=1, cache=NullCache())
+        report = simulate_batch(tiny_trace, jobs, workers=1, cache=NullCache())
         assert len(report.results) == len(jobs)
         snap = obs.snapshot()
         assert snap.counters["sim.runs"] == len(jobs)
@@ -240,10 +239,10 @@ class TestWorkerMerge:
     def test_cache_hits_are_counted(self, tiny_trace, mem_library, obs_on):
         jobs = _jobs(mem_library)
         cache = SimulationCache()
-        simulate_many(tiny_trace, jobs, workers=1, cache=cache)
+        simulate_batch(tiny_trace, jobs, workers=1, cache=cache)
         first = obs.snapshot()
         assert first.counters["exec.cache_misses"] == len(jobs)
-        simulate_many(tiny_trace, jobs, workers=1, cache=cache)
+        simulate_batch(tiny_trace, jobs, workers=1, cache=cache)
         second = obs.snapshot()
         assert (
             second.counters["exec.cache_hits"]
@@ -290,7 +289,6 @@ class TestSettings:
         settings = Settings.from_env({})
         assert settings == Settings()
         assert settings.workers == 1
-        assert settings.persistent_runtime is True
         assert settings.job_timeout is None
         assert settings.max_retries == 2
         assert settings.obs is False
@@ -319,7 +317,6 @@ class TestSettings:
     def test_as_env_round_trips(self):
         settings = Settings(
             workers=4,
-            persistent_runtime=False,
             job_timeout=2.5,
             max_retries=0,
             cache_dir="/tmp/cache",
@@ -354,40 +351,6 @@ class TestSettings:
 
 
 class TestDeprecatedStats:
-    def test_apex_flat_names_warn_and_resolve(self):
-        result = ApexResult(
-            trace_name="t",
-            evaluated=(),
-            selected=(),
-            stats=BatchStats(pool_rebuilds=2, degraded=True),
-        )
-        with pytest.warns(DeprecationWarning, match="ApexResult.pool_rebuilds"):
-            assert result.pool_rebuilds == 2
-        with pytest.warns(DeprecationWarning, match="ApexResult.degraded"):
-            assert result.degraded is True
-
-    def test_conex_flat_names_warn_and_resolve(self):
-        result = ConExResult(
-            trace_name="t",
-            estimated=(),
-            simulated=(),
-            selected=(),
-            brgs={},
-            phase2=BatchStats(cache_hits=3, cache_misses=1, deduplicated=2),
-        )
-        with pytest.warns(
-            DeprecationWarning, match="ConExResult.phase2_cache_hits"
-        ):
-            assert result.phase2_cache_hits == 3
-        with pytest.warns(DeprecationWarning):
-            assert result.phase2_cache_misses == 1
-        with pytest.warns(DeprecationWarning):
-            assert result.phase2_deduplicated == 2
-        with pytest.warns(DeprecationWarning):
-            assert result.phase2_pool_rebuilds == 0
-        with pytest.warns(DeprecationWarning):
-            assert result.phase2_degraded is False
-
     def test_as_dict_skips_bulky_payloads(self):
         result = ApexResult(trace_name="t", evaluated=(), selected=())
         as_dict = result.as_dict()
