@@ -15,15 +15,12 @@ cycle counts and speedups. ``REPRO_BENCH_SMOKE=1`` shrinks the trace
 to CI size (the monotonicity assertions still run).
 """
 
-import os
-
 import common
+from common import SMOKE
 from repro.memory.library import mixed_architecture
 from repro.sim import simulate
 from repro.util.tables import format_table
 from repro.workloads import get_workload
-
-SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "").strip() == "1"
 
 SCALE = 0.4 if SMOKE else 1.5
 

@@ -49,6 +49,7 @@ import time
 from contextlib import contextmanager
 
 import common
+from common import SMOKE
 import repro
 from repro.apex.explorer import ApexConfig, explore_memory_architectures
 from repro.conex.explorer import ConExConfig, connectivity_exploration
@@ -66,8 +67,6 @@ from repro.sim.simulator import simulate
 from repro.workloads import get_workload
 
 WORKERS = 4
-
-SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "").strip() == "1"
 
 #: Minimum cross-candidate speedup of the batch evaluator over per-run
 #: dispatch on this grid (single process, both sides).

@@ -25,16 +25,14 @@ a 5% timing bar without that saying anything about the layer). Records
 land in ``benchmarks/out/BENCH_obs.json``.
 """
 
-import os
 import time
 
 import common
+from common import SMOKE
 from repro import obs
 from repro.apex.architectures import MemoryArchitecture
 from repro.exec import NullCache, SimulationJob, simulate_batch
 from repro.workloads import get_workload
-
-SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "").strip() == "1"
 
 TRACE_SCALE = 0.3 if SMOKE else 2.0
 

@@ -42,6 +42,7 @@ import tempfile
 import time
 
 import common
+from common import SMOKE
 from repro.conex.allocation import plan_assignments
 from repro.conex.brg import build_brg
 from repro.conex.clustering import clustering_levels
@@ -51,8 +52,6 @@ from repro.exec import NullCache, SimulationJob, simulate_batch
 from repro.exec.runtime import FAULT_INJECT_ENV, ExecutionRuntime
 from repro.sim.sampling import SamplingConfig
 from repro.workloads import get_workload
-
-SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "").strip() == "1"
 
 #: Full scale exceeds one million accesses (the kernel benchmark's
 #: acceptance trace); smoke stays CI-sized.

@@ -23,12 +23,12 @@ slower on none (with a small tolerance for timer noise); see
 docs/performance.md for the regime-by-regime breakdown.
 """
 
-import os
 import time
 
 import numpy as np
 
 import common
+from common import SMOKE
 from repro.connectivity.architecture import (
     ConnectivityArchitecture,
     build_cluster,
@@ -37,8 +37,6 @@ from repro.memory.library import mixed_architecture
 from repro.sim.sampling import SamplingConfig
 from repro.sim.simulator import Simulator
 from repro.workloads import get_workload
-
-SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "").strip() == "1"
 
 #: Trace scales: compress exceeds one million accesses (the acceptance
 #: target) and li approaches it (the interpreter recurses past Python's

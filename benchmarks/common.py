@@ -19,10 +19,15 @@ import pathlib
 
 from repro.apex.explorer import ApexConfig, ApexResult, explore_memory_architectures
 from repro.conex.explorer import ConExConfig, ConExResult, explore_connectivity
+from repro.config import current_settings
 from repro.connectivity.library import default_connectivity_library
 from repro.memory.library import default_memory_library
 from repro.trace.events import Trace
 from repro.workloads import get_workload
+
+#: ``REPRO_BENCH_SMOKE``: shrink workloads and repeat counts to CI smoke
+#: size. The one parse of the knob; every benchmark imports this flag.
+SMOKE = current_settings().bench_smoke
 
 #: Directory where each benchmark writes its rendered table/figure.
 OUTPUT_DIR = pathlib.Path(__file__).parent / "out"

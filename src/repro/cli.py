@@ -12,7 +12,7 @@ Commands:
   report; optionally export the pareto set to CSV/JSON.
 * ``coverage`` — compare the Pruned / Neighborhood / Full strategies
   on a reduced design space (the Table 2 experiment).
-* ``worker`` — serve simulate/estimate jobs and cache traffic over a
+* ``worker`` — serve simulation groups and cache traffic over a
   socket; the exploration commands dispatch to workers with
   ``--backend remote`` (addresses from ``REPRO_WORKER_ADDRS``).
 * ``serve`` — run the exploration service daemon: an HTTP/JSON API
@@ -25,8 +25,9 @@ Commands:
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from repro import obs, registry
 from repro.apex.explorer import ApexConfig, explore_memory_architectures
@@ -40,7 +41,9 @@ from repro.core.strategies import (
     run_neighborhood,
     run_pruned,
 )
+from repro.config import current_settings
 from repro.errors import ReproError
+from repro.exec.backend import ExecutionBackend, resolve_backend
 from repro.exec.runtime import ExecutionRuntime
 from repro.io import (
     export_design_points_csv,
@@ -168,7 +171,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     worker_cmd = commands.add_parser(
         "worker",
-        help="serve simulate/estimate jobs and cache traffic over a socket",
+        help="serve simulation groups and cache traffic over a socket",
     )
     worker_cmd.add_argument(
         "--host", default="127.0.0.1",
@@ -349,10 +352,38 @@ def _print_runtime_faults(runtime: ExecutionRuntime) -> None:
         print(f"[runtime] {summary}", file=sys.stderr)
 
 
+@contextlib.contextmanager
+def _command_execution(
+    args: argparse.Namespace,
+) -> "Iterator[tuple[ExecutionRuntime, ExecutionBackend | None]]":
+    """The command's runtime and backend, each set up once.
+
+    A named backend (``--backend``, else ``REPRO_BACKEND``) is resolved
+    once against the command's runtime, so a remote one keeps its
+    worker connections across every batch of the command, and it is
+    closed on exit — as the service runner does per job. Without a
+    name, every batch applies the engine's default rule itself.
+    """
+    with ExecutionRuntime(workers=args.jobs) as runtime:
+        name = args.backend or current_settings().backend or None
+        backend = (
+            resolve_backend(name, args.jobs, runtime)
+            if name is not None
+            else None
+        )
+        try:
+            yield runtime, backend
+        finally:
+            if backend is not None:
+                backend.close()
+        _print_runtime_faults(runtime)
+        args._runtime_stats = runtime.stats.as_dict()
+
+
 def _cmd_apex(args: argparse.Namespace) -> None:
     workload = get_workload(args.workload, scale=args.scale, seed=args.seed)
     trace = workload.trace()
-    with ExecutionRuntime(workers=args.jobs) as runtime:
+    with _command_execution(args) as (runtime, backend):
         result = explore_memory_architectures(
             trace,
             registry.memory_library(args.memory_lib),
@@ -360,10 +391,8 @@ def _cmd_apex(args: argparse.Namespace) -> None:
             hints=workload.pattern_hints,
             workers=args.jobs,
             runtime=runtime,
-            backend=args.backend,
+            backend=backend,
         )
-        _print_runtime_faults(runtime)
-        args._runtime_stats = runtime.stats.as_dict()
     print(
         f"evaluated {len(result.evaluated)} architectures, "
         f"selected {len(result.selected)}:"
@@ -383,16 +412,14 @@ def _cmd_explore(args: argparse.Namespace) -> None:
         apex=ApexConfig(select_count=args.select),
         conex=ConExConfig(phase1_keep=args.keep),
     )
-    with ExecutionRuntime(workers=args.jobs) as runtime:
+    with _command_execution(args) as (runtime, backend):
         result = run_memorex(
             workload,
             memory_library=args.memory_lib,
             connectivity_library=args.conn_lib,
             config=config, workers=args.jobs, runtime=runtime,
-            backend=args.backend,
+            backend=backend,
         )
-        _print_runtime_faults(runtime)
-        args._runtime_stats = runtime.stats.as_dict()
     report = render_full_report(result)
     print(report)
     if args.report:
@@ -434,23 +461,22 @@ def _cmd_coverage(args: argparse.Namespace) -> None:
         apex_config,
         conex_config,
     )
-    # One persistent runtime serves all three strategies: the pool is
-    # built once and the trace is exported to shared memory once.
-    with ExecutionRuntime(workers=args.jobs) as runtime:
+    # One persistent runtime (and one named backend) serves all three
+    # strategies: the pool is built once and the trace is exported to
+    # shared memory once.
+    with _command_execution(args) as (runtime, backend):
         pruned = run_pruned(
             *common, hints=hints, workers=args.jobs, runtime=runtime,
-            backend=args.backend,
+            backend=backend,
         )
         neighborhood = run_neighborhood(
             *common, hints=hints, workers=args.jobs, runtime=runtime,
-            backend=args.backend,
+            backend=backend,
         )
         full = run_full(
             *common, hints=hints, workers=args.jobs, runtime=runtime,
-            backend=args.backend,
+            backend=backend,
         )
-        _print_runtime_faults(runtime)
-        args._runtime_stats = runtime.stats.as_dict()
     rows = []
     for row in coverage_rows(full, [pruned, neighborhood]):
         cost_d, perf_d, energy_d = row.distances

@@ -36,7 +36,6 @@ import numpy as np
 
 from repro import obs
 from repro.apex.architectures import MemoryArchitecture
-from repro.config import current_settings
 from repro.channels import Channel
 from repro.connectivity.architecture import (
     ConnectivityArchitecture,
@@ -66,17 +65,6 @@ CLOSED_LOOP_WAIT_CAP = 3.0
 #: ranking of designs that differ in which off-chip channel got the
 #: wide bus.
 BACKGROUND_CRITICALITY = 0.5
-
-#: Set to ``1`` to make :func:`estimate_plan` fall back to materializing
-#: each candidate and calling :func:`estimate_design` — the scalar
-#: reference path the columnar estimator must match bit-for-bit.
-REFERENCE_ESTIMATOR_ENV = "REPRO_REFERENCE_ESTIMATOR"
-
-
-def reference_estimator_enabled() -> bool:
-    """Did the environment opt out of the columnar Phase-I estimator?"""
-    return current_settings().reference_estimator
-
 
 @dataclass(frozen=True)
 class ConnectivityEstimate:
@@ -209,8 +197,8 @@ def estimate_plan(
     exactly the arithmetic of :func:`estimate_design`, then folds them
     over candidates as NumPy vectors — elementwise float64 adds in the
     same order as the scalar accumulation, so results are bit-identical
-    (``REPRO_REFERENCE_ESTIMATOR=1`` reverts to materialize-and-call
-    for auditing).
+    to :func:`estimate_design` on the materialized candidate, which
+    stays as the oracle the tests compare against.
 
     ``indices`` selects a subset of the plan's candidates (defaults to
     all); results are ordered like ``indices``.
@@ -231,11 +219,6 @@ def _estimate_plan(
     if indices is None:
         indices = range(len(plan))
     index_list = list(indices)
-    if reference_estimator_enabled():
-        return [
-            estimate_design(memory, plan.materialize(index), profile)
-            for index in index_list
-        ]
     if profile.memory_name != memory.name:
         raise ExplorationError(
             f"profile is for '{profile.memory_name}', not '{memory.name}'"

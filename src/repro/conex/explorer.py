@@ -25,21 +25,12 @@ from repro.apex.explorer import EvaluatedMemoryArchitecture
 from repro.conex.allocation import AssignmentPlan, plan_assignments
 from repro.conex.brg import BandwidthRequirementGraph, build_brg
 from repro.conex.clustering import clustering_levels
-from repro.conex.estimator import (
-    ConnectivityEstimate,
-    estimate_plan,
-    reference_estimator_enabled,
-)
+from repro.conex.estimator import ConnectivityEstimate, estimate_plan
 from repro.connectivity.architecture import ConnectivityArchitecture
 from repro.connectivity.library import ConnectivityLibrary
 from repro.errors import ExplorationError
 from repro.exec.cache import SimulationCache
-from repro.exec.engine import (
-    EstimateJob,
-    SimulationJob,
-    estimate_many,
-    simulate_batch,
-)
+from repro.exec.engine import SimulationJob, simulate_batch
 from repro.exec.runtime import ExecutionRuntime
 from repro.sim.metrics import SimulationResult
 from repro.sim.sampling import SamplingConfig
@@ -185,9 +176,6 @@ def connectivity_exploration(
     memory_eval: EvaluatedMemoryArchitecture,
     library: ConnectivityLibrary,
     config: ConExConfig,
-    workers: int | None = None,
-    runtime: ExecutionRuntime | None = None,
-    backend: "ExecutionBackend | str | None" = None,
 ) -> tuple[BandwidthRequirementGraph, list[ConnectivityDesignPoint]]:
     """The paper's ``Procedure ConnectivityExploration`` for one arch.
 
@@ -197,9 +185,8 @@ def connectivity_exploration(
     (:func:`repro.conex.allocation.plan_assignments`) and scored by the
     columnar :func:`repro.conex.estimator.estimate_plan` — architecture
     objects are only materialized lazily, for the points a caller
-    actually inspects. ``REPRO_REFERENCE_ESTIMATOR=1`` reverts to
-    materializing every candidate and batching through
-    :func:`repro.exec.estimate_many` (bit-identical, for auditing).
+    actually inspects. Estimation is analytic and runs in-process;
+    only Phase II goes through an execution backend.
     """
     memory = memory_eval.architecture
     profile = memory_eval.result
@@ -231,33 +218,6 @@ def connectivity_exploration(
             kept.append((plan, indices))
 
     points: list[ConnectivityDesignPoint] = []
-    if reference_estimator_enabled():
-        pairs = [
-            (plan.materialize(index), plan)
-            for plan, indices in kept
-            for index in indices
-        ]
-        report = estimate_many(
-            [
-                EstimateJob(
-                    memory=memory, connectivity=connectivity, profile=profile
-                )
-                for connectivity, _ in pairs
-            ],
-            workers=workers,
-            runtime=runtime,
-            backend=backend,
-        )
-        points = [
-            ConnectivityDesignPoint(
-                memory_eval=memory_eval,
-                connectivity=connectivity,
-                estimate=estimate,
-            )
-            for (connectivity, _), estimate in zip(pairs, report.results)
-        ]
-        return brg, points
-
     for plan, indices in kept:
         estimates = estimate_plan(memory, plan, profile, indices)
         for index, estimate in zip(indices, estimates):
@@ -323,8 +283,7 @@ def explore_connectivity(
     with obs.span("conex.phase1"):
         for memory_eval in selected_memories:
             brg, points = connectivity_exploration(
-                trace, memory_eval, library, config, workers=workers,
-                runtime=runtime, backend=backend,
+                trace, memory_eval, library, config
             )
             brgs[memory_eval.architecture.name] = brg
             estimated.extend(points)

@@ -19,9 +19,9 @@ module replaces the scatter with one documented, typed snapshot:
   the environment until removed.
 
 The consumers (``repro.exec.runtime``, ``repro.exec.cache``,
-``repro.sim.simulator``, ``repro.conex.estimator``, ``repro.trace.shm``,
-``repro.obs``) all route through :func:`current_settings`; no library
-code reads a ``REPRO_*`` variable directly anymore.
+``repro.sim.simulator``, ``repro.trace.shm``, ``repro.obs``) all route
+through :func:`current_settings`; no library code reads a ``REPRO_*``
+variable directly anymore.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from typing import Iterator, Mapping
 
 from repro.errors import ExecutionError, ExplorationError
 
-#: Worker-process count for simulation/estimation batches.
+#: Worker-process count for simulation batches.
 WORKERS_ENV = "REPRO_WORKERS"
 
 #: Per-job timeout in seconds for fault-tolerant dispatch.
@@ -45,7 +45,7 @@ MAX_RETRIES_ENV = "REPRO_MAX_RETRIES"
 #: Directory enabling the on-disk layer of the default simulation cache.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 
-#: Execution backend for simulation/estimate batches: ``serial``,
+#: Execution backend for simulation batches: ``serial``,
 #: ``pool``, or ``remote`` (unset: serial for one worker or one unit of
 #: work, else the pool).
 BACKEND_ENV = "REPRO_BACKEND"
@@ -95,9 +95,6 @@ FAULT_INJECT_ENV = "REPRO_FAULT_INJECT"
 #: Truthy forces the scalar reference simulation loop everywhere.
 REFERENCE_SIM_ENV = "REPRO_REFERENCE_SIM"
 
-#: Truthy reverts Phase-I estimation to the per-candidate scalar path.
-REFERENCE_ESTIMATOR_ENV = "REPRO_REFERENCE_ESTIMATOR"
-
 #: Truthy shrinks benchmark workloads to CI smoke size.
 BENCH_SMOKE_ENV = "REPRO_BENCH_SMOKE"
 
@@ -146,7 +143,6 @@ class Settings:
     ``service_url``             ``REPRO_SERVICE_URL``          ``None``
     ``fault_inject``            ``REPRO_FAULT_INJECT``         ``""``
     ``reference_sim``           ``REPRO_REFERENCE_SIM``        ``False``
-    ``reference_estimator``     ``REPRO_REFERENCE_ESTIMATOR``  ``False``
     ``bench_smoke``             ``REPRO_BENCH_SMOKE``          ``False``
     ``obs``                     ``REPRO_OBS``                  ``False``
     ``shm_manifest_dir``        ``REPRO_SHM_MANIFEST_DIR``     ``None``
@@ -176,7 +172,6 @@ class Settings:
     service_url: str | None = None
     fault_inject: str = ""
     reference_sim: bool = False
-    reference_estimator: bool = False
     bench_smoke: bool = False
     obs: bool = False
     shm_manifest_dir: str | None = None
@@ -318,7 +313,6 @@ class Settings:
             service_url=_get(env, SERVICE_URL_ENV) or None,
             fault_inject=_get(env, FAULT_INJECT_ENV),
             reference_sim=parse_bool(env.get(REFERENCE_SIM_ENV)),
-            reference_estimator=parse_bool(env.get(REFERENCE_ESTIMATOR_ENV)),
             bench_smoke=parse_bool(env.get(BENCH_SMOKE_ENV)),
             obs=parse_bool(env.get(OBS_ENV)),
             shm_manifest_dir=_get(env, SHM_MANIFEST_DIR_ENV) or None,
@@ -343,7 +337,6 @@ class Settings:
             SERVICE_QUEUE_MAX_ENV: str(self.service_queue_max),
             SERVICE_DRAIN_TIMEOUT_ENV: repr(self.service_drain_timeout),
             REFERENCE_SIM_ENV: "1" if self.reference_sim else "0",
-            REFERENCE_ESTIMATOR_ENV: "1" if self.reference_estimator else "0",
             BENCH_SMOKE_ENV: "1" if self.bench_smoke else "0",
             OBS_ENV: "1" if self.obs else "0",
         }

@@ -2,17 +2,14 @@
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 from repro import obs, registry
 from repro.apex.explorer import ApexConfig, ApexResult, explore_memory_architectures
 from repro.conex.explorer import ConExConfig, ConExResult, explore_connectivity
-from repro.connectivity.library import ConnectivityLibrary
 from repro.errors import ConfigurationError
 from repro.exec.cache import SimulationCache
 from repro.exec.runtime import ExecutionRuntime
-from repro.memory.library import MemoryLibrary
 from repro.trace.events import Trace
 from repro.workloads.base import Workload
 
@@ -42,8 +39,8 @@ class MemorExResult:
 
 def run_memorex(
     workload: Workload,
-    memory_library: MemoryLibrary | str | None = None,
-    connectivity_library: ConnectivityLibrary | str | None = None,
+    memory_library: str | None = None,
+    connectivity_library: str | None = None,
     config: MemorExConfig | None = None,
     workers: int | None = None,
     cache: SimulationCache | None = None,
@@ -61,9 +58,9 @@ def run_memorex(
 
     Libraries resolve through :mod:`repro.registry`: ``library`` names
     a registered pair, or ``memory_library`` / ``connectivity_library``
-    name each side individually (strings). Passing library *objects*
-    still works but is deprecated — register the pair under a name
-    instead (see ``docs/api.md``).
+    name each side individually. Library *objects* are rejected with a
+    :class:`ConfigurationError`: register them under a name first (see
+    ``docs/api.md``).
     """
     config = config or MemorExConfig()
     if library is not None and (
@@ -73,32 +70,22 @@ def run_memorex(
             "pass either a registered library name or per-side "
             "libraries, not both"
         )
-    if isinstance(memory_library, str):
-        memory_library = registry.memory_library(memory_library)
-    elif memory_library is not None:
-        warnings.warn(
-            "passing a MemoryLibrary object to run_memorex is deprecated; "
-            "register it with repro.registry.register_memory_library() and "
-            "pass its name (see docs/api.md)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-    if isinstance(connectivity_library, str):
-        connectivity_library = registry.connectivity_library(
-            connectivity_library
-        )
-    elif connectivity_library is not None:
-        warnings.warn(
-            "passing a ConnectivityLibrary object to run_memorex is "
-            "deprecated; register it with "
-            "repro.registry.register_connectivity_library() and pass its "
-            "name (see docs/api.md)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-    memory_library = memory_library or registry.memory_library(library)
-    connectivity_library = connectivity_library or registry.connectivity_library(
-        library
+    for side, name in (
+        ("memory", memory_library),
+        ("connectivity", connectivity_library),
+    ):
+        if name is not None and not isinstance(name, str):
+            raise ConfigurationError(
+                f"run_memorex takes a registered {side} library name, not a "
+                f"{type(name).__name__} object; register it with "
+                f"repro.registry.register_{side}_library() and pass its "
+                f"name (see docs/api.md)"
+            )
+    memory_library = registry.memory_library(
+        library if memory_library is None else memory_library
+    )
+    connectivity_library = registry.connectivity_library(
+        library if connectivity_library is None else connectivity_library
     )
 
     with obs.span("memorex.run"):

@@ -312,8 +312,7 @@ def _run_full(
     candidates: list[ConnectivityDesignPoint] = []
     for memory_eval in apex.evaluated:
         _, points = connectivity_exploration(
-            trace, memory_eval, connectivity_library, conex_config,
-            workers=workers, runtime=runtime, backend=backend,
+            trace, memory_eval, connectivity_library, conex_config
         )
         candidates.extend(points)
     report = simulate_batch(

@@ -4,10 +4,11 @@ The exploration layers (:mod:`repro.apex`, :mod:`repro.conex`,
 :mod:`repro.core`) evaluate thousands of independent (trace, memory,
 connectivity) design points. This package makes that the fast path:
 
-* :mod:`repro.exec.engine` — :func:`simulate_batch` /
-  :func:`estimate_many`: cache lookups, in-batch dedup,
-  memory-signature grouping, and deterministic job-index result
-  ordering, with exactly one backend call per batch for the misses.
+* :mod:`repro.exec.engine` — :func:`simulate_batch`: cache lookups,
+  in-batch dedup, memory-signature grouping, and deterministic
+  job-index result ordering, with exactly one backend call per batch
+  for the misses. Phase-I estimates are not dispatched here; they run
+  in-process through :func:`repro.conex.estimator.estimate_plan`.
 * :mod:`repro.exec.backend` — the :class:`ExecutionBackend` interface
   every batch dispatches through: :class:`SerialBackend` (in-process,
   the reference), :class:`PoolBackend` (the runtime below),
@@ -29,8 +30,8 @@ connectivity) design points. This package makes that the fast path:
   out).
 * :mod:`repro.exec.net` / :mod:`repro.exec.worker` — the
   dependency-free length-prefixed socket protocol and the ``repro
-  worker`` server that serves simulation groups, estimates and networked
-  cache traffic over it.
+  worker`` server that serves simulation groups and networked cache
+  traffic over it.
 * :mod:`repro.exec.cache` — a content-addressed
   :class:`SimulationCache` keyed by trace fingerprint, architecture
   signatures, sampling config, and write model, layered as memory →
@@ -65,9 +66,7 @@ from repro.exec.cache import (
 )
 from repro.exec.engine import (
     EngineReport,
-    EstimateJob,
     SimulationJob,
-    estimate_many,
     simulate_batch,
 )
 from repro.exec.net import BackendUnavailable, Connection
@@ -95,7 +94,6 @@ __all__ = [
     "Connection",
     "DispatchStats",
     "EngineReport",
-    "EstimateJob",
     "ExecutionBackend",
     "ExecutionRuntime",
     "JOB_TIMEOUT_ENV",
@@ -115,7 +113,6 @@ __all__ = [
     "default_cache",
     "default_runtime",
     "effective_pool_workers",
-    "estimate_many",
     "key_digest",
     "resolve_backend",
     "resolve_job_timeout",

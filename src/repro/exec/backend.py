@@ -2,9 +2,9 @@
 
 The engine (:mod:`repro.exec.engine`) owns *what* to run — cache
 lookups, dedup, memory-signature grouping, job-index-keyed merge. A
-backend owns *where*: the three ``run_*`` methods of
-:class:`ExecutionBackend` each take an ordered work list and return
-results in the same order, so every backend is interchangeable and a
+backend owns *where*: :meth:`ExecutionBackend.run_groups` takes an
+ordered list of same-signature simulation groups and returns their
+outcomes in the same order, so every backend is interchangeable and a
 run is bit-identical whichever one dispatches it (the simulator is
 deterministic and results are keyed by index, never by completion
 order).
@@ -19,10 +19,10 @@ Implementations:
   (:mod:`repro.exec.worker`) over the :mod:`repro.exec.net` frame
   protocol. The trace ships at most once per (worker, fingerprint);
   job batches then reference the fingerprint alone.
-* :class:`ShardedBackend` — composes N backends, sharding the work
+* :class:`ShardedBackend` — composes N backends, sharding the group
   list round-robin by index. Fault tolerance mirrors the runtime's
   (PR 4) semantics: a :class:`~repro.exec.net.BackendUnavailable`
-  marks the shard dead and re-dispatches only its unfinished items to
+  marks the shard dead and re-dispatches only its unfinished groups to
   the survivors; after ``max_retries`` recovery rounds (or when no
   shard survives) the remainder degrades to a local
   :class:`SerialBackend`. Job-raised errors are *not* faults and
@@ -40,10 +40,9 @@ or at most one unit of work, and on :class:`PoolBackend` otherwise.
 from __future__ import annotations
 
 import threading
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from repro import obs
-from repro.conex.estimator import ConnectivityEstimate, estimate_design
 from repro.config import WORKER_ADDRS_ENV, current_settings
 from repro.errors import ExecutionError
 from repro.exec import net
@@ -60,7 +59,7 @@ from repro.sim.metrics import SimulationResult
 from repro.trace.events import Trace
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
-    from repro.exec.engine import EstimateJob, SimulationJob
+    from repro.exec.engine import SimulationJob
 
 __all__ = [
     "ExecutionBackend",
@@ -75,17 +74,17 @@ GroupOutcome = "tuple[list[SimulationResult], int]"
 
 
 class ExecutionBackend:
-    """Interface: run ordered work lists, return results in order.
+    """Interface: run ordered group lists, return outcomes in order.
 
-    Subclasses implement :meth:`run_groups` and :meth:`run_estimates`
-    and keep :attr:`last_dispatch` current; :attr:`bytes_sent` /
+    Subclasses implement :meth:`run_groups` and keep
+    :attr:`last_dispatch` current; :attr:`bytes_sent` /
     :attr:`bytes_received` stay zero for local backends.
     """
 
     #: Short name surfaced as ``EngineReport.backend``.
     name = "base"
 
-    #: Fault accounting for the most recent ``run_*`` call.
+    #: Fault accounting for the most recent ``run_groups`` call.
     last_dispatch: DispatchStats | None = None
 
     @property
@@ -120,12 +119,6 @@ class ExecutionBackend:
         """
         raise NotImplementedError
 
-    def run_estimates(
-        self, jobs: "Sequence[EstimateJob]"
-    ) -> list[ConnectivityEstimate]:
-        """Run every Phase-I estimate, ordered like ``jobs``."""
-        raise NotImplementedError
-
     def close(self) -> None:
         """Release pools/sockets. Idempotent; safe on unused backends."""
 
@@ -153,13 +146,6 @@ class SerialBackend(ExecutionBackend):
             sim_batch.evaluate_group(trace, group, plan) for group in groups
         ]
 
-    def run_estimates(self, jobs):
-        self.last_dispatch = DispatchStats(jobs=len(jobs))
-        return [
-            estimate_design(job.memory, job.connectivity, job.profile)
-            for job in jobs
-        ]
-
 
 class PoolBackend(ExecutionBackend):
     """The persistent process-pool runtime behind the backend interface.
@@ -185,18 +171,10 @@ class PoolBackend(ExecutionBackend):
     def runtime(self) -> ExecutionRuntime:
         return self._runtime
 
-    def _delegate(self, call: Callable) -> list:
-        results = call()
+    def run_groups(self, trace, groups):
+        results = self._runtime.map_simulation_groups(trace, groups)
         self.last_dispatch = self._runtime.last_dispatch
         return results
-
-    def run_groups(self, trace, groups):
-        return self._delegate(
-            lambda: self._runtime.map_simulation_groups(trace, groups)
-        )
-
-    def run_estimates(self, jobs):
-        return self._delegate(lambda: self._runtime.map_estimates(jobs))
 
     def __repr__(self) -> str:
         return f"<PoolBackend runtime={self._runtime!r}>"
@@ -297,19 +275,16 @@ class RemoteBackend(ExecutionBackend):
             obs.incr("backend.trace_pushes")
         self._pushed.add(fingerprint)
 
-    def _run_remote(self, kind: int, request: dict, jobs: int) -> list:
+    def _run_remote(self, request: dict) -> list:
         request["collect"] = obs.enabled()
         with obs.span("backend.remote_dispatch"):
-            reply = self._request(kind, request)
+            reply = self._request(net.MSG_SIM_GROUPS, request)
         data = reply.unpickle()
         obs.merge_snapshot(data.get("obs"))
-        self.last_dispatch = DispatchStats(jobs=jobs)
         return data["values"]
 
-    def _run_traced(
-        self, trace: Trace, kind: int, request: dict, jobs: int
-    ) -> list:
-        """Dispatch a trace-referencing batch, re-pushing on eviction.
+    def run_groups(self, trace, groups):
+        """Dispatch the groups by trace fingerprint, re-pushing on eviction.
 
         A long-lived worker's trace store is a byte-capped LRU, so the
         trace this connection pushed earlier may have been evicted by
@@ -317,32 +292,24 @@ class RemoteBackend(ExecutionBackend):
         carrying a recognizable marker; one re-push plus retry makes
         eviction invisible to callers instead of failing the batch.
         """
+        request = {
+            "fingerprint": trace.fingerprint(),
+            "groups": [tuple(group) for group in groups],
+        }
         self.ensure_trace(trace)
         try:
-            return self._run_remote(kind, request, jobs)
+            values = self._run_remote(request)
         except ExecutionError as error:
             if "was never pushed" not in str(error):
                 raise
             self._pushed.discard(trace.fingerprint())
             obs.incr("backend.trace_repushes")
             self.ensure_trace(trace)
-            return self._run_remote(kind, request, jobs)
-
-    def run_groups(self, trace, groups):
-        return self._run_traced(
-            trace,
-            net.MSG_SIM_GROUPS,
-            {
-                "fingerprint": trace.fingerprint(),
-                "groups": [tuple(group) for group in groups],
-            },
-            sum(len(group) for group in groups),
+            values = self._run_remote(request)
+        self.last_dispatch = DispatchStats(
+            jobs=sum(len(group) for group in groups)
         )
-
-    def run_estimates(self, jobs):
-        return self._run_remote(
-            net.MSG_ESTIMATES, {"jobs": list(jobs)}, len(jobs)
-        )
+        return values
 
     def close(self) -> None:
         self._drop_connection()
@@ -396,24 +363,18 @@ class ShardedBackend(ExecutionBackend):
 
     # -- fault-tolerant sharded dispatch -------------------------------
 
-    def _run_sharded(
-        self,
-        items: Sequence,
-        run: Callable[[ExecutionBackend, list], list],
-        run_fallback: Callable[[list], list],
-        jobs: int,
-    ) -> list:
-        """The sharding core shared by both ``run_*`` methods.
+    def run_groups(self, trace, groups):
+        """Shard the groups round-robin; recover from dead shards.
 
-        ``run(backend, subset)`` executes a shard's item subset;
-        ``run_fallback(subset)`` is the local degraded path. Mirrors
-        :meth:`repro.exec.runtime.ExecutionRuntime._dispatch_chunks`:
-        per-round bookkeeping keyed by item index, dead shards detected
-        via :class:`~repro.exec.net.BackendUnavailable`, unfinished
-        items re-dispatched to survivors, serial degradation after the
-        retry budget. Item-raised errors propagate unchanged.
+        Mirrors :meth:`repro.exec.runtime.ExecutionRuntime._dispatch_chunks`:
+        per-round bookkeeping keyed by group index, dead shards
+        detected via :class:`~repro.exec.net.BackendUnavailable`,
+        unfinished groups re-dispatched to survivors, and the
+        :attr:`fallback` backend after the retry budget. Job-raised
+        errors propagate unchanged.
         """
-        stats = DispatchStats(jobs=jobs)
+        items = [tuple(group) for group in groups]
+        stats = DispatchStats(jobs=sum(len(group) for group in items))
         results: list = [None] * len(items)
         finished = [False] * len(items)
         pending = list(range(len(items)))
@@ -425,7 +386,9 @@ class ShardedBackend(ExecutionBackend):
             ]
             if not shards or stats.degraded:
                 stats.degraded = True
-                values = run_fallback([items[i] for i in pending])
+                values = self.fallback.run_groups(
+                    trace, [items[i] for i in pending]
+                )
                 for index, value in zip(pending, values):
                     results[index] = value
                 break
@@ -437,8 +400,8 @@ class ShardedBackend(ExecutionBackend):
 
             def dispatch(shard: int, indices: list[int]) -> None:
                 try:
-                    values = run(
-                        self.backends[shard], [items[i] for i in indices]
+                    values = self.backends[shard].run_groups(
+                        trace, [items[i] for i in indices]
                     )
                 except net.BackendUnavailable:
                     # Dead socket: mark the shard down; its indices
@@ -473,21 +436,6 @@ class ShardedBackend(ExecutionBackend):
         self.last_dispatch = stats
         return results
 
-    def run_groups(self, trace, groups):
-        return self._run_sharded(
-            [tuple(group) for group in groups],
-            lambda backend, subset: backend.run_groups(trace, subset),
-            lambda subset: self.fallback.run_groups(trace, subset),
-            sum(len(group) for group in groups),
-        )
-
-    def run_estimates(self, jobs):
-        return self._run_sharded(
-            list(jobs),
-            lambda backend, subset: backend.run_estimates(subset),
-            lambda subset: self.fallback.run_estimates(subset),
-            len(jobs),
-        )
 
     def close(self) -> None:
         for backend in self.backends:
@@ -521,8 +469,8 @@ def resolve_backend(
       and a serial local fallback;
     * ``None`` consults ``Settings.backend`` (``REPRO_BACKEND``). When
       that is unset too, a batch with one worker or at most one unit
-      of work (``units``: the groups or jobs it would dispatch;
-      ``None`` when unknown) runs on a :class:`SerialBackend`, and any
+      of work (``units``: the groups it would dispatch; ``None`` when
+      unknown) runs on a :class:`SerialBackend`, and any
       other batch on the pool exactly as for ``"pool"``.
     """
     if backend is None:

@@ -1,4 +1,4 @@
-"""Content-addressed simulation/estimate result cache.
+"""Content-addressed simulation result cache.
 
 A simulation is a pure function of (trace, memory architecture,
 connectivity architecture, sampling config, posted-writes flag), so its

@@ -1,4 +1,4 @@
-"""Batch evaluation engine: simulate/estimate many design points.
+"""Batch evaluation engine: simulate many design points.
 
 The exploration algorithms spend essentially all their wall time
 simulating candidate designs, every one independent of every other.
@@ -10,8 +10,10 @@ This module turns those loops into batch jobs:
   groups, and handed to one :class:`~repro.exec.backend.ExecutionBackend`
   call; each group shares its trace plan and module columns
   (:func:`repro.sim.batch.evaluate_group`).
-* :func:`estimate_many` — the Phase-I analogue for
-  :func:`repro.conex.estimator.estimate_design`.
+
+Phase-I estimates do not come through here: they are analytic and
+columnar (:func:`repro.conex.estimator.estimate_plan`) and run
+in-process, so this package never imports :mod:`repro.conex`.
 
 Determinism contract: results are returned **keyed by job index**,
 never by completion order — ``simulate_batch(trace, jobs).results[i]``
@@ -39,24 +41,19 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
-from typing import Callable, Sequence
+from typing import Sequence
 
 from repro import obs
 from repro.apex.architectures import MemoryArchitecture
 from repro.connectivity.architecture import ConnectivityArchitecture
 from repro.errors import ExecutionError
-from repro.exec.backend import ExecutionBackend, SerialBackend, resolve_backend
+from repro.exec.backend import ExecutionBackend, resolve_backend
 from repro.exec.cache import SimulationCache, default_cache, simulation_key
 from repro.exec.runtime import ExecutionRuntime, resolve_workers
 from repro.sim.metrics import SimulationResult
 from repro.sim.sampling import SamplingConfig
 from repro.stats import BatchStats, StatsReport
 from repro.trace.events import Trace
-
-#: Below this many pending estimate jobs a pool costs more than it
-#: saves (estimates are microseconds each; pickling is not).
-_MIN_PARALLEL_ESTIMATES = 64
-
 
 @dataclass(frozen=True)
 class SimulationJob:
@@ -69,27 +66,14 @@ class SimulationJob:
 
 
 @dataclass(frozen=True)
-class EstimateJob:
-    """One picklable Phase-I estimation work item."""
-
-    memory: MemoryArchitecture
-    connectivity: ConnectivityArchitecture
-    profile: SimulationResult
-
-
-@dataclass(frozen=True)
 class EngineReport(StatsReport):
     """What one batch produced and what it cost.
 
     ``results[i]`` always corresponds to ``jobs[i]`` of the submitted
-    list. ``cache_hits + cache_misses + deduplicated + uncached ==
-    len(results)``: simulation batches split into hits (served from
-    the cache), misses (actually simulated), and in-batch duplicates
-    (relabelled copies of a miss simulated once — *not* extra
-    simulations); estimates never consult the cache (they are cheaper
-    than a lookup is interesting) and count as ``uncached``, so
-    summing reports across simulate and estimate batches keeps the
-    aggregate hit rate honest.
+    list. ``cache_hits + cache_misses + deduplicated == len(results)``:
+    a batch splits into hits (served from the cache), misses (actually
+    simulated), and in-batch duplicates (relabelled copies of a miss
+    simulated once — *not* extra simulations).
 
     ``retries`` / ``pool_rebuilds`` / ``degraded`` surface the fault
     tolerance of the dispatch (see :class:`repro.exec.runtime.DispatchStats`):
@@ -119,7 +103,6 @@ class EngineReport(StatsReport):
     cache_hits: int = 0
     cache_misses: int = 0
     deduplicated: int = 0
-    uncached: int = 0
     seconds: float = 0.0
     retries: int = 0
     pool_rebuilds: int = 0
@@ -144,7 +127,6 @@ class EngineReport(StatsReport):
             cache_hits=self.cache_hits,
             cache_misses=self.cache_misses,
             deduplicated=self.deduplicated,
-            uncached=self.uncached,
             seconds=self.seconds,
             retries=self.retries,
             pool_rebuilds=self.pool_rebuilds,
@@ -191,7 +173,6 @@ def _record_batch(report: EngineReport) -> None:
     obs.incr("exec.cache_hits", report.cache_hits)
     obs.incr("exec.cache_misses", report.cache_misses)
     obs.incr("exec.deduplicated", report.deduplicated)
-    obs.incr("exec.uncached", report.uncached)
     obs.incr("exec.batch_groups", report.batch_groups)
     obs.incr("exec.delta_pass_candidates", report.delta_pass_candidates)
     obs.incr("exec.cache_memory_hits", report.cache_memory_hits)
@@ -213,9 +194,7 @@ def _cache_layers(cache: SimulationCache) -> tuple[int, int, int]:
     )
 
 
-def _prepare(
-    runtime: ExecutionRuntime | None, workers: int | None, entry: str
-) -> int:
+def _prepare(runtime: ExecutionRuntime | None, workers: int | None) -> int:
     """The batch's worker count, after the eager closed-runtime check.
 
     The check runs before any cache lookup or dispatch: a batch must
@@ -224,17 +203,21 @@ def _prepare(
     """
     if runtime is not None and runtime.closed:
         raise ExecutionError(
-            f"cannot dispatch {entry} through a closed runtime"
+            "cannot dispatch simulate_batch through a closed runtime"
         )
     if workers is None and runtime is not None:
         workers = runtime.workers
     return resolve_workers(workers)
 
 
-def _dispatch(backend: ExecutionBackend, call: Callable[[], list]):
-    """Run one backend call; return its values and report accounting."""
+def _dispatch(
+    backend: ExecutionBackend,
+    trace: Trace,
+    groups: Sequence[Sequence[SimulationJob]],
+):
+    """Run the batch's one backend call; return its outcomes and accounting."""
     sent, received = backend.bytes_sent, backend.bytes_received
-    values = call()
+    values = backend.run_groups(trace, groups)
     dispatch = backend.last_dispatch
     accounting = {
         "backend": backend.name,
@@ -306,7 +289,7 @@ def _simulate_batch(
     backend: "ExecutionBackend | str | None",
 ) -> EngineReport:
     start = time.perf_counter()
-    workers = _prepare(runtime, workers, "simulate_batch")
+    workers = _prepare(runtime, workers)
     cache = cache if cache is not None else default_cache()
     layers_before = _cache_layers(cache)
     results: list[SimulationResult | None] = [None] * len(jobs)
@@ -354,9 +337,7 @@ def _simulate_batch(
     delta_candidates = 0
     if groups:
         group_jobs = [[jobs[i] for i in group] for group in groups]
-        outcomes, accounting = _dispatch(
-            active, lambda: active.run_groups(trace, group_jobs)
-        )
+        outcomes, accounting = _dispatch(active, trace, group_jobs)
         for group, (group_results, delta) in zip(groups, outcomes):
             delta_candidates += delta
             for index, result in zip(group, group_results):
@@ -384,50 +365,3 @@ def _simulate_batch(
         **accounting,
     )
 
-
-def estimate_many(
-    jobs: Sequence[EstimateJob],
-    workers: int | None = None,
-    runtime: ExecutionRuntime | None = None,
-    backend: "ExecutionBackend | str | None" = None,
-) -> EngineReport:
-    """Run Phase-I estimates for every job; results ordered like ``jobs``.
-
-    Estimates are analytic (microseconds each), so batches below
-    :data:`_MIN_PARALLEL_ESTIMATES` jobs run in-process on a
-    :class:`~repro.exec.backend.SerialBackend` whatever backend was
-    asked for (shipping microsecond jobs to a pool or over a socket is
-    never a win); larger batches resolve their backend like
-    :func:`simulate_batch` does. Estimates never touch the result
-    cache: the report counts them as ``uncached``, not as hits or
-    misses.
-    """
-    with obs.span("exec.estimate_many"):
-        report = _estimate_many(jobs, workers, runtime, backend)
-    if obs.enabled():
-        _record_batch(report)
-    return report
-
-
-def _estimate_many(
-    jobs: Sequence[EstimateJob],
-    workers: int | None,
-    runtime: ExecutionRuntime | None,
-    backend: "ExecutionBackend | str | None",
-) -> EngineReport:
-    start = time.perf_counter()
-    workers = _prepare(runtime, workers, "estimate_many")
-    if len(jobs) < _MIN_PARALLEL_ESTIMATES:
-        active: ExecutionBackend = SerialBackend()
-    else:
-        active = resolve_backend(backend, workers, runtime, len(jobs))
-    results, accounting = _dispatch(
-        active, lambda: active.run_estimates(jobs)
-    )
-    return EngineReport(
-        results=tuple(results),
-        workers=workers,
-        uncached=len(jobs),
-        seconds=time.perf_counter() - start,
-        **accounting,
-    )

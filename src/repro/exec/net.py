@@ -3,7 +3,7 @@
 One dependency-free protocol serves both distribution surfaces:
 
 * **job dispatch** — :class:`repro.exec.backend.RemoteBackend` ships
-  simulate/estimate batches to a ``repro worker`` process
+  memory-signature simulation groups to a ``repro worker`` process
   (:mod:`repro.exec.worker`) and receives job-index-ordered results;
 * **the simulation-cache network layer** — get/put of content-addressed
   result payloads (:mod:`repro.exec.cache`), served by the same worker
@@ -43,7 +43,6 @@ __all__ = [
     "MSG_TRACE_QUERY",
     "MSG_TRACE_PUSH",
     "MSG_SIM_GROUPS",
-    "MSG_ESTIMATES",
     "MSG_RESULT",
     "MSG_CACHE_GET",
     "MSG_CACHE_PUT",
@@ -59,8 +58,11 @@ __all__ = [
 
 #: Bumped on any incompatible wire change; checked in the handshake.
 #: Version 2 retired the per-job ``SIM_JOBS`` request (kind 6): every
-#: simulation now travels as a memory-signature group.
-PROTOCOL_VERSION = 2
+#: simulation now travels as a memory-signature group. Version 3
+#: retired the ``ESTIMATES`` request (kind 8): Phase-I estimates are
+#: computed in-process and never cross the wire. Retired kinds are not
+#: reused.
+PROTOCOL_VERSION = 3
 
 _HEADER = struct.Struct("!BI")
 
@@ -84,7 +86,6 @@ MSG_ERROR = 3        # payload: {"error": str}; the request failed remotely
 MSG_TRACE_QUERY = 4  # -> fingerprint str; reply MSG_OK {"have": bool}
 MSG_TRACE_PUSH = 5   # -> (meta, column buffer); reply MSG_OK
 MSG_SIM_GROUPS = 7   # -> {"fingerprint", "groups", "collect"}; reply MSG_RESULT
-MSG_ESTIMATES = 8    # -> {"jobs", "collect"}; reply MSG_RESULT
 MSG_RESULT = 9       # payload: {"values", "obs"} (obs: ObsSnapshot | None)
 MSG_CACHE_GET = 10   # -> digest str; reply MSG_CACHE_HIT | MSG_CACHE_MISS
 MSG_CACHE_PUT = 11   # -> (digest, payload bytes); reply MSG_OK

@@ -18,9 +18,8 @@ process start-up and megabytes of pickling every time, so
   the shared blocks; a process-wide default runtime
   (:func:`default_runtime`) is closed automatically at exit.
 
-The runtime dispatches two kinds of work: whole same-signature
-simulation groups (:meth:`ExecutionRuntime.map_simulation_groups`) and
-Phase-I estimates (:meth:`ExecutionRuntime.map_estimates`).
+The runtime dispatches one kind of work: whole same-signature
+simulation groups (:meth:`ExecutionRuntime.map_simulation_groups`).
 
 **Fault tolerance.** A worker death (OOM kill, segfault, SIGKILL)
 breaks a ``ProcessPoolExecutor`` permanently: every in-flight and
@@ -62,7 +61,6 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from repro import obs
-from repro.conex.estimator import ConnectivityEstimate, estimate_design
 from repro.config import (
     FAULT_INJECT_ENV,
     JOB_TIMEOUT_ENV,
@@ -79,7 +77,7 @@ from repro.trace import shm as shm_registry
 from repro.trace.events import SharedTraceExport, SharedTraceHandle, Trace
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
-    from repro.exec.engine import EstimateJob, SimulationJob
+    from repro.exec.engine import SimulationJob
 
 __all__ = [
     "FAULT_INJECT_ENV",
@@ -179,7 +177,7 @@ def dispatch_chunksize(pending: int, workers: int) -> int:
 
 @dataclass
 class DispatchStats(StatsReport):
-    """Fault accounting for one ``map_simulation_groups``/``map_estimates`` call.
+    """Fault accounting for one ``map_simulation_groups`` call.
 
     Attributes:
         jobs: jobs the call was asked to run.
@@ -262,8 +260,7 @@ def _maybe_inject_fault(spec: str) -> None:
     """Honour the ``REPRO_FAULT_INJECT`` chaos hook (tests/CI only).
 
     ``spec`` is ``Settings.fault_inject``, looked up once per chunk by
-    the callers (estimates are microseconds each — a per-item settings
-    read would dominate them).
+    the caller rather than once per group.
     """
     mode, _, path = spec.partition(":")
     if mode == "always":
@@ -297,14 +294,6 @@ def _chunk_observation(collect: bool) -> ObsSnapshot | None:
     return obs.snapshot()
 
 
-def _run_shared_group(
-    item: "tuple[SharedTraceHandle, tuple[SimulationJob, ...]]",
-) -> "tuple[list[SimulationResult], int]":
-    handle, jobs = item
-    trace = _attached_trace(handle)
-    return batch.evaluate_group(trace, jobs)
-
-
 def _run_group_chunk(
     items: "Sequence[tuple[SharedTraceHandle, tuple[SimulationJob, ...]]]",
     collect: bool = False,
@@ -315,26 +304,8 @@ def _run_group_chunk(
     for item in items:
         if fault_spec:
             _maybe_inject_fault(fault_spec)
-        results.append(_run_shared_group(item))
-    delta = obs.snapshot().subtract(baseline) if collect else None
-    return results, delta
-
-
-def _run_pool_estimate(job: "EstimateJob") -> ConnectivityEstimate:
-    return estimate_design(job.memory, job.connectivity, job.profile)
-
-
-def _run_estimate_chunk(
-    jobs: "Sequence[EstimateJob]",
-    collect: bool = False,
-) -> "tuple[list[ConnectivityEstimate], ObsSnapshot | None]":
-    fault_spec = current_settings().fault_inject
-    baseline = _chunk_observation(collect)
-    results = []
-    for job in jobs:
-        if fault_spec:
-            _maybe_inject_fault(fault_spec)
-        results.append(_run_pool_estimate(job))
+        handle, jobs = item
+        results.append(batch.evaluate_group(_attached_trace(handle), jobs))
     delta = obs.snapshot().subtract(baseline) if collect else None
     return results, delta
 
@@ -477,23 +448,13 @@ class ExecutionRuntime:
 
     # -- fault-tolerant dispatch core ----------------------------------
 
-    def _dispatch(
-        self,
-        worker_fn: Callable,
-        items: Sequence,
-        inline_fn: Callable,
-    ) -> list:
+    def _dispatch(self, items: Sequence, inline_fn: Callable) -> list:
         """Fault-tolerant dispatch, timed under the ``exec.dispatch`` span."""
         with obs.span("exec.dispatch"):
-            return self._dispatch_chunks(worker_fn, items, inline_fn)
+            return self._dispatch_chunks(items, inline_fn)
 
-    def _dispatch_chunks(
-        self,
-        worker_fn: Callable,
-        items: Sequence,
-        inline_fn: Callable,
-    ) -> list:
-        """Run ``worker_fn`` over chunks of ``items`` with recovery.
+    def _dispatch_chunks(self, items: Sequence, inline_fn: Callable) -> list:
+        """Run :func:`_run_group_chunk` over chunks of ``items`` with recovery.
 
         Chunk-level bookkeeping keeps results keyed by item index, so a
         recovered dispatch returns exactly what an undisturbed one
@@ -535,7 +496,7 @@ class ExecutionRuntime:
                     futures.append(
                         (
                             pool.submit(
-                                worker_fn,
+                                _run_group_chunk,
                                 [items[i] for i in chunk],
                                 collect,
                             ),
@@ -632,26 +593,9 @@ class ExecutionRuntime:
             return batch.evaluate_group(trace, jobs)
 
         return self._dispatch(
-            _run_group_chunk,
             [(handle, tuple(group)) for group in groups],
             inline,
         )
-
-    def map_estimates(
-        self, jobs: "Sequence[EstimateJob]"
-    ) -> list[ConnectivityEstimate]:
-        """Run every Phase-I estimate; results ordered like ``jobs``."""
-        self._ensure_open()
-        if not jobs:
-            self.last_dispatch = DispatchStats()
-            return []
-        if self.workers <= 1:
-            self.last_dispatch = DispatchStats(jobs=len(jobs))
-            return [
-                estimate_design(job.memory, job.connectivity, job.profile)
-                for job in jobs
-            ]
-        return self._dispatch(_run_estimate_chunk, list(jobs), _run_pool_estimate)
 
     def close(self) -> None:
         """Shut the pool down and unlink the shared exports. Idempotent."""

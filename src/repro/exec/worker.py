@@ -1,4 +1,4 @@
-"""Socket worker: serves simulation groups, estimates and cache traffic.
+"""Socket worker: serves simulation groups and cache traffic.
 
 ``python -m repro worker`` (see :mod:`repro.cli`) runs one
 :class:`WorkerServer`: a thread-per-connection TCP server speaking the
@@ -312,8 +312,6 @@ class WorkerServer:
             return net.MSG_OK, b""
         if kind == net.MSG_SIM_GROUPS:
             return self._handle_groups(frame.unpickle())
-        if kind == net.MSG_ESTIMATES:
-            return self._handle_estimates(frame.unpickle())
         if kind == net.MSG_CACHE_GET:
             return self._handle_cache_get(frame.unpickle())
         if kind == net.MSG_CACHE_PUT:
@@ -369,19 +367,6 @@ class WorkerServer:
             for group in request["groups"]
         ]
         obs.incr("worker.jobs", sum(len(g) for g in request["groups"]))
-        return net.MSG_RESULT, _pickled(
-            {"values": values, "obs": _obs_delta(baseline)}
-        )
-
-    def _handle_estimates(self, request: dict) -> tuple[int, bytes]:
-        from repro.conex.estimator import estimate_design
-
-        baseline = _chunk_observation(request.get("collect", False))
-        values = [
-            estimate_design(job.memory, job.connectivity, job.profile)
-            for job in request["jobs"]
-        ]
-        obs.incr("worker.jobs", len(values))
         return net.MSG_RESULT, _pickled(
             {"values": values, "obs": _obs_delta(baseline)}
         )

@@ -50,7 +50,7 @@ class BatchStats(StatsReport):
     """What one evaluation batch (or batch sequence) cost.
 
     The cache accounting satisfies ``cache_hits + cache_misses +
-    deduplicated + uncached == jobs``; the fault accounting mirrors
+    deduplicated == jobs``; the fault accounting mirrors
     :class:`repro.exec.DispatchStats` (all zero / ``False`` on an
     undisturbed batch).
     """
@@ -59,7 +59,6 @@ class BatchStats(StatsReport):
     cache_hits: int = 0
     cache_misses: int = 0
     deduplicated: int = 0
-    uncached: int = 0
     seconds: float = 0.0
     retries: int = 0
     pool_rebuilds: int = 0

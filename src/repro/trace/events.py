@@ -12,6 +12,7 @@ event-driven simulator.
 from __future__ import annotations
 
 import hashlib
+import mmap
 import os
 import tempfile
 from dataclasses import dataclass
@@ -24,7 +25,7 @@ from repro.errors import TraceError
 from repro.trace import shm as shm_registry
 
 #: Column attributes of a :class:`Trace`, in storage order. The shared
-#: export packs exactly these, and :meth:`Trace.attach_shared` rebuilds
+#: export packs exactly these, and :meth:`Trace.from_packed` rebuilds
 #: them by name.
 TRACE_COLUMNS = ("addresses", "sizes", "kinds", "struct_ids", "ticks")
 
@@ -255,6 +256,22 @@ class Trace:
             offset += array.nbytes
         return specs, max(1, offset)
 
+    def _write_columns(
+        self, specs: "Sequence[tuple[str, str, int, int]]", buffer
+    ) -> None:
+        """Copy every column into ``buffer`` at its packed offset.
+
+        The one writer of the packed layout. ``buffer`` is any writable,
+        zero-initialized buffer of the packed size — a ``bytearray``, a
+        shared-memory block's ``buf`` or a writable mapping of the
+        export file — so no transport stages a second copy of the trace.
+        """
+        for column, dtype, offset, count in specs:
+            target = np.frombuffer(
+                buffer, dtype=np.dtype(dtype), count=count, offset=offset
+            )
+            target[...] = getattr(self, column)
+
     def pack_columns(self) -> "tuple[tuple[tuple[str, str, int, int], ...], bytes]":
         """The trace columns as one contiguous buffer plus its layout.
 
@@ -267,9 +284,7 @@ class Trace:
         """
         specs, size = self._column_specs()
         buffer = bytearray(size)
-        for column, _, start, _ in specs:
-            data = np.ascontiguousarray(getattr(self, column)).tobytes()
-            buffer[start : start + len(data)] = data
+        self._write_columns(specs, buffer)
         return tuple(specs), bytes(buffer)
 
     @classmethod
@@ -279,13 +294,15 @@ class Trace:
         structs: Sequence[str],
         fingerprint: str,
         specs: "Sequence[tuple[str, str, int, int]]",
-        buffer: bytes,
+        buffer,
     ) -> "Trace":
-        """Rebuild a trace from :meth:`pack_columns` output.
+        """Rebuild a trace from the packed layout in ``buffer``.
 
-        Columns are read-only views of ``buffer`` (no copy); the
-        sender's fingerprint is adopted verbatim so cache keys match
-        without re-hashing the columns.
+        The one reader of the layout: ``buffer`` is the
+        :meth:`pack_columns` bytes, or the mapped block of a shared
+        export (:meth:`attach_shared`). Columns are read-only views of
+        ``buffer`` (no copy); the sender's fingerprint is adopted
+        verbatim so cache keys match without re-hashing the columns.
         """
         arrays = {
             column: np.frombuffer(
@@ -343,9 +360,7 @@ class Trace:
                     ) from error
         if block is not None:
             shm_registry.register_resource("shm", block.name)
-            for column, _, start, _ in specs:
-                data = np.ascontiguousarray(getattr(self, column)).tobytes()
-                block.buf[start : start + len(data)] = data
+            self._write_columns(specs, block.buf)
             handle = SharedTraceHandle(
                 trace_name=self.name,
                 structs=self.structs,
@@ -359,14 +374,10 @@ class Trace:
 
         descriptor, path = tempfile.mkstemp(prefix="repro-trace-", suffix=".bin")
         try:
-            with os.fdopen(descriptor, "wb") as stream:
-                position = 0
-                for column, _, start, _ in specs:
-                    stream.write(b"\x00" * (start - position))
-                    data = np.ascontiguousarray(getattr(self, column)).tobytes()
-                    stream.write(data)
-                    position = start + len(data)
-                stream.write(b"\x00" * (size - position))
+            with os.fdopen(descriptor, "r+b") as stream:
+                stream.truncate(size)
+                with mmap.mmap(stream.fileno(), size) as mapped:
+                    self._write_columns(specs, mapped)
         except BaseException:
             os.unlink(path)
             raise
@@ -395,27 +406,20 @@ class Trace:
         if handle.transport == "shm":
             buffer, keeper = _map_shared_block(handle.block, handle.size)
         elif handle.transport == "file":
-            mapped = np.memmap(
+            buffer = keeper = np.memmap(
                 handle.block, dtype=np.uint8, mode="r", shape=(handle.size,)
             )
-            buffer = mapped
-            keeper = mapped
         else:
             raise TraceError(
                 f"unknown shared-trace transport: {handle.transport!r}"
             )
-        arrays = {
-            column: np.frombuffer(
-                buffer, dtype=np.dtype(dtype), count=count, offset=offset
-            )
-            for column, dtype, offset, count in handle.columns
-        }
-        trace = cls(
-            name=handle.trace_name,
-            structs=handle.structs,
-            **arrays,
+        trace = cls.from_packed(
+            handle.trace_name,
+            handle.structs,
+            handle.fingerprint,
+            handle.columns,
+            buffer,
         )
-        trace._fingerprint = handle.fingerprint
         trace._shared_block = keeper  # keep the mapping alive
         return trace
 

@@ -1,6 +1,7 @@
 """Integration tests for the command-line interface."""
 
 import json
+import time
 
 import pytest
 
@@ -84,3 +85,38 @@ class TestExploreCommand:
         payload = json.loads(json_path.read_text())
         assert payload["design_points"]
         assert "knee-point recommendation" in report_path.read_text()
+
+
+class TestNamedBackend:
+    def test_coverage_opens_one_remote_backend_per_command(
+        self, monkeypatch, capsys
+    ):
+        from repro.config import WORKER_ADDRS_ENV
+        from repro.exec.worker import WorkerServer
+
+        server = WorkerServer()
+        server.start()
+        hellos = []
+        handle_hello = server._handle_hello
+
+        def counting_hello(frame):
+            hellos.append(frame)
+            return handle_hello(frame)
+
+        monkeypatch.setattr(server, "_handle_hello", counting_hello)
+        monkeypatch.setenv(WORKER_ADDRS_ENV, server.address)
+        try:
+            code = main(
+                ["coverage", "vocoder", "--scale", "0.1", "--backend", "remote"]
+            )
+            assert code == 0
+            assert "Pareto coverage" in capsys.readouterr().out
+            # Every batch of the three strategies reused one connection,
+            # and the command closed it on exit, ending its thread.
+            assert len(hellos) == 1
+            deadline = time.monotonic() + 5.0
+            while server.live_threads and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert server.live_threads == 0
+        finally:
+            server.stop()

@@ -2,9 +2,11 @@
 
 The refactor's contract: assignment plans enumerate exactly what the
 eager enumeration did (names, signatures, thinning), the columnar
-estimator returns bit-identical estimates to the scalar path, and
-``explore_connectivity`` is invariant to the estimator implementation
-and to dispatching through a persistent runtime.
+estimator returns bit-identical estimates to the scalar
+:func:`~repro.conex.estimator.estimate_design` oracle — also for every
+point ``explore_connectivity`` reports, so Phase I carries and Phase II
+selects exactly what scalar estimates would — and exploration is
+invariant to dispatching through a persistent runtime.
 """
 
 import pytest
@@ -14,7 +16,6 @@ from repro.conex.allocation import enumerate_assignments, plan_assignments
 from repro.conex.brg import build_brg
 from repro.conex.clustering import clustering_levels
 from repro.conex.estimator import (
-    REFERENCE_ESTIMATOR_ENV,
     ConnectivityEstimate,
     estimate_design,
     estimate_plan,
@@ -28,6 +29,8 @@ from repro.conex.explorer import (
 from repro.errors import ExplorationError
 from repro.exec.cache import NullCache
 from repro.exec.runtime import ExecutionRuntime
+from repro.sim.simulator import simulate
+from repro.util.pareto import pareto_front
 
 APEX_CONFIG = ApexConfig(
     cache_options=(None, "cache_4k_16b_1w", "cache_16k_32b_2w"),
@@ -144,12 +147,54 @@ class TestExplorerEquivalence:
         )
 
     def test_columnar_matches_reference_estimator(
-        self, compress_trace, apex, conn_library, monkeypatch
+        self, compress_trace, apex, conn_library
     ):
-        columnar = self._explore(compress_trace, apex, conn_library)
-        monkeypatch.setenv(REFERENCE_ESTIMATOR_ENV, "1")
-        reference = self._explore(compress_trace, apex, conn_library)
-        assert columnar == reference
+        result = explore_connectivity(
+            compress_trace, apex.selected, conn_library, CONEX_CONFIG,
+            cache=NullCache(),
+        )
+        assert result.estimated
+        # Every Phase-I point equals the scalar oracle on its
+        # materialized architecture, under the architecture's own name.
+        reference: dict[str, list[ConnectivityDesignPoint]] = {}
+        for point in result.estimated:
+            memory_eval = point.memory_eval
+            connectivity = point.connectivity
+            expected = estimate_design(
+                memory_eval.architecture, connectivity, memory_eval.result
+            )
+            assert point.estimate == expected
+            assert point.label() == (
+                f"{point.memory_name}/{connectivity.name}"
+            )
+            reference.setdefault(point.memory_name, []).append(
+                ConnectivityDesignPoint(
+                    memory_eval=memory_eval,
+                    connectivity=connectivity,
+                    estimate=expected,
+                )
+            )
+        # Scalar estimates carry the same designs into Phase II ...
+        carried = []
+        for points in reference.values():
+            front = pareto_front(points, key=lambda p: p.estimated_objectives)
+            carried.extend(_thin_by_latency(front, CONEX_CONFIG.phase1_keep))
+        assert [p.label() for p in carried] == [
+            p.label() for p in result.simulated
+        ]
+        # ... whose simulations, and so the selected set, are unchanged.
+        for point in result.simulated:
+            direct = simulate(
+                compress_trace, point.memory_eval.architecture,
+                point.connectivity,
+            )
+            assert point.simulated_objectives == direct.objectives
+        selected = pareto_front(
+            result.simulated, key=lambda p: p.simulated_objectives
+        )
+        assert [p.label() for p in selected] == [
+            p.label() for p in result.selected
+        ]
 
     def test_runtime_dispatch_matches_serial(
         self, compress_trace, apex, conn_library

@@ -3,8 +3,9 @@
 Guards against doc rot: the experiment index's benchmark files, the
 README's example commands, the packages named in the architecture
 docs, and the ``REPRO_*`` knobs the prose names must all exist, the
-``Settings`` docstring table must list every field, and the batch
-evaluator's quoted figures must match their benchmark record.
+``Settings`` docstring table must list every field, and the figures
+``docs/performance.md`` quotes from ``BENCH_parallel.json`` and
+``BENCH_runtime.json`` must match their benchmark records.
 """
 
 import pathlib
@@ -201,3 +202,64 @@ class TestPerformanceDoc:
         assert re.findall(r"\d+(?:\.\d+)?×", row) == [expected[0]], row
         quoted = re.findall(r"(\d+(?:\.\d+)?×) single-process", prose)
         assert quoted and set(quoted) == {expected[0]}, quoted
+
+    @pytest.mark.parametrize(
+        "label, record_name, figures",
+        [
+            (
+                "persistent runtime",
+                "batch_dispatch",
+                lambda r: [
+                    f"{r['batches']} × {r['jobs_per_batch']}-job batches",
+                    f"{r['accesses'] / 1e6:.2f} M accesses",
+                    f"serial {r['serial_seconds']:.2f} s",
+                    f"cold pools {r['cold_pool_seconds']:.2f} s",
+                    f"persistent {r['persistent_seconds']:.2f} s",
+                    f"on {r['cpu_count']} CPUs",
+                    f"reads {r['overhead_ratio']:.1f}×",
+                ],
+            ),
+            (
+                "crash recovery",
+                "crash_recovery",
+                lambda r: [
+                    f"{r['jobs']}-job batch",
+                    f"clean {r['clean_seconds']:.2f} s",
+                    f"faulted {r['faulted_seconds']:.2f} s",
+                    f"+{r['recovery_seconds']:.2f} s",
+                ],
+            ),
+            (
+                "columnar Phase I",
+                "columnar_phase1",
+                lambda r: [
+                    f"{r['candidates']} compress candidates",
+                    f"per-candidate {r['scalar_seconds']:.3f} s",
+                    f"columnar {r['columnar_seconds']:.3f} s",
+                    f"{r['speedup']:.1f}×",
+                ],
+            ),
+        ],
+        ids=["persistent-runtime", "crash-recovery", "columnar-phase1"],
+    )
+    def test_runtime_rows_match_the_json(self, label, record_name, figures):
+        """Each ``BENCH_runtime.json`` row of the perf trajectory quotes
+        that file's record."""
+        import json
+
+        records = json.loads(
+            (ROOT / "benchmarks/out/BENCH_runtime.json").read_text()
+        )
+        record = next(r for r in records if r["name"] == record_name)
+        rows = [
+            line
+            for line in read("docs/performance.md").splitlines()
+            if line.startswith(f"| {label} (`BENCH_runtime.json`)")
+        ]
+        assert len(rows) == 1, (label, rows)
+        expected = figures(record)
+        missing = [figure for figure in expected if figure not in rows[0]]
+        assert not missing, (label, missing)
+        if record_name == "columnar_phase1":
+            # The only speedup in the row is the recorded one.
+            assert re.findall(r"\d+(?:\.\d+)?×", rows[0]) == [expected[-1]]

@@ -14,7 +14,6 @@ from repro.apex.architectures import MemoryArchitecture
 from repro.config import BACKEND_ENV, WORKER_ADDRS_ENV, WORKERS_CAP_ENV
 from repro.errors import ExecutionError
 from repro.exec import (
-    EstimateJob,
     ExecutionRuntime,
     NullCache,
     PoolBackend,
@@ -30,8 +29,6 @@ from repro.exec.runtime import (
     effective_pool_workers,
     set_default_runtime,
 )
-
-from .conftest import simple_connectivity
 
 _PRESETS = (
     "cache_4k_16b_1w",
@@ -54,22 +51,6 @@ def _jobs(mem_library) -> list[SimulationJob]:
     ]
 
 
-def _estimate_jobs(tiny_trace, mem_library, conn_library) -> list[EstimateJob]:
-    jobs = []
-    for i, preset in enumerate(_PRESETS):
-        memory = _arch(mem_library, preset, f"e{i}")
-        connectivity = simple_connectivity(memory, tiny_trace, conn_library)
-        profile = simulate_batch(
-            tiny_trace, [SimulationJob(memory=memory)], cache=NullCache()
-        ).results[0]
-        jobs.append(
-            EstimateJob(
-                memory=memory, connectivity=connectivity, profile=profile
-            )
-        )
-    return jobs
-
-
 class FlakyBackend(SerialBackend):
     """Dies with BackendUnavailable on its first N dispatches."""
 
@@ -87,10 +68,6 @@ class FlakyBackend(SerialBackend):
     def run_groups(self, trace, groups):
         self._maybe_fail()
         return super().run_groups(trace, groups)
-
-    def run_estimates(self, jobs):
-        self._maybe_fail()
-        return super().run_estimates(jobs)
 
 
 class TestBackendEquivalence:
@@ -144,14 +121,6 @@ class TestBackendEquivalence:
         assert report.results == reference.results
         assert report.backend == "sharded"
         assert report.retries == 0 and not report.degraded
-
-    def test_sharded_estimates(
-        self, tiny_trace, mem_library, conn_library
-    ):
-        jobs = _estimate_jobs(tiny_trace, mem_library, conn_library)
-        serial = SerialBackend().run_estimates(jobs)
-        sharded = ShardedBackend([SerialBackend(), SerialBackend()])
-        assert sharded.run_estimates(jobs) == serial
 
 
 class TestShardedFaults:

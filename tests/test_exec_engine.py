@@ -8,19 +8,10 @@ runs free) are the load-bearing guarantees here.
 import pytest
 
 from repro.apex.architectures import MemoryArchitecture
-from repro.conex.estimator import estimate_design
 from repro.errors import ExplorationError
 from repro.exec.cache import NullCache, SimulationCache
 from repro.config import WORKERS_ENV
-from repro.exec.engine import (
-    EstimateJob,
-    SimulationJob,
-    estimate_many,
-    resolve_workers,
-    simulate_batch,
-)
-
-from .conftest import simple_connectivity
+from repro.exec.engine import SimulationJob, resolve_workers, simulate_batch
 
 _PRESETS = (
     "cache_4k_16b_1w",
@@ -148,30 +139,6 @@ class TestEngineCaching:
         again = simulate_batch(tiny_trace, jobs, cache=cache)
         assert again.cache_hits == 0
         assert again.cache_misses == len(jobs)
-
-
-class TestEstimateMany:
-    def test_matches_direct_estimates_in_order(
-        self, tiny_trace, mem_library, conn_library
-    ):
-        arch = _arch(mem_library, "cache_8k_32b_2w", "m")
-        profile = simulate_batch(
-            tiny_trace,
-            [SimulationJob(memory=arch)],
-            cache=NullCache(),
-        ).results[0]
-        connectivities = [
-            simple_connectivity(arch, tiny_trace, conn_library, cpu)
-            for cpu in ("ahb", "mux", "asb")
-        ]
-        jobs = [
-            EstimateJob(memory=arch, connectivity=c, profile=profile)
-            for c in connectivities
-        ]
-        report = estimate_many(jobs)
-        assert len(report.results) == len(jobs)
-        for connectivity, estimate in zip(connectivities, report.results):
-            assert estimate == estimate_design(arch, connectivity, profile)
 
 
 class TestExplorerIntegration:

@@ -26,7 +26,7 @@ from repro.apex.architectures import MemoryArchitecture
 from repro.errors import ExecutionError, ExplorationError
 from repro.exec.backend import PoolBackend
 from repro.exec.cache import NullCache
-from repro.exec.engine import SimulationJob, estimate_many, simulate_batch
+from repro.exec.engine import SimulationJob, simulate_batch
 from repro.exec.runtime import (
     FAULT_INJECT_ENV,
     JOB_TIMEOUT_ENV,
@@ -132,32 +132,6 @@ class TestCrashRecovery:
         assert report.results == serial.results
         assert dispatch.pool_rebuilds >= 1
 
-    def test_estimates_recover_too(
-        self, tiny_trace, mem_library, conn_library, monkeypatch, tmp_path
-    ):
-        from repro.conex.estimator import estimate_design
-        from repro.exec.engine import EstimateJob
-
-        from .conftest import simple_connectivity
-
-        arch = _arch(mem_library, "cache_8k_32b_2w", "m")
-        profile = simulate_batch(
-            tiny_trace, [SimulationJob(memory=arch)], cache=NullCache()
-        ).results[0]
-        connectivity = simple_connectivity(arch, tiny_trace, conn_library)
-        jobs = [
-            EstimateJob(memory=arch, connectivity=connectivity, profile=profile)
-            for _ in range(6)
-        ]
-        expected = [
-            estimate_design(j.memory, j.connectivity, j.profile) for j in jobs
-        ]
-        monkeypatch.setenv(FAULT_INJECT_ENV, f"once:{tmp_path / 'e.marker'}")
-        with ExecutionRuntime(workers=2) as runtime:
-            results = runtime.map_estimates(jobs)
-            assert runtime.last_dispatch.pool_rebuilds >= 1
-        assert results == expected
-
 
 class TestJobTimeout:
     def test_stuck_worker_is_reaped_and_batch_completes(
@@ -209,12 +183,6 @@ class TestEagerClosedDispatch:
                 tiny_trace, _jobs(mem_library), cache=NullCache(),
                 runtime=runtime,
             )
-
-    def test_estimate_many_rejects_closed_runtime(self):
-        runtime = ExecutionRuntime(workers=2)
-        runtime.close()
-        with pytest.raises(ExplorationError):
-            estimate_many([], runtime=runtime)
 
     def test_execution_error_is_an_exploration_error(self):
         assert issubclass(ExecutionError, ExplorationError)

@@ -13,7 +13,6 @@ import pytest
 from repro.apex.architectures import MemoryArchitecture
 from repro.errors import ExecutionError
 from repro.exec import (
-    EstimateJob,
     NullCache,
     RemoteBackend,
     SerialBackend,
@@ -29,8 +28,6 @@ from repro.exec.cache import (
     _NET_FAULT_LIMIT,
 )
 from repro.exec.worker import WorkerServer
-
-from .conftest import simple_connectivity
 
 _PRESETS = (
     "cache_4k_16b_1w",
@@ -124,23 +121,6 @@ class TestRemoteBackend:
         serial = SerialBackend().run_groups(tiny_trace, groups)
         with RemoteBackend(worker.address) as backend:
             assert backend.run_groups(tiny_trace, groups) == serial
-
-    def test_estimates_match_serial(
-        self, worker, tiny_trace, mem_library, conn_library
-    ):
-        memory = _arch(mem_library, "cache_8k_32b_2w", "e0")
-        connectivity = simple_connectivity(memory, tiny_trace, conn_library)
-        profile = simulate_batch(
-            tiny_trace, [SimulationJob(memory=memory)], cache=NullCache()
-        ).results[0]
-        jobs = [
-            EstimateJob(
-                memory=memory, connectivity=connectivity, profile=profile
-            )
-        ]
-        serial = SerialBackend().run_estimates(jobs)
-        with RemoteBackend(worker.address) as backend:
-            assert backend.run_estimates(jobs) == serial
 
     def test_trace_ships_once_per_worker(
         self, worker, tiny_trace, mem_library

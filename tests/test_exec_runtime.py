@@ -4,8 +4,8 @@ Covers the shared-trace transport (export/attach roundtrips over every
 transport), the runtime lifecycle (lazy pool, close idempotence,
 closed-state errors, export memoization), dispatch equivalence (runtime
 results bit-identical to serial), the process-wide default runtime's
-grow-on-demand semantics, and the engine's estimate accounting
-(estimates are ``uncached``, not hits or misses).
+grow-on-demand semantics, and the engine's batch accounting
+(hits + misses + in-batch duplicates cover every job).
 """
 
 import pickle
@@ -13,16 +13,10 @@ import pickle
 import pytest
 
 from repro.apex.architectures import MemoryArchitecture
-from repro.conex.estimator import estimate_design
 from repro.errors import ExplorationError
 from repro.exec.backend import PoolBackend
 from repro.exec.cache import NullCache
-from repro.exec.engine import (
-    EstimateJob,
-    SimulationJob,
-    estimate_many,
-    simulate_batch,
-)
+from repro.exec.engine import SimulationJob, simulate_batch
 from repro.exec.runtime import (
     ExecutionRuntime,
     default_runtime,
@@ -30,7 +24,6 @@ from repro.exec.runtime import (
 )
 from repro.trace.events import TRACE_COLUMNS, Trace
 
-from .conftest import simple_connectivity
 
 _PRESETS = (
     "cache_4k_16b_1w",
@@ -154,26 +147,6 @@ class TestRuntimeDispatchEquivalence:
             assert len(runtime._exports) == 1
         assert first.results == second.results
 
-    def test_estimates_through_runtime_match_direct(
-        self, tiny_trace, mem_library, conn_library
-    ):
-        arch = _arch(mem_library, "cache_8k_32b_2w", "m")
-        profile = simulate_batch(
-            tiny_trace, [SimulationJob(memory=arch)], cache=NullCache()
-        ).results[0]
-        connectivities = [
-            simple_connectivity(arch, tiny_trace, conn_library, cpu)
-            for cpu in ("ahb", "mux", "asb")
-        ]
-        jobs = [
-            EstimateJob(memory=arch, connectivity=c, profile=profile)
-            for c in connectivities
-        ]
-        with ExecutionRuntime(workers=2) as runtime:
-            results = runtime.map_estimates(jobs)
-        for connectivity, estimate in zip(connectivities, results):
-            assert estimate == estimate_design(arch, connectivity, profile)
-
 
 class TestDefaultRuntime:
     @pytest.fixture(autouse=True)
@@ -202,33 +175,12 @@ class TestDefaultRuntime:
 
 
 class TestEstimateAccounting:
-    def test_estimates_count_as_uncached(
-        self, tiny_trace, mem_library, conn_library
-    ):
-        arch = _arch(mem_library, "cache_8k_32b_2w", "m")
-        profile = simulate_batch(
-            tiny_trace, [SimulationJob(memory=arch)], cache=NullCache()
-        ).results[0]
-        connectivity = simple_connectivity(arch, tiny_trace, conn_library)
-        jobs = [
-            EstimateJob(memory=arch, connectivity=connectivity, profile=profile)
-        ] * 5
-        report = estimate_many(jobs)
-        assert report.cache_hits == 0
-        assert report.cache_misses == 0
-        assert report.uncached == len(jobs)
-        assert (
-            report.cache_hits + report.cache_misses + report.uncached
-            == len(report.results)
-        )
-
     def test_simulation_reports_keep_the_invariant(
         self, tiny_trace, mem_library
     ):
         jobs = _jobs(mem_library)
         report = simulate_batch(tiny_trace, jobs, cache=NullCache())
-        assert report.uncached == 0
         assert (
-            report.cache_hits + report.cache_misses + report.uncached
+            report.cache_hits + report.cache_misses + report.deduplicated
             == len(report.results)
         )

@@ -5,8 +5,9 @@ families register under stable string names, library *pairs* register
 in :mod:`repro.registry`, and every entry point (``run_memorex``, the
 service, the CLI, ``mixed_architecture``) resolves those names through
 one path. Unknown names raise :class:`UnknownPresetError` — still a
-``KeyError`` for old callers — and the legacy pass-the-object style
-keeps working behind a :class:`DeprecationWarning`.
+``KeyError`` for old callers — and ``run_memorex`` rejects library
+*objects* with a :class:`ConfigurationError` naming the registration
+call to use instead.
 """
 
 from __future__ import annotations
@@ -181,18 +182,20 @@ class TestEntryPoints:
             w for w in recwarn if w.category is DeprecationWarning
         ]
 
-    def test_run_memorex_objects_deprecated_but_working(self):
+    @pytest.mark.parametrize(
+        "side, build",
+        [
+            ("memory", default_memory_library),
+            ("connectivity", default_connectivity_library),
+        ],
+        ids=["memory", "connectivity"],
+    )
+    def test_run_memorex_rejects_library_objects(self, side, build):
         workload = get_workload("synthetic", scale=0.05)
-        with pytest.warns(DeprecationWarning, match="register_memory_library"):
-            legacy = run_memorex(
-                workload,
-                memory_library=default_memory_library(),
-                connectivity_library=default_connectivity_library(),
-            )
-        modern = run_memorex(workload, library="default")
-        assert [p.simulation for p in legacy.selected_points] == [
-            p.simulation for p in modern.selected_points
-        ]
+        with pytest.raises(
+            ConfigurationError, match=f"register_{side}_library"
+        ):
+            run_memorex(workload, **{f"{side}_library": build()})
 
     def test_job_spec_library_field(self):
         spec = parse_job_spec(
