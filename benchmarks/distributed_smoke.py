@@ -45,7 +45,7 @@ def main() -> int:
         from repro.conex.explorer import ConExConfig
         from repro.connectivity.library import default_connectivity_library
         from repro.core.strategies import run_full
-        from repro.exec import NullCache
+        from repro.exec import NullCache, resolve_backend
         from repro.memory.library import default_memory_library
         from repro.workloads import get_workload
 
@@ -74,9 +74,12 @@ def main() -> int:
         serial = run_full(
             *args, hints=hints, workers=1, cache=NullCache()
         )
-        distributed = run_full(
-            *args, hints=hints, cache=NullCache(), backend="remote"
-        )
+        # One remote backend for the whole run: its worker connections
+        # are opened once and closed when the block ends.
+        with resolve_backend("remote") as backend:
+            distributed = run_full(
+                *args, hints=hints, cache=NullCache(), backend=backend
+            )
         assert (
             distributed.pareto_vectors() == serial.pareto_vectors()
         ), "distributed pareto front differs from serial"

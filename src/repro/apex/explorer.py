@@ -29,7 +29,6 @@ from repro.apex.architectures import DRAM, MemoryArchitecture
 from repro.errors import ExplorationError
 from repro.exec.cache import SimulationCache
 from repro.exec.engine import SimulationJob, simulate_batch
-from repro.exec.runtime import ExecutionRuntime
 from repro.memory.dram import Dram
 from repro.memory.library import MemoryLibrary
 from repro.memory.module import MemoryModule
@@ -255,7 +254,6 @@ def explore_memory_architectures(
     hints: Mapping[str, AccessPattern] | None = None,
     workers: int | None = None,
     cache: SimulationCache | None = None,
-    runtime: ExecutionRuntime | None = None,
     backend: "ExecutionBackend | str | None" = None,
 ) -> ApexResult:
     """Run the APEX exploration on ``trace``.
@@ -266,9 +264,9 @@ def explore_memory_architectures(
     through :func:`repro.exec.simulate_batch` — parallel when
     ``workers`` (or ``REPRO_WORKERS``) asks for it, cached so the
     strategy comparisons re-profile each architecture only once, and
-    dispatched through ``runtime`` when a persistent pool is supplied
-    or through ``backend`` when an execution backend (or
-    ``REPRO_BACKEND``) selects one.
+    dispatched through ``backend`` when an execution backend (or
+    ``REPRO_BACKEND``) selects one — ``PoolBackend(runtime)`` to reuse
+    a persistent pool.
     """
     config = config or ApexConfig()
     if config.select_count < 1:
@@ -290,7 +288,6 @@ def explore_memory_architectures(
             ],
             workers=workers,
             cache=cache,
-            runtime=runtime,
             backend=backend,
         )
         evaluated = [

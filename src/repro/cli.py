@@ -41,7 +41,6 @@ from repro.core.strategies import (
     run_neighborhood,
     run_pruned,
 )
-from repro.config import current_settings
 from repro.errors import ReproError
 from repro.exec.backend import ExecutionBackend, resolve_backend
 from repro.exec.runtime import ExecutionRuntime
@@ -355,27 +354,20 @@ def _print_runtime_faults(runtime: ExecutionRuntime) -> None:
 @contextlib.contextmanager
 def _command_execution(
     args: argparse.Namespace,
-) -> "Iterator[tuple[ExecutionRuntime, ExecutionBackend | None]]":
-    """The command's runtime and backend, each set up once.
+) -> "Iterator[ExecutionBackend]":
+    """The command's backend, resolved once over the command's runtime.
 
-    A named backend (``--backend``, else ``REPRO_BACKEND``) is resolved
-    once against the command's runtime, so a remote one keeps its
-    worker connections across every batch of the command, and it is
-    closed on exit — as the service runner does per job. Without a
-    name, every batch applies the engine's default rule itself.
+    ``--backend`` (else ``REPRO_BACKEND``, else the default rule) is
+    resolved once, so a remote backend keeps its worker connections
+    across every batch of the command and a pool is built at most once;
+    it is closed on exit — as the service runner does per job.
     """
     with ExecutionRuntime(workers=args.jobs) as runtime:
-        name = args.backend or current_settings().backend or None
-        backend = (
-            resolve_backend(name, args.jobs, runtime)
-            if name is not None
-            else None
-        )
+        backend = resolve_backend(args.backend, args.jobs, runtime)
         try:
-            yield runtime, backend
+            yield backend
         finally:
-            if backend is not None:
-                backend.close()
+            backend.close()
         _print_runtime_faults(runtime)
         args._runtime_stats = runtime.stats.as_dict()
 
@@ -383,14 +375,13 @@ def _command_execution(
 def _cmd_apex(args: argparse.Namespace) -> None:
     workload = get_workload(args.workload, scale=args.scale, seed=args.seed)
     trace = workload.trace()
-    with _command_execution(args) as (runtime, backend):
+    with _command_execution(args) as backend:
         result = explore_memory_architectures(
             trace,
             registry.memory_library(args.memory_lib),
             ApexConfig(select_count=args.select),
             hints=workload.pattern_hints,
             workers=args.jobs,
-            runtime=runtime,
             backend=backend,
         )
     print(
@@ -412,13 +403,12 @@ def _cmd_explore(args: argparse.Namespace) -> None:
         apex=ApexConfig(select_count=args.select),
         conex=ConExConfig(phase1_keep=args.keep),
     )
-    with _command_execution(args) as (runtime, backend):
+    with _command_execution(args) as backend:
         result = run_memorex(
             workload,
             memory_library=args.memory_lib,
             connectivity_library=args.conn_lib,
-            config=config, workers=args.jobs, runtime=runtime,
-            backend=backend,
+            config=config, workers=args.jobs, backend=backend,
         )
     report = render_full_report(result)
     print(report)
@@ -461,21 +451,18 @@ def _cmd_coverage(args: argparse.Namespace) -> None:
         apex_config,
         conex_config,
     )
-    # One persistent runtime (and one named backend) serves all three
+    # One backend over one persistent runtime serves all three
     # strategies: the pool is built once and the trace is exported to
     # shared memory once.
-    with _command_execution(args) as (runtime, backend):
+    with _command_execution(args) as backend:
         pruned = run_pruned(
-            *common, hints=hints, workers=args.jobs, runtime=runtime,
-            backend=backend,
+            *common, hints=hints, workers=args.jobs, backend=backend,
         )
         neighborhood = run_neighborhood(
-            *common, hints=hints, workers=args.jobs, runtime=runtime,
-            backend=backend,
+            *common, hints=hints, workers=args.jobs, backend=backend,
         )
         full = run_full(
-            *common, hints=hints, workers=args.jobs, runtime=runtime,
-            backend=backend,
+            *common, hints=hints, workers=args.jobs, backend=backend,
         )
     rows = []
     for row in coverage_rows(full, [pruned, neighborhood]):

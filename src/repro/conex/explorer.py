@@ -31,7 +31,6 @@ from repro.connectivity.library import ConnectivityLibrary
 from repro.errors import ExplorationError
 from repro.exec.cache import SimulationCache
 from repro.exec.engine import SimulationJob, simulate_batch
-from repro.exec.runtime import ExecutionRuntime
 from repro.sim.metrics import SimulationResult
 from repro.sim.sampling import SamplingConfig
 from repro.stats import BatchStats, StatsReport
@@ -257,7 +256,6 @@ def explore_connectivity(
     config: ConExConfig | None = None,
     workers: int | None = None,
     cache: SimulationCache | None = None,
-    runtime: ExecutionRuntime | None = None,
     backend: "ExecutionBackend | str | None" = None,
 ) -> ConExResult:
     """Run the full ConEx algorithm (Phases I and II).
@@ -268,7 +266,8 @@ def explore_connectivity(
     ``cache`` (default: the process-wide cache, so a repeated identical
     exploration re-simulates nothing), with candidates sharing a memory
     architecture evaluated as one group so connectivity-only variants
-    pay just the contention delta pass. Pass a persistent
+    pay just the contention delta pass. Pass
+    ``backend=PoolBackend(runtime)`` over a persistent
     :class:`repro.exec.ExecutionRuntime` to reuse one worker pool (and
     one shared trace export) across repeated explorations.
     """
@@ -307,7 +306,6 @@ def explore_connectivity(
             ],
             workers=workers,
             cache=cache,
-            runtime=runtime,
             backend=backend,
         )
         simulated = [

@@ -19,7 +19,7 @@ module replaces the scatter with one documented, typed snapshot:
   the environment until removed.
 
 The consumers (``repro.exec.runtime``, ``repro.exec.cache``,
-``repro.sim.simulator``, ``repro.trace.shm``, ``repro.obs``) all route
+``repro.sim.simulator``, ``repro.obs``) all route
 through :func:`current_settings`; no library code reads a ``REPRO_*``
 variable directly anymore.
 """
@@ -46,8 +46,7 @@ MAX_RETRIES_ENV = "REPRO_MAX_RETRIES"
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 
 #: Execution backend for simulation batches: ``serial``,
-#: ``pool``, or ``remote`` (unset: serial for one worker or one unit of
-#: work, else the pool).
+#: ``pool``, or ``remote`` (unset: serial for one worker, else the pool).
 BACKEND_ENV = "REPRO_BACKEND"
 
 #: Comma-separated ``host:port`` list of remote ``repro worker``
@@ -62,10 +61,6 @@ CACHE_URL_ENV = "REPRO_CACHE_URL"
 #: Socket workers also honour it as the byte cap of their in-memory
 #: blob/trace stores.
 CACHE_MAX_MB_ENV = "REPRO_CACHE_MAX_MB"
-
-#: Largest frame (megabytes) a socket peer may declare; oversized
-#: frames are rejected as a dead-peer fault instead of allocated.
-MAX_FRAME_MB_ENV = "REPRO_MAX_FRAME_MB"
 
 #: Interface the exploration service daemon binds.
 SERVICE_HOST_ENV = "REPRO_SERVICE_HOST"
@@ -85,9 +80,6 @@ SERVICE_DRAIN_TIMEOUT_ENV = "REPRO_SERVICE_DRAIN_TIMEOUT"
 #: Base URL the service client commands talk to.
 SERVICE_URL_ENV = "REPRO_SERVICE_URL"
 
-#: ``0`` disables capping pool sizes at ``os.cpu_count()``.
-WORKERS_CAP_ENV = "REPRO_WORKERS_CAP"
-
 #: Chaos hook for fault-injection tests (``once:<path>`` / ``hang:<path>``
 #: / ``always``); consulted only by pool workers.
 FAULT_INJECT_ENV = "REPRO_FAULT_INJECT"
@@ -100,9 +92,6 @@ BENCH_SMOKE_ENV = "REPRO_BENCH_SMOKE"
 
 #: Truthy enables the observability layer (:mod:`repro.obs`) at import.
 OBS_ENV = "REPRO_OBS"
-
-#: Override directory for shared-memory sidecar manifests.
-SHM_MANIFEST_DIR_ENV = "REPRO_SHM_MANIFEST_DIR"
 
 _TRUTHY = frozenset({"1", "true", "yes", "on"})
 
@@ -133,8 +122,6 @@ class Settings:
     ``worker_addrs``            ``REPRO_WORKER_ADDRS``         ``()``
     ``cache_url``               ``REPRO_CACHE_URL``            ``None``
     ``cache_max_mb``            ``REPRO_CACHE_MAX_MB``         ``None``
-    ``workers_cap``             ``REPRO_WORKERS_CAP``          ``True``
-    ``max_frame_mb``            ``REPRO_MAX_FRAME_MB``         ``256.0``
     ``service_host``            ``REPRO_SERVICE_HOST``         ``"127.0.0.1"``
     ``service_port``            ``REPRO_SERVICE_PORT``         ``8753``
     ``service_jobs``            ``REPRO_SERVICE_JOBS``         ``1``
@@ -145,7 +132,6 @@ class Settings:
     ``reference_sim``           ``REPRO_REFERENCE_SIM``        ``False``
     ``bench_smoke``             ``REPRO_BENCH_SMOKE``          ``False``
     ``obs``                     ``REPRO_OBS``                  ``False``
-    ``shm_manifest_dir``        ``REPRO_SHM_MANIFEST_DIR``     ``None``
     ==========================  =============================  ==========
 
     Validation happens at construction with the same exception types
@@ -162,8 +148,6 @@ class Settings:
     worker_addrs: tuple[str, ...] = ()
     cache_url: str | None = None
     cache_max_mb: float | None = None
-    workers_cap: bool = True
-    max_frame_mb: float = 256.0
     service_host: str = "127.0.0.1"
     service_port: int = 8753
     service_jobs: int = 1
@@ -174,7 +158,6 @@ class Settings:
     reference_sim: bool = False
     bench_smoke: bool = False
     obs: bool = False
-    shm_manifest_dir: str | None = None
 
     def __post_init__(self) -> None:
         if self.workers < 1:
@@ -195,10 +178,6 @@ class Settings:
         if self.cache_max_mb is not None and self.cache_max_mb <= 0:
             raise ExecutionError(
                 f"cache size cap must be positive, got {self.cache_max_mb}"
-            )
-        if self.max_frame_mb <= 0:
-            raise ExecutionError(
-                f"max frame size must be positive, got {self.max_frame_mb}"
             )
         if not 0 <= self.service_port <= 65535:
             raise ExecutionError(
@@ -303,8 +282,6 @@ class Settings:
             worker_addrs=worker_addrs,
             cache_url=_get(env, CACHE_URL_ENV) or None,
             cache_max_mb=cache_max_mb,
-            workers_cap=_get(env, WORKERS_CAP_ENV) != "0",
-            max_frame_mb=_float_knob(MAX_FRAME_MB_ENV, 256.0),
             service_host=_get(env, SERVICE_HOST_ENV) or "127.0.0.1",
             service_port=_int_knob(SERVICE_PORT_ENV, 8753),
             service_jobs=_int_knob(SERVICE_JOBS_ENV, 1),
@@ -315,7 +292,6 @@ class Settings:
             reference_sim=parse_bool(env.get(REFERENCE_SIM_ENV)),
             bench_smoke=parse_bool(env.get(BENCH_SMOKE_ENV)),
             obs=parse_bool(env.get(OBS_ENV)),
-            shm_manifest_dir=_get(env, SHM_MANIFEST_DIR_ENV) or None,
         )
 
     def as_env(self) -> dict[str, str]:
@@ -329,8 +305,6 @@ class Settings:
         env: dict[str, str] = {
             WORKERS_ENV: str(self.workers),
             MAX_RETRIES_ENV: str(self.max_retries),
-            WORKERS_CAP_ENV: "1" if self.workers_cap else "0",
-            MAX_FRAME_MB_ENV: repr(self.max_frame_mb),
             SERVICE_HOST_ENV: self.service_host,
             SERVICE_PORT_ENV: str(self.service_port),
             SERVICE_JOBS_ENV: str(self.service_jobs),
@@ -356,8 +330,6 @@ class Settings:
             env[SERVICE_URL_ENV] = self.service_url
         if self.fault_inject:
             env[FAULT_INJECT_ENV] = self.fault_inject
-        if self.shm_manifest_dir is not None:
-            env[SHM_MANIFEST_DIR_ENV] = self.shm_manifest_dir
         return env
 
     def as_dict(self) -> dict:

@@ -9,7 +9,6 @@ from repro.apex.explorer import ApexConfig, ApexResult, explore_memory_architect
 from repro.conex.explorer import ConExConfig, ConExResult, explore_connectivity
 from repro.errors import ConfigurationError
 from repro.exec.cache import SimulationCache
-from repro.exec.runtime import ExecutionRuntime
 from repro.trace.events import Trace
 from repro.workloads.base import Workload
 
@@ -44,7 +43,6 @@ def run_memorex(
     config: MemorExConfig | None = None,
     workers: int | None = None,
     cache: SimulationCache | None = None,
-    runtime: ExecutionRuntime | None = None,
     backend: "ExecutionBackend | str | None" = None,
     library: str | None = None,
 ) -> MemorExResult:
@@ -92,11 +90,11 @@ def run_memorex(
         trace = workload.trace()
         apex = explore_memory_architectures(
             trace, memory_library, config.apex, hints=workload.pattern_hints,
-            workers=workers, cache=cache, runtime=runtime, backend=backend,
+            workers=workers, cache=cache, backend=backend,
         )
         conex = explore_connectivity(
             trace, apex.selected, connectivity_library, config.conex,
-            workers=workers, cache=cache, runtime=runtime, backend=backend,
+            workers=workers, cache=cache, backend=backend,
         )
     return MemorExResult(
         workload_name=workload.name,

@@ -18,7 +18,6 @@ from repro.core.design_point import DesignPointSummary, summarize
 from repro.core.memorex import MemorExConfig, MemorExResult, run_memorex
 from repro.errors import ExplorationError
 from repro.exec.cache import SimulationCache
-from repro.exec.runtime import ExecutionRuntime
 from repro.util.selection import knee_point
 from repro.util.tables import format_table
 from repro.workloads.base import Workload
@@ -42,15 +41,15 @@ def explore_portfolio(
     config: MemorExConfig | None = None,
     workers: int | None = None,
     cache: SimulationCache | None = None,
-    runtime: ExecutionRuntime | None = None,
     backend: "ExecutionBackend | str | None" = None,
 ) -> list[MemorExResult]:
     """Run MemorEx over a workload portfolio with a shared engine setup.
 
     Each workload's exploration goes through :mod:`repro.exec` with the
-    same ``workers`` / ``cache`` / ``runtime`` triple, so designs shared
+    same ``workers`` / ``cache`` / ``backend`` triple, so designs shared
     between workload variants (same trace fingerprint) simulate only
-    once, and a persistent runtime's worker pool serves every workload.
+    once, and one backend (``PoolBackend(runtime)`` for a persistent
+    worker pool) serves every workload.
     """
     if not workloads:
         raise ExplorationError("no workloads in portfolio")
@@ -60,7 +59,6 @@ def explore_portfolio(
             results.append(
                 run_memorex(
                     workload, config=config, workers=workers, cache=cache,
-                    runtime=runtime,
                     backend=backend,
                 )
             )

@@ -42,7 +42,6 @@ from repro.connectivity.library import ConnectivityLibrary
 from repro.errors import ExplorationError
 from repro.exec.cache import SimulationCache
 from repro.exec.engine import SimulationJob, simulate_batch
-from repro.exec.runtime import ExecutionRuntime
 from repro.memory.library import MemoryLibrary
 from repro.trace.events import Trace
 from repro.trace.patterns import AccessPattern
@@ -113,7 +112,6 @@ def run_pruned(
     hints: dict[str, AccessPattern] | None = None,
     workers: int | None = None,
     cache: SimulationCache | None = None,
-    runtime: ExecutionRuntime | None = None,
     backend: "ExecutionBackend | str | None" = None,
 ) -> StrategyOutcome:
     """The paper's pruned exploration (the MemorEx default)."""
@@ -123,11 +121,11 @@ def run_pruned(
     with obs.span("strategy.pruned"):
         apex = explore_memory_architectures(
             trace, memory_library, apex_config, hints=hints,
-            workers=workers, cache=cache, runtime=runtime, backend=backend,
+            workers=workers, cache=cache, backend=backend,
         )
         conex = explore_connectivity(
             trace, apex.selected, connectivity_library, conex_config,
-            workers=workers, cache=cache, runtime=runtime, backend=backend,
+            workers=workers, cache=cache, backend=backend,
         )
     seconds = time.perf_counter() - start
     return StrategyOutcome(
@@ -166,7 +164,6 @@ def run_neighborhood(
     hints: dict[str, AccessPattern] | None = None,
     workers: int | None = None,
     cache: SimulationCache | None = None,
-    runtime: ExecutionRuntime | None = None,
     backend: "ExecutionBackend | str | None" = None,
 ) -> StrategyOutcome:
     """Pruned plus the neighbourhood of every selected design."""
@@ -174,7 +171,7 @@ def run_neighborhood(
         return _run_neighborhood(
             trace, memory_library, connectivity_library, apex_config,
             conex_config, hints=hints, workers=workers, cache=cache,
-            runtime=runtime, backend=backend,
+            backend=backend,
         )
 
 
@@ -187,7 +184,6 @@ def _run_neighborhood(
     hints: dict[str, AccessPattern] | None = None,
     workers: int | None = None,
     cache: SimulationCache | None = None,
-    runtime: ExecutionRuntime | None = None,
     backend: "ExecutionBackend | str | None" = None,
 ) -> StrategyOutcome:
     cache = _resolve_cache(cache)
@@ -195,13 +191,13 @@ def _run_neighborhood(
     start = time.perf_counter()
     apex = explore_memory_architectures(
         trace, memory_library, apex_config, hints=hints,
-        workers=workers, cache=cache, runtime=runtime, backend=backend,
+        workers=workers, cache=cache, backend=backend,
     )
     expanded = _expand_neighborhood(apex.selected, apex.evaluated)
     widened = replace(conex_config, phase1_keep=2 * conex_config.phase1_keep)
     conex = explore_connectivity(
         trace, expanded, connectivity_library, widened,
-        workers=workers, cache=cache, runtime=runtime, backend=backend,
+        workers=workers, cache=cache, backend=backend,
     )
     # One-swap connectivity neighbors of every simulated design,
     # estimated inline and simulated as one batch.
@@ -239,7 +235,7 @@ def _run_neighborhood(
         ],
         workers=workers,
         cache=cache,
-        runtime=runtime, backend=backend,
+        backend=backend,
     )
     simulated.extend(
         ConnectivityDesignPoint(
@@ -271,7 +267,6 @@ def run_full(
     hints: dict[str, AccessPattern] | None = None,
     workers: int | None = None,
     cache: SimulationCache | None = None,
-    runtime: ExecutionRuntime | None = None,
     backend: "ExecutionBackend | str | None" = None,
 ) -> StrategyOutcome:
     """Brute force: fully simulate every design point in the space.
@@ -286,7 +281,7 @@ def run_full(
         return _run_full(
             trace, memory_library, connectivity_library, apex_config,
             conex_config, hints=hints, workers=workers, cache=cache,
-            runtime=runtime, backend=backend,
+            backend=backend,
         )
 
 
@@ -299,7 +294,6 @@ def _run_full(
     hints: dict[str, AccessPattern] | None = None,
     workers: int | None = None,
     cache: SimulationCache | None = None,
-    runtime: ExecutionRuntime | None = None,
     backend: "ExecutionBackend | str | None" = None,
 ) -> StrategyOutcome:
     cache = _resolve_cache(cache)
@@ -307,7 +301,7 @@ def _run_full(
     start = time.perf_counter()
     apex = explore_memory_architectures(
         trace, memory_library, apex_config, hints=hints,
-        workers=workers, cache=cache, runtime=runtime, backend=backend,
+        workers=workers, cache=cache, backend=backend,
     )
     candidates: list[ConnectivityDesignPoint] = []
     for memory_eval in apex.evaluated:
@@ -326,7 +320,7 @@ def _run_full(
         ],
         workers=workers,
         cache=cache,
-        runtime=runtime, backend=backend,
+        backend=backend,
     )
     simulated = [
         ConnectivityDesignPoint(

@@ -23,7 +23,6 @@ from repro.connectivity.library import ConnectivityLibrary
 from repro.errors import ExplorationError
 from repro.exec.cache import SimulationCache
 from repro.exec.engine import SimulationJob, simulate_batch
-from repro.exec.runtime import ExecutionRuntime
 from repro.memory.library import MemoryLibrary
 from repro.sim.metrics import SimulationResult
 from repro.trace.events import Trace
@@ -69,14 +68,12 @@ def _run_sweep(
     jobs: Sequence[SimulationJob],
     workers: int | None,
     cache: SimulationCache | None,
-    runtime: ExecutionRuntime | None = None,
     backend: "ExecutionBackend | str | None" = None,
 ) -> list[SweepPoint]:
     """Dispatch one sweep's job list and pair results with settings."""
     with obs.span("sweep.run"):
         report = simulate_batch(
-            trace, jobs, workers=workers, cache=cache, runtime=runtime,
-            backend=backend,
+            trace, jobs, workers=workers, cache=cache, backend=backend,
         )
     if obs.enabled():
         obs.incr("sweep.points", len(jobs))
@@ -95,7 +92,6 @@ def sweep_cache_size(
     offchip_preset: str = "offchip_16",
     workers: int | None = None,
     cache: SimulationCache | None = None,
-    runtime: ExecutionRuntime | None = None,
     backend: "ExecutionBackend | str | None" = None,
 ) -> list[SweepPoint]:
     """Simulate cache-only architectures across ``cache_presets``.
@@ -118,7 +114,7 @@ def sweep_cache_size(
         )
         jobs.append(SimulationJob(memory=memory, connectivity=connectivity))
     return _run_sweep(
-        trace, list(cache_presets), jobs, workers, cache, runtime=runtime, backend=backend
+        trace, list(cache_presets), jobs, workers, cache, backend=backend
     )
 
 
@@ -130,7 +126,6 @@ def sweep_cpu_bus(
     offchip_preset: str = "offchip_16",
     workers: int | None = None,
     cache: SimulationCache | None = None,
-    runtime: ExecutionRuntime | None = None,
     backend: "ExecutionBackend | str | None" = None,
 ) -> list[SweepPoint]:
     """Simulate ``memory`` under each CPU-side connection preset.
@@ -152,7 +147,7 @@ def sweep_cpu_bus(
         for preset_name in cpu_presets
     ]
     return _run_sweep(
-        trace, list(cpu_presets), jobs, workers, cache, runtime=runtime, backend=backend
+        trace, list(cpu_presets), jobs, workers, cache, backend=backend
     )
 
 
@@ -164,7 +159,6 @@ def sweep_offchip_bus(
     cpu_preset: str = "ahb",
     workers: int | None = None,
     cache: SimulationCache | None = None,
-    runtime: ExecutionRuntime | None = None,
     backend: "ExecutionBackend | str | None" = None,
 ) -> list[SweepPoint]:
     """Simulate ``memory`` under each off-chip bus preset."""
@@ -180,7 +174,7 @@ def sweep_offchip_bus(
         for preset_name in offchip_presets
     ]
     return _run_sweep(
-        trace, list(offchip_presets), jobs, workers, cache, runtime=runtime, backend=backend
+        trace, list(offchip_presets), jobs, workers, cache, backend=backend
     )
 
 

@@ -16,8 +16,9 @@ connectivity) design points. This package makes that the fast path:
   :class:`ShardedBackend` (N backends with fault-tolerant re-dispatch
   of memory-signature groups). Select with ``backend=`` or
   ``REPRO_BACKEND`` / ``REPRO_WORKER_ADDRS``; unset, a batch runs
-  serially for one worker (``REPRO_WORKERS`` unset) or one unit of
-  work and on the pool otherwise.
+  serially for one worker (``REPRO_WORKERS`` unset) and on the pool
+  otherwise. ``backend=`` is the one execution handle the drivers
+  take: a caller that owns a runtime passes ``PoolBackend(runtime)``.
 * :mod:`repro.exec.runtime` — the persistent
   :class:`ExecutionRuntime`: a long-lived worker pool reused across
   batches, with traces exported once per fingerprint to shared memory
@@ -25,9 +26,9 @@ connectivity) design points. This package makes that the fast path:
   fault tolerant: worker deaths and job timeouts
   (``REPRO_JOB_TIMEOUT``) rebuild the pool and re-dispatch only the
   unfinished work, and after ``REPRO_MAX_RETRIES`` rebuilds the batch
-  degrades to the serial in-process path instead of failing. Pools
-  are capped at the machine's CPU count (``REPRO_WORKERS_CAP=0`` opts
-  out).
+  degrades to the serial in-process path instead of failing. A batch
+  of at most one group runs in process on the runtime, with no pool.
+  Pools are capped at the machine's CPU count.
 * :mod:`repro.exec.net` / :mod:`repro.exec.worker` — the
   dependency-free length-prefixed socket protocol and the ``repro
   worker`` server that serves simulation groups and networked cache

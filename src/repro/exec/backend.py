@@ -28,13 +28,16 @@ Implementations:
   :class:`SerialBackend`. Job-raised errors are *not* faults and
   propagate unchanged.
 
-Every engine batch runs through exactly one backend, chosen by
-:func:`resolve_backend`: pass ``backend=`` to an engine entry point (an
-instance or one of the names ``"serial"``/``"pool"``/``"remote"``), or
-set ``REPRO_BACKEND`` — ``"remote"`` builds a :class:`ShardedBackend`
-of one :class:`RemoteBackend` per ``REPRO_WORKER_ADDRS`` address.
-Unset, a batch runs on :class:`SerialBackend` when it has one worker
-or at most one unit of work, and on :class:`PoolBackend` otherwise.
+Every engine batch runs through exactly one backend: the instance
+passed as ``backend=`` to an engine entry point or a driver, or the one
+:func:`resolve_backend` builds from a name (``"serial"``/``"pool"``/
+``"remote"``) or ``REPRO_BACKEND`` — ``"remote"`` builds a
+:class:`ShardedBackend` of one :class:`RemoteBackend` per
+``REPRO_WORKER_ADDRS`` address. Unset, a batch runs on
+:class:`SerialBackend` when it has one worker, and on
+:class:`PoolBackend` otherwise. A caller that owns an
+:class:`~repro.exec.runtime.ExecutionRuntime` hands it down as
+``PoolBackend(runtime)``; drivers take no runtime of their own.
 """
 
 from __future__ import annotations
@@ -154,8 +157,16 @@ class PoolBackend(ExecutionBackend):
         runtime: an :class:`~repro.exec.runtime.ExecutionRuntime` to
             dispatch through (not closed by this backend — ownership
             stays with whoever built it); ``None`` takes the
-            process-wide default sized for ``workers``.
+            process-wide default sized for ``workers``, looked up when
+            the backend first needs it, so a batch that dispatches
+            nothing never builds or replaces the default.
         workers: pool size when no runtime is given.
+
+    Raises:
+        ExecutionError: ``runtime`` is already closed.
+            :func:`~repro.exec.engine.simulate_batch` repeats the check
+            before each batch looks up its cache, so a batch is never
+            half-served by a runtime closed after this backend was built.
     """
 
     name = "pool"
@@ -165,15 +176,23 @@ class PoolBackend(ExecutionBackend):
         runtime: ExecutionRuntime | None = None,
         workers: int | None = None,
     ) -> None:
-        self._runtime = runtime if runtime is not None else default_runtime(workers)
+        if runtime is not None and runtime.closed:
+            raise ExecutionError(
+                "cannot build a PoolBackend over a closed runtime"
+            )
+        self._runtime = runtime
+        self._workers = workers
 
     @property
     def runtime(self) -> ExecutionRuntime:
+        if self._runtime is None:
+            self._runtime = default_runtime(self._workers)
         return self._runtime
 
     def run_groups(self, trace, groups):
-        results = self._runtime.map_simulation_groups(trace, groups)
-        self.last_dispatch = self._runtime.last_dispatch
+        runtime = self.runtime
+        results = runtime.map_simulation_groups(trace, groups)
+        self.last_dispatch = runtime.last_dispatch
         return results
 
     def __repr__(self) -> str:
@@ -453,7 +472,6 @@ def resolve_backend(
     backend: "ExecutionBackend | str | None" = None,
     workers: int | None = None,
     runtime: ExecutionRuntime | None = None,
-    units: int | None = None,
 ) -> ExecutionBackend:
     """The backend that runs a batch; always an instance.
 
@@ -468,11 +486,16 @@ def resolve_backend(
       ``REPRO_WORKER_ADDRS`` address, with the runtime's retry budget
       and a serial local fallback;
     * ``None`` consults ``Settings.backend`` (``REPRO_BACKEND``). When
-      that is unset too, a batch with one worker or at most one unit
-      of work (``units``: the groups it would dispatch; ``None`` when
-      unknown) runs on a :class:`SerialBackend`, and any
-      other batch on the pool exactly as for ``"pool"``.
+      that is unset too, one worker gives a :class:`SerialBackend`,
+      and more give the pool exactly as for ``"pool"`` (whose runtime
+      runs a batch of at most one group in process).
+
+    ``workers=None`` takes the size of a passed ``runtime``. A backend
+    built here from a name belongs to the caller, who closes it; an
+    instance passed in stays its owner's.
     """
+    if workers is None and runtime is not None:
+        workers = runtime.workers
     if backend is None:
         backend = current_settings().backend or None
     if isinstance(backend, ExecutionBackend):
@@ -480,7 +503,7 @@ def resolve_backend(
     if backend == "serial":
         return SerialBackend()
     if backend is None:
-        if resolve_workers(workers) <= 1 or (units is not None and units <= 1):
+        if resolve_workers(workers) <= 1:
             return SerialBackend()
         backend = "pool"
     if backend == "pool":

@@ -21,15 +21,19 @@ always corresponds to ``jobs[i]``, and the simulator itself is
 deterministic, so a parallel run is bit-identical to a serial run of
 the same job list.
 
-Where a batch runs is :func:`repro.exec.backend.resolve_backend`'s
-choice: an explicit ``backend=`` (or ``REPRO_BACKEND``) wins; unset, a
-batch with one worker (``REPRO_WORKERS`` unset) or at most one group
-runs in-process on a :class:`~repro.exec.backend.SerialBackend`, and
-any other batch on a :class:`~repro.exec.backend.PoolBackend` over the
-passed ``runtime`` or the process-wide default runtime. The pool is
-built once per runtime and the trace is exported once per (runtime,
-trace-fingerprint) to shared memory, so a batch moves only the (small)
-architecture descriptions.
+Where a batch runs is its ``backend=``: an
+:class:`~repro.exec.backend.ExecutionBackend` instance, or a name (or
+``REPRO_BACKEND``) that :func:`repro.exec.backend.resolve_backend`
+turns into one, which the batch closes again before it returns. Unset,
+a batch with one worker (``REPRO_WORKERS`` unset) runs in-process on a
+:class:`~repro.exec.backend.SerialBackend`, and any other batch on a
+:class:`~repro.exec.backend.PoolBackend` over the process-wide default
+runtime. A caller that owns a runtime passes
+``backend=PoolBackend(runtime)``. The pool is built once per runtime
+and the trace is exported once per (runtime, trace-fingerprint) to
+shared memory, so a batch moves only the (small) architecture
+descriptions; a batch of at most one group runs in-process on the
+runtime and builds neither.
 
 The simulation engine is bit-identical to the scalar reference loop,
 so path selection needs no cache-key component: cached results mix
@@ -47,9 +51,9 @@ from repro import obs
 from repro.apex.architectures import MemoryArchitecture
 from repro.connectivity.architecture import ConnectivityArchitecture
 from repro.errors import ExecutionError
-from repro.exec.backend import ExecutionBackend, resolve_backend
+from repro.exec.backend import ExecutionBackend, PoolBackend, resolve_backend
 from repro.exec.cache import SimulationCache, default_cache, simulation_key
-from repro.exec.runtime import ExecutionRuntime, resolve_workers
+from repro.exec.runtime import resolve_workers
 from repro.sim.metrics import SimulationResult
 from repro.sim.sampling import SamplingConfig
 from repro.stats import BatchStats, StatsReport
@@ -194,22 +198,6 @@ def _cache_layers(cache: SimulationCache) -> tuple[int, int, int]:
     )
 
 
-def _prepare(runtime: ExecutionRuntime | None, workers: int | None) -> int:
-    """The batch's worker count, after the eager closed-runtime check.
-
-    The check runs before any cache lookup or dispatch: a batch must
-    never get half-served by a dead runtime. ``workers=None`` with a
-    runtime takes the runtime's size.
-    """
-    if runtime is not None and runtime.closed:
-        raise ExecutionError(
-            "cannot dispatch simulate_batch through a closed runtime"
-        )
-    if workers is None and runtime is not None:
-        workers = runtime.workers
-    return resolve_workers(workers)
-
-
 def _dispatch(
     backend: ExecutionBackend,
     trace: Trace,
@@ -238,7 +226,6 @@ def simulate_batch(
     jobs: Sequence[SimulationJob],
     workers: int | None = None,
     cache: SimulationCache | None = None,
-    runtime: ExecutionRuntime | None = None,
     backend: "ExecutionBackend | str | None" = None,
 ) -> EngineReport:
     """Simulate every job over ``trace``; results ordered like ``jobs``.
@@ -260,21 +247,37 @@ def simulate_batch(
             per runtime).
         jobs: picklable job specs; duplicates are simulated once and
             share the cached result.
-        workers: process count; ``None`` consults the ``runtime`` (when
-            given), else ``REPRO_WORKERS``, and falls back to 1.
+        workers: process count; ``None`` consults the runtime of a
+            passed :class:`~repro.exec.backend.PoolBackend`, else
+            ``REPRO_WORKERS``, and falls back to 1.
         cache: result cache; ``None`` selects the process-wide default
             (:func:`repro.exec.cache.default_cache`). Pass
             :data:`repro.exec.cache.NULL_CACHE` to force fresh runs.
-        runtime: persistent execution runtime for pool dispatch;
-            ``None`` uses the process-wide default
-            (:func:`repro.exec.runtime.default_runtime`).
         backend: an :class:`~repro.exec.backend.ExecutionBackend`
-            instance or name (``"serial"``/``"pool"``/``"remote"``);
+            instance, used as given and left open (pass
+            ``PoolBackend(runtime)`` to dispatch through a runtime you
+            own), or a name (``"serial"``/``"pool"``/``"remote"``);
             ``None`` consults ``REPRO_BACKEND`` and then the default
-            rule of :func:`~repro.exec.backend.resolve_backend`.
+            rule of :func:`~repro.exec.backend.resolve_backend`. A
+            backend resolved here from a name is closed on return.
     """
+    if isinstance(backend, PoolBackend):
+        # A held backend can outlive its runtime: fail before any cache
+        # lookup rather than half-serve the batch.
+        if backend.runtime.closed:
+            raise ExecutionError(
+                "cannot dispatch simulate_batch through a closed runtime"
+            )
+        if workers is None:
+            workers = backend.runtime.workers
+    workers = resolve_workers(workers)
     with obs.span("exec.simulate_batch"):
-        report = _simulate_batch(trace, jobs, workers, cache, runtime, backend)
+        active = resolve_backend(backend, workers)
+        try:
+            report = _simulate_batch(trace, jobs, workers, cache, active)
+        finally:
+            if active is not backend:
+                active.close()
     if obs.enabled():
         _record_batch(report)
     return report
@@ -283,13 +286,11 @@ def simulate_batch(
 def _simulate_batch(
     trace: Trace,
     jobs: Sequence[SimulationJob],
-    workers: int | None,
+    workers: int,
     cache: SimulationCache | None,
-    runtime: ExecutionRuntime | None,
-    backend: "ExecutionBackend | str | None",
+    active: ExecutionBackend,
 ) -> EngineReport:
     start = time.perf_counter()
-    workers = _prepare(runtime, workers)
     cache = cache if cache is not None else default_cache()
     layers_before = _cache_layers(cache)
     results: list[SimulationResult | None] = [None] * len(jobs)
@@ -332,7 +333,6 @@ def _simulate_batch(
         else:
             groups[slot].append(index)
 
-    active = resolve_backend(backend, workers, runtime, len(groups))
     accounting: dict = {"backend": active.name}
     delta_candidates = 0
     if groups:

@@ -29,7 +29,6 @@ import pickle
 import socket
 import struct
 
-from repro.config import current_settings
 from repro.errors import ExecutionError
 
 __all__ = [
@@ -66,9 +65,11 @@ PROTOCOL_VERSION = 3
 
 _HEADER = struct.Struct("!BI")
 
+_MAX_FRAME_BYTES = 256 * 1024 * 1024
+
 
 def max_frame_bytes() -> int:
-    """The configured frame-size ceiling (``REPRO_MAX_FRAME_MB``).
+    """The frame-size ceiling: 256 MiB.
 
     The 32-bit length header lets any peer declare a frame of up to
     ~4 GiB; without a ceiling, one garbage or malicious header drives
@@ -76,7 +77,7 @@ def max_frame_bytes() -> int:
     the ceiling are treated as a dead peer (:class:`BackendUnavailable`)
     before any payload byte is read.
     """
-    return int(current_settings().max_frame_mb * 1024 * 1024)
+    return _MAX_FRAME_BYTES
 
 # Message kinds. Requests and replies share one numbering space; the
 # worker answers every request with exactly one frame.

@@ -8,7 +8,9 @@ process start-up and megabytes of pickling every time, so
 
 * the worker pool is created once (lazily, on first parallel dispatch)
   and reused by every batch routed through the runtime — the engine
-  reaches it through :class:`~repro.exec.backend.PoolBackend`;
+  reaches it only through :class:`~repro.exec.backend.PoolBackend`,
+  which is how a caller that owns a runtime hands it down
+  (``backend=PoolBackend(runtime)``);
 * each distinct trace is exported once per (runtime, fingerprint) to
   shared memory (:meth:`repro.trace.events.Trace.export_shared`);
   workers attach to the columns zero-copy on first use and keep the
@@ -44,7 +46,9 @@ construction sweeps blocks leaked by dead processes.
 ``workers=1`` keeps the serial in-process fallback: no pool, no
 export, bit-identical results — the determinism contract of
 :mod:`repro.exec.engine` is unchanged because results stay keyed by
-index and the simulator is deterministic.
+index and the simulator is deterministic. A batch of at most one group
+takes the same in-process path at any worker count: one group is never
+split, so a pool could only add the export and the round trip.
 """
 
 from __future__ import annotations
@@ -113,10 +117,9 @@ def effective_pool_workers(workers: int) -> int:
     dispatch accounting, chunk sizing, and the ``workers<=1`` serial
     short-circuit all keep the requested count, so capped and uncapped
     runs stay bit-identical (results are keyed by job index either
-    way). Warns once per process; ``REPRO_WORKERS_CAP=0`` disables the
-    cap for oversubscription experiments.
+    way). Warns once per process.
     """
-    if workers <= 1 or not current_settings().workers_cap:
+    if workers <= 1:
         return workers
     cap = os.cpu_count() or 1
     if workers <= cap:
@@ -128,8 +131,7 @@ def effective_pool_workers(workers: int) -> int:
 
         warnings.warn(
             f"requested {workers} pool workers on a {cap}-CPU host; "
-            f"capping the pool at {cap} processes "
-            f"(set REPRO_WORKERS_CAP=0 to oversubscribe anyway)",
+            f"capping the pool at {cap} processes",
             RuntimeWarning,
             stacklevel=3,
         )
@@ -331,10 +333,10 @@ class ExecutionRuntime:
     """A long-lived worker pool plus its shared trace exports.
 
     Construct one per exploration session (the CLI does this per
-    command) or rely on :func:`default_runtime`. Thread it through
-    ``simulate_batch(..., runtime=...)`` / driver ``runtime=``
-    parameters; every batch then reuses the same pool and the same
-    shared trace blocks.
+    command, each service runner thread once) or rely on
+    :func:`default_runtime`. Hand it to ``simulate_batch`` and the
+    drivers as ``backend=PoolBackend(runtime)``; every batch then
+    reuses the same pool and the same shared trace blocks.
 
     Dispatch is fault tolerant: worker deaths and job timeouts rebuild
     the pool and re-dispatch only the unfinished jobs (see the module
@@ -571,13 +573,15 @@ class ExecutionRuntime:
         are shared — and is never split across workers. Returns one
         ``(results, delta_candidates)`` pair per group, ordered like
         ``groups``, inner result lists ordered like each group's jobs.
+        With one worker, or at most one group, the groups run here in
+        process: no pool is built and no trace is exported.
         """
         self._ensure_open()
         if not groups:
             self.last_dispatch = DispatchStats()
             return []
         total = sum(len(group) for group in groups)
-        if self.workers <= 1:
+        if self.workers <= 1 or len(groups) == 1:
             self.last_dispatch = DispatchStats(jobs=total)
             plan = batch.trace_plan(trace)
             return [

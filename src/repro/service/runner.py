@@ -30,7 +30,6 @@ from repro import obs, registry
 from repro.apex.explorer import ApexConfig, explore_memory_architectures
 from repro.conex.explorer import ConExConfig, explore_connectivity
 from repro.core.design_point import summarize
-from repro.config import current_settings
 from repro.errors import ReproError
 from repro.exec.backend import ExecutionBackend, resolve_backend
 from repro.exec.cache import SimulationCache
@@ -134,26 +133,17 @@ def execute_job(
     try:
         store.transition(job, jobstates.RUNNING)
         cache = caches.get(spec.tenant)
-        backend_spec = (
-            spec.backend or default_backend or current_settings().backend or None
-        )
-        # A named backend is resolved once per job, so a remote one
-        # keeps its connections across the job's batches; "pool" runs
-        # on the runner thread's runtime. Without a name every batch
-        # applies the engine's default rule itself.
-        backend = (
-            resolve_backend(backend_spec, spec.workers, runtime)
-            if backend_spec is not None
-            else None
-        )
+        backend_spec = spec.backend or default_backend or None
+        # The backend is resolved once per job, so a remote one keeps
+        # its connections across the job's batches and the pool is the
+        # runner thread's runtime.
+        backend = resolve_backend(backend_spec, spec.workers, runtime)
         try:
-            result = _run_spec(job, store, cache, runtime, backend)
+            result = _run_spec(job, store, cache, backend)
         finally:
-            # Close only backends this job instantiated from a string
-            # spec; an injected instance belongs to the caller.
-            if backend is not None and not isinstance(
-                backend_spec, ExecutionBackend
-            ):
+            # Close only a backend this job resolved; an injected
+            # instance belongs to the caller.
+            if backend is not backend_spec:
                 backend.close()
         _checkpoint(job)
         job.result = result
@@ -173,8 +163,7 @@ def _run_spec(
     job: Job,
     store: JobStore,
     cache: SimulationCache,
-    runtime: ExecutionRuntime | None,
-    backend: "ExecutionBackend | None",
+    backend: ExecutionBackend,
 ) -> dict:
     spec = job.spec
     collect = obs.enabled()
@@ -200,7 +189,6 @@ def _run_spec(
         hints=workload.pattern_hints,
         workers=spec.workers,
         cache=cache,
-        runtime=runtime,
         backend=backend,
     )
     store.record_event(
@@ -235,7 +223,6 @@ def _run_spec(
         ConExConfig(phase1_keep=spec.keep),
         workers=spec.workers,
         cache=cache,
-        runtime=runtime,
         backend=backend,
     )
     store.record_event(

@@ -41,8 +41,6 @@ import signal
 import tempfile
 import threading
 
-from repro.config import SHM_MANIFEST_DIR_ENV as MANIFEST_DIR_ENV
-from repro.config import current_settings
 
 #: Prefix of every shared-memory block exported by this library. The
 #: embedded PID lets the sweep attribute a block to its owner even
@@ -67,10 +65,10 @@ def block_name() -> str:
 
 
 def manifest_dir() -> pathlib.Path:
-    """Directory holding the per-process shm manifests."""
-    override = current_settings().shm_manifest_dir
-    if override:
-        return pathlib.Path(override)
+    """Directory holding the per-process shm manifests.
+
+    ``<tmpdir>/repro-shm``; ``TMPDIR`` moves it like any temp file.
+    """
     return pathlib.Path(tempfile.gettempdir()) / SHM_PREFIX
 
 

@@ -28,6 +28,7 @@ from repro.conex.explorer import (
 )
 from repro.errors import ExplorationError
 from repro.exec.cache import NullCache
+from repro.exec.backend import PoolBackend
 from repro.exec.runtime import ExecutionRuntime
 from repro.sim.simulator import simulate
 from repro.util.pareto import pareto_front
@@ -205,7 +206,7 @@ class TestExplorerEquivalence:
         with ExecutionRuntime(workers=2) as runtime:
             pooled = self._explore(
                 compress_trace, apex, conn_library, workers=2,
-                runtime=runtime,
+                backend=PoolBackend(runtime),
             )
         assert serial == pooled
 
@@ -214,11 +215,13 @@ class TestExplorerEquivalence:
     ):
         with ExecutionRuntime(workers=2) as runtime:
             first = self._explore(
-                compress_trace, apex, conn_library, runtime=runtime
+                compress_trace, apex, conn_library,
+                backend=PoolBackend(runtime),
             )
             pool = runtime._pool
             second = self._explore(
-                compress_trace, apex, conn_library, runtime=runtime
+                compress_trace, apex, conn_library,
+                backend=PoolBackend(runtime),
             )
             assert runtime._pool is pool
             assert len(runtime._exports) == 1

@@ -203,6 +203,36 @@ class TestPerformanceDoc:
         quoted = re.findall(r"(\d+(?:\.\d+)?×) single-process", prose)
         assert quoted and set(quoted) == {expected[0]}, quoted
 
+    def test_parallel_engine_row_matches_the_json(self):
+        """The parallel-engine trajectory row quotes the
+        ``full_strategy`` record of ``BENCH_parallel.json``."""
+        import json
+
+        records = json.loads(
+            (ROOT / "benchmarks/out/BENCH_parallel.json").read_text()
+        )
+        record = next(r for r in records if r["name"] == "full_strategy")
+        rows = [
+            line
+            for line in read("docs/performance.md").splitlines()
+            if line.startswith("| parallel engine (`BENCH_parallel.json`)")
+        ]
+        assert len(rows) == 1, rows
+        pool = min(record["workers"], record["cpu_count"])
+        expected = [
+            f"{record['simulated']} simulations",
+            f"workers={record['workers']}",
+            f"serial {record['serial_seconds']:.2f} s",
+            f"parallel {record['parallel_seconds']:.2f} s",
+            f"on {record['cpu_count']} CPUs",
+            f"pool capped at {pool} processes",
+            f"{record['speedup']:.2f}×",
+        ]
+        missing = [figure for figure in expected if figure not in rows[0]]
+        assert not missing, missing
+        # The only speedup in the row is the recorded one.
+        assert re.findall(r"\d+(?:\.\d+)?×", rows[0]) == [expected[-1]]
+
     @pytest.mark.parametrize(
         "label, record_name, figures",
         [

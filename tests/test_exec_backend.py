@@ -3,7 +3,9 @@
 Covers the :class:`~repro.exec.backend.ExecutionBackend` contract
 (ordered results, bit-identity across implementations), the sharded
 fault-tolerant dispatch, backend resolution from arguments and
-``REPRO_BACKEND``, and the CPU-count pool cap.
+``REPRO_BACKEND``, who closes a backend (``simulate_batch`` closes what
+it resolves, never a caller's instance), the runtime's in-process
+one-group rule, and the CPU-count pool cap.
 """
 
 import os
@@ -11,7 +13,7 @@ import os
 import pytest
 
 from repro.apex.architectures import MemoryArchitecture
-from repro.config import BACKEND_ENV, WORKER_ADDRS_ENV, WORKERS_CAP_ENV
+from repro.config import BACKEND_ENV, WORKER_ADDRS_ENV
 from repro.errors import ExecutionError
 from repro.exec import (
     ExecutionRuntime,
@@ -19,16 +21,19 @@ from repro.exec import (
     PoolBackend,
     SerialBackend,
     ShardedBackend,
+    SimulationCache,
     SimulationJob,
     resolve_backend,
     simulate_batch,
 )
+from repro.exec import net
 from repro.exec.net import BackendUnavailable
 from repro.exec.runtime import (
     _CAP_WARNED,
     effective_pool_workers,
     set_default_runtime,
 )
+from repro.exec.worker import WorkerServer
 
 _PRESETS = (
     "cache_4k_16b_1w",
@@ -187,15 +192,21 @@ class TestResolveBackend:
     def test_unset_applies_the_default_rule(self, monkeypatch):
         monkeypatch.delenv(BACKEND_ENV, raising=False)
         assert isinstance(resolve_backend(None, workers=1), SerialBackend)
-        assert isinstance(
-            resolve_backend(None, workers=2, units=1), SerialBackend
-        )
         with ExecutionRuntime(workers=2) as runtime:
-            pooled = resolve_backend(
-                None, workers=2, runtime=runtime, units=3
-            )
+            pooled = resolve_backend(None, workers=2, runtime=runtime)
             assert isinstance(pooled, PoolBackend)
             assert pooled.runtime is runtime
+
+    def test_unset_workers_take_the_runtime_size(self, monkeypatch):
+        monkeypatch.delenv(BACKEND_ENV, raising=False)
+        with ExecutionRuntime(workers=2) as runtime:
+            pooled = resolve_backend(None, runtime=runtime)
+            assert isinstance(pooled, PoolBackend)
+            assert pooled.runtime is runtime
+        with ExecutionRuntime(workers=1) as runtime:
+            assert isinstance(
+                resolve_backend(None, runtime=runtime), SerialBackend
+            )
 
     def test_pool_name_honours_an_explicit_runtime(self):
         with ExecutionRuntime(workers=2) as runtime:
@@ -255,7 +266,7 @@ class TestEngineSelection:
     def test_pool_backend_runs_on_the_explicit_runtime(
         self, tiny_trace, mem_library
     ):
-        """``backend="pool"`` with ``runtime=`` dispatches through that
+        """``backend=PoolBackend(runtime)`` dispatches through that
         runtime, and never builds the process-wide default one."""
         jobs = _jobs(mem_library)
         reference = simulate_batch(
@@ -263,8 +274,8 @@ class TestEngineSelection:
         )
         with ExecutionRuntime(workers=2) as runtime:
             report = simulate_batch(
-                tiny_trace, jobs, cache=NullCache(), runtime=runtime,
-                backend="pool",
+                tiny_trace, jobs, cache=NullCache(),
+                backend=PoolBackend(runtime),
             )
             assert runtime.stats.batches == 1
         assert set_default_runtime(None) is None
@@ -276,29 +287,131 @@ class TestEngineSelection:
     ):
         jobs = _jobs(mem_library)
         serial = simulate_batch(tiny_trace, jobs, workers=1, cache=NullCache())
+        with ExecutionRuntime(workers=2) as runtime:
+            pooled = simulate_batch(
+                tiny_trace, jobs, cache=NullCache(),
+                backend=PoolBackend(runtime),
+            )
+        assert set_default_runtime(None) is None
         one_group = simulate_batch(
             tiny_trace, jobs[:1], workers=2, cache=NullCache()
         )
-        with ExecutionRuntime(workers=2) as runtime:
-            pooled = simulate_batch(
-                tiny_trace, jobs, cache=NullCache(), runtime=runtime
-            )
         assert serial.backend == "serial"
-        assert one_group.backend == "serial"
+        assert one_group.backend == "pool"
         assert pooled.backend == "pool"
+
+    def test_all_hit_batch_leaves_the_default_runtime_alone(
+        self, tiny_trace, mem_library
+    ):
+        """A batch that dispatches nothing never builds the default
+        runtime, even when its worker count would pick the pool."""
+        jobs = _jobs(mem_library)
+        cache = SimulationCache()
+        warm = simulate_batch(tiny_trace, jobs, workers=1, cache=cache)
+        report = simulate_batch(tiny_trace, jobs, workers=2, cache=cache)
         assert set_default_runtime(None) is None
+        assert report.cache_hits == len(jobs)
+        assert report.results == warm.results
+
+    def test_held_backend_rejects_a_runtime_closed_since(
+        self, tiny_trace, mem_library
+    ):
+        """Even an all-hit batch fails on a backend whose runtime was
+        closed after it was built: the check precedes the cache."""
+        jobs = _jobs(mem_library)
+        cache = SimulationCache()
+        simulate_batch(tiny_trace, jobs, workers=1, cache=cache)
+        runtime = ExecutionRuntime(workers=2)
+        backend = PoolBackend(runtime)
+        runtime.close()
+        with pytest.raises(ExecutionError, match="closed runtime"):
+            simulate_batch(tiny_trace, jobs, cache=cache, backend=backend)
+
+    def test_one_group_runs_in_process_on_the_runtime(
+        self, tiny_trace, mem_library
+    ):
+        """A batch of one group never builds the pool or exports the
+        trace, even on a backend handed an explicit runtime."""
+        jobs = _jobs(mem_library)[:1]
+        serial = simulate_batch(tiny_trace, jobs, workers=1, cache=NullCache())
+        with ExecutionRuntime(workers=2) as runtime:
+            report = simulate_batch(
+                tiny_trace, jobs, cache=NullCache(),
+                backend=PoolBackend(runtime),
+            )
+            assert runtime._pool is None
+            assert not runtime._exports
+        assert report.results == serial.results
+        assert report.backend == "pool"
+        assert report.workers == 2
+
+
+@pytest.fixture
+def remote_pair(monkeypatch):
+    """Two loopback workers named by ``REPRO_WORKER_ADDRS``, plus every
+    connection opened to them."""
+    servers = [WorkerServer(), WorkerServer()]
+    for server in servers:
+        server.start()
+    monkeypatch.setenv(
+        WORKER_ADDRS_ENV, ",".join(server.address for server in servers)
+    )
+    opened = []
+    connect = net.Connection.connect.__func__
+
+    def recording_connect(cls, address, timeout=None):
+        connection = connect(cls, address, timeout)
+        opened.append(connection)
+        return connection
+
+    monkeypatch.setattr(
+        net.Connection, "connect", classmethod(recording_connect)
+    )
+    yield opened
+    for server in servers:
+        server.stop()
+
+
+def _is_closed(connection) -> bool:
+    return connection._sock.fileno() == -1
+
+
+class TestBackendOwnership:
+    def test_backend_resolved_from_a_name_is_closed(
+        self, remote_pair, tiny_trace, mem_library
+    ):
+        """``simulate_batch`` closes what it resolves: no connection to
+        a remote worker outlives the batch that opened it."""
+        report = simulate_batch(
+            tiny_trace, _jobs(mem_library), cache=NullCache(),
+            backend="remote",
+        )
+        assert report.backend == "sharded"
+        assert len(remote_pair) == 2
+        assert all(_is_closed(connection) for connection in remote_pair)
+
+    def test_caller_instance_stays_open_across_batches(
+        self, remote_pair, tiny_trace, mem_library
+    ):
+        jobs = _jobs(mem_library)
+        with resolve_backend("remote") as backend:
+            for _ in range(2):
+                simulate_batch(
+                    tiny_trace, jobs, cache=NullCache(), backend=backend
+                )
+            assert len(remote_pair) == 2
+            assert not any(_is_closed(c) for c in remote_pair)
+        assert all(_is_closed(connection) for connection in remote_pair)
 
 
 class TestWorkerCap:
-    def test_cap_applies_above_cpu_count(self, monkeypatch):
-        monkeypatch.delenv(WORKERS_CAP_ENV, raising=False)
+    def test_cap_applies_above_cpu_count(self):
         cap = os.cpu_count() or 1
         _CAP_WARNED.discard(os.getpid())
         with pytest.warns(RuntimeWarning, match="capping the pool"):
             assert effective_pool_workers(cap + 3) == cap
 
-    def test_warning_fires_once_per_process(self, monkeypatch):
-        monkeypatch.delenv(WORKERS_CAP_ENV, raising=False)
+    def test_warning_fires_once_per_process(self):
         cap = os.cpu_count() or 1
         _CAP_WARNED.discard(os.getpid())
         with pytest.warns(RuntimeWarning):
@@ -309,20 +422,13 @@ class TestWorkerCap:
             warnings.simplefilter("error")
             assert effective_pool_workers(cap + 3) == cap  # silent now
 
-    def test_within_cap_untouched(self, monkeypatch):
-        monkeypatch.delenv(WORKERS_CAP_ENV, raising=False)
+    def test_within_cap_untouched(self):
         assert effective_pool_workers(1) == 1
 
-    def test_opt_out(self, monkeypatch):
-        monkeypatch.setenv(WORKERS_CAP_ENV, "0")
-        cap = os.cpu_count() or 1
-        assert effective_pool_workers(cap + 3) == cap + 3
-
     def test_dispatch_semantics_keep_requested_workers(
-        self, monkeypatch, tiny_trace, mem_library
+        self, tiny_trace, mem_library
     ):
         """The cap sizes the pool, not the report's worker accounting."""
-        monkeypatch.delenv(WORKERS_CAP_ENV, raising=False)
         report = simulate_batch(
             tiny_trace, _jobs(mem_library), workers=4, cache=NullCache()
         )

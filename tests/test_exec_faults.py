@@ -87,7 +87,8 @@ class TestCrashRecovery:
         )
         with ExecutionRuntime(workers=2) as runtime:
             report = simulate_batch(
-                tiny_trace, jobs, cache=NullCache(), runtime=runtime
+                tiny_trace, jobs, cache=NullCache(),
+                backend=PoolBackend(runtime),
             )
             assert runtime.stats.pool_rebuilds >= 1
             assert runtime.stats.degraded_batches == 0
@@ -108,7 +109,8 @@ class TestCrashRecovery:
         monkeypatch.setenv(FAULT_INJECT_ENV, "always")
         with ExecutionRuntime(workers=2, max_retries=1) as runtime:
             report = simulate_batch(
-                tiny_trace, jobs, cache=NullCache(), runtime=runtime
+                tiny_trace, jobs, cache=NullCache(),
+                backend=PoolBackend(runtime),
             )
             assert runtime.last_dispatch is not None
             assert runtime.last_dispatch.degraded
@@ -126,7 +128,8 @@ class TestCrashRecovery:
         monkeypatch.setenv(FAULT_INJECT_ENV, f"once:{tmp_path / 'c.marker'}")
         with ExecutionRuntime(workers=2) as runtime:
             report = simulate_batch(
-                tiny_trace, jobs, cache=NullCache(), runtime=runtime
+                tiny_trace, jobs, cache=NullCache(),
+                backend=PoolBackend(runtime),
             )
             dispatch = runtime.last_dispatch
         assert report.results == serial.results
@@ -142,7 +145,8 @@ class TestJobTimeout:
         monkeypatch.setenv(FAULT_INJECT_ENV, f"hang:{tmp_path / 'h.marker'}")
         with ExecutionRuntime(workers=2, job_timeout=1.0) as runtime:
             report = simulate_batch(
-                tiny_trace, jobs, cache=NullCache(), runtime=runtime
+                tiny_trace, jobs, cache=NullCache(),
+                backend=PoolBackend(runtime),
             )
             assert runtime.stats.timeouts >= 1
             assert runtime.stats.pool_rebuilds >= 1
@@ -177,11 +181,12 @@ class TestEagerClosedDispatch:
         self, tiny_trace, mem_library
     ):
         runtime = ExecutionRuntime(workers=2)
+        backend = PoolBackend(runtime)
         runtime.close()
         with pytest.raises(ExplorationError):
             simulate_batch(
                 tiny_trace, _jobs(mem_library), cache=NullCache(),
-                runtime=runtime,
+                backend=backend,
             )
 
     def test_execution_error_is_an_exploration_error(self):
@@ -243,7 +248,7 @@ class TestShmHygiene:
     def test_export_registers_and_close_unregisters(
         self, tiny_trace, monkeypatch, tmp_path
     ):
-        monkeypatch.setenv(shm.MANIFEST_DIR_ENV, str(tmp_path))
+        monkeypatch.setattr(shm, "manifest_dir", lambda: tmp_path)
         export = tiny_trace.export_shared(transport="shm")
         name = export.handle.block
         manifest = tmp_path / f"{os.getpid()}.manifest"
@@ -257,7 +262,7 @@ class TestShmHygiene:
     def test_file_transport_is_registered_too(
         self, tiny_trace, monkeypatch, tmp_path
     ):
-        monkeypatch.setenv(shm.MANIFEST_DIR_ENV, str(tmp_path))
+        monkeypatch.setattr(shm, "manifest_dir", lambda: tmp_path)
         export = tiny_trace.export_shared(transport="file")
         path = export.handle.block
         manifest = tmp_path / f"{os.getpid()}.manifest"
@@ -292,7 +297,7 @@ class TestShmHygiene:
         block and a manifest; the next runtime's startup sweep must
         unlink both."""
         pytest.importorskip("_posixshmem")
-        monkeypatch.setenv(shm.MANIFEST_DIR_ENV, str(tmp_path))
+        monkeypatch.setattr(shm, "manifest_dir", lambda: tmp_path)
         script = (
             "import _posixshmem, os, sys\n"
             "name = sys.argv[1]\n"
@@ -320,7 +325,7 @@ class TestShmHygiene:
 
     def test_sweep_spares_live_processes(self, monkeypatch, tmp_path):
         pytest.importorskip("_posixshmem")
-        monkeypatch.setenv(shm.MANIFEST_DIR_ENV, str(tmp_path))
+        monkeypatch.setattr(shm, "manifest_dir", lambda: tmp_path)
         # Our own manifest (live PID) must never be swept.
         (tmp_path / f"{os.getpid()}.manifest").write_text("shm untouched\n")
         assert shm.sweep_stale() == []

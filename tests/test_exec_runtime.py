@@ -130,7 +130,8 @@ class TestRuntimeDispatchEquivalence:
         serial = simulate_batch(tiny_trace, jobs, workers=1, cache=NullCache())
         with ExecutionRuntime(workers=2) as runtime:
             pooled = simulate_batch(
-                tiny_trace, jobs, cache=NullCache(), runtime=runtime
+                tiny_trace, jobs, cache=NullCache(),
+                backend=PoolBackend(runtime),
             )
         assert pooled.workers == 2
         assert serial.results == pooled.results
@@ -139,10 +140,12 @@ class TestRuntimeDispatchEquivalence:
         jobs = _jobs(mem_library)
         with ExecutionRuntime(workers=2) as runtime:
             first = simulate_batch(
-                tiny_trace, jobs, cache=NullCache(), runtime=runtime
+                tiny_trace, jobs, cache=NullCache(),
+                backend=PoolBackend(runtime),
             )
             second = simulate_batch(
-                tiny_trace, jobs, cache=NullCache(), runtime=runtime
+                tiny_trace, jobs, cache=NullCache(),
+                backend=PoolBackend(runtime),
             )
             assert len(runtime._exports) == 1
         assert first.results == second.results

@@ -11,6 +11,7 @@ flat stats attributes on the explorer results.
 import json
 import threading
 import time
+from dataclasses import fields
 
 import pytest
 
@@ -26,6 +27,7 @@ from repro.config import (
     use_settings,
 )
 from repro.errors import ExecutionError, ExplorationError
+from repro.exec.backend import PoolBackend
 from repro.exec.cache import NullCache, SimulationCache
 from repro.exec.engine import SimulationJob, simulate_batch
 from repro.exec.runtime import FAULT_INJECT_ENV, ExecutionRuntime, RuntimeStats
@@ -176,7 +178,8 @@ class TestWorkerMerge:
         jobs = _jobs(mem_library)
         with ExecutionRuntime(workers=2) as runtime:
             report = simulate_batch(
-                tiny_trace, jobs, cache=NullCache(), runtime=runtime
+                tiny_trace, jobs, cache=NullCache(),
+                backend=PoolBackend(runtime),
             )
         assert len(report.results) == len(jobs)
         snap = obs.snapshot()
@@ -203,7 +206,8 @@ class TestWorkerMerge:
         )
         with ExecutionRuntime(workers=2) as runtime:
             report = simulate_batch(
-                tiny_trace, jobs, cache=NullCache(), runtime=runtime
+                tiny_trace, jobs, cache=NullCache(),
+                backend=PoolBackend(runtime),
             )
             assert runtime.stats.pool_rebuilds >= 1
         assert (tmp_path / "obs.marker").exists(), "no fault was injected"
@@ -323,7 +327,7 @@ class TestSettings:
             fault_inject="always",
             reference_sim=True,
             obs=True,
-            shm_manifest_dir="/tmp/shm",
+            service_url="http://127.0.0.1:9",
         )
         assert Settings.from_env(settings.as_env()) == settings
 
@@ -347,7 +351,8 @@ class TestSettings:
     def test_as_dict_mirrors_fields(self):
         as_dict = Settings(workers=2).as_dict()
         assert as_dict["workers"] == 2
-        assert "shm_manifest_dir" in as_dict
+        assert list(as_dict) == [spec.name for spec in fields(Settings)]
+        assert len(as_dict) == 18
 
 
 class TestDeprecatedStats:

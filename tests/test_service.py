@@ -228,6 +228,27 @@ class TestRunner:
         assert job.state == jobstates.DONE, job.error
         assert batches >= 1
 
+    def test_unnamed_backend_without_workers_uses_the_runner_runtime(
+        self, monkeypatch
+    ):
+        """With no backend named anywhere, a job without ``workers``
+        runs on the runner's pool sized by the daemon's ``--workers``,
+        not serially at ``REPRO_WORKERS``."""
+        from repro.config import BACKEND_ENV, WORKERS_ENV
+        from repro.exec.runtime import ExecutionRuntime
+        from repro.service.runner import TenantCaches, execute_job
+
+        monkeypatch.delenv(BACKEND_ENV, raising=False)
+        monkeypatch.delenv(WORKERS_ENV, raising=False)
+        store = JobStore()
+        job = Job(spec=parse_job_spec(_spec(kind="apex")))
+        store.add(job)
+        with ExecutionRuntime(workers=2) as runtime:
+            execute_job(job, store, TenantCaches(), runtime=runtime)
+            batches = runtime.stats.batches
+        assert job.state == jobstates.DONE, job.error
+        assert batches >= 1
+
 
 @pytest.fixture(scope="module")
 def running_server(tmp_path_factory):
