@@ -9,6 +9,11 @@ cleanly`` and exits 0). Exit code 0 means the whole service path —
 HTTP submit, queueing, execution against a persistent runtime, result
 pickup, graceful drain — works against a real process boundary.
 
+A second leg launches ``repro serve --port 0 --jobs 0`` and asserts
+the daemon refuses the bad argument: it must exit non-zero within
+10 s and print ``error:`` on stderr, instead of serving with no job
+runners.
+
 Run directly (``python benchmarks/service_smoke.py``) with
 ``PYTHONPATH=src``; no arguments.
 """
@@ -19,7 +24,29 @@ import subprocess
 import sys
 
 
+def check_bad_argument_rejected() -> None:
+    """``--jobs 0`` ends the daemon with an error before it serves."""
+    try:
+        rejected = subprocess.run(
+            [sys.executable, "-m", "repro", "serve", "--port", "0",
+             "--jobs", "0"],
+            capture_output=True,
+            text=True,
+            env=dict(os.environ),
+            timeout=10,
+        )
+    except subprocess.TimeoutExpired as error:
+        raise AssertionError(
+            f"daemon kept running with --jobs 0: {error.stdout!r}"
+        ) from None
+    assert rejected.returncode != 0, (
+        f"daemon accepted --jobs 0: {rejected.stdout!r}"
+    )
+    assert "error:" in rejected.stderr, rejected.stderr
+
+
 def main() -> int:
+    check_bad_argument_rejected()
     process = subprocess.Popen(
         [sys.executable, "-m", "repro", "serve", "--port", "0"],
         stdout=subprocess.PIPE,
@@ -61,7 +88,8 @@ def main() -> int:
         print(
             f"service smoke OK: job {job['id']} ran "
             f"{' -> '.join(stages)} and returned "
-            f"{len(architectures)} architectures; SIGTERM drained cleanly"
+            f"{len(architectures)} architectures; SIGTERM drained cleanly; "
+            f"--jobs 0 was rejected"
         )
         return 0
     finally:

@@ -264,9 +264,8 @@ def explore_memory_architectures(
     through :func:`repro.exec.simulate_batch` — parallel when
     ``workers`` (or ``REPRO_WORKERS``) asks for it, cached so the
     strategy comparisons re-profile each architecture only once, and
-    dispatched through ``backend`` when an execution backend (or
-    ``REPRO_BACKEND``) selects one — ``PoolBackend(runtime)`` to reuse
-    a persistent pool.
+    dispatched through ``backend`` when an execution backend is
+    given — ``PoolBackend(runtime)`` to reuse a persistent pool.
     """
     config = config or ApexConfig()
     if config.select_count < 1:

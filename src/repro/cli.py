@@ -50,6 +50,12 @@ from repro.io import (
     save_trace,
 )
 from repro.memory.library import default_memory_library
+from repro.service.server import (
+    DEFAULT_HOST,
+    DEFAULT_JOBS,
+    DEFAULT_PORT,
+    DEFAULT_QUEUE_MAX,
+)
 from repro.trace.profiler import profile_trace
 from repro.workloads import get_workload, workload_names
 
@@ -97,9 +103,9 @@ def _add_backend_argument(parser: argparse.ArgumentParser) -> None:
         "--backend",
         choices=("serial", "pool", "remote"),
         default=None,
-        help="execution backend for simulation batches (default: "
-        "REPRO_BACKEND, else serial for --jobs 1 and the pool otherwise; "
-        "'remote' shards over the REPRO_WORKER_ADDRS socket workers)",
+        help="execution backend for simulation batches (default: serial "
+        "for --jobs 1 and the pool otherwise; 'remote' shards over the "
+        "REPRO_WORKER_ADDRS socket workers)",
     )
 
 
@@ -190,22 +196,22 @@ def _build_parser() -> argparse.ArgumentParser:
         "serve", help="run the exploration service daemon (HTTP/JSON)"
     )
     serve_cmd.add_argument(
-        "--host", default=None,
-        help="interface to bind (default: REPRO_SERVICE_HOST or loopback)",
+        "--host", default=DEFAULT_HOST,
+        help="interface to bind (default: %(default)s)",
     )
     serve_cmd.add_argument(
-        "--port", type=int, default=None,
-        help="TCP port (default: REPRO_SERVICE_PORT; 0 lets the OS pick, "
+        "--port", type=int, default=DEFAULT_PORT,
+        help="TCP port (default: %(default)s; 0 lets the OS pick, "
         "printed on stdout)",
     )
     serve_cmd.add_argument(
-        "--jobs", type=int, default=None, metavar="N",
-        help="concurrent exploration jobs (default: REPRO_SERVICE_JOBS)",
+        "--jobs", type=int, default=DEFAULT_JOBS, metavar="N",
+        help="concurrent exploration jobs (default: %(default)s)",
     )
     serve_cmd.add_argument(
-        "--queue-max", type=int, default=None, metavar="N",
+        "--queue-max", type=int, default=DEFAULT_QUEUE_MAX, metavar="N",
         help="pending-job bound before submissions get 429 "
-        "(default: REPRO_SERVICE_QUEUE_MAX)",
+        "(default: %(default)s)",
     )
     serve_cmd.add_argument(
         "--cache-dir", default=None, metavar="DIR",
@@ -226,8 +232,8 @@ def _build_parser() -> argparse.ArgumentParser:
     def _add_client_arguments(sub: argparse.ArgumentParser) -> None:
         sub.add_argument(
             "--url", default=None,
-            help="daemon base URL (default: REPRO_SERVICE_URL or the "
-            "configured service host/port)",
+            help="daemon base URL (default: REPRO_SERVICE_URL, else "
+            f"http://{DEFAULT_HOST}:{DEFAULT_PORT})",
         )
         sub.add_argument(
             "--tenant", default=None,
@@ -357,10 +363,10 @@ def _command_execution(
 ) -> "Iterator[ExecutionBackend]":
     """The command's backend, resolved once over the command's runtime.
 
-    ``--backend`` (else ``REPRO_BACKEND``, else the default rule) is
-    resolved once, so a remote backend keeps its worker connections
-    across every batch of the command and a pool is built at most once;
-    it is closed on exit — as the service runner does per job.
+    ``--backend`` (else the default rule) is resolved once, so a remote
+    backend keeps its worker connections across every batch of the
+    command and a pool is built at most once; it is closed on exit — as
+    the service runner does per job.
     """
     with ExecutionRuntime(workers=args.jobs) as runtime:
         backend = resolve_backend(args.backend, args.jobs, runtime)

@@ -27,6 +27,7 @@ variable directly anymore.
 from __future__ import annotations
 
 import contextlib
+import math
 import os
 from dataclasses import dataclass, fields
 from typing import Iterator, Mapping
@@ -45,10 +46,6 @@ MAX_RETRIES_ENV = "REPRO_MAX_RETRIES"
 #: Directory enabling the on-disk layer of the default simulation cache.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 
-#: Execution backend for simulation batches: ``serial``,
-#: ``pool``, or ``remote`` (unset: serial for one worker, else the pool).
-BACKEND_ENV = "REPRO_BACKEND"
-
 #: Comma-separated ``host:port`` list of remote ``repro worker``
 #: processes used by the ``remote`` backend.
 WORKER_ADDRS_ENV = "REPRO_WORKER_ADDRS"
@@ -61,21 +58,6 @@ CACHE_URL_ENV = "REPRO_CACHE_URL"
 #: Socket workers also honour it as the byte cap of their in-memory
 #: blob/trace stores.
 CACHE_MAX_MB_ENV = "REPRO_CACHE_MAX_MB"
-
-#: Interface the exploration service daemon binds.
-SERVICE_HOST_ENV = "REPRO_SERVICE_HOST"
-
-#: TCP port of the exploration service daemon (0 lets the OS pick).
-SERVICE_PORT_ENV = "REPRO_SERVICE_PORT"
-
-#: Exploration jobs the service runs concurrently.
-SERVICE_JOBS_ENV = "REPRO_SERVICE_JOBS"
-
-#: Queued-job bound of the service; submissions beyond it are rejected.
-SERVICE_QUEUE_MAX_ENV = "REPRO_SERVICE_QUEUE_MAX"
-
-#: Seconds the service's graceful drain waits for running jobs.
-SERVICE_DRAIN_TIMEOUT_ENV = "REPRO_SERVICE_DRAIN_TIMEOUT"
 
 #: Base URL the service client commands talk to.
 SERVICE_URL_ENV = "REPRO_SERVICE_URL"
@@ -101,6 +83,16 @@ def parse_bool(value: str | None) -> bool:
     return (value or "").strip().lower() in _TRUTHY
 
 
+def positive_finite(value: float) -> bool:
+    """Is ``value`` a finite number above zero?
+
+    The bound for timeouts and size caps: NaN passes every ``<= 0``
+    test and infinity overflows ``future.result(timeout=...)``, so
+    both are rejected alongside zero and negatives.
+    """
+    return math.isfinite(value) and value > 0
+
+
 def _get(env: Mapping[str, str], name: str) -> str:
     return (env.get(name) or "").strip()
 
@@ -118,15 +110,9 @@ class Settings:
     ``job_timeout``             ``REPRO_JOB_TIMEOUT``          ``None``
     ``max_retries``             ``REPRO_MAX_RETRIES``          ``2``
     ``cache_dir``               ``REPRO_CACHE_DIR``            ``None``
-    ``backend``                 ``REPRO_BACKEND``              ``""``
     ``worker_addrs``            ``REPRO_WORKER_ADDRS``         ``()``
     ``cache_url``               ``REPRO_CACHE_URL``            ``None``
     ``cache_max_mb``            ``REPRO_CACHE_MAX_MB``         ``None``
-    ``service_host``            ``REPRO_SERVICE_HOST``         ``"127.0.0.1"``
-    ``service_port``            ``REPRO_SERVICE_PORT``         ``8753``
-    ``service_jobs``            ``REPRO_SERVICE_JOBS``         ``1``
-    ``service_queue_max``       ``REPRO_SERVICE_QUEUE_MAX``    ``64``
-    ``service_drain_timeout``   ``REPRO_SERVICE_DRAIN_TIMEOUT``  ``30.0``
     ``service_url``             ``REPRO_SERVICE_URL``          ``None``
     ``fault_inject``            ``REPRO_FAULT_INJECT``         ``""``
     ``reference_sim``           ``REPRO_REFERENCE_SIM``        ``False``
@@ -144,15 +130,9 @@ class Settings:
     job_timeout: float | None = None
     max_retries: int = 2
     cache_dir: str | None = None
-    backend: str = ""
     worker_addrs: tuple[str, ...] = ()
     cache_url: str | None = None
     cache_max_mb: float | None = None
-    service_host: str = "127.0.0.1"
-    service_port: int = 8753
-    service_jobs: int = 1
-    service_queue_max: int = 64
-    service_drain_timeout: float = 30.0
     service_url: str | None = None
     fault_inject: str = ""
     reference_sim: bool = False
@@ -162,40 +142,23 @@ class Settings:
     def __post_init__(self) -> None:
         if self.workers < 1:
             raise ExplorationError(f"workers must be >= 1, got {self.workers}")
-        if self.job_timeout is not None and self.job_timeout <= 0:
+        if self.job_timeout is not None and not positive_finite(
+            self.job_timeout
+        ):
             raise ExecutionError(
-                f"job timeout must be positive, got {self.job_timeout}"
+                f"job timeout must be positive and finite, "
+                f"got {self.job_timeout}"
             )
         if self.max_retries < 0:
             raise ExecutionError(
                 f"max retries must be >= 0, got {self.max_retries}"
             )
-        if self.backend not in ("", "serial", "pool", "remote"):
+        if self.cache_max_mb is not None and not positive_finite(
+            self.cache_max_mb
+        ):
             raise ExecutionError(
-                f"unknown execution backend {self.backend!r} "
-                f"(expected serial, pool, or remote)"
-            )
-        if self.cache_max_mb is not None and self.cache_max_mb <= 0:
-            raise ExecutionError(
-                f"cache size cap must be positive, got {self.cache_max_mb}"
-            )
-        if not 0 <= self.service_port <= 65535:
-            raise ExecutionError(
-                f"service port must be 0..65535, got {self.service_port}"
-            )
-        if self.service_jobs < 1:
-            raise ExecutionError(
-                f"service jobs must be >= 1, got {self.service_jobs}"
-            )
-        if self.service_queue_max < 1:
-            raise ExecutionError(
-                f"service queue bound must be >= 1, "
-                f"got {self.service_queue_max}"
-            )
-        if self.service_drain_timeout <= 0:
-            raise ExecutionError(
-                f"service drain timeout must be positive, "
-                f"got {self.service_drain_timeout}"
+                f"cache size cap must be positive and finite, "
+                f"got {self.cache_max_mb}"
             )
 
     @classmethod
@@ -251,86 +214,20 @@ class Settings:
             if part.strip()
         )
 
-        def _int_knob(name: str, default: int) -> int:
-            raw = _get(env, name)
-            if not raw:
-                return default
-            try:
-                return int(raw)
-            except ValueError:
-                raise ExecutionError(
-                    f"{name} must be an integer, got {raw!r}"
-                ) from None
-
-        def _float_knob(name: str, default: float) -> float:
-            raw = _get(env, name)
-            if not raw:
-                return default
-            try:
-                return float(raw)
-            except ValueError:
-                raise ExecutionError(
-                    f"{name} must be a number, got {raw!r}"
-                ) from None
-
         return cls(
             workers=workers,
             job_timeout=job_timeout,
             max_retries=max_retries,
             cache_dir=_get(env, CACHE_DIR_ENV) or None,
-            backend=_get(env, BACKEND_ENV),
             worker_addrs=worker_addrs,
             cache_url=_get(env, CACHE_URL_ENV) or None,
             cache_max_mb=cache_max_mb,
-            service_host=_get(env, SERVICE_HOST_ENV) or "127.0.0.1",
-            service_port=_int_knob(SERVICE_PORT_ENV, 8753),
-            service_jobs=_int_knob(SERVICE_JOBS_ENV, 1),
-            service_queue_max=_int_knob(SERVICE_QUEUE_MAX_ENV, 64),
-            service_drain_timeout=_float_knob(SERVICE_DRAIN_TIMEOUT_ENV, 30.0),
             service_url=_get(env, SERVICE_URL_ENV) or None,
             fault_inject=_get(env, FAULT_INJECT_ENV),
             reference_sim=parse_bool(env.get(REFERENCE_SIM_ENV)),
             bench_smoke=parse_bool(env.get(BENCH_SMOKE_ENV)),
             obs=parse_bool(env.get(OBS_ENV)),
         )
-
-    def as_env(self) -> dict[str, str]:
-        """The environment-variable form of this snapshot.
-
-        ``Settings.from_env(settings.as_env())`` round-trips to an
-        equal object; ``None``-valued knobs are omitted (unset).
-        Useful for propagating an explicit configuration to a
-        subprocess.
-        """
-        env: dict[str, str] = {
-            WORKERS_ENV: str(self.workers),
-            MAX_RETRIES_ENV: str(self.max_retries),
-            SERVICE_HOST_ENV: self.service_host,
-            SERVICE_PORT_ENV: str(self.service_port),
-            SERVICE_JOBS_ENV: str(self.service_jobs),
-            SERVICE_QUEUE_MAX_ENV: str(self.service_queue_max),
-            SERVICE_DRAIN_TIMEOUT_ENV: repr(self.service_drain_timeout),
-            REFERENCE_SIM_ENV: "1" if self.reference_sim else "0",
-            BENCH_SMOKE_ENV: "1" if self.bench_smoke else "0",
-            OBS_ENV: "1" if self.obs else "0",
-        }
-        if self.job_timeout is not None:
-            env[JOB_TIMEOUT_ENV] = repr(self.job_timeout)
-        if self.cache_dir is not None:
-            env[CACHE_DIR_ENV] = self.cache_dir
-        if self.backend:
-            env[BACKEND_ENV] = self.backend
-        if self.worker_addrs:
-            env[WORKER_ADDRS_ENV] = ",".join(self.worker_addrs)
-        if self.cache_url is not None:
-            env[CACHE_URL_ENV] = self.cache_url
-        if self.cache_max_mb is not None:
-            env[CACHE_MAX_MB_ENV] = repr(self.cache_max_mb)
-        if self.service_url is not None:
-            env[SERVICE_URL_ENV] = self.service_url
-        if self.fault_inject:
-            env[FAULT_INJECT_ENV] = self.fault_inject
-        return env
 
     def as_dict(self) -> dict:
         """Plain-dict form (for the observability JSON export)."""

@@ -14,11 +14,11 @@ connectivity) design points. This package makes that the fast path:
   the reference), :class:`PoolBackend` (the runtime below),
   :class:`RemoteBackend` (one socket worker), and
   :class:`ShardedBackend` (N backends with fault-tolerant re-dispatch
-  of memory-signature groups). Select with ``backend=`` or
-  ``REPRO_BACKEND`` / ``REPRO_WORKER_ADDRS``; unset, a batch runs
-  serially for one worker (``REPRO_WORKERS`` unset) and on the pool
-  otherwise. ``backend=`` is the one execution handle the drivers
-  take: a caller that owns a runtime passes ``PoolBackend(runtime)``.
+  of memory-signature groups). Select with ``backend=`` (``"remote"``
+  shards over ``REPRO_WORKER_ADDRS``); unnamed, a batch runs serially
+  for one worker (``REPRO_WORKERS`` unset) and on the pool otherwise.
+  ``backend=`` is the one execution handle the drivers take: a caller
+  that owns a runtime passes ``PoolBackend(runtime)``.
 * :mod:`repro.exec.runtime` — the persistent
   :class:`ExecutionRuntime`: a long-lived worker pool reused across
   batches, with traces exported once per fingerprint to shared memory

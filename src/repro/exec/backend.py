@@ -31,10 +31,9 @@ Implementations:
 Every engine batch runs through exactly one backend: the instance
 passed as ``backend=`` to an engine entry point or a driver, or the one
 :func:`resolve_backend` builds from a name (``"serial"``/``"pool"``/
-``"remote"``) or ``REPRO_BACKEND`` — ``"remote"`` builds a
-:class:`ShardedBackend` of one :class:`RemoteBackend` per
-``REPRO_WORKER_ADDRS`` address. Unset, a batch runs on
-:class:`SerialBackend` when it has one worker, and on
+``"remote"``) — ``"remote"`` builds a :class:`ShardedBackend` of one
+:class:`RemoteBackend` per ``REPRO_WORKER_ADDRS`` address. Unnamed, a
+batch runs on :class:`SerialBackend` when it has one worker, and on
 :class:`PoolBackend` otherwise. A caller that owns an
 :class:`~repro.exec.runtime.ExecutionRuntime` hands it down as
 ``PoolBackend(runtime)``; drivers take no runtime of their own.
@@ -49,7 +48,6 @@ from repro import obs
 from repro.config import WORKER_ADDRS_ENV, current_settings
 from repro.errors import ExecutionError
 from repro.exec import net
-from repro.exec.cache import KERNEL_PLAN_VERSION
 from repro.exec.runtime import (
     DispatchStats,
     ExecutionRuntime,
@@ -237,19 +235,7 @@ class RemoteBackend(ExecutionBackend):
 
     def _connection(self) -> net.Connection:
         if self._conn is None:
-            conn = net.Connection.connect(self.address, timeout=self.timeout)
-            try:
-                conn.request_pickled(
-                    net.MSG_HELLO,
-                    {
-                        "protocol": net.PROTOCOL_VERSION,
-                        "kernel_plan_version": KERNEL_PLAN_VERSION,
-                    },
-                )
-            except Exception:
-                conn.close()
-                raise
-            self._conn = conn
+            self._conn = net.handshake(self.address, timeout=self.timeout)
             self._pushed = set()
         return self._conn
 
@@ -485,10 +471,10 @@ def resolve_backend(
     * ``"remote"`` shards across one :class:`RemoteBackend` per
       ``REPRO_WORKER_ADDRS`` address, with the runtime's retry budget
       and a serial local fallback;
-    * ``None`` consults ``Settings.backend`` (``REPRO_BACKEND``). When
-      that is unset too, one worker gives a :class:`SerialBackend`,
-      and more give the pool exactly as for ``"pool"`` (whose runtime
-      runs a batch of at most one group in process).
+    * ``None`` applies the default rule: one worker gives a
+      :class:`SerialBackend`, and more give the pool exactly as for
+      ``"pool"`` (whose runtime runs a batch of at most one group in
+      process).
 
     ``workers=None`` takes the size of a passed ``runtime``. A backend
     built here from a name belongs to the caller, who closes it; an
@@ -496,8 +482,6 @@ def resolve_backend(
     """
     if workers is None and runtime is not None:
         workers = runtime.workers
-    if backend is None:
-        backend = current_settings().backend or None
     if isinstance(backend, ExecutionBackend):
         return backend
     if backend == "serial":

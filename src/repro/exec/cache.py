@@ -56,6 +56,7 @@ import pickle
 from repro import obs
 from repro.apex.architectures import MemoryArchitecture
 from repro.config import CACHE_DIR_ENV, CACHE_URL_ENV, current_settings
+from repro.errors import ExecutionError
 from repro.connectivity.architecture import ConnectivityArchitecture
 from repro.sim.metrics import SimulationResult
 from repro.sim.sampling import SamplingConfig
@@ -151,7 +152,9 @@ class CacheClient:
     connect error, dropped socket, or timeout loses at most one
     lookup, and after :data:`_NET_FAULT_LIMIT` consecutive faults the
     peer is abandoned for the rest of the process — a cache must never
-    make a run slower than no cache, let alone fail it.
+    make a run slower than no cache, let alone fail it. A peer that
+    refuses the :func:`repro.exec.net.handshake` (version skew) is
+    abandoned at once.
     """
 
     def __init__(self, url: str, timeout: float | None = 5.0) -> None:
@@ -170,15 +173,18 @@ class CacheClient:
         from repro.exec import net
 
         if self._conn is None:
-            conn = net.Connection.connect(self.url, timeout=self.timeout)
-            conn.request_pickled(
-                net.MSG_HELLO,
-                {
-                    "protocol": net.PROTOCOL_VERSION,
-                    "kernel_plan_version": KERNEL_PLAN_VERSION,
-                },
-            )
-            self._conn = conn
+            try:
+                self._conn = net.handshake(self.url, timeout=self.timeout)
+            except net.BackendUnavailable:
+                raise
+            except ExecutionError as error:
+                # A refused handshake (version skew) never heals: write
+                # the peer off for good and let the caller count the
+                # fault; lookups fall back to the local layers.
+                self._faults = _NET_FAULT_LIMIT
+                raise net.BackendUnavailable(
+                    f"cache peer {self.url} refused the handshake: {error}"
+                ) from error
         return self._conn
 
     def _drop_connection(self) -> None:

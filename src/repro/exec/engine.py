@@ -22,9 +22,9 @@ deterministic, so a parallel run is bit-identical to a serial run of
 the same job list.
 
 Where a batch runs is its ``backend=``: an
-:class:`~repro.exec.backend.ExecutionBackend` instance, or a name (or
-``REPRO_BACKEND``) that :func:`repro.exec.backend.resolve_backend`
-turns into one, which the batch closes again before it returns. Unset,
+:class:`~repro.exec.backend.ExecutionBackend` instance, or a name that
+:func:`repro.exec.backend.resolve_backend` turns into one, which the
+batch closes again before it returns. Unnamed,
 a batch with one worker (``REPRO_WORKERS`` unset) runs in-process on a
 :class:`~repro.exec.backend.SerialBackend`, and any other batch on a
 :class:`~repro.exec.backend.PoolBackend` over the process-wide default
@@ -257,8 +257,8 @@ def simulate_batch(
             instance, used as given and left open (pass
             ``PoolBackend(runtime)`` to dispatch through a runtime you
             own), or a name (``"serial"``/``"pool"``/``"remote"``);
-            ``None`` consults ``REPRO_BACKEND`` and then the default
-            rule of :func:`~repro.exec.backend.resolve_backend`. A
+            ``None`` applies the default rule of
+            :func:`~repro.exec.backend.resolve_backend`. A
             backend resolved here from a name is closed on return.
     """
     if isinstance(backend, PoolBackend):

@@ -51,6 +51,7 @@ __all__ = [
     "MSG_PONG",
     "decode_trace",
     "encode_trace",
+    "handshake",
     "max_frame_bytes",
     "parse_address",
 ]
@@ -322,3 +323,30 @@ class Connection:
 
     def __exit__(self, *_exc) -> None:
         self.close()
+
+
+def handshake(address: str, timeout: float | None = None) -> Connection:
+    """Connect to a worker and exchange :data:`MSG_HELLO`.
+
+    The one client handshake, shared by the remote backend and the
+    cache client. It returns the open connection. On any failure the
+    socket is closed before the error propagates: a dead peer raises
+    :class:`BackendUnavailable`, and a peer that refuses the handshake
+    (protocol or ``KERNEL_PLAN_VERSION`` skew) raises
+    :class:`ExecutionError`.
+    """
+    from repro.exec.cache import KERNEL_PLAN_VERSION
+
+    conn = Connection.connect(address, timeout=timeout)
+    try:
+        conn.request_pickled(
+            MSG_HELLO,
+            {
+                "protocol": PROTOCOL_VERSION,
+                "kernel_plan_version": KERNEL_PLAN_VERSION,
+            },
+        )
+    except BaseException:
+        conn.close()
+        raise
+    return conn

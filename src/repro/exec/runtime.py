@@ -71,6 +71,7 @@ from repro.config import (
     MAX_RETRIES_ENV,
     WORKERS_ENV,
     current_settings,
+    positive_finite,
 )
 from repro.errors import ExecutionError, ExplorationError
 from repro.obs.registry import ObsSnapshot
@@ -158,8 +159,10 @@ def resolve_job_timeout(timeout: float | None = None) -> float | None:
     """Effective per-job timeout: explicit arg, else ``Settings.job_timeout``."""
     if timeout is None:
         return current_settings().job_timeout
-    if timeout <= 0:
-        raise ExecutionError(f"job timeout must be positive, got {timeout}")
+    if not positive_finite(timeout):
+        raise ExecutionError(
+            f"job timeout must be positive and finite, got {timeout}"
+        )
     return float(timeout)
 
 

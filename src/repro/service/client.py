@@ -23,6 +23,7 @@ from urllib.parse import quote, urlencode
 from repro.config import current_settings
 from repro.errors import ServiceError
 from repro.service.jobs import TERMINAL_STATES
+from repro.service.server import DEFAULT_HOST, DEFAULT_PORT
 
 __all__ = ["ServiceClient"]
 
@@ -33,7 +34,7 @@ class ServiceClient:
     Args:
         base_url: daemon address (``http://host:port``); ``None``
             consults ``REPRO_SERVICE_URL``, falling back to the
-            configured service host/port.
+            daemon's default ``http://127.0.0.1:8753``.
         tenant: tenant slug sent as ``X-Repro-Tenant`` on every
             request (``None``: the daemon's default tenant).
         timeout: per-request socket timeout in seconds; long-poll
@@ -47,9 +48,9 @@ class ServiceClient:
         timeout: float = 10.0,
     ) -> None:
         if base_url is None:
-            settings = current_settings()
-            base_url = settings.service_url or (
-                f"http://{settings.service_host}:{settings.service_port}"
+            base_url = (
+                current_settings().service_url
+                or f"http://{DEFAULT_HOST}:{DEFAULT_PORT}"
             )
         self.base_url = base_url.rstrip("/")
         self.tenant = tenant

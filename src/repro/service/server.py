@@ -33,7 +33,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlparse
 
 from repro import obs
-from repro.config import current_settings
+from repro.config import current_settings, positive_finite
 from repro.errors import ServiceError
 from repro.exec.runtime import ExecutionRuntime
 from repro.exec.worker import WorkerServer
@@ -43,7 +43,25 @@ from repro.service.queue import JobQueue
 from repro.service.runner import TenantCaches, execute_job
 from repro.service.schemas import parse_job_spec
 
-__all__ = ["ExplorationService", "ServiceServer", "serve"]
+__all__ = [
+    "DEFAULT_DRAIN_TIMEOUT",
+    "DEFAULT_HOST",
+    "DEFAULT_JOBS",
+    "DEFAULT_PORT",
+    "DEFAULT_QUEUE_MAX",
+    "ExplorationService",
+    "ServiceServer",
+    "serve",
+]
+
+#: The daemon's defaults; ``repro serve`` flags and constructor
+#: arguments override them, and ``ServiceClient`` falls back to the
+#: host and port.
+DEFAULT_HOST = "127.0.0.1"
+DEFAULT_PORT = 8753
+DEFAULT_JOBS = 1
+DEFAULT_QUEUE_MAX = 64
+DEFAULT_DRAIN_TIMEOUT = 30.0
 
 SERVING = "serving"
 DRAINING = "draining"
@@ -57,41 +75,50 @@ class ExplorationService:
     """The daemon's application core, independent of the HTTP layer.
 
     Args:
-        jobs: concurrent exploration jobs (runner threads); ``None``
-            consults ``REPRO_SERVICE_JOBS``.
-        queue_max: pending-job bound; ``None`` consults
-            ``REPRO_SERVICE_QUEUE_MAX``.
+        jobs: concurrent exploration jobs (runner threads), at least 1.
+        queue_max: pending-job bound, at least 1.
         cache_dir: base directory for per-tenant disk cache
             namespaces; ``None`` consults ``REPRO_CACHE_DIR`` (unset:
             memory-only namespaces).
-        workers: per-runner :class:`ExecutionRuntime` pool size;
-            ``None`` consults ``REPRO_WORKERS``.
+        workers: per-runner :class:`ExecutionRuntime` pool size, at
+            least 1; ``None`` consults ``REPRO_WORKERS``.
         backend: default execution backend spec for jobs that do not
             choose one (``serial``/``pool``/``remote``, or ``None`` for
             the engine's default rule per batch).
-        drain_timeout: seconds :meth:`drain` waits for running jobs;
-            ``None`` consults ``REPRO_SERVICE_DRAIN_TIMEOUT``.
+        drain_timeout: seconds :meth:`drain` waits for running jobs,
+            finite and positive.
+
+    Raises:
+        ServiceError: an argument is out of bounds; nothing has
+            started yet.
     """
 
     def __init__(
         self,
-        jobs: int | None = None,
-        queue_max: int | None = None,
+        jobs: int = DEFAULT_JOBS,
+        queue_max: int = DEFAULT_QUEUE_MAX,
         cache_dir: str | None = None,
         workers: int | None = None,
         backend: str | None = None,
-        drain_timeout: float | None = None,
+        drain_timeout: float = DEFAULT_DRAIN_TIMEOUT,
     ) -> None:
+        if jobs < 1:
+            raise ServiceError(f"service jobs must be >= 1, got {jobs}")
+        if queue_max < 1:
+            raise ServiceError(
+                f"service queue bound must be >= 1, got {queue_max}"
+            )
+        if workers is not None and workers < 1:
+            raise ServiceError(f"workers must be >= 1, got {workers}")
+        if not positive_finite(drain_timeout):
+            raise ServiceError(
+                f"service drain timeout must be positive and finite, "
+                f"got {drain_timeout}"
+            )
         settings = current_settings()
-        self.concurrency = jobs if jobs is not None else settings.service_jobs
-        self.queue_max = (
-            queue_max if queue_max is not None else settings.service_queue_max
-        )
-        self.drain_timeout = (
-            drain_timeout
-            if drain_timeout is not None
-            else settings.service_drain_timeout
-        )
+        self.concurrency = jobs
+        self.queue_max = queue_max
+        self.drain_timeout = drain_timeout
         self.workers = workers
         self.backend = backend
         cache_dir = cache_dir if cache_dir is not None else settings.cache_dir
@@ -272,17 +299,20 @@ class ExplorationService:
 
 
 class ServiceServer:
-    """The HTTP/JSON front end over one :class:`ExplorationService`."""
+    """The HTTP/JSON front end over one :class:`ExplorationService`.
+
+    Binds ``host:port`` at construction (port 0 lets the OS pick); a
+    port outside 0..65535 raises :class:`ServiceError` before any bind.
+    """
 
     def __init__(
         self,
         service: ExplorationService,
-        host: str | None = None,
-        port: int | None = None,
+        host: str = DEFAULT_HOST,
+        port: int = DEFAULT_PORT,
     ) -> None:
-        settings = current_settings()
-        host = host if host is not None else settings.service_host
-        port = port if port is not None else settings.service_port
+        if not 0 <= port <= 65535:
+            raise ServiceError(f"service port must be 0..65535, got {port}")
         self.service = service
         handler = _make_handler(service)
         self._httpd = ThreadingHTTPServer((host, port), handler)
@@ -423,10 +453,10 @@ def _make_handler(service: ExplorationService):
 
 
 def serve(
-    host: str | None = None,
-    port: int | None = None,
-    jobs: int | None = None,
-    queue_max: int | None = None,
+    host: str = DEFAULT_HOST,
+    port: int = DEFAULT_PORT,
+    jobs: int = DEFAULT_JOBS,
+    queue_max: int = DEFAULT_QUEUE_MAX,
     cache_dir: str | None = None,
     workers: int | None = None,
     backend: str | None = None,
@@ -445,7 +475,6 @@ def serve(
     """
     import signal
 
-    obs.enable()  # progress events are fed by obs counters
     service = ExplorationService(
         jobs=jobs,
         queue_max=queue_max,
@@ -454,6 +483,7 @@ def serve(
         backend=backend,
     )
     server = ServiceServer(service, host=host, port=port)
+    obs.enable()  # progress events are fed by obs counters
     cache_worker: WorkerServer | None = None
     if cache_worker_port is not None:
         cache_worker = WorkerServer(

@@ -98,6 +98,36 @@ class TestExperimentsDoc:
             ]
             assert producers, stem
 
+    def test_table2_measured_columns_match_the_output(self):
+        """The measured time, coverage and distance columns of Table 2
+        quote ``benchmarks/out/table2_coverage.txt``."""
+        measured = [
+            line.split()
+            for line in read("benchmarks/out/table2_coverage.txt").splitlines()
+            if line.split()[:1] in (["compress"], ["vocoder"])
+        ]
+        assert len(measured) == 6, measured
+        text = read("EXPERIMENTS.md")
+        start = text.index("## Table 2")
+        section = text[start : text.index("\n## ", start + 1)]
+        rows = {
+            tuple(cells[:2]): cells
+            for cells in (
+                [cell.strip() for cell in line.strip("|").split("|")]
+                for line in section.splitlines()
+                if line.startswith(("| compress |", "| vocoder |"))
+            )
+        }
+        assert len(rows) == 6, sorted(rows)
+        for bench, strategy, time, coverage, cost, perf, energy in measured:
+            cells = rows[(bench, strategy)]
+            expected_dist = (
+                f"{cost.rstrip('%')} / {perf.rstrip('%')} / {energy}"
+            )
+            assert (cells[3], cells[5], cells[7]) == (
+                time, coverage, expected_dist
+            ), (bench, strategy, cells)
+
     def test_reproduction_commands_present(self):
         text = read("EXPERIMENTS.md")
         assert "pytest tests/" in text
@@ -232,6 +262,40 @@ class TestPerformanceDoc:
         assert not missing, missing
         # The only speedup in the row is the recorded one.
         assert re.findall(r"\d+(?:\.\d+)?×", rows[0]) == [expected[-1]]
+
+    def test_one_engine_row_matches_the_json(self):
+        """The one-engine trajectory row quotes the ``summary_sampled``
+        and ``summary_unsampled`` records of ``BENCH_sim_kernel.json``,
+        and its minimum is the DMA pair's speedup."""
+        import json
+
+        records = json.loads(
+            (ROOT / "benchmarks/out/BENCH_sim_kernel.json").read_text()
+        )
+        by_name = {r["name"]: r for r in records}
+        rows = [
+            line
+            for line in read("docs/performance.md").splitlines()
+            if line.startswith("| one engine, ")
+        ]
+        assert len(rows) == 1, rows
+        expected = []
+        for mode in ("sampled", "unsampled"):
+            summary = by_name[f"summary_{mode}"]
+            expected.append(
+                f"{summary['min_speedup']:.1f}× / "
+                f"{summary['mean_speedup']:.1f}× / "
+                f"{summary['max_speedup']:.1f}× over {summary['cases']} pairs"
+            )
+            expected.append(f"{summary['cpu_count']} CPUs")
+        missing = [figure for figure in expected if figure not in rows[0]]
+        assert not missing, missing
+        # The six summary figures are the only speedups in the row.
+        assert len(re.findall(r"\d+(?:\.\d+)?×", rows[0])) == 6, rows[0]
+        dma = [r for r in records if "dma" in r]
+        assert [r["speedup"] for r in dma] == [
+            by_name["summary_sampled"]["min_speedup"]
+        ]
 
     @pytest.mark.parametrize(
         "label, record_name, figures",

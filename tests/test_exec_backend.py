@@ -2,8 +2,7 @@
 
 Covers the :class:`~repro.exec.backend.ExecutionBackend` contract
 (ordered results, bit-identity across implementations), the sharded
-fault-tolerant dispatch, backend resolution from arguments and
-``REPRO_BACKEND``, who closes a backend (``simulate_batch`` closes what
+fault-tolerant dispatch, backend resolution from arguments, who closes a backend (``simulate_batch`` closes what
 it resolves, never a caller's instance), the runtime's in-process
 one-group rule, and the CPU-count pool cap.
 """
@@ -13,7 +12,7 @@ import os
 import pytest
 
 from repro.apex.architectures import MemoryArchitecture
-from repro.config import BACKEND_ENV, WORKER_ADDRS_ENV
+from repro.config import WORKER_ADDRS_ENV
 from repro.errors import ExecutionError
 from repro.exec import (
     ExecutionRuntime,
@@ -189,16 +188,14 @@ class TestShardedFaults:
 
 
 class TestResolveBackend:
-    def test_unset_applies_the_default_rule(self, monkeypatch):
-        monkeypatch.delenv(BACKEND_ENV, raising=False)
+    def test_unset_applies_the_default_rule(self):
         assert isinstance(resolve_backend(None, workers=1), SerialBackend)
         with ExecutionRuntime(workers=2) as runtime:
             pooled = resolve_backend(None, workers=2, runtime=runtime)
             assert isinstance(pooled, PoolBackend)
             assert pooled.runtime is runtime
 
-    def test_unset_workers_take_the_runtime_size(self, monkeypatch):
-        monkeypatch.delenv(BACKEND_ENV, raising=False)
+    def test_unset_workers_take_the_runtime_size(self):
         with ExecutionRuntime(workers=2) as runtime:
             pooled = resolve_backend(None, runtime=runtime)
             assert isinstance(pooled, PoolBackend)
@@ -227,10 +224,6 @@ class TestResolveBackend:
         with pytest.raises(ExecutionError, match="unknown backend"):
             resolve_backend("quantum")
 
-    def test_env_selects_backend(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV, "serial")
-        assert isinstance(resolve_backend(None), SerialBackend)
-
     def test_remote_requires_addresses(self, monkeypatch):
         monkeypatch.delenv(WORKER_ADDRS_ENV, raising=False)
         with pytest.raises(ExecutionError, match=WORKER_ADDRS_ENV):
@@ -247,16 +240,10 @@ class TestResolveBackend:
             "127.0.0.1:2",
         ]
 
-    def test_bad_env_name_rejected(self, monkeypatch):
-        monkeypatch.setenv(BACKEND_ENV, "bogus")
-        with pytest.raises(ExecutionError):
-            resolve_backend(None)
-
 
 class TestEngineSelection:
     @pytest.fixture(autouse=True)
-    def _isolate_default(self, monkeypatch):
-        monkeypatch.delenv(BACKEND_ENV, raising=False)
+    def _isolate_default(self):
         previous = set_default_runtime(None)
         yield
         current = set_default_runtime(previous)

@@ -283,6 +283,34 @@ class TestNetworkedCache:
         assert report.results == reference.results
         assert cache.net_hits == 0
 
+    def test_version_skewed_peer_is_a_miss(
+        self, worker, tiny_trace, mem_library, monkeypatch
+    ):
+        """A peer that refuses the handshake is written off: lookups
+        miss, the batch simulates locally, and no socket leaks."""
+        import gc
+        import warnings
+
+        from repro.exec import worker as worker_module
+
+        monkeypatch.setattr(
+            worker_module, "KERNEL_PLAN_VERSION", KERNEL_PLAN_VERSION + 1
+        )
+        jobs = _jobs(mem_library)
+        reference = simulate_batch(tiny_trace, jobs, cache=NullCache())
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always", ResourceWarning)
+            cache = SimulationCache(url=worker.address)
+            report = simulate_batch(tiny_trace, jobs, cache=cache)
+            assert cache._client.dead
+            cache.close()
+            del cache
+            gc.collect()
+        assert report.results == reference.results
+        assert report.cache_net_hits == 0
+        leaked = [w for w in caught if issubclass(w.category, ResourceWarning)]
+        assert not leaked, [str(w.message) for w in leaked]
+
 
 class TestWorkerCli:
     def test_worker_subcommand_serves(self):

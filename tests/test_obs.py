@@ -18,8 +18,17 @@ import pytest
 from repro import obs
 from repro.apex.explorer import ApexResult
 from repro.config import (
+    BENCH_SMOKE_ENV,
+    CACHE_DIR_ENV,
+    CACHE_MAX_MB_ENV,
+    CACHE_URL_ENV,
+    FAULT_INJECT_ENV,
     JOB_TIMEOUT_ENV,
+    MAX_RETRIES_ENV,
     OBS_ENV,
+    REFERENCE_SIM_ENV,
+    SERVICE_URL_ENV,
+    WORKER_ADDRS_ENV,
     WORKERS_ENV,
     Settings,
     current_settings,
@@ -30,7 +39,7 @@ from repro.errors import ExecutionError, ExplorationError
 from repro.exec.backend import PoolBackend
 from repro.exec.cache import NullCache, SimulationCache
 from repro.exec.engine import SimulationJob, simulate_batch
-from repro.exec.runtime import FAULT_INJECT_ENV, ExecutionRuntime, RuntimeStats
+from repro.exec.runtime import ExecutionRuntime, RuntimeStats
 from repro.obs.registry import ObsSnapshot
 
 from .test_exec_faults import _jobs
@@ -318,18 +327,49 @@ class TestSettings:
         finally:
             assert set_settings(None) is explicit
 
-    def test_as_env_round_trips(self):
-        settings = Settings(
+    def test_from_env_parses_every_variable(self):
+        env = {
+            WORKERS_ENV: "4",
+            JOB_TIMEOUT_ENV: "2.5",
+            MAX_RETRIES_ENV: "0",
+            CACHE_DIR_ENV: "/srv/cache",
+            CACHE_MAX_MB_ENV: "64",
+            WORKER_ADDRS_ENV: "10.0.0.1:7000, 10.0.0.2:7000",
+            CACHE_URL_ENV: "10.0.0.3:7001",
+            SERVICE_URL_ENV: "http://10.0.0.4:9",
+            FAULT_INJECT_ENV: "always",
+            REFERENCE_SIM_ENV: "yes",
+            BENCH_SMOKE_ENV: "on",
+            OBS_ENV: "true",
+        }
+        assert len(env) == len(fields(Settings))
+        assert Settings.from_env(env) == Settings(
             workers=4,
             job_timeout=2.5,
             max_retries=0,
-            cache_dir="/tmp/cache",
+            cache_dir="/srv/cache",
+            cache_max_mb=64.0,
+            worker_addrs=("10.0.0.1:7000", "10.0.0.2:7000"),
+            cache_url="10.0.0.3:7001",
+            service_url="http://10.0.0.4:9",
             fault_inject="always",
             reference_sim=True,
+            bench_smoke=True,
             obs=True,
-            service_url="http://127.0.0.1:9",
         )
-        assert Settings.from_env(settings.as_env()) == settings
+
+    @pytest.mark.parametrize("raw", ["nan", "inf", "-inf", "0", "-1"])
+    @pytest.mark.parametrize("name", [JOB_TIMEOUT_ENV, CACHE_MAX_MB_ENV])
+    def test_non_finite_or_non_positive_numbers_rejected(self, name, raw):
+        with pytest.raises(ExecutionError, match="positive and finite"):
+            Settings.from_env({name: raw})
+
+    @pytest.mark.parametrize(
+        "timeout", [float("nan"), float("inf"), float("-inf"), 0.0]
+    )
+    def test_runtime_rejects_a_non_finite_timeout(self, timeout):
+        with pytest.raises(ExecutionError, match="positive and finite"):
+            ExecutionRuntime(job_timeout=timeout)
 
     def test_historical_error_types(self):
         with pytest.raises(ExplorationError):
@@ -352,7 +392,7 @@ class TestSettings:
         as_dict = Settings(workers=2).as_dict()
         assert as_dict["workers"] == 2
         assert list(as_dict) == [spec.name for spec in fields(Settings)]
-        assert len(as_dict) == 18
+        assert len(as_dict) == 12
 
 
 class TestDeprecatedStats:

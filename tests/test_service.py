@@ -234,11 +234,10 @@ class TestRunner:
         """With no backend named anywhere, a job without ``workers``
         runs on the runner's pool sized by the daemon's ``--workers``,
         not serially at ``REPRO_WORKERS``."""
-        from repro.config import BACKEND_ENV, WORKERS_ENV
+        from repro.config import WORKERS_ENV
         from repro.exec.runtime import ExecutionRuntime
         from repro.service.runner import TenantCaches, execute_job
 
-        monkeypatch.delenv(BACKEND_ENV, raising=False)
         monkeypatch.delenv(WORKERS_ENV, raising=False)
         store = JobStore()
         job = Job(spec=parse_job_spec(_spec(kind="apex")))
@@ -248,6 +247,38 @@ class TestRunner:
             batches = runtime.stats.batches
         assert job.state == jobstates.DONE, job.error
         assert batches >= 1
+
+
+class TestArgumentBounds:
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: ExplorationService(jobs=0),
+            lambda: ExplorationService(workers=0),
+            lambda: ExplorationService(queue_max=0),
+            lambda: ExplorationService(drain_timeout=0.0),
+            lambda: ExplorationService(drain_timeout=float("nan")),
+            lambda: ExplorationService(drain_timeout=float("inf")),
+            lambda: ServiceServer(ExplorationService(), port=-1),
+            lambda: ServiceServer(ExplorationService(), port=70000),
+        ],
+        ids=[
+            "jobs=0", "workers=0", "queue_max=0", "drain_timeout=0",
+            "drain_timeout=nan", "drain_timeout=inf", "port=-1",
+            "port=70000",
+        ],
+    )
+    def test_bad_arguments_raise_before_anything_starts(self, build):
+        threads = threading.active_count()
+        with pytest.raises(ServiceError):
+            build()
+        assert threading.active_count() == threads
+
+    def test_cli_serve_reports_a_bad_argument(self, capsys):
+        from repro.cli import main
+
+        assert main(["serve", "--port", "0", "--jobs", "0"]) == 1
+        assert "error: service jobs must be >= 1" in capsys.readouterr().err
 
 
 @pytest.fixture(scope="module")
@@ -370,9 +401,10 @@ class TestServiceEndToEnd:
             files = list((cache_dir / tenant).glob("*.simres.pkl"))
             assert files, f"tenant {tenant} has no cache namespace"
 
-    def test_cancel_queued_job(self):
-        # A service with zero runners: submissions stay queued.
-        service = ExplorationService(jobs=0, queue_max=4)
+    def test_cancel_queued_job(self, monkeypatch):
+        # A service whose runners never start: submissions stay queued.
+        service = ExplorationService(jobs=1, queue_max=4)
+        monkeypatch.setattr(service, "start", lambda: None)
         with ServiceServer(service, host="127.0.0.1", port=0) as server:
             client = _client(server)
             job = client.submit(_spec())
@@ -383,11 +415,12 @@ class TestServiceEndToEnd:
                 client.result(job["id"])
             assert excinfo.value.status == 409
 
-    def test_drain_rejects_new_work_and_cancels_queued(self):
-        # Zero runners again: the submitted job is still queued when
+    def test_drain_rejects_new_work_and_cancels_queued(self, monkeypatch):
+        # No runners again: the submitted job is still queued when
         # drain fires, so it must come back cancelled with the
         # draining note.
-        service = ExplorationService(jobs=0, queue_max=8)
+        service = ExplorationService(jobs=1, queue_max=8)
+        monkeypatch.setattr(service, "start", lambda: None)
         server = ServiceServer(service, host="127.0.0.1", port=0)
         server.start()
         try:
