@@ -8,7 +8,7 @@ into page hits — shorter refills and lower DRAM energy — at zero
 on-chip gate cost (the banking lives off-chip).
 
 This quantifies the extension so library users know when the banked
-preset is worth selecting via ``ApexConfig.dram_preset``.
+preset is worth selecting via ``ApexConfig.dram_options``.
 """
 
 import common

@@ -6,18 +6,20 @@ cost/performance/energy distance of the missed pareto points to the
 closest explored design, for the Pruned, Neighborhood, and Full
 strategies.
 
-The design space is restricted (fewer library options, shorter traces)
-so that Full stays tractable — the paper itself reports Full taking a
-month for compress and omits li entirely for this reason. Expected
+The design space (``repro.core.strategies.TABLE2_APEX`` /
+``TABLE2_CONEX``, which ``repro coverage`` runs too) is restricted
+(fewer library options, shorter traces) so that Full stays tractable —
+the paper itself reports Full taking a month for compress and omits li
+entirely for this reason. Expected
 shapes: Full = 100% coverage and the most time; Pruned = a large time
 reduction with partial but substantial coverage and small average
 distances; Neighborhood in between.
 """
 
 import common
-from repro.apex.explorer import ApexConfig
-from repro.conex.explorer import ConExConfig
 from repro.core.strategies import (
+    TABLE2_APEX,
+    TABLE2_CONEX,
     coverage_rows,
     run_full,
     run_neighborhood,
@@ -26,25 +28,6 @@ from repro.core.strategies import (
 from repro.exec import SimulationCache
 from repro.util.tables import format_table
 from repro.workloads import get_workload
-
-REDUCED_APEX = ApexConfig(
-    cache_options=(None, "cache_4k_16b_1w", "cache_16k_32b_2w"),
-    stream_buffer_options=(None, "stream_buffer_4"),
-    dma_options=(None, "si_dma_32"),
-    map_indexed_to_sram=(False, True),
-    # The PR-10 families join the enumerated space: the DRAM becomes a
-    # per-candidate axis (single vs 2-channel) and the scratchpad pool
-    # includes the arbitrated multi-port variant.
-    dram_options=("dram", "mcdram_2ch"),
-    sram_kinds=("multiport_sram",),
-    select_count=5,
-)
-
-REDUCED_CONEX = ConExConfig(
-    max_logical_connections=3,
-    max_assignments_per_level=48,
-    phase1_keep=12,
-)
 
 #: Short traces keep the Full strategy tractable.
 BENCH_SCALES = {"compress": 0.15, "vocoder": 0.5}
@@ -58,8 +41,8 @@ def run_benchmark(name):
         trace,
         common.MEMORY_LIBRARY,
         common.CONNECTIVITY_LIBRARY,
-        REDUCED_APEX,
-        REDUCED_CONEX,
+        TABLE2_APEX,
+        TABLE2_CONEX,
     )
     # Each strategy gets its own fresh result cache: within-strategy
     # reuse stays (as it would in a single real run), but no strategy

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Mapping
 
 from repro import obs
 from repro.apex.architectures import DRAM, MemoryArchitecture
@@ -38,6 +38,7 @@ from repro.stats import BatchStats, StatsReport
 from repro.trace.events import Trace
 from repro.trace.patterns import AccessPattern, PatternProfile, profile_patterns
 from repro.util.pareto import pareto_front
+from repro.util.selection import spread_picks
 
 
 @dataclass(frozen=True)
@@ -71,14 +72,10 @@ class ApexConfig:
         "ll_dma_32",
     )
     map_indexed_to_sram: tuple[bool, ...] = (False, True)
-    #: Off-chip DRAM preset used by every candidate (DRAM banking is a
-    #: board-level choice, not a per-candidate exploration axis).
-    dram_preset: str = "dram"
-    #: When non-empty, the DRAM *is* a per-candidate exploration axis:
-    #: each named preset (e.g. ``mcdram_2ch``) multiplies the product
-    #: and ``dram_preset`` is ignored. Empty keeps the single-preset
-    #: behaviour above.
-    dram_options: tuple[str, ...] = ()
+    #: Off-chip DRAM presets, at least one. Each named preset (e.g.
+    #: ``dram_4bank``, ``mcdram_2ch``) multiplies the product; the
+    #: default single ``dram`` keeps the DRAM out of the exploration.
+    dram_options: tuple[str, ...] = ("dram",)
     #: Module kinds eligible as the local-structure scratchpad. The
     #: smallest fitting preset of each kind becomes one enumeration
     #: option (``multiport_sram`` adds the arbitrated variants).
@@ -184,8 +181,6 @@ def enumerate_architectures(
             for flag in config.map_indexed_to_sram
             for name in ((sram_presets if flag else (None,)))
         )
-    dram_axis = config.dram_options or (config.dram_preset,)
-
     architectures: list[MemoryArchitecture] = []
     index = 0
     for cache_name, stream_name, dma_name, sram_name, dram_name in (
@@ -194,7 +189,7 @@ def enumerate_architectures(
             stream_options,
             dma_options,
             sram_options,
-            dram_axis,
+            config.dram_options,
         )
     ):
         modules: list[MemoryModule] = []
@@ -231,22 +226,6 @@ def enumerate_architectures(
     return architectures
 
 
-def _thin_selection(
-    front: Sequence[EvaluatedMemoryArchitecture], count: int
-) -> list[EvaluatedMemoryArchitecture]:
-    """Spread ``count`` picks along the cost axis of the front."""
-    ordered = sorted(front, key=lambda e: e.cost_gates)
-    if len(ordered) <= count:
-        return list(ordered)
-    if count <= 1:
-        return [ordered[0]]
-    picks = {0, len(ordered) - 1}
-    step = (len(ordered) - 1) / (count - 1)
-    for i in range(1, count - 1):
-        picks.add(round(i * step))
-    return [ordered[i] for i in sorted(picks)]
-
-
 def explore_memory_architectures(
     trace: Trace,
     library: MemoryLibrary,
@@ -272,6 +251,8 @@ def explore_memory_architectures(
         raise ExplorationError(
             f"select_count must be >= 1: {config.select_count}"
         )
+    if not config.dram_options:
+        raise ExplorationError("dram_options needs at least one DRAM preset")
     profiles = profile_patterns(trace, hints)
     with obs.span("apex.evaluate"):
         candidates = enumerate_architectures(trace, library, profiles, config)
@@ -300,7 +281,9 @@ def explore_memory_architectures(
             for architecture, result in zip(candidates, report.results)
         ]
         front = pareto_front(evaluated, key=lambda e: e.objectives)
-        selected = _thin_selection(front, config.select_count)
+        selected = spread_picks(
+            front, config.select_count, key=lambda e: e.cost_gates
+        )
     if obs.enabled():
         obs.incr("apex.candidates", len(candidates))
         obs.incr("apex.selected", len(selected))

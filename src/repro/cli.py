@@ -11,7 +11,8 @@ Commands:
 * ``explore`` — run the full MemorEx pipeline and print the complete
   report; optionally export the pareto set to CSV/JSON.
 * ``coverage`` — compare the Pruned / Neighborhood / Full strategies
-  on a reduced design space (the Table 2 experiment).
+  on the Table 2 design space (``repro.core.strategies.TABLE2_APEX`` /
+  ``TABLE2_CONEX``, the space ``bench_table2_coverage.py`` measures).
 * ``worker`` — serve simulation groups and cache traffic over a
   socket; the exploration commands dispatch to workers with
   ``--backend remote`` (addresses from ``REPRO_WORKER_ADDRS``).
@@ -36,6 +37,8 @@ from repro.connectivity.library import default_connectivity_library
 from repro.core.memorex import MemorExConfig, run_memorex
 from repro.core.report import render_full_report
 from repro.core.strategies import (
+    TABLE2_APEX,
+    TABLE2_CONEX,
     coverage_rows,
     run_full,
     run_neighborhood,
@@ -104,8 +107,8 @@ def _add_backend_argument(parser: argparse.ArgumentParser) -> None:
         choices=("serial", "pool", "remote"),
         default=None,
         help="execution backend for simulation batches (default: serial "
-        "for --jobs 1 and the pool otherwise; 'remote' shards over the "
-        "REPRO_WORKER_ADDRS socket workers)",
+        "for one simulation worker and the pool for more; 'remote' shards "
+        "over the REPRO_WORKER_ADDRS socket workers)",
     )
 
 
@@ -437,25 +440,12 @@ def _cmd_coverage(args: argparse.Namespace) -> None:
     workload = get_workload(args.workload, scale=args.scale, seed=args.seed)
     trace = workload.trace()
     hints = dict(workload.pattern_hints)
-    # A reduced space keeps the Full reference tractable from the CLI.
-    apex_config = ApexConfig(
-        cache_options=(None, "cache_4k_16b_1w", "cache_16k_32b_2w"),
-        stream_buffer_options=(None, "stream_buffer_4"),
-        dma_options=(None, "si_dma_32"),
-        map_indexed_to_sram=(False,),
-        select_count=5,
-    )
-    conex_config = ConExConfig(
-        max_logical_connections=3,
-        max_assignments_per_level=48,
-        phase1_keep=12,
-    )
     common = (
         trace,
         registry.memory_library(args.memory_lib),
         registry.connectivity_library(args.conn_lib),
-        apex_config,
-        conex_config,
+        TABLE2_APEX,
+        TABLE2_CONEX,
     )
     # One backend over one persistent runtime serves all three
     # strategies: the pool is built once and the trace is exported to
@@ -487,7 +477,7 @@ def _cmd_coverage(args: argparse.Namespace) -> None:
         format_table(
             ["strategy", "time", "coverage", "cost dist", "perf dist", "energy dist"],
             rows,
-            title=f"Pareto coverage — {args.workload} (reduced space)",
+            title=f"Pareto coverage — {args.workload} (Table 2 space)",
         )
     )
 

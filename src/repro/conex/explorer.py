@@ -36,6 +36,7 @@ from repro.sim.sampling import SamplingConfig
 from repro.stats import BatchStats, StatsReport
 from repro.trace.events import Trace
 from repro.util.pareto import pareto_front
+from repro.util.selection import spread_picks
 
 
 @dataclass(frozen=True)
@@ -230,25 +231,6 @@ def connectivity_exploration(
     return brg, points
 
 
-def _thin_by_latency(
-    front: Sequence[ConnectivityDesignPoint], count: int
-) -> list[ConnectivityDesignPoint]:
-    """Spread ``count`` picks along the latency axis of a pareto front."""
-    ordered = sorted(front, key=lambda p: p.estimate.avg_latency)
-    if len(ordered) <= count:
-        return list(ordered)
-    if count <= 1:
-        # A single carry slot: keep the lowest-latency front point
-        # (count < 1 cannot reach here — ordered is non-empty, so
-        # len(ordered) <= 0 never passes the guard above).
-        return [ordered[0]]
-    picks = {0, len(ordered) - 1}
-    step = (len(ordered) - 1) / (count - 1)
-    for i in range(1, count - 1):
-        picks.add(round(i * step))
-    return [ordered[i] for i in sorted(picks)]
-
-
 def explore_connectivity(
     trace: Trace,
     selected_memories: Sequence[EvaluatedMemoryArchitecture],
@@ -289,7 +271,13 @@ def explore_connectivity(
             local_front = pareto_front(
                 points, key=lambda p: p.estimated_objectives
             )
-            carried.extend(_thin_by_latency(local_front, config.phase1_keep))
+            carried.extend(
+                spread_picks(
+                    local_front,
+                    config.phase1_keep,
+                    key=lambda p: p.estimate.avg_latency,
+                )
+            )
     phase1_seconds = time.perf_counter() - phase1_start
 
     phase2_start = time.perf_counter()

@@ -15,7 +15,9 @@
 
 All three walk the *same* enumerated space (identical clustering and
 allocation parameters), so coverage can be measured by exact objective
-match, as the paper does.
+match, as the paper does. :data:`TABLE2_APEX` / :data:`TABLE2_CONEX`
+define the space of the reproduction's Table 2, which both ``repro
+coverage`` and ``benchmarks/bench_table2_coverage.py`` run.
 """
 
 from __future__ import annotations
@@ -46,6 +48,28 @@ from repro.memory.library import MemoryLibrary
 from repro.trace.events import Trace
 from repro.trace.patterns import AccessPattern
 from repro.util.pareto import ParetoCoverage, pareto_coverage, pareto_front
+
+
+#: The Table 2 memory space: fewer library options than the default so
+#: the Full reference stays tractable (the paper's own Full run of
+#: compress took a month), with the DRAM as a per-candidate axis
+#: (single vs 2-channel) and the arbitrated multi-port scratchpad.
+TABLE2_APEX = ApexConfig(
+    cache_options=(None, "cache_4k_16b_1w", "cache_16k_32b_2w"),
+    stream_buffer_options=(None, "stream_buffer_4"),
+    dma_options=(None, "si_dma_32"),
+    map_indexed_to_sram=(False, True),
+    dram_options=("dram", "mcdram_2ch"),
+    sram_kinds=("multiport_sram",),
+    select_count=5,
+)
+
+#: The Table 2 connectivity space, shared by all three strategies.
+TABLE2_CONEX = ConExConfig(
+    max_logical_connections=3,
+    max_assignments_per_level=48,
+    phase1_keep=12,
+)
 
 
 @dataclass(frozen=True)
@@ -168,94 +192,79 @@ def run_neighborhood(
 ) -> StrategyOutcome:
     """Pruned plus the neighbourhood of every selected design."""
     with obs.span("strategy.neighborhood"):
-        return _run_neighborhood(
-            trace, memory_library, connectivity_library, apex_config,
-            conex_config, hints=hints, workers=workers, cache=cache,
+        cache = _resolve_cache(cache)
+        hits0, misses0 = cache.hits, cache.misses
+        start = time.perf_counter()
+        apex = explore_memory_architectures(
+            trace, memory_library, apex_config, hints=hints,
+            workers=workers, cache=cache, backend=backend,
+        )
+        expanded = _expand_neighborhood(apex.selected, apex.evaluated)
+        widened = replace(
+            conex_config, phase1_keep=2 * conex_config.phase1_keep
+        )
+        conex = explore_connectivity(
+            trace, expanded, connectivity_library, widened,
+            workers=workers, cache=cache, backend=backend,
+        )
+        # One-swap connectivity neighbors of every simulated design,
+        # estimated inline and simulated as one batch.
+        simulated = list(conex.simulated)
+        seen = {
+            (p.memory_name, p.connectivity.preset_signature())
+            for p in simulated
+        }
+        neighbor_points: list[ConnectivityDesignPoint] = []
+        for point in conex.simulated:
+            memory = point.memory_eval.architecture
+            for neighbor in assignment_neighbors(
+                point.connectivity, connectivity_library, memory
+            ):
+                key = (memory.name, neighbor.preset_signature())
+                if key in seen:
+                    continue
+                seen.add(key)
+                neighbor_points.append(
+                    ConnectivityDesignPoint(
+                        memory_eval=point.memory_eval,
+                        connectivity=neighbor,
+                        estimate=estimate_design(
+                            memory, neighbor, point.memory_eval.result
+                        ),
+                    )
+                )
+        report = simulate_batch(
+            trace,
+            [
+                SimulationJob(
+                    memory=point.memory_eval.architecture,
+                    connectivity=point.connectivity,
+                )
+                for point in neighbor_points
+            ],
+            workers=workers,
+            cache=cache,
             backend=backend,
         )
-
-
-def _run_neighborhood(
-    trace: Trace,
-    memory_library: MemoryLibrary,
-    connectivity_library: ConnectivityLibrary,
-    apex_config: ApexConfig,
-    conex_config: ConExConfig,
-    hints: dict[str, AccessPattern] | None = None,
-    workers: int | None = None,
-    cache: SimulationCache | None = None,
-    backend: "ExecutionBackend | str | None" = None,
-) -> StrategyOutcome:
-    cache = _resolve_cache(cache)
-    hits0, misses0 = cache.hits, cache.misses
-    start = time.perf_counter()
-    apex = explore_memory_architectures(
-        trace, memory_library, apex_config, hints=hints,
-        workers=workers, cache=cache, backend=backend,
-    )
-    expanded = _expand_neighborhood(apex.selected, apex.evaluated)
-    widened = replace(conex_config, phase1_keep=2 * conex_config.phase1_keep)
-    conex = explore_connectivity(
-        trace, expanded, connectivity_library, widened,
-        workers=workers, cache=cache, backend=backend,
-    )
-    # One-swap connectivity neighbors of every simulated design,
-    # estimated inline and simulated as one batch.
-    simulated = list(conex.simulated)
-    seen = {
-        (p.memory_name, p.connectivity.preset_signature()) for p in simulated
-    }
-    neighbor_points: list[ConnectivityDesignPoint] = []
-    for point in conex.simulated:
-        memory = point.memory_eval.architecture
-        for neighbor in assignment_neighbors(
-            point.connectivity, connectivity_library, memory
-        ):
-            key = (memory.name, neighbor.preset_signature())
-            if key in seen:
-                continue
-            seen.add(key)
-            neighbor_points.append(
-                ConnectivityDesignPoint(
-                    memory_eval=point.memory_eval,
-                    connectivity=neighbor,
-                    estimate=estimate_design(
-                        memory, neighbor, point.memory_eval.result
-                    ),
-                )
-            )
-    report = simulate_batch(
-        trace,
-        [
-            SimulationJob(
-                memory=point.memory_eval.architecture,
+        simulated.extend(
+            ConnectivityDesignPoint(
+                memory_eval=point.memory_eval,
                 connectivity=point.connectivity,
+                estimate=point.estimate,
+                simulation=result,
             )
-            for point in neighbor_points
-        ],
-        workers=workers,
-        cache=cache,
-        backend=backend,
-    )
-    simulated.extend(
-        ConnectivityDesignPoint(
-            memory_eval=point.memory_eval,
-            connectivity=point.connectivity,
-            estimate=point.estimate,
-            simulation=result,
+            for point, result in zip(neighbor_points, report.results)
         )
-        for point, result in zip(neighbor_points, report.results)
-    )
-    seconds = time.perf_counter() - start
-    return StrategyOutcome(
-        name="Neighborhood",
-        seconds=seconds,
-        simulated=tuple(simulated),
-        pareto=_pareto(simulated),
-        cache_hits=cache.hits - hits0,
-        cache_misses=cache.misses - misses0,
-        workers=report.workers,
-    )
+        seconds = time.perf_counter() - start
+        return StrategyOutcome(
+            name="Neighborhood",
+            seconds=seconds,
+            simulated=tuple(simulated),
+            pareto=_pareto(simulated),
+            cache_hits=cache.hits - hits0,
+            cache_misses=cache.misses - misses0,
+            workers=report.workers,
+        )
 
 
 def run_full(
@@ -278,69 +287,51 @@ def run_full(
     module columns per memory architecture.
     """
     with obs.span("strategy.full"):
-        return _run_full(
-            trace, memory_library, connectivity_library, apex_config,
-            conex_config, hints=hints, workers=workers, cache=cache,
+        cache = _resolve_cache(cache)
+        hits0, misses0 = cache.hits, cache.misses
+        start = time.perf_counter()
+        apex = explore_memory_architectures(
+            trace, memory_library, apex_config, hints=hints,
+            workers=workers, cache=cache, backend=backend,
+        )
+        candidates: list[ConnectivityDesignPoint] = []
+        for memory_eval in apex.evaluated:
+            _, points = connectivity_exploration(
+                trace, memory_eval, connectivity_library, conex_config
+            )
+            candidates.extend(points)
+        report = simulate_batch(
+            trace,
+            [
+                SimulationJob(
+                    memory=point.memory_eval.architecture,
+                    connectivity=point.connectivity,
+                )
+                for point in candidates
+            ],
+            workers=workers,
+            cache=cache,
             backend=backend,
         )
-
-
-def _run_full(
-    trace: Trace,
-    memory_library: MemoryLibrary,
-    connectivity_library: ConnectivityLibrary,
-    apex_config: ApexConfig,
-    conex_config: ConExConfig,
-    hints: dict[str, AccessPattern] | None = None,
-    workers: int | None = None,
-    cache: SimulationCache | None = None,
-    backend: "ExecutionBackend | str | None" = None,
-) -> StrategyOutcome:
-    cache = _resolve_cache(cache)
-    hits0, misses0 = cache.hits, cache.misses
-    start = time.perf_counter()
-    apex = explore_memory_architectures(
-        trace, memory_library, apex_config, hints=hints,
-        workers=workers, cache=cache, backend=backend,
-    )
-    candidates: list[ConnectivityDesignPoint] = []
-    for memory_eval in apex.evaluated:
-        _, points = connectivity_exploration(
-            trace, memory_eval, connectivity_library, conex_config
-        )
-        candidates.extend(points)
-    report = simulate_batch(
-        trace,
-        [
-            SimulationJob(
-                memory=point.memory_eval.architecture,
+        simulated = [
+            ConnectivityDesignPoint(
+                memory_eval=point.memory_eval,
                 connectivity=point.connectivity,
+                estimate=point.estimate,
+                simulation=result,
             )
-            for point in candidates
-        ],
-        workers=workers,
-        cache=cache,
-        backend=backend,
-    )
-    simulated = [
-        ConnectivityDesignPoint(
-            memory_eval=point.memory_eval,
-            connectivity=point.connectivity,
-            estimate=point.estimate,
-            simulation=result,
+            for point, result in zip(candidates, report.results)
+        ]
+        seconds = time.perf_counter() - start
+        return StrategyOutcome(
+            name="Full",
+            seconds=seconds,
+            simulated=tuple(simulated),
+            pareto=_pareto(simulated),
+            cache_hits=cache.hits - hits0,
+            cache_misses=cache.misses - misses0,
+            workers=report.workers,
         )
-        for point, result in zip(candidates, report.results)
-    ]
-    seconds = time.perf_counter() - start
-    return StrategyOutcome(
-        name="Full",
-        seconds=seconds,
-        simulated=tuple(simulated),
-        pareto=_pareto(simulated),
-        cache_hits=cache.hits - hits0,
-        cache_misses=cache.misses - misses0,
-        workers=report.workers,
-    )
 
 
 def coverage_rows(

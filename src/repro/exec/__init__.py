@@ -22,13 +22,15 @@ connectivity) design points. This package makes that the fast path:
 * :mod:`repro.exec.runtime` — the persistent
   :class:`ExecutionRuntime`: a long-lived worker pool reused across
   batches, with traces exported once per fingerprint to shared memory
-  so workers attach zero-copy instead of unpickling them. Dispatch is
-  fault tolerant: worker deaths and job timeouts
-  (``REPRO_JOB_TIMEOUT``) rebuild the pool and re-dispatch only the
-  unfinished work, and after ``REPRO_MAX_RETRIES`` rebuilds the batch
-  degrades to the serial in-process path instead of failing. A batch
-  of at most one group runs in process on the runtime, with no pool.
-  Pools are capped at the machine's CPU count.
+  so workers attach zero-copy instead of unpickling them. It also
+  holds the one recovery loop (``dispatch_groups``) that the pool and
+  :class:`ShardedBackend` share: worker deaths, dead shards and units
+  past their timeout budget (``REPRO_JOB_TIMEOUT`` × the jobs a unit
+  carries) re-dispatch only the unfinished work, and after
+  ``REPRO_MAX_RETRIES`` retries the batch degrades to
+  :class:`SerialBackend` instead of failing. A batch of at most one
+  group runs in process on the runtime, with no pool. Pools are capped
+  at the machine's CPU count.
 * :mod:`repro.exec.net` / :mod:`repro.exec.worker` — the
   dependency-free length-prefixed socket protocol and the ``repro
   worker`` server that serves simulation groups and networked cache

@@ -11,7 +11,9 @@ order).
 
 Implementations:
 
-* :class:`SerialBackend` — in-process loops; the reference semantics.
+* :class:`SerialBackend` — in-process loops; the reference semantics
+  and the one in-process path (the runtime's one-worker branch and
+  every degraded remainder run through it).
 * :class:`PoolBackend` — wraps the persistent
   :class:`~repro.exec.runtime.ExecutionRuntime` (one process pool,
   shared-memory trace exports, fault-tolerant chunk dispatch).
@@ -20,13 +22,13 @@ Implementations:
   protocol. The trace ships at most once per (worker, fingerprint);
   job batches then reference the fingerprint alone.
 * :class:`ShardedBackend` — composes N backends, sharding the group
-  list round-robin by index. Fault tolerance mirrors the runtime's
-  (PR 4) semantics: a :class:`~repro.exec.net.BackendUnavailable`
-  marks the shard dead and re-dispatches only its unfinished groups to
-  the survivors; after ``max_retries`` recovery rounds (or when no
-  shard survives) the remainder degrades to a local
-  :class:`SerialBackend`. Job-raised errors are *not* faults and
-  propagate unchanged.
+  list round-robin by index. It recovers through the runtime's
+  recovery loop (:func:`~repro.exec.runtime.dispatch_groups`): a
+  :class:`~repro.exec.net.BackendUnavailable` marks the shard dead and
+  the next round re-dispatches only its unfinished groups to the
+  survivors; after ``max_retries`` recovery rounds (or when no shard
+  survives) the remainder degrades to :class:`SerialBackend`.
+  Job-raised errors are *not* faults and propagate unchanged.
 
 Every engine batch runs through exactly one backend: the instance
 passed as ``backend=`` to an engine entry point or a driver, or the one
@@ -52,6 +54,8 @@ from repro.exec.runtime import (
     DispatchStats,
     ExecutionRuntime,
     default_runtime,
+    dispatch_groups,
+    job_budget,
     resolve_max_retries,
     resolve_workers,
 )
@@ -70,9 +74,6 @@ __all__ = [
     "ShardedBackend",
     "resolve_backend",
 ]
-
-GroupOutcome = "tuple[list[SimulationResult], int]"
-
 
 class ExecutionBackend:
     """Interface: run ordered group lists, return outcomes in order.
@@ -134,7 +135,11 @@ class ExecutionBackend:
 
 
 class SerialBackend(ExecutionBackend):
-    """In-process loops — the reference every other backend must match."""
+    """In-process loops — the reference every other backend must match.
+
+    This is the one in-process path: the runtime runs a one-worker or
+    one-group batch here, and the recovery loop degrades here.
+    """
 
     name = "serial"
 
@@ -142,6 +147,8 @@ class SerialBackend(ExecutionBackend):
         self.last_dispatch = DispatchStats(
             jobs=sum(len(group) for group in groups)
         )
+        if not groups:
+            return []
         plan = sim_batch.trace_plan(trace)
         return [
             sim_batch.evaluate_group(trace, group, plan) for group in groups
@@ -207,6 +214,12 @@ class RemoteBackend(ExecutionBackend):
     connection-level failures surface as
     :class:`~repro.exec.net.BackendUnavailable` for the sharding layer
     to recover from.
+
+    ``timeout`` (default ``REPRO_JOB_TIMEOUT``) is the per-job timeout.
+    It bounds the handshake and the trace round trips as given; a
+    simulation request, which the worker answers only once every group
+    in it has finished, waits :func:`~repro.exec.runtime.job_budget`:
+    the timeout × the jobs it carries, as a pool chunk does.
     """
 
     name = "remote"
@@ -282,8 +295,14 @@ class RemoteBackend(ExecutionBackend):
 
     def _run_remote(self, request: dict) -> list:
         request["collect"] = obs.enabled()
-        with obs.span("backend.remote_dispatch"):
-            reply = self._request(net.MSG_SIM_GROUPS, request)
+        connection = self._connection()
+        connection.settimeout(job_budget(self.timeout, request["groups"]))
+        try:
+            with obs.span("backend.remote_dispatch"):
+                reply = self._request(net.MSG_SIM_GROUPS, request)
+        finally:
+            if self._conn is connection:
+                connection.settimeout(self.timeout)
         data = reply.unpickle()
         obs.merge_snapshot(data.get("obs"))
         return data["values"]
@@ -340,23 +359,13 @@ class ShardedBackend(ExecutionBackend):
     def __init__(
         self,
         backends: Sequence[ExecutionBackend],
-        fallback: ExecutionBackend | None = None,
         max_retries: int | None = None,
     ) -> None:
         if not backends:
             raise ExecutionError("ShardedBackend needs at least one backend")
         self.backends = list(backends)
-        self.fallback = fallback if fallback is not None else SerialBackend()
         self.max_retries = resolve_max_retries(max_retries)
         self._alive = [True] * len(self.backends)
-
-    @property
-    def healthy_backends(self) -> list[ExecutionBackend]:
-        return [
-            backend
-            for backend, alive in zip(self.backends, self._alive)
-            if alive
-        ]
 
     @property
     def bytes_sent(self) -> int:
@@ -366,86 +375,70 @@ class ShardedBackend(ExecutionBackend):
     def bytes_received(self) -> int:
         return sum(backend.bytes_received for backend in self.backends)
 
-    # -- fault-tolerant sharded dispatch -------------------------------
-
     def run_groups(self, trace, groups):
         """Shard the groups round-robin; recover from dead shards.
 
-        Mirrors :meth:`repro.exec.runtime.ExecutionRuntime._dispatch_chunks`:
-        per-round bookkeeping keyed by group index, dead shards
-        detected via :class:`~repro.exec.net.BackendUnavailable`,
-        unfinished groups re-dispatched to survivors, and the
-        :attr:`fallback` backend after the retry budget. Job-raised
-        errors propagate unchanged.
+        Recovery is :func:`~repro.exec.runtime.dispatch_groups`, the
+        loop the process pool runs too; this backend supplies only the
+        round (:meth:`_round`).
         """
         items = [tuple(group) for group in groups]
-        stats = DispatchStats(jobs=sum(len(group) for group in items))
-        results: list = [None] * len(items)
-        finished = [False] * len(items)
-        pending = list(range(len(items)))
-        while pending:
-            shards = [
-                index
-                for index, alive in enumerate(self._alive)
-                if alive
-            ]
-            if not shards or stats.degraded:
-                stats.degraded = True
-                values = self.fallback.run_groups(
-                    trace, [items[i] for i in pending]
-                )
-                for index, value in zip(pending, values):
-                    results[index] = value
-                break
-            # Deterministic round-robin by position in the pending list.
-            assignments: dict[int, list[int]] = {s: [] for s in shards}
-            for position, index in enumerate(pending):
-                assignments[shards[position % len(shards)]].append(index)
-            errors: list[BaseException] = []
-
-            def dispatch(shard: int, indices: list[int]) -> None:
-                try:
-                    values = self.backends[shard].run_groups(
-                        trace, [items[i] for i in indices]
-                    )
-                except net.BackendUnavailable:
-                    # Dead socket: mark the shard down; its indices
-                    # stay pending for the next recovery round.
-                    self._alive[shard] = False
-                    obs.incr("backend.shard_deaths")
-                except BaseException as error:  # job error: propagate
-                    errors.append(error)
-                else:
-                    for index, value in zip(indices, values):
-                        results[index] = value
-                        finished[index] = True
-
-            threads = [
-                threading.Thread(target=dispatch, args=(shard, indices))
-                for shard, indices in assignments.items()
-                if indices
-            ]
-            for thread in threads:
-                thread.start()
-            for thread in threads:
-                thread.join()
-            if errors:
-                raise errors[0]
-            pending = [i for i in pending if not finished[i]]
-            if pending:
-                if stats.retries >= self.max_retries:
-                    stats.degraded = True
-                else:
-                    stats.retries += 1
-                obs.incr("backend.redispatches")
-        self.last_dispatch = stats
+        results, self.last_dispatch = dispatch_groups(
+            trace,
+            items,
+            lambda pending, _stats: self._round(trace, items, pending),
+            self.max_retries,
+        )
         return results
 
+    def _round(self, trace, items, pending: list) -> dict | None:
+        """Run ``pending`` on one thread per live shard.
+
+        A shard that raises :class:`~repro.exec.net.BackendUnavailable`
+        is marked dead and its groups stay unfinished; any other error
+        is a job error and propagates. ``None`` when no shard is alive.
+        """
+        shards = [index for index, alive in enumerate(self._alive) if alive]
+        if not shards:
+            return None
+        # Deterministic round-robin by position in the pending list.
+        assignments: dict[int, list[int]] = {shard: [] for shard in shards}
+        for position, index in enumerate(pending):
+            assignments[shards[position % len(shards)]].append(index)
+        finished: dict = {}
+        errors: list[BaseException] = []
+
+        def dispatch(shard: int, indices: list[int]) -> None:
+            try:
+                values = self.backends[shard].run_groups(
+                    trace, [items[i] for i in indices]
+                )
+            except net.BackendUnavailable:
+                self._alive[shard] = False
+                obs.incr("backend.shard_deaths")
+            except BaseException as error:  # job error: propagate
+                errors.append(error)
+            else:
+                finished.update(zip(indices, values))
+
+        threads = [
+            threading.Thread(target=dispatch, args=(shard, indices))
+            for shard, indices in assignments.items()
+            if indices
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        if errors:
+            raise errors[0]
+        if len(finished) < len(pending):
+            obs.incr("backend.redispatches")
+        return finished
 
     def close(self) -> None:
         for backend in self.backends:
             backend.close()
-        self.fallback.close()
 
     def __repr__(self) -> str:
         alive = sum(self._alive)
@@ -470,7 +463,7 @@ def resolve_backend(
       ``workers``;
     * ``"remote"`` shards across one :class:`RemoteBackend` per
       ``REPRO_WORKER_ADDRS`` address, with the runtime's retry budget
-      and a serial local fallback;
+      and the serial degrade;
     * ``None`` applies the default rule: one worker gives a
       :class:`SerialBackend`, and more give the pool exactly as for
       ``"pool"`` (whose runtime runs a batch of at most one group in

@@ -48,10 +48,12 @@ exists.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import os
 import pathlib
 import pickle
+import threading
 
 from repro import obs
 from repro.apex.architectures import MemoryArchitecture
@@ -79,6 +81,41 @@ __all__ = [
 
 #: Cache file suffix for persisted results.
 _SUFFIX = ".simres.pkl"
+
+
+def read_blob(directory: pathlib.Path, digest: str) -> bytes | None:
+    """The bytes stored under ``digest``; ``None`` if absent or unreadable.
+
+    Shared by :class:`SimulationCache`'s disk layer and the socket worker.
+    """
+    try:
+        return (directory / f"{digest}{_SUFFIX}").read_bytes()
+    except OSError:
+        return None
+
+
+def write_blob(directory: pathlib.Path, digest: str, blob: bytes) -> bool:
+    """Store ``blob`` under ``digest`` atomically; ``False`` if it failed.
+
+    The process- and thread-tagged temp name keeps concurrent writers
+    apart, and ``os.replace`` keeps readers from seeing a torn file. A
+    failed write removes its temp file and counts ``cache.write_errors``:
+    a cache write never fails the run that produced the result.
+    """
+    path = directory / f"{digest}{_SUFFIX}"
+    temp = path.with_name(
+        f"{path.name}.tmp{os.getpid()}.{threading.get_ident()}"
+    )
+    try:
+        directory.mkdir(parents=True, exist_ok=True)
+        temp.write_bytes(blob)
+        os.replace(temp, path)
+    except OSError:
+        with contextlib.suppress(OSError):
+            temp.unlink()
+        obs.incr("cache.write_errors")
+        return False
+    return True
 
 #: Version of the simulation kernel / trace-plan pipeline. Part of every
 #: simulation key (so a kernel change orphans stale in-memory and disk
@@ -149,9 +186,10 @@ class CacheClient:
 
     Speaks the :mod:`repro.exec.net` protocol against a ``repro
     worker`` at ``url`` (``host:port``). Every failure mode is soft: a
-    connect error, dropped socket, or timeout loses at most one
-    lookup, and after :data:`_NET_FAULT_LIMIT` consecutive faults the
-    peer is abandoned for the rest of the process — a cache must never
+    connect error, dropped socket, timeout, or an error the peer
+    reports for the request loses at most one lookup, and after
+    :data:`_NET_FAULT_LIMIT` consecutive faults the peer is abandoned
+    for the rest of the process — a cache must never
     make a run slower than no cache, let alone fail it. A peer that
     refuses the :func:`repro.exec.net.handshake` (version skew) is
     abandoned at once.
@@ -205,7 +243,7 @@ class CacheClient:
             reply = self._connection().request_pickled(
                 net.MSG_CACHE_GET, digest
             )
-        except net.BackendUnavailable:
+        except ExecutionError:  # a dead peer, or its MSG_ERROR reply
             self._drop_connection()
             return None
         self._faults = 0
@@ -222,7 +260,7 @@ class CacheClient:
             self._connection().request_pickled(
                 net.MSG_CACHE_PUT, (digest, blob)
             )
-        except net.BackendUnavailable:
+        except ExecutionError:  # a dead peer, or its MSG_ERROR reply
             self._drop_connection()
         else:
             self._faults = 0
@@ -350,15 +388,10 @@ class SimulationCache:
         return self.directory / f"{key_digest(key)}{_SUFFIX}"
 
     def _load_from_disk(self, key: tuple) -> SimulationResult | None:
+        blob = read_blob(self.directory, key_digest(key))
+        if blob is None:
+            return None
         path = self._disk_path(key)
-        if not path.exists():
-            return None
-        try:
-            with open(path, "rb") as handle:
-                blob = handle.read()
-        except OSError:
-            # Lost a race with another process's eviction: a miss.
-            return None
         result = _decode_payload(blob)
         if result is None:
             # A torn/corrupt file, or one written by a different kernel
@@ -384,15 +417,8 @@ class SimulationCache:
 
     def _store_to_disk(self, key: tuple, result: SimulationResult) -> None:
         assert self.directory is not None
-        self.directory.mkdir(parents=True, exist_ok=True)
-        path = self._disk_path(key)
-        # PID-tagged temp name: concurrent processes sharing the
-        # directory never clobber each other's in-flight writes.
-        temp = path.with_suffix(path.suffix + f".tmp{os.getpid()}")
-        with open(temp, "wb") as handle:
-            handle.write(_encode_payload(result))
-        os.replace(temp, path)  # atomic: readers never see a torn file
-        self._enforce_disk_cap()
+        if write_blob(self.directory, key_digest(key), _encode_payload(result)):
+            self._enforce_disk_cap()
 
     def _enforce_disk_cap(self) -> None:
         """Evict least-recently-used entries once over ``max_mb``."""

@@ -26,14 +26,13 @@ simulation groups (:meth:`ExecutionRuntime.map_simulation_groups`).
 **Fault tolerance.** A worker death (OOM kill, segfault, SIGKILL)
 breaks a ``ProcessPoolExecutor`` permanently: every in-flight and
 future submission raises ``BrokenProcessPool``. The runtime survives
-this instead of failing the batch. Dispatch is chunked through
-``pool.submit`` with per-chunk bookkeeping, so when a pool breaks (or
-a chunk exceeds the per-job timeout from ``REPRO_JOB_TIMEOUT``) the
-runtime collects every chunk that already finished, rebuilds the pool,
-and re-dispatches only the unfinished item indices — results stay keyed
-by index, so a recovered batch is bit-identical to an undisturbed
-one. After ``REPRO_MAX_RETRIES`` pool rebuilds (default 2) the batch
-degrades to the serial in-process path rather than erroring. Per-dispatch accounting lands in
+this instead of failing the batch. Recovery is :func:`dispatch_groups`,
+the one loop the sharded socket backend runs too: results stay keyed
+by group index, each round re-dispatches only the unfinished groups
+and spends one of ``REPRO_MAX_RETRIES`` retries (default 2), and then
+the remainder degrades to the serial in-process path. The pool's round
+rebuilds the pool when it breaks or when a chunk exceeds its
+:func:`job_budget`. Per-dispatch accounting lands in
 :attr:`ExecutionRuntime.last_dispatch` (a :class:`DispatchStats`) and
 accumulates in :attr:`ExecutionRuntime.stats`; the engine surfaces it
 as ``EngineReport.retries`` / ``pool_rebuilds`` / ``degraded``.
@@ -43,9 +42,10 @@ PID-tagged names and a sidecar manifest (:mod:`repro.trace.shm`),
 SIGTERM/SIGINT unlink whatever is still registered, and runtime
 construction sweeps blocks leaked by dead processes.
 
-``workers=1`` keeps the serial in-process fallback: no pool, no
-export, bit-identical results — the determinism contract of
-:mod:`repro.exec.engine` is unchanged because results stay keyed by
+``workers=1`` runs in process on
+:class:`~repro.exec.backend.SerialBackend` (the one in-process path):
+no pool, no export, bit-identical results — the determinism contract
+of :mod:`repro.exec.engine` is unchanged because results stay keyed by
 index and the simulator is deterministic. A batch of at most one group
 takes the same in-process path at any worker count: one group is never
 split, so a pool could only add the export and the round trip.
@@ -54,7 +54,6 @@ split, so a pool could only add the export and the round trip.
 from __future__ import annotations
 
 import atexit
-import multiprocessing
 import os
 import signal
 import time
@@ -95,7 +94,9 @@ __all__ = [
     "RuntimeStats",
     "default_runtime",
     "dispatch_chunksize",
+    "dispatch_groups",
     "effective_pool_workers",
+    "job_budget",
     "resolve_job_timeout",
     "resolve_max_retries",
     "resolve_workers",
@@ -182,18 +183,18 @@ def dispatch_chunksize(pending: int, workers: int) -> int:
 
 @dataclass
 class DispatchStats(StatsReport):
-    """Fault accounting for one ``map_simulation_groups`` call.
+    """Fault accounting for one backend's ``run_groups`` call.
 
     Attributes:
-        jobs: jobs the call was asked to run.
-        retries: recovery rounds that re-dispatched unfinished jobs to
-            a rebuilt pool.
+        jobs: jobs the call was asked to run (not groups).
+        retries: recovery rounds that re-dispatched unfinished groups
+            (to a rebuilt pool, or to the surviving shards).
         pool_rebuilds: worker pools torn down and rebuilt after a fault
             (a broken pool or a chunk timeout).
-        timeouts: chunks abandoned because they exceeded the per-job
-            timeout budget.
-        degraded: the rebuild budget ran out and the remaining jobs
-            finished on the serial in-process path.
+        timeouts: chunks abandoned because they exceeded their timeout
+            budget (:func:`job_budget`).
+        degraded: the retry budget ran out (or no shard survived) and
+            the remaining groups finished on the serial in-process path.
     """
 
     jobs: int = 0
@@ -201,6 +202,62 @@ class DispatchStats(StatsReport):
     pool_rebuilds: int = 0
     timeouts: int = 0
     degraded: bool = False
+
+
+def job_budget(
+    job_timeout: float | None, groups: "Sequence[Sequence[SimulationJob]]"
+) -> float | None:
+    """Seconds a pool chunk or socket request of ``groups`` may take:
+    the per-job timeout × the jobs (not groups) it carries, or ``None``.
+    """
+    if job_timeout is None:
+        return None
+    return job_timeout * sum(len(group) for group in groups)
+
+
+def dispatch_groups(
+    trace: Trace,
+    groups: "Sequence[tuple[SimulationJob, ...]]",
+    run_round: Callable[[list, DispatchStats], "dict | None"],
+    max_retries: int,
+) -> tuple[list, DispatchStats]:
+    """The recovery loop every dispatching backend shares.
+
+    ``run_round(pending, stats)`` is the backend's part: it runs the
+    groups at the ``pending`` indices and returns the outcomes it
+    finished, keyed by index, or ``None`` when it can run nothing (no
+    shard left alive). Job-raised errors propagate out of it unchanged.
+
+    The loop owns the rest. Results are kept by group index, so a
+    recovered dispatch returns exactly what an undisturbed one would.
+    A round that leaves groups unfinished spends one retry, and the
+    next round re-dispatches only those. Once ``max_retries`` retries
+    are spent, or when a round can run nothing, the remainder degrades
+    to :class:`~repro.exec.backend.SerialBackend`.
+    """
+    from repro.exec.backend import SerialBackend  # backend imports us
+
+    stats = DispatchStats(jobs=sum(len(group) for group in groups))
+    results: list = [None] * len(groups)
+    pending = list(range(len(groups)))
+    while pending:
+        finished = run_round(pending, stats)
+        if finished is None:
+            break
+        for index, value in finished.items():
+            results[index] = value
+        pending = [index for index in pending if index not in finished]
+        if not pending or stats.retries >= max_retries:
+            break
+        stats.retries += 1
+    if pending:
+        stats.degraded = True
+        values = SerialBackend().run_groups(
+            trace, [groups[index] for index in pending]
+        )
+        for index, value in zip(pending, values):
+            results[index] = value
+    return results, stats
 
 
 @dataclass
@@ -350,9 +407,6 @@ class ExecutionRuntime:
         workers: process count; ``None`` consults ``REPRO_WORKERS``
             and falls back to 1 (serial: the runtime stays inert — no
             pool, no exports).
-        mp_context: optional :mod:`multiprocessing` start-method name
-            (``"fork"``, ``"spawn"``, ``"forkserver"``) or context
-            object; ``None`` uses the platform default.
         job_timeout: per-job seconds before a chunk counts as stuck;
             ``None`` consults ``REPRO_JOB_TIMEOUT`` (unset: no timeout).
         max_retries: pool rebuilds per batch before degrading to the
@@ -363,14 +417,12 @@ class ExecutionRuntime:
     def __init__(
         self,
         workers: int | None = None,
-        mp_context: str | multiprocessing.context.BaseContext | None = None,
         job_timeout: float | None = None,
         max_retries: int | None = None,
     ) -> None:
         self.workers = resolve_workers(workers)
         self.job_timeout = resolve_job_timeout(job_timeout)
         self.max_retries = resolve_max_retries(max_retries)
-        self._mp_context = mp_context
         self._pool: ProcessPoolExecutor | None = None
         self._exports: dict[str, SharedTraceExport] = {}
         self._closed = False
@@ -408,12 +460,8 @@ class ExecutionRuntime:
             self.stats.pool_rebuilds += 1
             obs.incr("runtime.pool_rebuilds")
         if self._pool is None:
-            context = self._mp_context
-            if isinstance(context, str):
-                context = multiprocessing.get_context(context)
             self._pool = ProcessPoolExecutor(
-                max_workers=effective_pool_workers(self.workers),
-                mp_context=context,
+                max_workers=effective_pool_workers(self.workers)
             )
         return self._pool
 
@@ -453,116 +501,65 @@ class ExecutionRuntime:
 
     # -- fault-tolerant dispatch core ----------------------------------
 
-    def _dispatch(self, items: Sequence, inline_fn: Callable) -> list:
-        """Fault-tolerant dispatch, timed under the ``exec.dispatch`` span."""
-        with obs.span("exec.dispatch"):
-            return self._dispatch_chunks(items, inline_fn)
+    def _pool_round(
+        self,
+        handle: SharedTraceHandle,
+        groups: "Sequence[tuple[SimulationJob, ...]]",
+        collect: bool,
+        pending: list,
+        stats: DispatchStats,
+    ) -> dict:
+        """One :func:`dispatch_groups` round over the process pool.
 
-    def _dispatch_chunks(self, items: Sequence, inline_fn: Callable) -> list:
-        """Run :func:`_run_group_chunk` over chunks of ``items`` with recovery.
-
-        Chunk-level bookkeeping keeps results keyed by item index, so a
-        recovered dispatch returns exactly what an undisturbed one
-        would. Faults (``BrokenProcessPool``, chunk timeouts) rebuild
-        the pool and re-dispatch the unfinished indices; once
-        ``max_retries`` rebuilds are spent, the remainder runs through
-        ``inline_fn`` serially in-process. Job-raised exceptions are
-        not faults — they propagate to the caller unchanged.
+        Submits the pending groups in chunks and waits for each within
+        its :func:`job_budget`. A ``BrokenProcessPool`` or a chunk
+        timeout is a fault: the chunks that did finish are kept, and
+        the pool is torn down so the next round builds a fresh one.
         """
-        stats = DispatchStats(jobs=len(items))
-        results: list = [None] * len(items)
-        finished = [False] * len(items)
-        pending = list(range(len(items)))
-        collect = obs.enabled()
-
-        def harvest(payload: tuple) -> list:
-            # Chunk runners return (values, obs delta); fold the
-            # worker-side spans/counters into the parent registry so
-            # the export sees one merged view.
+        size = dispatch_chunksize(len(pending), self.workers)
+        chunks = [pending[i : i + size] for i in range(0, len(pending), size)]
+        futures: list[tuple] = []
+        fault = False
+        try:
+            pool = self._ensure_pool()
+            for chunk in chunks:
+                items = [(handle, groups[index]) for index in chunk]
+                futures.append(
+                    (pool.submit(_run_group_chunk, items, collect), chunk)
+                )
+        except BrokenProcessPool:
+            fault = True
+        finished: dict = {}
+        for future, chunk in futures:
+            if fault:
+                # Keep every chunk that finished before the fault.
+                if not future.done() or future.cancelled():
+                    continue
+                if future.exception() is not None:
+                    continue
+                payload = future.result()
+            else:
+                budget = job_budget(
+                    self.job_timeout, [groups[index] for index in chunk]
+                )
+                try:
+                    payload = future.result(timeout=budget)
+                except BrokenProcessPool:
+                    fault = True
+                    continue
+                except FuturesTimeoutError:
+                    stats.timeouts += 1
+                    fault = True
+                    continue
+            # A chunk returns (values, obs delta); fold the worker-side
+            # spans/counters into the parent registry.
             values, delta = payload
             obs.merge_snapshot(delta)
-            return values
-
-        while pending:
-            if stats.degraded:
-                for index in pending:
-                    results[index] = inline_fn(items[index])
-                    finished[index] = True
-                break
-            size = dispatch_chunksize(len(pending), self.workers)
-            chunks = [
-                pending[i : i + size] for i in range(0, len(pending), size)
-            ]
-            futures: list[tuple] = []
-            fault = False
-            try:
-                pool = self._ensure_pool()
-                for chunk in chunks:
-                    futures.append(
-                        (
-                            pool.submit(
-                                _run_group_chunk,
-                                [items[i] for i in chunk],
-                                collect,
-                            ),
-                            chunk,
-                        )
-                    )
-            except BrokenProcessPool:
-                fault = True
-            if not fault:
-                for future, chunk in futures:
-                    budget = (
-                        None
-                        if self.job_timeout is None
-                        else self.job_timeout * len(chunk)
-                    )
-                    try:
-                        values = harvest(future.result(timeout=budget))
-                    except BrokenProcessPool:
-                        fault = True
-                        break
-                    except FuturesTimeoutError:
-                        stats.timeouts += 1
-                        fault = True
-                        break
-                    for index, value in zip(chunk, values):
-                        results[index] = value
-                        finished[index] = True
-            if fault:
-                # Keep every chunk that did finish before the fault.
-                for future, chunk in futures:
-                    if finished[chunk[0]]:
-                        continue
-                    if (
-                        future.done()
-                        and not future.cancelled()
-                        and future.exception() is None
-                    ):
-                        values = harvest(future.result())
-                        for index, value in zip(chunk, values):
-                            results[index] = value
-                            finished[index] = True
-                self._discard_pool(kill=True)
-                stats.pool_rebuilds += 1
-                if stats.pool_rebuilds > self.max_retries:
-                    stats.degraded = True
-                else:
-                    stats.retries += 1
-            pending = [i for i in pending if not finished[i]]
-        self.last_dispatch = stats
-        self.stats.absorb(stats)
-        if collect:
-            # retries / pool_rebuilds / degraded travel on the engine
-            # report and are counted there (covering every backend);
-            # only dispatch-local facts the report does not carry are
-            # recorded here.
-            obs.incr("runtime.dispatches")
-            obs.incr("runtime.jobs", stats.jobs)
-            obs.incr("runtime.timeouts", stats.timeouts)
-        return results
-
-    # -- batch entry points --------------------------------------------
+            finished.update(zip(chunk, values))
+        if fault:
+            self._discard_pool(kill=True)
+            stats.pool_rebuilds += 1
+        return finished
 
     def map_simulation_groups(
         self,
@@ -577,32 +574,40 @@ class ExecutionRuntime:
         ``(results, delta_candidates)`` pair per group, ordered like
         ``groups``, inner result lists ordered like each group's jobs.
         With one worker, or at most one group, the groups run here in
-        process: no pool is built and no trace is exported.
+        process on :class:`~repro.exec.backend.SerialBackend`: no pool
+        is built and no trace is exported.
         """
+        from repro.exec.backend import SerialBackend  # backend imports us
+
         self._ensure_open()
-        if not groups:
-            self.last_dispatch = DispatchStats()
-            return []
-        total = sum(len(group) for group in groups)
-        if self.workers <= 1 or len(groups) == 1:
-            self.last_dispatch = DispatchStats(jobs=total)
-            plan = batch.trace_plan(trace)
-            return [
-                batch.evaluate_group(trace, group, plan)
-                for group in groups
-            ]
+        if self.workers <= 1 or len(groups) <= 1:
+            serial = SerialBackend()
+            results = serial.run_groups(trace, groups)
+            self.last_dispatch = serial.last_dispatch
+            return results
+        items = [tuple(group) for group in groups]
+        collect = obs.enabled()
         handle = self.share_trace(trace)
-
-        def inline(
-            item: "tuple[SharedTraceHandle, tuple[SimulationJob, ...]]",
-        ) -> "tuple[list[SimulationResult], int]":
-            _, jobs = item
-            return batch.evaluate_group(trace, jobs)
-
-        return self._dispatch(
-            [(handle, tuple(group)) for group in groups],
-            inline,
-        )
+        with obs.span("exec.dispatch"):
+            results, stats = dispatch_groups(
+                trace,
+                items,
+                lambda pending, stats: self._pool_round(
+                    handle, items, collect, pending, stats
+                ),
+                self.max_retries,
+            )
+        self.last_dispatch = stats
+        self.stats.absorb(stats)
+        if collect:
+            # retries / pool_rebuilds / degraded travel on the engine
+            # report and are counted there (covering every backend);
+            # only dispatch-local facts the report does not carry are
+            # recorded here.
+            obs.incr("runtime.dispatches")
+            obs.incr("runtime.jobs", stats.jobs)
+            obs.incr("runtime.timeouts", stats.timeouts)
+        return results
 
     def close(self) -> None:
         """Shut the pool down and unlink the shared exports. Idempotent."""

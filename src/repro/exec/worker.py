@@ -16,8 +16,10 @@ State held per worker process:
   alone. Pushed columns are attached zero-copy from the frame payload
   (:func:`repro.exec.net.decode_trace`).
 * **trace plans** come from the process-wide plan registry
-  (:func:`repro.sim.batch.trace_plan`), so repeated group batches over
-  one trace share the plan exactly like a local runtime worker does.
+  (:func:`repro.sim.batch.trace_plan`): the groups of a request run on
+  :class:`~repro.exec.backend.SerialBackend`, the one in-process path,
+  so repeated group batches over one trace share the plan exactly like
+  a local runtime worker does.
 * **cache blobs**, keyed by content digest. The worker doubles as the
   networked layer of :class:`repro.exec.cache.SimulationCache`:
   ``CACHE_GET``/``CACHE_PUT`` move opaque payload bytes (the client
@@ -59,9 +61,9 @@ from collections import OrderedDict
 from repro import obs
 from repro.config import current_settings
 from repro.exec import net
-from repro.exec.cache import KERNEL_PLAN_VERSION, _SUFFIX
+from repro.exec.backend import SerialBackend
+from repro.exec.cache import KERNEL_PLAN_VERSION, read_blob, write_blob
 from repro.exec.runtime import _chunk_observation
-from repro.sim import batch as sim_batch
 from repro.trace.events import Trace
 
 __all__ = ["ByteLRU", "DEFAULT_STORE_MB", "WorkerServer", "serve"]
@@ -317,7 +319,8 @@ class WorkerServer:
         if kind == net.MSG_CACHE_PUT:
             digest, blob = frame.unpickle()
             self._blobs.put(digest, blob, len(blob))
-            self._persist_blob(digest, blob)
+            if self.cache_dir is not None:
+                write_blob(self.cache_dir, digest, blob)
             obs.incr("worker.cache_puts")
             return net.MSG_OK, b""
         raise ValueError(f"unknown message kind {kind}")
@@ -361,12 +364,9 @@ class WorkerServer:
     def _handle_groups(self, request: dict) -> tuple[int, bytes]:
         trace = self._trace(request["fingerprint"])
         baseline = _chunk_observation(request.get("collect", False))
-        plan = sim_batch.trace_plan(trace)
-        values = [
-            sim_batch.evaluate_group(trace, group, plan)
-            for group in request["groups"]
-        ]
-        obs.incr("worker.jobs", sum(len(g) for g in request["groups"]))
+        serial = SerialBackend()
+        values = serial.run_groups(trace, request["groups"])
+        obs.incr("worker.jobs", serial.last_dispatch.jobs)
         return net.MSG_RESULT, _pickled(
             {"values": values, "obs": _obs_delta(baseline)}
         )
@@ -376,11 +376,7 @@ class WorkerServer:
     def _handle_cache_get(self, digest: str) -> tuple[int, bytes]:
         blob = self._blobs.get(digest)
         if blob is None and self.cache_dir is not None:
-            path = self.cache_dir / f"{digest}{_SUFFIX}"
-            try:
-                blob = path.read_bytes()
-            except OSError:
-                blob = None
+            blob = read_blob(self.cache_dir, digest)
             if blob is not None:
                 self._blobs.put(digest, blob, len(blob))
         if blob is None:
@@ -388,19 +384,6 @@ class WorkerServer:
             return net.MSG_CACHE_MISS, b""
         obs.incr("worker.cache_hits")
         return net.MSG_CACHE_HIT, blob
-
-    def _persist_blob(self, digest: str, blob: bytes) -> None:
-        if self.cache_dir is None:
-            return
-        self.cache_dir.mkdir(parents=True, exist_ok=True)
-        path = self.cache_dir / f"{digest}{_SUFFIX}"
-        temp = path.with_suffix(path.suffix + f".tmp{os.getpid()}")
-        try:
-            temp.write_bytes(blob)
-            os.replace(temp, path)  # atomic, same as the local disk layer
-        except OSError:
-            with contextlib.suppress(OSError):
-                temp.unlink()
 
 
 def _pickled(value) -> bytes:

@@ -3,8 +3,9 @@
 The paper leaves the final pick to the designer ("allowing the designer
 to further refine the choice, according to the goals of the system").
 These utilities support that step programmatically: a knee-point
-detector for "best bang per gate" picks, and a normalized weighted
-score for explicit priorities.
+detector for "best bang per gate" picks, a normalized weighted score
+for explicit priorities, and the evenly spread picks with which APEX
+and ConEx thin a pareto front before the next phase.
 """
 
 from __future__ import annotations
@@ -53,6 +54,27 @@ def knee_point(
 
     best_index = max(range(len(normalized)), key=lambda i: deviation(normalized[i]))
     return ordered[best_index]
+
+
+def spread_picks(
+    items: Sequence[T], count: int, key: Callable[[T], float]
+) -> list[T]:
+    """``count`` items spread evenly along ``key``, endpoints included.
+
+    The items are sorted by ``key`` (stably, so ties keep input order);
+    with at most ``count`` of them all are returned in that order, and
+    a ``count`` of one (or less) keeps the lowest.
+    """
+    ordered = sorted(items, key=key)
+    if len(ordered) <= count:
+        return ordered
+    if count <= 1:
+        return [ordered[0]]
+    picks = {0, len(ordered) - 1}
+    step = (len(ordered) - 1) / (count - 1)
+    for i in range(1, count - 1):
+        picks.add(round(i * step))
+    return [ordered[i] for i in sorted(picks)]
 
 
 def weighted_best(

@@ -23,7 +23,6 @@ from repro.conex.estimator import (
 from repro.conex.explorer import (
     ConExConfig,
     ConnectivityDesignPoint,
-    _thin_by_latency,
     explore_connectivity,
 )
 from repro.errors import ExplorationError
@@ -32,6 +31,13 @@ from repro.exec.backend import PoolBackend
 from repro.exec.runtime import ExecutionRuntime
 from repro.sim.simulator import simulate
 from repro.util.pareto import pareto_front
+from repro.util.selection import spread_picks
+
+
+def _thin_by_latency(front, count):
+    """ConEx Phase I's carry rule: picks spread along estimated latency."""
+    return spread_picks(front, count, key=lambda p: p.estimate.avg_latency)
+
 
 APEX_CONFIG = ApexConfig(
     cache_options=(None, "cache_4k_16b_1w", "cache_16k_32b_2w"),

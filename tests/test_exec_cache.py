@@ -360,6 +360,58 @@ class TestConcurrentDiskAccess:
             survivor_cache.get(("contend", i))  # must not raise
 
 
+class TestFailedDiskWrites:
+    """A disk layer that cannot be written never fails a finished batch."""
+
+    @pytest.fixture
+    def obs_on(self):
+        from repro import obs
+
+        was_enabled = obs.enabled()
+        obs.reset()
+        obs.enable()
+        yield obs
+        if not was_enabled:
+            obs.disable()
+        obs.reset()
+
+    def _jobs(self, mem_library):
+        return [
+            SimulationJob(memory=_arch(mem_library, preset, f"m{i}"))
+            for i, preset in enumerate(("cache_4k_16b_1w", "cache_8k_32b_2w"))
+        ]
+
+    def test_directory_that_is_a_file(self, tmp_path, tiny_trace, mem_library):
+        blocker = tmp_path / "not-a-directory"
+        blocker.write_text("")
+        jobs = self._jobs(mem_library)
+        reference = simulate_batch(tiny_trace, jobs, cache=NullCache())
+        cache = SimulationCache(directory=blocker)
+        report = simulate_batch(tiny_trace, jobs, cache=cache)
+        assert report.results == reference.results
+        assert report.cache_misses == len(jobs)
+        # The memory layer still serves the next lookup.
+        again = simulate_batch(tiny_trace, jobs, cache=cache)
+        assert again.cache_hits == len(jobs)
+
+    def test_failed_replace_removes_its_temp_file(
+        self, tmp_path, tiny_trace, mem_library, obs_on
+    ):
+        jobs = self._jobs(mem_library)
+        reference = simulate_batch(tiny_trace, jobs, cache=NullCache())
+        for job in jobs:
+            # A directory squatting on the entry's name makes the final
+            # os.replace fail after the temp file was written.
+            key = simulation_key(tiny_trace, job.memory, None)
+            (tmp_path / f"{key_digest(key)}.simres.pkl").mkdir()
+        report = simulate_batch(
+            tiny_trace, jobs, cache=SimulationCache(directory=tmp_path)
+        )
+        assert report.results == reference.results
+        assert not list(tmp_path.glob("*.tmp*"))
+        assert obs_on.snapshot().counters["cache.write_errors"] == len(jobs)
+
+
 class TestNullCache:
     def test_never_stores(self):
         cache = NullCache()

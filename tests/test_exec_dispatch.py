@@ -1,0 +1,128 @@
+"""The one dispatch policy: a per-job timeout budget and a jobs count
+that mean the same on every backend.
+
+The process pool and the sharded socket backend share one recovery loop
+(:func:`repro.exec.runtime.dispatch_groups`). A unit of work — a pool
+chunk or a socket request — carries whole memory-signature groups, and
+its timeout budget is ``job_timeout`` × the *jobs* inside them. These
+tests slow every job down by a fixed sleep so the budget is checked by
+margins of at least 4× either way: the per-job timeout is 5× one job,
+and a unit carries 20 jobs, 4× the per-job timeout.
+"""
+
+import threading
+import time
+
+import pytest
+
+from repro.apex.architectures import MemoryArchitecture
+from repro.exec import (
+    ExecutionRuntime,
+    PoolBackend,
+    RemoteBackend,
+    SerialBackend,
+    ShardedBackend,
+    SimulationJob,
+)
+from repro.exec.worker import WorkerServer
+from repro.sim import batch as sim_batch
+
+#: Seconds every job sleeps, and the per-job timeout (5× a job).
+PER_JOB = 0.04
+JOB_TIMEOUT = 5 * PER_JOB
+
+
+def _arch(mem_library, preset: str, name: str) -> MemoryArchitecture:
+    cache = mem_library.get(preset).instantiate("cache")
+    dram = mem_library.get("dram").instantiate()
+    return MemoryArchitecture(name, [cache], dram, {}, "cache")
+
+
+def _groups(mem_library, sizes) -> list[tuple[SimulationJob, ...]]:
+    """One same-signature group per size, each a repeated job."""
+    presets = ("cache_4k_16b_1w", "cache_8k_32b_1w", "cache_16k_32b_2w")
+    return [
+        (SimulationJob(memory=_arch(mem_library, preset, f"m{i}")),) * size
+        for i, (preset, size) in enumerate(zip(presets, sizes))
+    ]
+
+
+@pytest.fixture
+def slow_jobs(monkeypatch):
+    """Call to make every evaluated job sleep :data:`PER_JOB` first.
+
+    Returns the list of threads that evaluate groups from then on. Pool
+    workers forked afterwards inherit the patch.
+    """
+
+    def install() -> list[threading.Thread]:
+        original = sim_batch.evaluate_group
+        threads: list[threading.Thread] = []
+
+        def slow(trace, jobs, plan=None):
+            threads.append(threading.current_thread())
+            time.sleep(PER_JOB * len(jobs))
+            return original(trace, jobs, plan)
+
+        monkeypatch.setattr(sim_batch, "evaluate_group", slow)
+        return threads
+
+    return install
+
+
+class TestJobBudget:
+    def test_pool_budget_counts_jobs_not_groups(
+        self, tiny_trace, mem_library, slow_jobs
+    ):
+        """Three groups of 20 jobs: each chunk holds a group that takes
+        4× the per-job timeout, and must still finish undisturbed."""
+        groups = _groups(mem_library, (20, 20, 20))
+        reference = SerialBackend().run_groups(tiny_trace, groups)
+        slow_jobs()
+        with ExecutionRuntime(workers=2, job_timeout=JOB_TIMEOUT) as runtime:
+            results = PoolBackend(runtime).run_groups(tiny_trace, groups)
+            dispatch = runtime.last_dispatch
+        assert results == reference
+        assert dispatch.timeouts == 0
+        assert dispatch.pool_rebuilds == 0
+        assert dispatch.retries == 0
+        assert not dispatch.degraded
+
+    def test_remote_request_waits_for_every_job_it_carries(
+        self, tiny_trace, mem_library, slow_jobs
+    ):
+        """One shard, one request of 20 jobs taking 4× the per-job
+        timeout: the shard stays alive and the worker does the work."""
+        groups = _groups(mem_library, (5, 5, 10))
+        reference = SerialBackend().run_groups(tiny_trace, groups)
+        threads = slow_jobs()
+        server = WorkerServer()
+        server.start()
+        try:
+            sharded = ShardedBackend(
+                [RemoteBackend(server.address, timeout=JOB_TIMEOUT)]
+            )
+            with sharded:
+                results = sharded.run_groups(tiny_trace, groups)
+        finally:
+            server.stop()
+        assert results == reference
+        assert sharded._alive == [True]
+        assert sharded.last_dispatch.retries == 0
+        assert not sharded.last_dispatch.degraded
+        assert threads and threading.main_thread() not in threads
+
+
+class TestJobsCount:
+    """``DispatchStats.jobs`` counts jobs, whichever backend ran them."""
+
+    def test_every_backend_counts_jobs(self, tiny_trace, mem_library):
+        groups = _groups(mem_library, (3, 2))
+        serial = SerialBackend()
+        sharded = ShardedBackend([SerialBackend(), SerialBackend()])
+        with ExecutionRuntime(workers=2) as runtime:
+            pool = PoolBackend(runtime)
+            for backend in (serial, pool, sharded):
+                backend.run_groups(tiny_trace, groups)
+                assert backend.last_dispatch.jobs == 5, backend.name
+            assert runtime.stats.jobs == 5

@@ -254,6 +254,43 @@ class TestNetworkedCache:
         finally:
             second.stop()
 
+    def test_worker_write_failure_is_soft(
+        self, tmp_path, tiny_trace, mem_library
+    ):
+        """A worker whose cache directory cannot be written still
+        serves the put from memory, and the client batch finishes."""
+        blocker = tmp_path / "not-a-directory"
+        blocker.write_text("")
+        server = WorkerServer(cache_dir=blocker)
+        server.start()
+        try:
+            jobs = _jobs(mem_library)
+            reference = simulate_batch(tiny_trace, jobs, cache=NullCache())
+            publisher = SimulationCache(url=server.address)
+            report = simulate_batch(tiny_trace, jobs, cache=publisher)
+            publisher.close()
+            subscriber = SimulationCache(url=server.address)
+            shared = simulate_batch(tiny_trace, jobs, cache=subscriber)
+            subscriber.close()
+        finally:
+            server.stop()
+        assert report.results == reference.results
+        assert shared.cache_net_hits == len(jobs)
+
+    def test_peer_error_reply_is_soft(self, worker, monkeypatch):
+        """A request the peer answers with MSG_ERROR is a lost lookup,
+        never an error raised into the caller's batch."""
+
+        def refuse(*_args):
+            raise OSError("disk on fire")
+
+        monkeypatch.setattr(worker, "_handle_cache_get", refuse)
+        client = CacheClient(worker.address)
+        assert client.get("digest") is None
+        monkeypatch.setattr(worker._blobs, "put", refuse)
+        client.put("digest", b"x")  # must not raise
+        client.close()
+
     def test_peers_share_results_through_worker(
         self, worker, tiny_trace, mem_library
     ):

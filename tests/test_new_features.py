@@ -56,7 +56,7 @@ class TestDramBanking:
             dma_options=(None,),
             map_indexed_to_sram=(False,),
             select_count=1,
-            dram_preset="dram_4bank",
+            dram_options=("dram_4bank",),
         )
         result = explore_memory_architectures(
             compress_trace, mem_library, config, hints=compress_workload.pattern_hints
