@@ -25,39 +25,24 @@ Every row lands in ``benchmarks/out/BENCH_parallel.json`` tagged with
 the machine's ``cpu_count``; determinism (identical results whatever
 the dispatch) is asserted on every leg that runs.
 
-A third comparison, **serial vs distributed**, runs the same batch
-grid against two loopback ``repro worker`` processes through a
-:class:`~repro.exec.ShardedBackend` and lands in
-``benchmarks/out/BENCH_distributed.json``. Bit-identity of the sharded
-merge is asserted on every round, and a fault leg kills one worker
-before dispatch and asserts the run still completes bit-identically
-via re-dispatch to the survivor; the ≥1.5x speedup floor fires only
-with two real CPUs to run the workers on.
-
 ``REPRO_BENCH_SMOKE=1`` shrinks the trace to CI size and skips the
-whole-strategy serial-vs-parallel legs (determinism, the batch speedup
-floor, and the distributed identity/fault legs are still asserted; the
-batch floor drops to 3x because plan builds amortize over less
-simulation work on the short trace).
+whole-strategy serial-vs-parallel legs (determinism and the batch
+speedup floor are still asserted; the batch floor drops to 3x because
+plan builds amortize over less simulation work on the short trace).
 """
 
 import gc
 import os
-import subprocess
-import sys
 import time
 from contextlib import contextmanager
 
 import common
 from common import SMOKE
-import repro
 from repro.apex.explorer import ApexConfig, explore_memory_architectures
 from repro.conex.explorer import ConExConfig, connectivity_exploration
 from repro.core.strategies import run_full
 from repro.exec import (
     NullCache,
-    RemoteBackend,
-    ShardedBackend,
     SimulationJob,
     simulate_batch,
     simulation_key,
@@ -291,147 +276,6 @@ def regenerate() -> str:
     return "\n".join(lines)
 
 
-DISTRIBUTED_WORKERS = 2
-
-#: Minimum speedup of two loopback socket workers over the serial
-#: batch evaluator on this grid — asserted only with the CPUs to
-#: actually run them (see test_engine_distributed).
-MIN_DISTRIBUTED_SPEEDUP = 1.5
-
-
-def _spawn_workers(count: int):
-    """Launch ``count`` loopback ``repro worker`` processes.
-
-    Returns (processes, addresses); each worker binds port 0 and
-    reports the chosen port on its first stdout line.
-    """
-    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-    processes = []
-    addresses = []
-    for _ in range(count):
-        process = subprocess.Popen(
-            [sys.executable, "-m", "repro", "worker", "--port", "0"],
-            stdout=subprocess.PIPE,
-            stderr=subprocess.STDOUT,
-            text=True,
-            env=env,
-        )
-        processes.append(process)
-        line = process.stdout.readline().strip()
-        if not line.startswith("listening on "):
-            raise RuntimeError(f"worker failed to start: {line!r}")
-        addresses.append(line.removeprefix("listening on "))
-    return processes, addresses
-
-
-def _stop_workers(processes) -> None:
-    for process in processes:
-        if process.poll() is None:
-            process.terminate()
-    for process in processes:
-        process.wait(timeout=30)
-
-
-def regenerate_distributed() -> str:
-    cpu_count = os.cpu_count() or 1
-    workload = get_workload("compress", scale=TRACE_SCALE, seed=1)
-    trace = workload.trace()
-    hints = dict(workload.pattern_hints)
-    jobs = _full_grid_jobs(trace, hints)
-    clear_plan_registry()
-    lines = []
-
-    processes, addresses = _spawn_workers(DISTRIBUTED_WORKERS)
-    try:
-        backend = ShardedBackend(
-            [RemoteBackend(address) for address in addresses]
-        )
-        # Interleaved min-of-rounds, like the batch leg. Round one pays
-        # the one-time costs on both sides — cold trace plans serially,
-        # the trace push (once per worker, never again) remotely — so
-        # later rounds measure the steady state.
-        rounds = 1 if SMOKE else 3
-        serial_times = []
-        distributed_times = []
-        identical = True
-        for _ in range(rounds):
-            with _timing_region():
-                start = time.perf_counter()
-                serial = simulate_batch(
-                    trace, jobs, workers=1, cache=NullCache()
-                )
-                serial_times.append(time.perf_counter() - start)
-
-            with _timing_region():
-                start = time.perf_counter()
-                distributed = simulate_batch(
-                    trace, jobs, cache=NullCache(), backend=backend
-                )
-                distributed_times.append(time.perf_counter() - start)
-
-            identical = identical and (
-                distributed.results == serial.results
-            )
-        serial_seconds = min(serial_times)
-        distributed_seconds = min(distributed_times)
-        backend.close()
-
-        # Fault leg: one worker dies before the batch is dispatched;
-        # the sharded backend must detect the dead socket, re-dispatch
-        # its groups to the survivor, and still merge bit-identically.
-        fault_backend = ShardedBackend(
-            [RemoteBackend(address) for address in addresses]
-        )
-        processes[-1].terminate()
-        processes[-1].wait(timeout=30)
-        fault = simulate_batch(
-            trace, jobs, cache=NullCache(), backend=fault_backend
-        )
-        fault_backend.close()
-        fault_identical = fault.results == serial.results
-
-        record = common.record_distributed_timing(
-            "full_strategy_distributed",
-            serial_seconds,
-            distributed_seconds,
-            DISTRIBUTED_WORKERS,
-            simulated=len(jobs),
-            rounds=rounds,
-            serial_rounds=[round(t, 3) for t in serial_times],
-            distributed_rounds=[round(t, 3) for t in distributed_times],
-            bytes_sent=distributed.bytes_sent,
-            bytes_received=distributed.bytes_received,
-            identical=identical,
-            fault_identical=fault_identical,
-            fault_retries=fault.retries,
-            fault_degraded=fault.degraded,
-        )
-        regenerate_distributed.record = record
-        regenerate_distributed.identical = identical
-        regenerate_distributed.fault = fault
-        regenerate_distributed.fault_identical = fault_identical
-        expectation = (
-            "full speedup expected"
-            if cpu_count > DISTRIBUTED_WORKERS
-            else f"{cpu_count} CPUs for {DISTRIBUTED_WORKERS} workers"
-        )
-        lines.append(
-            f"Distributed batch, {len(jobs)} candidates over "
-            f"{DISTRIBUTED_WORKERS} loopback workers: "
-            f"serial {serial_seconds:.1f}s, "
-            f"distributed {distributed_seconds:.1f}s "
-            f"(speedup {record['speedup']}x on {cpu_count} CPUs, "
-            f"{expectation}); "
-            f"kill-one-worker run: retries={fault.retries}, "
-            f"bit-identical={fault_identical}"
-        )
-    finally:
-        _stop_workers(processes)
-    return "\n".join(lines)
-
-
 def test_engine_parallel(benchmark):
     text = benchmark.pedantic(regenerate, rounds=1, iterations=1)
     common.write_output("engine_parallel", text)
@@ -452,20 +296,3 @@ def test_engine_parallel(benchmark):
         record = regenerate.record
         assert record["speedup"] >= 2.0, record
 
-
-def test_engine_distributed(benchmark):
-    text = benchmark.pedantic(
-        regenerate_distributed, rounds=1, iterations=1
-    )
-    common.write_output("engine_distributed", text)
-
-    # Determinism and fault recovery hold on any machine.
-    assert regenerate_distributed.identical
-    fault = regenerate_distributed.fault
-    assert regenerate_distributed.fault_identical
-    assert fault.retries >= 1 or fault.degraded
-    # Two worker processes cannot beat a serial loop without at least
-    # two cores to run on.
-    if (os.cpu_count() or 1) >= 2:
-        record = regenerate_distributed.record
-        assert record["speedup"] >= MIN_DISTRIBUTED_SPEEDUP, record

@@ -113,31 +113,6 @@ def write_output(stem: str, text: str) -> None:
 PARALLEL_TIMINGS = OUTPUT_DIR / "BENCH_parallel.json"
 
 
-#: Machine-readable serial-vs-distributed timing records (loopback
-#: socket workers; same replace-by-name convention).
-DISTRIBUTED_TIMINGS = OUTPUT_DIR / "BENCH_distributed.json"
-
-
-def _timing_record(
-    stem: str,
-    serial_seconds: float,
-    parallel_seconds: float,
-    workers: int,
-    **extra,
-) -> dict:
-    return {
-        "name": stem,
-        "serial_seconds": round(serial_seconds, 4),
-        "parallel_seconds": round(parallel_seconds, 4),
-        "workers": workers,
-        "speedup": round(serial_seconds / parallel_seconds, 3)
-        if parallel_seconds > 0
-        else None,
-        "cpu_count": os.cpu_count(),
-        **extra,
-    }
-
-
 def record_parallel_timing(
     stem: str,
     serial_seconds: float,
@@ -151,28 +126,18 @@ def record_parallel_timing(
     tell a genuine speedup apart from pool overhead on a starved
     machine. Returns the record written.
     """
-    record = _timing_record(
-        stem, serial_seconds, parallel_seconds, workers, **extra
-    )
+    record = {
+        "name": stem,
+        "serial_seconds": round(serial_seconds, 4),
+        "parallel_seconds": round(parallel_seconds, 4),
+        "workers": workers,
+        "speedup": round(serial_seconds / parallel_seconds, 3)
+        if parallel_seconds > 0
+        else None,
+        "cpu_count": os.cpu_count(),
+        **extra,
+    }
     return _append_record(PARALLEL_TIMINGS, record)
-
-
-def record_distributed_timing(
-    stem: str,
-    serial_seconds: float,
-    distributed_seconds: float,
-    workers: int,
-    **extra,
-) -> dict:
-    """Append one serial-vs-distributed record to BENCH_distributed.json.
-
-    Same shape as the parallel records so the two files compare
-    directly; ``workers`` counts socket worker processes (shards).
-    """
-    record = _timing_record(
-        stem, serial_seconds, distributed_seconds, workers, **extra
-    )
-    return _append_record(DISTRIBUTED_TIMINGS, record)
 
 
 #: Machine-readable reference-vs-kernel single-process timing records

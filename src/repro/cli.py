@@ -13,9 +13,6 @@ Commands:
 * ``coverage`` — compare the Pruned / Neighborhood / Full strategies
   on the Table 2 design space (``repro.core.strategies.TABLE2_APEX`` /
   ``TABLE2_CONEX``, the space ``bench_table2_coverage.py`` measures).
-* ``worker`` — serve simulation groups and cache traffic over a
-  socket; the exploration commands dispatch to workers with
-  ``--backend remote`` (addresses from ``REPRO_WORKER_ADDRS``).
 * ``serve`` — run the exploration service daemon: an HTTP/JSON API
   where clients submit apex/explore jobs, poll progress, and fetch
   pareto results (see ``docs/service.md``).
@@ -104,11 +101,10 @@ def _add_library_arguments(parser: argparse.ArgumentParser) -> None:
 def _add_backend_argument(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--backend",
-        choices=("serial", "pool", "remote"),
+        choices=("serial", "pool"),
         default=None,
         help="execution backend for simulation batches (default: serial "
-        "for one simulation worker and the pool for more; 'remote' shards "
-        "over the REPRO_WORKER_ADDRS socket workers)",
+        "for one simulation worker and the pool for more)",
     )
 
 
@@ -177,24 +173,6 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_backend_argument(coverage_cmd)
     _add_metrics_arguments(coverage_cmd)
 
-    worker_cmd = commands.add_parser(
-        "worker",
-        help="serve simulation groups and cache traffic over a socket",
-    )
-    worker_cmd.add_argument(
-        "--host", default="127.0.0.1",
-        help="interface to bind (default loopback)",
-    )
-    worker_cmd.add_argument(
-        "--port", type=int, default=0,
-        help="TCP port; 0 lets the OS pick (printed on stdout)",
-    )
-    worker_cmd.add_argument(
-        "--cache-dir", default=None, metavar="DIR",
-        help="persist served cache entries to DIR "
-        "(share one REPRO_CACHE_DIR across workers to pool results)",
-    )
-
     serve_cmd = commands.add_parser(
         "serve", help="run the exploration service daemon (HTTP/JSON)"
     )
@@ -226,11 +204,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="simulation workers per job runner (default: REPRO_WORKERS)",
     )
     _add_backend_argument(serve_cmd)
-    serve_cmd.add_argument(
-        "--cache-worker-port", type=int, default=None, metavar="PORT",
-        help="also serve the shared-cache socket protocol on PORT "
-        "(point worker fleets' REPRO_CACHE_URL here)",
-    )
 
     def _add_client_arguments(sub: argparse.ArgumentParser) -> None:
         sub.add_argument(
@@ -366,10 +339,9 @@ def _command_execution(
 ) -> "Iterator[ExecutionBackend]":
     """The command's backend, resolved once over the command's runtime.
 
-    ``--backend`` (else the default rule) is resolved once, so a remote
-    backend keeps its worker connections across every batch of the
-    command and a pool is built at most once; it is closed on exit — as
-    the service runner does per job.
+    ``--backend`` (else the default rule) is resolved once, so a pool is
+    built at most once for every batch of the command; it is closed on
+    exit — as the service runner does per job.
     """
     with ExecutionRuntime(workers=args.jobs) as runtime:
         backend = resolve_backend(args.backend, args.jobs, runtime)
@@ -482,12 +454,6 @@ def _cmd_coverage(args: argparse.Namespace) -> None:
     )
 
 
-def _cmd_worker(args: argparse.Namespace) -> None:
-    from repro.exec.worker import serve
-
-    serve(host=args.host, port=args.port, cache_dir=args.cache_dir)
-
-
 def _cmd_serve(args: argparse.Namespace) -> None:
     from repro.service.server import serve
 
@@ -499,7 +465,6 @@ def _cmd_serve(args: argparse.Namespace) -> None:
         cache_dir=args.cache_dir,
         workers=args.workers,
         backend=args.backend,
-        cache_worker_port=args.cache_worker_port,
     )
 
 
@@ -592,7 +557,6 @@ _COMMANDS = {
     "apex": _cmd_apex,
     "explore": _cmd_explore,
     "coverage": _cmd_coverage,
-    "worker": _cmd_worker,
     "serve": _cmd_serve,
     "submit": _cmd_submit,
     "status": _cmd_status,

@@ -46,17 +46,7 @@ MAX_RETRIES_ENV = "REPRO_MAX_RETRIES"
 #: Directory enabling the on-disk layer of the default simulation cache.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 
-#: Comma-separated ``host:port`` list of remote ``repro worker``
-#: processes used by the ``remote`` backend.
-WORKER_ADDRS_ENV = "REPRO_WORKER_ADDRS"
-
-#: ``host:port`` of a networked simulation-cache server (any
-#: ``repro worker`` serves the cache protocol).
-CACHE_URL_ENV = "REPRO_CACHE_URL"
-
 #: Size cap in megabytes for the on-disk cache layer (LRU by mtime).
-#: Socket workers also honour it as the byte cap of their in-memory
-#: blob/trace stores.
 CACHE_MAX_MB_ENV = "REPRO_CACHE_MAX_MB"
 
 #: Base URL the service client commands talk to.
@@ -110,8 +100,6 @@ class Settings:
     ``job_timeout``             ``REPRO_JOB_TIMEOUT``          ``None``
     ``max_retries``             ``REPRO_MAX_RETRIES``          ``2``
     ``cache_dir``               ``REPRO_CACHE_DIR``            ``None``
-    ``worker_addrs``            ``REPRO_WORKER_ADDRS``         ``()``
-    ``cache_url``               ``REPRO_CACHE_URL``            ``None``
     ``cache_max_mb``            ``REPRO_CACHE_MAX_MB``         ``None``
     ``service_url``             ``REPRO_SERVICE_URL``          ``None``
     ``fault_inject``            ``REPRO_FAULT_INJECT``         ``""``
@@ -130,8 +118,6 @@ class Settings:
     job_timeout: float | None = None
     max_retries: int = 2
     cache_dir: str | None = None
-    worker_addrs: tuple[str, ...] = ()
-    cache_url: str | None = None
     cache_max_mb: float | None = None
     service_url: str | None = None
     fault_inject: str = ""
@@ -208,19 +194,11 @@ class Settings:
                     f"got {raw!r}"
                 ) from None
 
-        worker_addrs = tuple(
-            part.strip()
-            for part in _get(env, WORKER_ADDRS_ENV).split(",")
-            if part.strip()
-        )
-
         return cls(
             workers=workers,
             job_timeout=job_timeout,
             max_retries=max_retries,
             cache_dir=_get(env, CACHE_DIR_ENV) or None,
-            worker_addrs=worker_addrs,
-            cache_url=_get(env, CACHE_URL_ENV) or None,
             cache_max_mb=cache_max_mb,
             service_url=_get(env, SERVICE_URL_ENV) or None,
             fault_inject=_get(env, FAULT_INJECT_ENV),

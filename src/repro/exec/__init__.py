@@ -11,36 +11,26 @@ connectivity) design points. This package makes that the fast path:
   in-process through :func:`repro.conex.estimator.estimate_plan`.
 * :mod:`repro.exec.backend` — the :class:`ExecutionBackend` interface
   every batch dispatches through: :class:`SerialBackend` (in-process,
-  the reference), :class:`PoolBackend` (the runtime below),
-  :class:`RemoteBackend` (one socket worker), and
-  :class:`ShardedBackend` (N backends with fault-tolerant re-dispatch
-  of memory-signature groups). Select with ``backend=`` (``"remote"``
-  shards over ``REPRO_WORKER_ADDRS``); unnamed, a batch runs serially
-  for one worker (``REPRO_WORKERS`` unset) and on the pool otherwise.
-  ``backend=`` is the one execution handle the drivers take: a caller
+  the reference) and :class:`PoolBackend` (the runtime below). Select
+  with ``backend=`` (``"serial"``/``"pool"``); unnamed, a batch runs
+  serially for one worker (``REPRO_WORKERS`` unset) and on the pool
+  otherwise. ``backend=`` is the one execution handle the drivers take: a caller
   that owns a runtime passes ``PoolBackend(runtime)``.
 * :mod:`repro.exec.runtime` — the persistent
   :class:`ExecutionRuntime`: a long-lived worker pool reused across
   batches, with traces exported once per fingerprint to shared memory
-  so workers attach zero-copy instead of unpickling them. It also
-  holds the one recovery loop (``dispatch_groups``) that the pool and
-  :class:`ShardedBackend` share: worker deaths, dead shards and units
-  past their timeout budget (``REPRO_JOB_TIMEOUT`` × the jobs a unit
-  carries) re-dispatch only the unfinished work, and after
-  ``REPRO_MAX_RETRIES`` retries the batch degrades to
-  :class:`SerialBackend` instead of failing. A batch of at most one
-  group runs in process on the runtime, with no pool. Pools are capped
-  at the machine's CPU count.
-* :mod:`repro.exec.net` / :mod:`repro.exec.worker` — the
-  dependency-free length-prefixed socket protocol and the ``repro
-  worker`` server that serves simulation groups and networked cache
-  traffic over it.
+  so workers attach zero-copy instead of unpickling them. Its recovery
+  loop survives worker deaths and chunks past their timeout budget
+  (``REPRO_JOB_TIMEOUT`` × the jobs a chunk carries): it re-dispatches
+  only the unfinished work, and after ``REPRO_MAX_RETRIES`` retries
+  the batch degrades to :class:`SerialBackend` instead of failing. A
+  batch of at most one group runs in process on the runtime, with no
+  pool. Pools are capped at the machine's CPU count.
 * :mod:`repro.exec.cache` — a content-addressed
   :class:`SimulationCache` keyed by trace fingerprint, architecture
   signatures, sampling config, and write model, layered as memory →
   optional size-capped disk (``REPRO_CACHE_DIR`` /
-  ``REPRO_CACHE_MAX_MB``) → optional networked peer
-  (``REPRO_CACHE_URL``).
+  ``REPRO_CACHE_MAX_MB``).
 
 See ``docs/performance.md`` for the knobs and invalidation rules.
 """
@@ -48,17 +38,13 @@ See ``docs/performance.md`` for the knobs and invalidation rules.
 from repro.exec.backend import (
     ExecutionBackend,
     PoolBackend,
-    RemoteBackend,
     SerialBackend,
-    ShardedBackend,
     resolve_backend,
 )
 from repro.exec.cache import (
     CACHE_DIR_ENV,
-    CACHE_URL_ENV,
     KERNEL_PLAN_VERSION,
     NULL_CACHE,
-    CacheClient,
     NullCache,
     SimulationCache,
     default_cache,
@@ -72,7 +58,6 @@ from repro.exec.engine import (
     SimulationJob,
     simulate_batch,
 )
-from repro.exec.net import BackendUnavailable, Connection
 from repro.exec.runtime import (
     JOB_TIMEOUT_ENV,
     MAX_RETRIES_ENV,
@@ -87,14 +72,9 @@ from repro.exec.runtime import (
     resolve_workers,
     set_default_runtime,
 )
-from repro.exec.worker import WorkerServer
 
 __all__ = [
-    "BackendUnavailable",
     "CACHE_DIR_ENV",
-    "CACHE_URL_ENV",
-    "CacheClient",
-    "Connection",
     "DispatchStats",
     "EngineReport",
     "ExecutionBackend",
@@ -105,14 +85,11 @@ __all__ = [
     "NULL_CACHE",
     "NullCache",
     "PoolBackend",
-    "RemoteBackend",
     "RuntimeStats",
     "SerialBackend",
-    "ShardedBackend",
     "SimulationCache",
     "SimulationJob",
     "WORKERS_ENV",
-    "WorkerServer",
     "default_cache",
     "default_runtime",
     "effective_pool_workers",

@@ -11,7 +11,7 @@ result can be cached under a content key built from those inputs:
   (``None`` for APEX's ideal connectivity),
 * the sampling window parameters and the posted-writes flag.
 
-The cache is layered, each layer a read-through over the next:
+The cache has two layers, the first a read-through over the second:
 
 1. **memory** — a process-wide dict (the default — this is what lets
    the Full strategy reuse every point the Pruned pass already
@@ -22,28 +22,22 @@ The cache is layered, each layer a read-through over the next:
    :mod:`repro.io` so repeated *processes* share work. The layer can
    be size-capped (``REPRO_CACHE_MAX_MB``): when a store pushes the
    directory over the cap, least-recently-used entries (by mtime —
-   reads touch their file) are evicted first;
-3. **network** (optional) — get/put of the same pickled payloads
-   against a ``repro worker`` process (``REPRO_CACHE_URL``), so shards
-   of a distributed run dedupe each other's work. Network faults
-   degrade silently: the peer is dropped after repeated failures and
-   the cache keeps serving from the local layers.
+   reads touch their file) are evicted first.
 
 Hits are attributed to the layer that served them
-(:attr:`SimulationCache.memory_hits` / :attr:`~SimulationCache.disk_hits`
-/ :attr:`~SimulationCache.net_hits`); the aggregate
-:attr:`~SimulationCache.hits` / :attr:`~SimulationCache.misses` pair is
-kept for callers that predate the layering, and
+(:attr:`SimulationCache.memory_hits` / :attr:`~SimulationCache.disk_hits`);
+the aggregate :attr:`~SimulationCache.hits` /
+:attr:`~SimulationCache.misses` pair is kept for callers that predate
+the layering, and
 :meth:`SimulationCache.layer_counts` exports both views.
 
 Invalidation is automatic by construction: any change to the trace
 content, a module/component parameter, the structure mapping, the
 sampling window, or the write model changes the key, and every key
 (and every persisted payload) carries :data:`KERNEL_PLAN_VERSION`, so
-stale entries — local or served by a version-skewed cache peer — are
-evicted when encountered. Deleting the cache directory (or calling
-:meth:`SimulationCache.clear`) is the only manual operation that
-exists.
+stale entries are evicted when encountered. Deleting the cache
+directory (or calling :meth:`SimulationCache.clear`) is the only
+manual operation that exists.
 """
 
 from __future__ import annotations
@@ -57,8 +51,7 @@ import threading
 
 from repro import obs
 from repro.apex.architectures import MemoryArchitecture
-from repro.config import CACHE_DIR_ENV, CACHE_URL_ENV, current_settings
-from repro.errors import ExecutionError
+from repro.config import CACHE_DIR_ENV, current_settings
 from repro.connectivity.architecture import ConnectivityArchitecture
 from repro.sim.metrics import SimulationResult
 from repro.sim.sampling import SamplingConfig
@@ -66,10 +59,8 @@ from repro.trace.events import Trace
 
 __all__ = [
     "CACHE_DIR_ENV",
-    "CACHE_URL_ENV",
     "KERNEL_PLAN_VERSION",
     "NULL_CACHE",
-    "CacheClient",
     "NullCache",
     "SimulationCache",
     "default_cache",
@@ -83,40 +74,6 @@ __all__ = [
 _SUFFIX = ".simres.pkl"
 
 
-def read_blob(directory: pathlib.Path, digest: str) -> bytes | None:
-    """The bytes stored under ``digest``; ``None`` if absent or unreadable.
-
-    Shared by :class:`SimulationCache`'s disk layer and the socket worker.
-    """
-    try:
-        return (directory / f"{digest}{_SUFFIX}").read_bytes()
-    except OSError:
-        return None
-
-
-def write_blob(directory: pathlib.Path, digest: str, blob: bytes) -> bool:
-    """Store ``blob`` under ``digest`` atomically; ``False`` if it failed.
-
-    The process- and thread-tagged temp name keeps concurrent writers
-    apart, and ``os.replace`` keeps readers from seeing a torn file. A
-    failed write removes its temp file and counts ``cache.write_errors``:
-    a cache write never fails the run that produced the result.
-    """
-    path = directory / f"{digest}{_SUFFIX}"
-    temp = path.with_name(
-        f"{path.name}.tmp{os.getpid()}.{threading.get_ident()}"
-    )
-    try:
-        directory.mkdir(parents=True, exist_ok=True)
-        temp.write_bytes(blob)
-        os.replace(temp, path)
-    except OSError:
-        with contextlib.suppress(OSError):
-            temp.unlink()
-        obs.incr("cache.write_errors")
-        return False
-    return True
-
 #: Version of the simulation kernel / trace-plan pipeline. Part of every
 #: simulation key (so a kernel change orphans stale in-memory and disk
 #: entries by construction) and stamped into the on-disk payload (so a
@@ -124,9 +81,6 @@ def write_blob(directory: pathlib.Path, digest: str, blob: bytes) -> bool:
 #: deserialized into a result produced by different kernel code).
 #: Bump on any change that could alter simulation results.
 KERNEL_PLAN_VERSION = 8
-
-#: Consecutive network faults before a cache peer is written off.
-_NET_FAULT_LIMIT = 3
 
 
 def sampling_signature(sampling: SamplingConfig | None) -> tuple | None:
@@ -155,12 +109,12 @@ def simulation_key(
 
 
 def key_digest(key: tuple) -> str:
-    """Stable hex digest of a simulation key (disk file / network name)."""
+    """Stable hex digest of a simulation key (the disk file name)."""
     return hashlib.sha256(repr(key).encode()).hexdigest()
 
 
 def _encode_payload(result: SimulationResult) -> bytes:
-    """The persisted form shared by the disk and network layers."""
+    """The persisted form of a result in the disk layer."""
     return pickle.dumps(
         {"version": KERNEL_PLAN_VERSION, "result": result},
         protocol=pickle.HIGHEST_PROTOCOL,
@@ -181,100 +135,8 @@ def _decode_payload(blob: bytes) -> SimulationResult | None:
     return payload.get("result")
 
 
-class CacheClient:
-    """Best-effort get/put client for a networked cache peer.
-
-    Speaks the :mod:`repro.exec.net` protocol against a ``repro
-    worker`` at ``url`` (``host:port``). Every failure mode is soft: a
-    connect error, dropped socket, timeout, or an error the peer
-    reports for the request loses at most one lookup, and after
-    :data:`_NET_FAULT_LIMIT` consecutive faults the peer is abandoned
-    for the rest of the process — a cache must never
-    make a run slower than no cache, let alone fail it. A peer that
-    refuses the :func:`repro.exec.net.handshake` (version skew) is
-    abandoned at once.
-    """
-
-    def __init__(self, url: str, timeout: float | None = 5.0) -> None:
-        self.url = url
-        self.timeout = timeout
-        self._conn = None
-        self._faults = 0
-        self.bytes_sent = 0
-        self.bytes_received = 0
-
-    @property
-    def dead(self) -> bool:
-        return self._faults >= _NET_FAULT_LIMIT
-
-    def _connection(self):
-        from repro.exec import net
-
-        if self._conn is None:
-            try:
-                self._conn = net.handshake(self.url, timeout=self.timeout)
-            except net.BackendUnavailable:
-                raise
-            except ExecutionError as error:
-                # A refused handshake (version skew) never heals: write
-                # the peer off for good and let the caller count the
-                # fault; lookups fall back to the local layers.
-                self._faults = _NET_FAULT_LIMIT
-                raise net.BackendUnavailable(
-                    f"cache peer {self.url} refused the handshake: {error}"
-                ) from error
-        return self._conn
-
-    def _drop_connection(self) -> None:
-        conn, self._conn = self._conn, None
-        if conn is not None:
-            self.bytes_sent += conn.bytes_sent
-            self.bytes_received += conn.bytes_received
-            conn.close()
-        self._faults += 1
-        obs.incr("cache.net_errors")
-
-    def get(self, digest: str) -> bytes | None:
-        from repro.exec import net
-
-        if self.dead:
-            return None
-        try:
-            reply = self._connection().request_pickled(
-                net.MSG_CACHE_GET, digest
-            )
-        except ExecutionError:  # a dead peer, or its MSG_ERROR reply
-            self._drop_connection()
-            return None
-        self._faults = 0
-        if reply.kind != net.MSG_CACHE_HIT:
-            return None
-        return reply.payload
-
-    def put(self, digest: str, blob: bytes) -> None:
-        from repro.exec import net
-
-        if self.dead:
-            return
-        try:
-            self._connection().request_pickled(
-                net.MSG_CACHE_PUT, (digest, blob)
-            )
-        except ExecutionError:  # a dead peer, or its MSG_ERROR reply
-            self._drop_connection()
-        else:
-            self._faults = 0
-
-    def close(self) -> None:
-        conn, self._conn = self._conn, None
-        if conn is not None:
-            self.bytes_sent += conn.bytes_sent
-            self.bytes_received += conn.bytes_received
-            conn.close()
-
-
 class SimulationCache:
-    """Layered result cache: memory, then disk, then the network.
+    """Layered result cache: memory, then disk.
 
     Args:
         directory: when given, results are additionally persisted as
@@ -284,28 +146,22 @@ class SimulationCache:
         max_mb: optional size cap (MiB) for the disk layer; when a
             store pushes the directory over the cap, least-recently
             used files (by mtime) are evicted until it fits.
-        url: optional ``host:port`` of a ``repro worker`` serving the
-            networked cache layer; consulted after a disk miss, and
-            written through on every put.
     """
 
     def __init__(
         self,
         directory: str | pathlib.Path | None = None,
         max_mb: float | None = None,
-        url: str | None = None,
     ) -> None:
         self.directory = (
             pathlib.Path(directory) if directory is not None else None
         )
         self.max_mb = max_mb
         self._memory: dict[tuple, SimulationResult] = {}
-        self._client = CacheClient(url) if url else None
         self.hits = 0
         self.misses = 0
         self.memory_hits = 0
         self.disk_hits = 0
-        self.net_hits = 0
 
     # -- core protocol -------------------------------------------------
 
@@ -320,16 +176,6 @@ class SimulationCache:
                 self._memory[key] = result
                 self.disk_hits += 1
                 obs.incr("cache.disk_loads")
-        if result is None and self._client is not None:
-            result = self._load_from_network(key)
-            if result is not None:
-                # Read-through: a network hit lands in the local
-                # layers so the next lookup never leaves the process.
-                self._memory[key] = result
-                if self.directory is not None:
-                    self._store_to_disk(key, result)
-                self.net_hits += 1
-                obs.incr("cache.net_loads")
         if result is None:
             self.misses += 1
             obs.incr("cache.misses")
@@ -343,8 +189,6 @@ class SimulationCache:
         self._memory[key] = result
         if self.directory is not None:
             self._store_to_disk(key, result)
-        if self._client is not None:
-            self._client.put(key_digest(key), _encode_payload(result))
 
     def __len__(self) -> int:
         return len(self._memory)
@@ -359,7 +203,6 @@ class SimulationCache:
         return {
             "memory_hits": self.memory_hits,
             "disk_hits": self.disk_hits,
-            "net_hits": self.net_hits,
             "hits": self.hits,
             "misses": self.misses,
         }
@@ -371,15 +214,9 @@ class SimulationCache:
         self.misses = 0
         self.memory_hits = 0
         self.disk_hits = 0
-        self.net_hits = 0
         if self.directory is not None and self.directory.exists():
             for path in self.directory.glob(f"*{_SUFFIX}"):
                 path.unlink()
-
-    def close(self) -> None:
-        """Release the network connection, if any. Idempotent."""
-        if self._client is not None:
-            self._client.close()
 
     # -- disk layer ----------------------------------------------------
 
@@ -388,10 +225,11 @@ class SimulationCache:
         return self.directory / f"{key_digest(key)}{_SUFFIX}"
 
     def _load_from_disk(self, key: tuple) -> SimulationResult | None:
-        blob = read_blob(self.directory, key_digest(key))
-        if blob is None:
-            return None
         path = self._disk_path(key)
+        try:
+            blob = path.read_bytes()
+        except OSError:
+            return None
         result = _decode_payload(blob)
         if result is None:
             # A torn/corrupt file, or one written by a different kernel
@@ -416,9 +254,28 @@ class SimulationCache:
         return result
 
     def _store_to_disk(self, key: tuple, result: SimulationResult) -> None:
-        assert self.directory is not None
-        if write_blob(self.directory, key_digest(key), _encode_payload(result)):
-            self._enforce_disk_cap()
+        """Persist ``result`` atomically; a failed write is dropped.
+
+        The process- and thread-tagged temp name keeps concurrent
+        writers apart, and ``os.replace`` keeps readers from seeing a
+        torn file. A failed write removes its temp file and counts
+        ``cache.write_errors``: a cache write never fails the run that
+        produced the result.
+        """
+        path = self._disk_path(key)
+        temp = path.with_name(
+            f"{path.name}.tmp{os.getpid()}.{threading.get_ident()}"
+        )
+        try:
+            self.directory.mkdir(parents=True, exist_ok=True)
+            temp.write_bytes(_encode_payload(result))
+            os.replace(temp, path)
+        except OSError:
+            with contextlib.suppress(OSError):
+                temp.unlink()
+            obs.incr("cache.write_errors")
+            return
+        self._enforce_disk_cap()
 
     def _enforce_disk_cap(self) -> None:
         """Evict least-recently-used entries once over ``max_mb``."""
@@ -447,24 +304,11 @@ class SimulationCache:
             if total <= budget:
                 break
 
-    # -- network layer -------------------------------------------------
-
-    def _load_from_network(self, key: tuple) -> SimulationResult | None:
-        assert self._client is not None
-        blob = self._client.get(key_digest(key))
-        if blob is None:
-            return None
-        # A version-skewed or corrupt peer payload is a miss, never an
-        # error; the key embeds KERNEL_PLAN_VERSION so genuine entries
-        # always decode.
-        return _decode_payload(blob)
-
     def __repr__(self) -> str:
         where = f" dir={self.directory}" if self.directory else ""
-        peer = f" url={self._client.url}" if self._client else ""
         return (
             f"<SimulationCache {len(self._memory)} entries, "
-            f"{self.hits} hits / {self.misses} misses{where}{peer}>"
+            f"{self.hits} hits / {self.misses} misses{where}>"
         )
 
 
@@ -497,17 +341,14 @@ def default_cache() -> SimulationCache:
     """The process-wide cache used when callers pass ``cache=None``.
 
     Created lazily; picks up an on-disk layer from
-    ``Settings.cache_dir`` (the ``REPRO_CACHE_DIR`` variable), a disk
-    size cap from ``REPRO_CACHE_MAX_MB``, and a networked layer from
-    ``REPRO_CACHE_URL`` when set at first use.
+    ``Settings.cache_dir`` (the ``REPRO_CACHE_DIR`` variable) and a
+    disk size cap from ``REPRO_CACHE_MAX_MB`` when set at first use.
     """
     global _default_cache
     if _default_cache is None:
         settings = current_settings()
         _default_cache = SimulationCache(
-            settings.cache_dir,
-            max_mb=settings.cache_max_mb,
-            url=settings.cache_url,
+            settings.cache_dir, max_mb=settings.cache_max_mb
         )
     return _default_cache
 

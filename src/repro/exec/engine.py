@@ -93,12 +93,13 @@ class EngineReport(StatsReport):
     back to independent full runs).
 
     ``backend`` is the :attr:`~repro.exec.backend.ExecutionBackend.name`
-    of the backend that ran the batch (``"serial"``, ``"pool"``,
-    ``"sharded"``, …), and ``bytes_sent`` / ``bytes_received`` count
-    its wire traffic (zero for local backends). ``cache_memory_hits`` /
-    ``cache_disk_hits`` / ``cache_net_hits`` split ``cache_hits`` by
+    of the backend that ran the batch (``"serial"`` or ``"pool"``).
+    ``bytes_sent`` / ``bytes_received`` always read 0: no backend moves
+    a batch over a wire. They stay because the ``perfbench`` tracer
+    reads them; ROADMAP item 8 replaces that tracer with ``repro.obs``.
+    ``cache_memory_hits`` / ``cache_disk_hits`` split ``cache_hits`` by
     the :class:`~repro.exec.cache.SimulationCache` layer that served
-    each hit (all three stay zero for cache objects that predate the
+    each hit (both stay zero for cache objects that predate the
     layering).
     """
 
@@ -118,7 +119,6 @@ class EngineReport(StatsReport):
     bytes_received: int = 0
     cache_memory_hits: int = 0
     cache_disk_hits: int = 0
-    cache_net_hits: int = 0
 
     #: ``as_dict()`` exports the accounting, not the payload.
     _STATS_EXCLUDE = ("results",)
@@ -181,21 +181,14 @@ def _record_batch(report: EngineReport) -> None:
     obs.incr("exec.delta_pass_candidates", report.delta_pass_candidates)
     obs.incr("exec.cache_memory_hits", report.cache_memory_hits)
     obs.incr("exec.cache_disk_hits", report.cache_disk_hits)
-    obs.incr("exec.cache_net_hits", report.cache_net_hits)
-    obs.incr("backend.bytes_sent", report.bytes_sent)
-    obs.incr("backend.bytes_received", report.bytes_received)
     obs.incr("runtime.retries", report.retries)
     obs.incr("runtime.pool_rebuilds", report.pool_rebuilds)
     obs.incr("runtime.degraded_batches", int(report.degraded))
 
 
-def _cache_layers(cache: SimulationCache) -> tuple[int, int, int]:
+def _cache_layers(cache: SimulationCache) -> tuple[int, int]:
     """Per-layer hit counters, zero for pre-layering cache objects."""
-    return (
-        getattr(cache, "memory_hits", 0),
-        getattr(cache, "disk_hits", 0),
-        getattr(cache, "net_hits", 0),
-    )
+    return getattr(cache, "memory_hits", 0), getattr(cache, "disk_hits", 0)
 
 
 def _dispatch(
@@ -204,14 +197,9 @@ def _dispatch(
     groups: Sequence[Sequence[SimulationJob]],
 ):
     """Run the batch's one backend call; return its outcomes and accounting."""
-    sent, received = backend.bytes_sent, backend.bytes_received
     values = backend.run_groups(trace, groups)
     dispatch = backend.last_dispatch
-    accounting = {
-        "backend": backend.name,
-        "bytes_sent": backend.bytes_sent - sent,
-        "bytes_received": backend.bytes_received - received,
-    }
+    accounting: dict = {"backend": backend.name}
     if dispatch is not None:
         accounting.update(
             retries=dispatch.retries,
@@ -239,8 +227,7 @@ def simulate_batch(
     the merged DRAM open-row pass, and each candidate pays only its
     connectivity/sampling delta pass. All groups go to the backend in
     one call; a group is never split (splitting would forfeit the
-    sharing), which makes it the unit of distribution for
-    :class:`~repro.exec.backend.ShardedBackend`.
+    sharing), which makes it the unit a pool chunk carries.
 
     Args:
         trace: the shared access trace (exported to pool workers once
@@ -256,7 +243,7 @@ def simulate_batch(
         backend: an :class:`~repro.exec.backend.ExecutionBackend`
             instance, used as given and left open (pass
             ``PoolBackend(runtime)`` to dispatch through a runtime you
-            own), or a name (``"serial"``/``"pool"``/``"remote"``);
+            own), or a name (``"serial"``/``"pool"``);
             ``None`` applies the default rule of
             :func:`~repro.exec.backend.resolve_backend`. A
             backend resolved here from a name is closed on return.
@@ -307,7 +294,7 @@ def _simulate_batch(
             pending.append(index)
         else:
             results[index] = _relabel(cached, job)
-    memory_hits, disk_hits, net_hits = (
+    memory_hits, disk_hits = (
         after - before
         for after, before in zip(_cache_layers(cache), layers_before)
     )
@@ -361,7 +348,6 @@ def _simulate_batch(
         delta_pass_candidates=delta_candidates,
         cache_memory_hits=memory_hits,
         cache_disk_hits=disk_hits,
-        cache_net_hits=net_hits,
         **accounting,
     )
 

@@ -26,13 +26,13 @@ simulation groups (:meth:`ExecutionRuntime.map_simulation_groups`).
 **Fault tolerance.** A worker death (OOM kill, segfault, SIGKILL)
 breaks a ``ProcessPoolExecutor`` permanently: every in-flight and
 future submission raises ``BrokenProcessPool``. The runtime survives
-this instead of failing the batch. Recovery is :func:`dispatch_groups`,
-the one loop the sharded socket backend runs too: results stay keyed
-by group index, each round re-dispatches only the unfinished groups
-and spends one of ``REPRO_MAX_RETRIES`` retries (default 2), and then
-the remainder degrades to the serial in-process path. The pool's round
-rebuilds the pool when it breaks or when a chunk exceeds its
-:func:`job_budget`. Per-dispatch accounting lands in
+this instead of failing the batch: results stay keyed by group index,
+each round re-dispatches only the unfinished groups and spends one of
+``REPRO_MAX_RETRIES`` retries (default 2), and then the remainder
+degrades to the serial in-process path. A round rebuilds the pool when
+it breaks or when a chunk exceeds its timeout budget
+(``REPRO_JOB_TIMEOUT`` × the jobs the chunk carries). Per-dispatch
+accounting lands in
 :attr:`ExecutionRuntime.last_dispatch` (a :class:`DispatchStats`) and
 accumulates in :attr:`ExecutionRuntime.stats`; the engine surfaces it
 as ``EngineReport.retries`` / ``pool_rebuilds`` / ``degraded``.
@@ -61,7 +61,7 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from repro import obs
 from repro.config import (
@@ -94,9 +94,7 @@ __all__ = [
     "RuntimeStats",
     "default_runtime",
     "dispatch_chunksize",
-    "dispatch_groups",
     "effective_pool_workers",
-    "job_budget",
     "resolve_job_timeout",
     "resolve_max_retries",
     "resolve_workers",
@@ -188,13 +186,13 @@ class DispatchStats(StatsReport):
     Attributes:
         jobs: jobs the call was asked to run (not groups).
         retries: recovery rounds that re-dispatched unfinished groups
-            (to a rebuilt pool, or to the surviving shards).
+            to a rebuilt pool.
         pool_rebuilds: worker pools torn down and rebuilt after a fault
             (a broken pool or a chunk timeout).
         timeouts: chunks abandoned because they exceeded their timeout
-            budget (:func:`job_budget`).
-        degraded: the retry budget ran out (or no shard survived) and
-            the remaining groups finished on the serial in-process path.
+            budget (``REPRO_JOB_TIMEOUT`` × the jobs they carry).
+        degraded: the retry budget ran out and the remaining groups
+            finished on the serial in-process path.
     """
 
     jobs: int = 0
@@ -204,60 +202,15 @@ class DispatchStats(StatsReport):
     degraded: bool = False
 
 
-def job_budget(
+def _job_budget(
     job_timeout: float | None, groups: "Sequence[Sequence[SimulationJob]]"
 ) -> float | None:
-    """Seconds a pool chunk or socket request of ``groups`` may take:
-    the per-job timeout × the jobs (not groups) it carries, or ``None``.
+    """Seconds a pool chunk of ``groups`` may take: the per-job timeout
+    × the jobs (not groups) it carries, or ``None``.
     """
     if job_timeout is None:
         return None
     return job_timeout * sum(len(group) for group in groups)
-
-
-def dispatch_groups(
-    trace: Trace,
-    groups: "Sequence[tuple[SimulationJob, ...]]",
-    run_round: Callable[[list, DispatchStats], "dict | None"],
-    max_retries: int,
-) -> tuple[list, DispatchStats]:
-    """The recovery loop every dispatching backend shares.
-
-    ``run_round(pending, stats)`` is the backend's part: it runs the
-    groups at the ``pending`` indices and returns the outcomes it
-    finished, keyed by index, or ``None`` when it can run nothing (no
-    shard left alive). Job-raised errors propagate out of it unchanged.
-
-    The loop owns the rest. Results are kept by group index, so a
-    recovered dispatch returns exactly what an undisturbed one would.
-    A round that leaves groups unfinished spends one retry, and the
-    next round re-dispatches only those. Once ``max_retries`` retries
-    are spent, or when a round can run nothing, the remainder degrades
-    to :class:`~repro.exec.backend.SerialBackend`.
-    """
-    from repro.exec.backend import SerialBackend  # backend imports us
-
-    stats = DispatchStats(jobs=sum(len(group) for group in groups))
-    results: list = [None] * len(groups)
-    pending = list(range(len(groups)))
-    while pending:
-        finished = run_round(pending, stats)
-        if finished is None:
-            break
-        for index, value in finished.items():
-            results[index] = value
-        pending = [index for index in pending if index not in finished]
-        if not pending or stats.retries >= max_retries:
-            break
-        stats.retries += 1
-    if pending:
-        stats.degraded = True
-        values = SerialBackend().run_groups(
-            trace, [groups[index] for index in pending]
-        )
-        for index, value in zip(pending, values):
-            results[index] = value
-    return results, stats
 
 
 @dataclass
@@ -501,6 +454,45 @@ class ExecutionRuntime:
 
     # -- fault-tolerant dispatch core ----------------------------------
 
+    def _dispatch_groups(
+        self,
+        trace: Trace,
+        handle: SharedTraceHandle,
+        groups: "Sequence[tuple[SimulationJob, ...]]",
+        collect: bool,
+    ) -> tuple[list, DispatchStats]:
+        """The recovery loop: pool rounds, then the serial degrade.
+
+        Results are kept by group index, so a recovered dispatch
+        returns exactly what an undisturbed one would. A round that
+        leaves groups unfinished spends one retry, and the next round
+        re-dispatches only those. Once ``max_retries`` retries are
+        spent, the remainder degrades to
+        :class:`~repro.exec.backend.SerialBackend`. Job-raised errors
+        are not faults: they propagate unchanged.
+        """
+        from repro.exec.backend import SerialBackend  # backend imports us
+
+        stats = DispatchStats(jobs=sum(len(group) for group in groups))
+        results: list = [None] * len(groups)
+        pending = list(range(len(groups)))
+        while pending:
+            finished = self._pool_round(handle, groups, collect, pending, stats)
+            for index, value in finished.items():
+                results[index] = value
+            pending = [index for index in pending if index not in finished]
+            if not pending or stats.retries >= self.max_retries:
+                break
+            stats.retries += 1
+        if pending:
+            stats.degraded = True
+            values = SerialBackend().run_groups(
+                trace, [groups[index] for index in pending]
+            )
+            for index, value in zip(pending, values):
+                results[index] = value
+        return results, stats
+
     def _pool_round(
         self,
         handle: SharedTraceHandle,
@@ -509,12 +501,13 @@ class ExecutionRuntime:
         pending: list,
         stats: DispatchStats,
     ) -> dict:
-        """One :func:`dispatch_groups` round over the process pool.
+        """One recovery round over the process pool.
 
         Submits the pending groups in chunks and waits for each within
-        its :func:`job_budget`. A ``BrokenProcessPool`` or a chunk
-        timeout is a fault: the chunks that did finish are kept, and
-        the pool is torn down so the next round builds a fresh one.
+        its timeout budget (:func:`_job_budget`). A ``BrokenProcessPool``
+        or a chunk timeout is a fault: the chunks that did finish are
+        kept, and the pool is torn down so the next round builds a
+        fresh one.
         """
         size = dispatch_chunksize(len(pending), self.workers)
         chunks = [pending[i : i + size] for i in range(0, len(pending), size)]
@@ -539,7 +532,7 @@ class ExecutionRuntime:
                     continue
                 payload = future.result()
             else:
-                budget = job_budget(
+                budget = _job_budget(
                     self.job_timeout, [groups[index] for index in chunk]
                 )
                 try:
@@ -589,21 +582,15 @@ class ExecutionRuntime:
         collect = obs.enabled()
         handle = self.share_trace(trace)
         with obs.span("exec.dispatch"):
-            results, stats = dispatch_groups(
-                trace,
-                items,
-                lambda pending, stats: self._pool_round(
-                    handle, items, collect, pending, stats
-                ),
-                self.max_retries,
+            results, stats = self._dispatch_groups(
+                trace, handle, items, collect
             )
         self.last_dispatch = stats
         self.stats.absorb(stats)
         if collect:
             # retries / pool_rebuilds / degraded travel on the engine
-            # report and are counted there (covering every backend);
-            # only dispatch-local facts the report does not carry are
-            # recorded here.
+            # report and are counted there; only dispatch-local facts
+            # the report does not carry are recorded here.
             obs.incr("runtime.dispatches")
             obs.incr("runtime.jobs", stats.jobs)
             obs.incr("runtime.timeouts", stats.timeouts)

@@ -12,6 +12,8 @@ from __future__ import annotations
 import csv
 import json
 import pathlib
+import zipfile
+import zlib
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -26,6 +28,24 @@ from repro.trace.events import Trace
 _TRACE_FORMAT_VERSION = 2
 
 
+def _open_npz(path: pathlib.Path) -> np.lib.npyio.NpzFile:
+    """Open a trace archive, or raise :class:`TraceError` if it is none.
+
+    ``np.load`` reports a file that is not an ``.npz`` archive as a raw
+    ``ValueError`` (text, pickled data), ``EOFError`` (empty) or
+    ``BadZipFile``, and a bare ``.npy`` loads as an array.
+    """
+    if not path.exists():
+        raise TraceError(f"no trace file at {path}")
+    try:
+        data = np.load(path, allow_pickle=False)
+    except (OSError, EOFError, ValueError, zipfile.BadZipFile) as error:
+        raise TraceError(f"{path} is not a trace file: {error}") from None
+    if not isinstance(data, np.lib.npyio.NpzFile):
+        raise TraceError(f"{path} is not a trace file (not an .npz archive)")
+    return data
+
+
 def trace_fingerprint(path: str | pathlib.Path) -> str:
     """The fingerprint stored in a saved trace file, without loading it.
 
@@ -34,9 +54,7 @@ def trace_fingerprint(path: str | pathlib.Path) -> str:
     stored fingerprint and raise :class:`TraceError`.
     """
     path = pathlib.Path(path)
-    if not path.exists():
-        raise TraceError(f"no trace file at {path}")
-    with np.load(path, allow_pickle=False) as data:
+    with _open_npz(path) as data:
         if "fingerprint" not in data:
             raise TraceError(
                 f"{path} predates stored fingerprints (format version 1); "
@@ -74,9 +92,7 @@ def load_trace(path: str | pathlib.Path) -> Trace:
     cannot silently poison fingerprint-keyed caches.
     """
     path = pathlib.Path(path)
-    if not path.exists():
-        raise TraceError(f"no trace file at {path}")
-    with np.load(path, allow_pickle=False) as data:
+    with _open_npz(path) as data:
         try:
             version = int(data["version"])
             if version not in (1, _TRACE_FORMAT_VERSION):
@@ -103,6 +119,12 @@ def load_trace(path: str | pathlib.Path) -> Trace:
         except KeyError as missing:
             raise TraceError(
                 f"{path} is not a trace file (missing column {missing})"
+            ) from None
+        except (
+            TypeError, ValueError, EOFError, zipfile.BadZipFile, zlib.error
+        ) as error:
+            raise TraceError(
+                f"{path} is not a trace file (unreadable column: {error})"
             ) from None
 
 

@@ -45,8 +45,6 @@ _PROGRESS_COUNTERS = {
     "exec.jobs": "simulations",
     "exec.cache_hits": "cache_hits",
     "exec.cache_misses": "cache_misses",
-    "backend.bytes_sent": "bytes_sent",
-    "backend.bytes_received": "bytes_received",
 }
 
 
@@ -134,9 +132,8 @@ def execute_job(
         store.transition(job, jobstates.RUNNING)
         cache = caches.get(spec.tenant)
         backend_spec = spec.backend or default_backend or None
-        # The backend is resolved once per job, so a remote one keeps
-        # its connections across the job's batches and the pool is the
-        # runner thread's runtime.
+        # The backend is resolved once per job, so the pool is the
+        # runner thread's runtime for every batch of the job.
         backend = resolve_backend(backend_spec, spec.workers, runtime)
         try:
             result = _run_spec(job, store, cache, backend)

@@ -24,6 +24,7 @@ import re
 from dataclasses import asdict, dataclass
 
 from repro import registry
+from repro.config import positive_finite
 from repro.errors import ServiceError
 from repro.workloads import workload_names
 
@@ -46,7 +47,7 @@ DEFAULT_TENANT = "default"
 #: Tenant slugs become cache-directory components; keep them path-safe.
 _TENANT_RE = re.compile(r"^[A-Za-z0-9][A-Za-z0-9._-]{0,63}$")
 
-_BACKENDS = (None, "serial", "pool", "remote")
+_BACKENDS = (None, "serial", "pool")
 
 
 @dataclass(frozen=True)
@@ -77,8 +78,8 @@ def _field(payload: dict, name: str, kind, default):
     if value is None and default is None:
         return None
     try:
-        if kind is int and isinstance(value, bool):
-            raise TypeError  # True/False are not job integers
+        if isinstance(value, bool):
+            raise TypeError  # True/False are not job numbers
         return kind(value)
     except (TypeError, ValueError):
         raise ServiceError(
@@ -109,7 +110,7 @@ def parse_job_spec(payload: object, tenant: str | None = None) -> JobSpec:
     backend = payload.get("backend")
     if backend not in _BACKENDS:
         raise ServiceError(
-            f"unknown backend {backend!r} (expected serial, pool, or remote)"
+            f"unknown backend {backend!r} (expected serial or pool)"
         )
     library = payload.get("library")
     if library is not None and library not in registry.library_names():
@@ -136,8 +137,10 @@ def parse_job_spec(payload: object, tenant: str | None = None) -> JobSpec:
         tenant=tenant,
         library=library,
     )
-    if spec.scale <= 0:
-        raise ServiceError(f"scale must be positive, got {spec.scale}")
+    if not positive_finite(spec.scale):
+        raise ServiceError(
+            f"scale must be positive and finite, got {spec.scale}"
+        )
     if spec.select < 1:
         raise ServiceError(f"select must be >= 1, got {spec.select}")
     if spec.keep < 1:

@@ -6,8 +6,7 @@ Two layers, separable for tests:
   job store, the fair multi-tenant :class:`~repro.service.queue.JobQueue`,
   N runner threads (each with its own persistent
   :class:`~repro.exec.runtime.ExecutionRuntime`, reused across every
-  job it runs), the per-tenant cache namespaces, an optional embedded
-  cache :class:`~repro.exec.worker.WorkerServer`, and the drain state
+  job it runs), the per-tenant cache namespaces, and the drain state
   machine. Tests drive it directly.
 * :class:`ServiceServer` — a stdlib ``ThreadingHTTPServer`` exposing
   the service as JSON over HTTP (see ``docs/service.md`` for the
@@ -19,9 +18,7 @@ Graceful drain (``SIGTERM``, ``POST /v1/drain``, or
 (submissions get 503), pending jobs leave the queue as ``cancelled``
 with note ``"service draining"``, running jobs get up to the drain
 timeout to finish (then a cooperative cancel lands at their next phase
-checkpoint), and finally runtimes, caches, and the embedded worker —
-via :meth:`~repro.exec.worker.WorkerServer.stop` with a drain join —
-shut down clean.
+checkpoint), and finally the runtimes shut down clean.
 """
 
 from __future__ import annotations
@@ -36,7 +33,6 @@ from repro import obs
 from repro.config import current_settings, positive_finite
 from repro.errors import ServiceError
 from repro.exec.runtime import ExecutionRuntime
-from repro.exec.worker import WorkerServer
 from repro.service import jobs as jobstates
 from repro.service.jobs import Job, JobStore
 from repro.service.queue import JobQueue
@@ -83,8 +79,8 @@ class ExplorationService:
         workers: per-runner :class:`ExecutionRuntime` pool size, at
             least 1; ``None`` consults ``REPRO_WORKERS``.
         backend: default execution backend spec for jobs that do not
-            choose one (``serial``/``pool``/``remote``, or ``None`` for
-            the engine's default rule per batch).
+            choose one (``serial``/``pool``, or ``None`` for the
+            engine's default rule per batch).
         drain_timeout: seconds :meth:`drain` waits for running jobs,
             finite and positive.
 
@@ -460,18 +456,13 @@ def serve(
     cache_dir: str | None = None,
     workers: int | None = None,
     backend: str | None = None,
-    cache_worker_port: int | None = None,
 ) -> None:
     """Blocking entry point behind ``python -m repro serve``.
 
     Prints ``serving on host:port`` before accepting so launchers
     that requested port 0 can read the bound address back, runs until
     ``SIGTERM``/``SIGINT`` (or a ``POST /v1/drain``), then drains
-    gracefully and exits clean. With ``cache_worker_port`` the daemon
-    also embeds a :class:`~repro.exec.worker.WorkerServer` on that
-    port serving the shared-cache socket protocol (point the worker
-    fleet's ``REPRO_CACHE_URL`` at it); the embedded worker drains on
-    the same path.
+    gracefully and exits clean.
     """
     import signal
 
@@ -484,15 +475,6 @@ def serve(
     )
     server = ServiceServer(service, host=host, port=port)
     obs.enable()  # progress events are fed by obs counters
-    cache_worker: WorkerServer | None = None
-    if cache_worker_port is not None:
-        cache_worker = WorkerServer(
-            host=server.host,
-            port=cache_worker_port,
-            cache_dir=service.caches.base_dir,
-        )
-        cache_worker.start()
-        print(f"cache worker on {cache_worker.address}", flush=True)
 
     stop = threading.Event()
 
@@ -512,8 +494,6 @@ def serve(
         for sig, handler in previous.items():
             signal.signal(sig, handler)
         clean = service.drain()
-        if cache_worker is not None:
-            cache_worker.stop(drain_timeout=service.drain_timeout)
         server.shutdown()
         print(
             "drained cleanly" if clean else "drain timed out", flush=True

@@ -7,6 +7,7 @@ from typing import Mapping
 
 import numpy as np
 
+from repro.config import positive_finite
 from repro.errors import ConfigurationError
 from repro.trace.events import AccessKind, Trace, TraceBuilder
 from repro.trace.patterns import AccessPattern
@@ -129,8 +130,10 @@ class Workload(ABC):
     name: str = "workload"
 
     def __init__(self, scale: float = 1.0, seed: int = 0) -> None:
-        if scale <= 0:
-            raise ConfigurationError(f"scale must be positive, got {scale}")
+        if not positive_finite(scale):
+            raise ConfigurationError(
+                f"scale must be positive and finite, got {scale}"
+            )
         self.scale = scale
         self.seed = seed
 

@@ -1,7 +1,6 @@
 """Integration tests for the command-line interface."""
 
 import json
-import time
 
 import pytest
 
@@ -88,35 +87,37 @@ class TestExploreCommand:
 
 
 class TestNamedBackend:
-    def test_coverage_opens_one_remote_backend_per_command(
+    def test_coverage_opens_one_pool_backend_per_command(
         self, monkeypatch, capsys
     ):
-        from repro.config import WORKER_ADDRS_ENV
-        from repro.exec.worker import WorkerServer
+        import repro.cli
+        from repro.exec.backend import PoolBackend
 
-        server = WorkerServer()
-        server.start()
-        hellos = []
-        handle_hello = server._handle_hello
+        resolved = []
+        resolve = repro.cli.resolve_backend
 
-        def counting_hello(frame):
-            hellos.append(frame)
-            return handle_hello(frame)
+        def counting_resolve(*args, **kwargs):
+            backend = resolve(*args, **kwargs)
+            resolved.append(backend)
+            return backend
 
-        monkeypatch.setattr(server, "_handle_hello", counting_hello)
-        monkeypatch.setenv(WORKER_ADDRS_ENV, server.address)
-        try:
-            code = main(
-                ["coverage", "vocoder", "--scale", "0.1", "--backend", "remote"]
-            )
-            assert code == 0
-            assert "Pareto coverage" in capsys.readouterr().out
-            # Every batch of the three strategies reused one connection,
-            # and the command closed it on exit, ending its thread.
-            assert len(hellos) == 1
-            deadline = time.monotonic() + 5.0
-            while server.live_threads and time.monotonic() < deadline:
-                time.sleep(0.01)
-            assert server.live_threads == 0
-        finally:
-            server.stop()
+        closed = []
+        close = PoolBackend.close
+
+        def recording_close(self):
+            closed.append(self)
+            close(self)
+
+        monkeypatch.setattr(repro.cli, "resolve_backend", counting_resolve)
+        monkeypatch.setattr(PoolBackend, "close", recording_close)
+        code = main(
+            ["coverage", "vocoder", "--scale", "0.1", "--backend", "pool",
+             "--jobs", "2"]
+        )
+        assert code == 0
+        assert "Pareto coverage" in capsys.readouterr().out
+        # Every batch of the three strategies ran on one backend, and
+        # the command closed it on exit.
+        assert len(resolved) == 1
+        assert isinstance(resolved[0], PoolBackend)
+        assert closed == resolved

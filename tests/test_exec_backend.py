@@ -1,10 +1,10 @@
 """Unit tests for the pluggable execution-backend layer.
 
 Covers the :class:`~repro.exec.backend.ExecutionBackend` contract
-(ordered results, bit-identity across implementations), the sharded
-fault-tolerant dispatch, backend resolution from arguments, who closes a backend (``simulate_batch`` closes what
-it resolves, never a caller's instance), the runtime's in-process
-one-group rule, and the CPU-count pool cap.
+(ordered results, bit-identity across implementations), backend
+resolution from arguments, who closes a backend (``simulate_batch``
+closes what it resolves, never a caller's instance), the runtime's
+in-process one-group rule, and the CPU-count pool cap.
 """
 
 import os
@@ -12,27 +12,22 @@ import os
 import pytest
 
 from repro.apex.architectures import MemoryArchitecture
-from repro.config import WORKER_ADDRS_ENV
 from repro.errors import ExecutionError
 from repro.exec import (
     ExecutionRuntime,
     NullCache,
     PoolBackend,
     SerialBackend,
-    ShardedBackend,
     SimulationCache,
     SimulationJob,
     resolve_backend,
     simulate_batch,
 )
-from repro.exec import net
-from repro.exec.net import BackendUnavailable
 from repro.exec.runtime import (
     _CAP_WARNED,
     effective_pool_workers,
     set_default_runtime,
 )
-from repro.exec.worker import WorkerServer
 
 _PRESETS = (
     "cache_4k_16b_1w",
@@ -53,25 +48,6 @@ def _jobs(mem_library) -> list[SimulationJob]:
         SimulationJob(memory=_arch(mem_library, preset, f"m{i}"))
         for i, preset in enumerate(_PRESETS)
     ]
-
-
-class FlakyBackend(SerialBackend):
-    """Dies with BackendUnavailable on its first N dispatches."""
-
-    name = "flaky"
-
-    def __init__(self, failures: int = 1) -> None:
-        self.failures = failures
-        self.calls = 0
-
-    def _maybe_fail(self) -> None:
-        self.calls += 1
-        if self.calls <= self.failures:
-            raise BackendUnavailable("injected shard death")
-
-    def run_groups(self, trace, groups):
-        self._maybe_fail()
-        return super().run_groups(trace, groups)
 
 
 class TestBackendEquivalence:
@@ -113,79 +89,6 @@ class TestBackendEquivalence:
         assert report.results == reference.results
         assert report.backend == "pool"
 
-    def test_sharded_merge_is_bit_identical(self, tiny_trace, mem_library):
-        jobs = _jobs(mem_library)
-        reference = simulate_batch(
-            tiny_trace, jobs, workers=1, cache=NullCache()
-        )
-        sharded = ShardedBackend([SerialBackend(), SerialBackend()])
-        report = simulate_batch(
-            tiny_trace, jobs, cache=NullCache(), backend=sharded
-        )
-        assert report.results == reference.results
-        assert report.backend == "sharded"
-        assert report.retries == 0 and not report.degraded
-
-
-class TestShardedFaults:
-    def test_dead_shard_redispatches_to_survivor(
-        self, tiny_trace, mem_library
-    ):
-        jobs = _jobs(mem_library)
-        reference = simulate_batch(
-            tiny_trace, jobs, workers=1, cache=NullCache()
-        )
-        sharded = ShardedBackend([SerialBackend(), FlakyBackend(failures=9)])
-        report = simulate_batch(
-            tiny_trace, jobs, cache=NullCache(), backend=sharded
-        )
-        assert report.results == reference.results
-        assert report.retries == 1
-        assert not report.degraded
-        assert sharded._alive == [True, False]
-
-    def test_all_shards_dead_degrades_to_fallback(
-        self, tiny_trace, mem_library
-    ):
-        jobs = _jobs(mem_library)
-        reference = simulate_batch(
-            tiny_trace, jobs, workers=1, cache=NullCache()
-        )
-        sharded = ShardedBackend(
-            [FlakyBackend(failures=9), FlakyBackend(failures=9)]
-        )
-        report = simulate_batch(
-            tiny_trace, jobs, cache=NullCache(), backend=sharded
-        )
-        assert report.results == reference.results
-        assert report.degraded
-
-    def test_retry_budget_degrades(self, tiny_trace, mem_library):
-        jobs = _jobs(mem_library)
-        flaky = FlakyBackend(failures=9)
-        sharded = ShardedBackend([flaky], max_retries=0)
-        report = simulate_batch(
-            tiny_trace, jobs, cache=NullCache(), backend=sharded
-        )
-        reference = simulate_batch(
-            tiny_trace, jobs, workers=1, cache=NullCache()
-        )
-        assert report.results == reference.results
-        assert report.degraded
-
-    def test_job_errors_are_not_faults(self, tiny_trace, mem_library):
-        class BrokenJobBackend(SerialBackend):
-            def run_groups(self, trace, groups):
-                raise ValueError("job blew up")
-
-        sharded = ShardedBackend([BrokenJobBackend(), SerialBackend()])
-        with pytest.raises(ValueError, match="job blew up"):
-            sharded.run_groups(tiny_trace, [_jobs(mem_library)])
-
-    def test_needs_at_least_one_backend(self):
-        with pytest.raises(ExecutionError):
-            ShardedBackend([])
-
 
 class TestResolveBackend:
     def test_unset_applies_the_default_rule(self):
@@ -223,22 +126,8 @@ class TestResolveBackend:
     def test_unknown_name_rejected(self):
         with pytest.raises(ExecutionError, match="unknown backend"):
             resolve_backend("quantum")
-
-    def test_remote_requires_addresses(self, monkeypatch):
-        monkeypatch.delenv(WORKER_ADDRS_ENV, raising=False)
-        with pytest.raises(ExecutionError, match=WORKER_ADDRS_ENV):
+        with pytest.raises(ExecutionError, match="unknown backend"):
             resolve_backend("remote")
-
-    def test_remote_builds_sharded(self, monkeypatch):
-        monkeypatch.setenv(
-            WORKER_ADDRS_ENV, "127.0.0.1:1, 127.0.0.1:2"
-        )
-        backend = resolve_backend("remote")
-        assert isinstance(backend, ShardedBackend)
-        assert [b.address for b in backend.backends] == [
-            "127.0.0.1:1",
-            "127.0.0.1:2",
-        ]
 
 
 class TestEngineSelection:
@@ -334,61 +223,53 @@ class TestEngineSelection:
 
 
 @pytest.fixture
-def remote_pair(monkeypatch):
-    """Two loopback workers named by ``REPRO_WORKER_ADDRS``, plus every
-    connection opened to them."""
-    servers = [WorkerServer(), WorkerServer()]
-    for server in servers:
-        server.start()
-    monkeypatch.setenv(
-        WORKER_ADDRS_ENV, ",".join(server.address for server in servers)
-    )
-    opened = []
-    connect = net.Connection.connect.__func__
+def pool_closes(monkeypatch):
+    """Every :class:`PoolBackend` closed from now on, in call order.
 
-    def recording_connect(cls, address, timeout=None):
-        connection = connect(cls, address, timeout)
-        opened.append(connection)
-        return connection
+    The process-wide default runtime is isolated for the test and
+    closed afterwards, since a ``"pool"`` batch without a runtime
+    builds one.
+    """
+    closed = []
+    close = PoolBackend.close
 
-    monkeypatch.setattr(
-        net.Connection, "connect", classmethod(recording_connect)
-    )
-    yield opened
-    for server in servers:
-        server.stop()
+    def recording_close(self):
+        closed.append(self)
+        close(self)
 
-
-def _is_closed(connection) -> bool:
-    return connection._sock.fileno() == -1
+    monkeypatch.setattr(PoolBackend, "close", recording_close)
+    previous = set_default_runtime(None)
+    yield closed
+    current = set_default_runtime(previous)
+    if current is not None:
+        current.close()
 
 
 class TestBackendOwnership:
     def test_backend_resolved_from_a_name_is_closed(
-        self, remote_pair, tiny_trace, mem_library
+        self, pool_closes, tiny_trace, mem_library
     ):
-        """``simulate_batch`` closes what it resolves: no connection to
-        a remote worker outlives the batch that opened it."""
+        """``simulate_batch`` closes what it resolves, exactly once."""
         report = simulate_batch(
-            tiny_trace, _jobs(mem_library), cache=NullCache(),
-            backend="remote",
+            tiny_trace, _jobs(mem_library), workers=2, cache=NullCache(),
+            backend="pool",
         )
-        assert report.backend == "sharded"
-        assert len(remote_pair) == 2
-        assert all(_is_closed(connection) for connection in remote_pair)
+        assert report.backend == "pool"
+        assert len(pool_closes) == 1
 
     def test_caller_instance_stays_open_across_batches(
-        self, remote_pair, tiny_trace, mem_library
+        self, pool_closes, tiny_trace, mem_library
     ):
         jobs = _jobs(mem_library)
-        with resolve_backend("remote") as backend:
-            for _ in range(2):
-                simulate_batch(
-                    tiny_trace, jobs, cache=NullCache(), backend=backend
-                )
-            assert len(remote_pair) == 2
-            assert not any(_is_closed(c) for c in remote_pair)
-        assert all(_is_closed(connection) for connection in remote_pair)
+        with ExecutionRuntime(workers=2) as runtime:
+            with PoolBackend(runtime) as backend:
+                for _ in range(2):
+                    simulate_batch(
+                        tiny_trace, jobs, cache=NullCache(), backend=backend
+                    )
+                assert pool_closes == []
+            assert pool_closes == [backend]
+            assert not runtime.closed
 
 
 class TestWorkerCap:

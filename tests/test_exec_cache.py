@@ -8,7 +8,7 @@ import sys
 import pytest
 
 from repro.apex.architectures import MemoryArchitecture
-from repro.config import CACHE_MAX_MB_ENV, CACHE_URL_ENV
+from repro.config import CACHE_MAX_MB_ENV
 from repro.exec.cache import (
     CACHE_DIR_ENV,
     NULL_CACHE,
@@ -196,7 +196,6 @@ class TestLayerCounters:
         assert cache.layer_counts() == {
             "memory_hits": 1,
             "disk_hits": 1,
-            "net_hits": 0,
             "hits": 2,
             "misses": 0,
         }
@@ -211,7 +210,6 @@ class TestLayerCounters:
         assert cache.layer_counts() == {
             "memory_hits": 0,
             "disk_hits": 0,
-            "net_hits": 0,
             "hits": 0,
             "misses": 0,
         }
@@ -230,7 +228,6 @@ class TestLayerCounters:
         report = simulate_batch(tiny_trace, jobs, cache=cold)
         assert report.cache_disk_hits == len(jobs)
         assert report.cache_memory_hits == 0
-        assert report.cache_net_hits == 0
         assert cold.misses == 0
 
 
@@ -446,14 +443,8 @@ class TestDefaultCache:
         set_default_cache(mine)
         assert default_cache() is mine
 
-    def test_env_configures_cap_and_network_layer(
-        self, monkeypatch, tmp_path
-    ):
+    def test_env_configures_the_disk_cap(self, monkeypatch, tmp_path):
         monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path))
         monkeypatch.setenv(CACHE_MAX_MB_ENV, "5")
-        monkeypatch.setenv(CACHE_URL_ENV, "127.0.0.1:1")
         cache = default_cache()
         assert cache.max_mb == 5.0
-        assert cache._client is not None
-        assert cache._client.url == "127.0.0.1:1"
-        cache.close()

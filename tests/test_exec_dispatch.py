@@ -1,13 +1,11 @@
-"""The one dispatch policy: a per-job timeout budget and a jobs count
-that mean the same on every backend.
+"""The dispatch policy: a per-job timeout budget, a jobs count that
+means the same on every backend, and job errors that are not faults.
 
-The process pool and the sharded socket backend share one recovery loop
-(:func:`repro.exec.runtime.dispatch_groups`). A unit of work — a pool
-chunk or a socket request — carries whole memory-signature groups, and
-its timeout budget is ``job_timeout`` × the *jobs* inside them. These
-tests slow every job down by a fixed sleep so the budget is checked by
-margins of at least 4× either way: the per-job timeout is 5× one job,
-and a unit carries 20 jobs, 4× the per-job timeout.
+A pool chunk carries whole memory-signature groups, and its timeout
+budget is ``job_timeout`` × the *jobs* inside them. These tests slow
+every job down by a fixed sleep so the budget is checked by margins of
+at least 4× either way: the per-job timeout is 5× one job, and a chunk
+carries 20 jobs, 4× the per-job timeout.
 """
 
 import threading
@@ -19,12 +17,9 @@ from repro.apex.architectures import MemoryArchitecture
 from repro.exec import (
     ExecutionRuntime,
     PoolBackend,
-    RemoteBackend,
     SerialBackend,
-    ShardedBackend,
     SimulationJob,
 )
-from repro.exec.worker import WorkerServer
 from repro.sim import batch as sim_batch
 
 #: Seconds every job sleeps, and the per-job timeout (5× a job).
@@ -88,30 +83,6 @@ class TestJobBudget:
         assert dispatch.retries == 0
         assert not dispatch.degraded
 
-    def test_remote_request_waits_for_every_job_it_carries(
-        self, tiny_trace, mem_library, slow_jobs
-    ):
-        """One shard, one request of 20 jobs taking 4× the per-job
-        timeout: the shard stays alive and the worker does the work."""
-        groups = _groups(mem_library, (5, 5, 10))
-        reference = SerialBackend().run_groups(tiny_trace, groups)
-        threads = slow_jobs()
-        server = WorkerServer()
-        server.start()
-        try:
-            sharded = ShardedBackend(
-                [RemoteBackend(server.address, timeout=JOB_TIMEOUT)]
-            )
-            with sharded:
-                results = sharded.run_groups(tiny_trace, groups)
-        finally:
-            server.stop()
-        assert results == reference
-        assert sharded._alive == [True]
-        assert sharded.last_dispatch.retries == 0
-        assert not sharded.last_dispatch.degraded
-        assert threads and threading.main_thread() not in threads
-
 
 class TestJobsCount:
     """``DispatchStats.jobs`` counts jobs, whichever backend ran them."""
@@ -119,10 +90,31 @@ class TestJobsCount:
     def test_every_backend_counts_jobs(self, tiny_trace, mem_library):
         groups = _groups(mem_library, (3, 2))
         serial = SerialBackend()
-        sharded = ShardedBackend([SerialBackend(), SerialBackend()])
         with ExecutionRuntime(workers=2) as runtime:
             pool = PoolBackend(runtime)
-            for backend in (serial, pool, sharded):
+            for backend in (serial, pool):
                 backend.run_groups(tiny_trace, groups)
                 assert backend.last_dispatch.jobs == 5, backend.name
             assert runtime.stats.jobs == 5
+
+
+class TestJobErrors:
+    def test_job_errors_are_not_faults(
+        self, tiny_trace, mem_library, monkeypatch
+    ):
+        """A job that raises fails its batch with that error: the pool
+        is neither rebuilt nor retried, and the runtime stays usable.
+        Pool workers forked after the patch inherit it."""
+
+        def broken(trace, jobs, plan=None):
+            raise ValueError("job blew up")
+
+        monkeypatch.setattr(sim_batch, "evaluate_group", broken)
+        groups = _groups(mem_library, (2, 2))
+        with ExecutionRuntime(workers=2) as runtime:
+            with pytest.raises(ValueError, match="job blew up"):
+                PoolBackend(runtime).run_groups(tiny_trace, groups)
+            assert runtime._pool is not None
+            assert runtime.stats.pool_rebuilds == 0
+            assert runtime.stats.retries == 0
+            assert runtime.healthy

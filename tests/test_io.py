@@ -60,6 +60,41 @@ class TestTraceRoundTrip:
         with pytest.raises(TraceError):
             load_trace(path)
 
+    @pytest.mark.parametrize(
+        "content",
+        [b"not a trace\n", b"", b"PK\x03\x04 torn archive"],
+        ids=["text", "empty", "torn-zip"],
+    )
+    def test_file_that_is_not_an_archive_rejected(self, tmp_path, content):
+        path = tmp_path / "bogus.npz"
+        path.write_bytes(content)
+        with pytest.raises(TraceError, match="not a trace file"):
+            load_trace(path)
+
+    def test_non_integer_version_rejected(self, tiny_trace, tmp_path):
+        import numpy as np
+
+        path = tmp_path / "t.npz"
+        save_trace(tiny_trace, path)
+        with np.load(path, allow_pickle=False) as data:
+            arrays = {key: data[key] for key in data.files}
+        arrays["version"] = np.str_("two")
+        bad = tmp_path / "bad-version.npz"
+        np.savez_compressed(bad, **arrays)
+        with pytest.raises(TraceError, match="not a trace file"):
+            load_trace(bad)
+
+    def test_corrupt_column_rejected(self, compress_trace, tmp_path):
+        path = tmp_path / "t.npz"
+        save_trace(compress_trace, path)
+        blob = bytearray(path.read_bytes())
+        middle = len(blob) // 2
+        for index in range(middle, middle + 64):
+            blob[index] ^= 0xFF  # flip bytes inside a compressed column
+        path.write_bytes(bytes(blob))
+        with pytest.raises(TraceError, match="not a trace file"):
+            load_trace(path)
+
 
 class TestFingerprintPersistence:
     def test_round_trip_preserves_identity(self, tiny_trace, tmp_path):

@@ -3,7 +3,8 @@
 ``repro.exec`` is the execution layer under the ConEx algorithm: it
 runs the simulation batches of :mod:`repro.conex` and must not import
 it. Phase-I estimates are computed in :mod:`repro.conex` itself, in
-process, so nothing in ``repro.exec`` needs it.
+process, so nothing in ``repro.exec`` needs it. It also runs on one
+host: no module of it imports :mod:`socket`.
 
 The driver layer (:mod:`repro.apex`, :mod:`repro.conex`,
 :mod:`repro.core`) in turn takes one execution handle, ``backend=``,
@@ -62,9 +63,23 @@ def test_exec_does_not_import_conex(path):
     assert not offending, offending
 
 
+@pytest.mark.parametrize(
+    "path",
+    sorted(EXEC_DIR.glob("*.py")),
+    ids=lambda path: path.name,
+)
+def test_exec_does_not_import_socket(path):
+    offending = [
+        f"{path.name}:{line}: {module}"
+        for line, module in _imported_modules(path)
+        if module == "socket" or module.startswith("socket.")
+    ]
+    assert not offending, offending
+
+
 def test_exec_package_is_scanned():
     names = {path.name for path in EXEC_DIR.glob("*.py")}
-    assert {"backend.py", "engine.py", "runtime.py", "worker.py"} <= names
+    assert {"backend.py", "cache.py", "engine.py", "runtime.py"} <= names
 
 
 @pytest.mark.parametrize(

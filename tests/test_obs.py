@@ -21,14 +21,12 @@ from repro.config import (
     BENCH_SMOKE_ENV,
     CACHE_DIR_ENV,
     CACHE_MAX_MB_ENV,
-    CACHE_URL_ENV,
     FAULT_INJECT_ENV,
     JOB_TIMEOUT_ENV,
     MAX_RETRIES_ENV,
     OBS_ENV,
     REFERENCE_SIM_ENV,
     SERVICE_URL_ENV,
-    WORKER_ADDRS_ENV,
     WORKERS_ENV,
     Settings,
     current_settings,
@@ -334,8 +332,6 @@ class TestSettings:
             MAX_RETRIES_ENV: "0",
             CACHE_DIR_ENV: "/srv/cache",
             CACHE_MAX_MB_ENV: "64",
-            WORKER_ADDRS_ENV: "10.0.0.1:7000, 10.0.0.2:7000",
-            CACHE_URL_ENV: "10.0.0.3:7001",
             SERVICE_URL_ENV: "http://10.0.0.4:9",
             FAULT_INJECT_ENV: "always",
             REFERENCE_SIM_ENV: "yes",
@@ -349,8 +345,6 @@ class TestSettings:
             max_retries=0,
             cache_dir="/srv/cache",
             cache_max_mb=64.0,
-            worker_addrs=("10.0.0.1:7000", "10.0.0.2:7000"),
-            cache_url="10.0.0.3:7001",
             service_url="http://10.0.0.4:9",
             fault_inject="always",
             reference_sim=True,
@@ -392,7 +386,7 @@ class TestSettings:
         as_dict = Settings(workers=2).as_dict()
         assert as_dict["workers"] == 2
         assert list(as_dict) == [spec.name for spec in fields(Settings)]
-        assert len(as_dict) == 12
+        assert len(as_dict) == 10
 
 
 class TestDeprecatedStats:

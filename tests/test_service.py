@@ -18,7 +18,7 @@ import pytest
 from repro.apex.explorer import ApexConfig
 from repro.conex.explorer import ConExConfig
 from repro.core.memorex import MemorExConfig, run_memorex
-from repro.errors import ServiceError
+from repro.errors import ConfigurationError, ExplorationError, ServiceError
 from repro.io import export_design_points_json
 from repro.service import (
     ExplorationService,
@@ -73,6 +73,8 @@ class TestSchemas:
             _spec(keep=0),
             _spec(workers=0),
             _spec(priority=True),  # bools are not job integers
+            _spec(backend="remote"),
+            _spec(scale=True),  # bools are not job numbers either
         ],
     )
     def test_rejects_bad_specs(self, payload):
@@ -249,6 +251,29 @@ class TestRunner:
         assert batches >= 1
 
 
+@pytest.mark.parametrize("scale", ["nan", "inf"])
+class TestNonFiniteScale:
+    """A non-finite scale fails at every boundary with a typed error
+    (NaN passes a ``scale <= 0`` test)."""
+
+    def test_get_workload_rejects_it(self, scale):
+        with pytest.raises(ConfigurationError, match="positive and finite"):
+            get_workload(_WORKLOAD, scale=float(scale))
+
+    def test_job_spec_rejects_it(self, scale):
+        with pytest.raises(ServiceError) as excinfo:
+            parse_job_spec(_spec(scale=scale))
+        assert excinfo.value.status == 400
+
+    def test_cli_reports_it(self, scale, capsys):
+        from repro.cli import main
+
+        assert main(["explore", _WORKLOAD, "--scale", scale]) == 1
+        assert "error: scale must be positive and finite" in (
+            capsys.readouterr().err
+        )
+
+
 class TestArgumentBounds:
     @pytest.mark.parametrize(
         "build",
@@ -365,15 +390,19 @@ class TestServiceEndToEnd:
             client.submit({"kind": "explore", "workload": "nonesuch"})
         assert excinfo.value.status == 400
 
-    def test_failed_job_reports_error(self, running_server):
+    def test_failed_job_reports_error(self, running_server, monkeypatch):
         server, _cache_dir = running_server
         client = _client(server)
-        # A spec that parses but whose run fails: workers=1 is valid,
-        # but a huge select with scale tiny still succeeds — instead
-        # force failure via a scale so small the trace is degenerate?
-        # The robust route: bad backend config. "remote" with no
-        # REPRO_WORKER_ADDRS set fails at backend resolution.
-        job = client.submit(_spec(backend="remote"))
+        # A spec that parses but whose run fails: the runner's APEX
+        # step raises inside the in-process server.
+
+        def failing_apex(*_args, **_kwargs):
+            raise ExplorationError("injected APEX failure")
+
+        monkeypatch.setattr(
+            "repro.service.runner.explore_memory_architectures", failing_apex
+        )
+        job = client.submit(_spec())
         final = client.wait(job["id"], timeout=60.0)
         assert final["state"] == "failed"
         assert "error" in final
