@@ -209,6 +209,17 @@ def record_channel_scaling(stem: str, **fields) -> dict:
     return _append_record(CHANNEL_TIMINGS, record)
 
 
+#: Machine-readable pareto-extraction timing records (same
+#: replace-by-name convention as BENCH_parallel.json).
+PARETO_TIMINGS = OUTPUT_DIR / "BENCH_pareto.json"
+
+
+def record_pareto_timing(stem: str, **fields) -> dict:
+    """Append one oracle-vs-sort-and-filter record to BENCH_pareto.json."""
+    record = {"name": stem, **fields, "cpu_count": os.cpu_count()}
+    return _append_record(PARETO_TIMINGS, record)
+
+
 def _append_record(path: pathlib.Path, record: dict) -> dict:
     """Write ``record`` to ``path``, replacing any same-name entry."""
     OUTPUT_DIR.mkdir(exist_ok=True)

@@ -23,6 +23,12 @@ from repro.core.design_point import DesignPointSummary, summarize
 from repro.errors import TraceError
 from repro.trace.events import Trace
 
+#: What reading a damaged column of a trace archive raises: a corrupt
+#: member fails its CRC check (``BadZipFile``) or its deflate stream
+#: (``zlib.error``); a damaged ``.npy`` header or payload raises
+#: ``ValueError``, ``TypeError`` or ``EOFError``.
+_UNREADABLE = (TypeError, ValueError, EOFError, zipfile.BadZipFile, zlib.error)
+
 #: Version 2 added the ``fingerprint`` column (content hash, verified
 #: on load). Version-1 files — without it — still load fine.
 _TRACE_FORMAT_VERSION = 2
@@ -51,7 +57,8 @@ def trace_fingerprint(path: str | pathlib.Path) -> str:
 
     Lets cache-management tooling match on-disk traces against
     :mod:`repro.exec` cache keys cheaply. Version-1 files predate the
-    stored fingerprint and raise :class:`TraceError`.
+    stored fingerprint and raise :class:`TraceError`, as does a damaged
+    ``fingerprint`` column.
     """
     path = pathlib.Path(path)
     with _open_npz(path) as data:
@@ -60,7 +67,12 @@ def trace_fingerprint(path: str | pathlib.Path) -> str:
                 f"{path} predates stored fingerprints (format version 1); "
                 "load it and call Trace.fingerprint()"
             )
-        return str(data["fingerprint"])
+        try:
+            return str(data["fingerprint"])
+        except _UNREADABLE as error:
+            raise TraceError(
+                f"{path} is not a trace file (unreadable column: {error})"
+            ) from None
 
 
 def save_trace(trace: Trace, path: str | pathlib.Path) -> None:
@@ -120,9 +132,7 @@ def load_trace(path: str | pathlib.Path) -> Trace:
             raise TraceError(
                 f"{path} is not a trace file (missing column {missing})"
             ) from None
-        except (
-            TypeError, ValueError, EOFError, zipfile.BadZipFile, zlib.error
-        ) as error:
+        except _UNREADABLE as error:
             raise TraceError(
                 f"{path} is not a trace file (unreadable column: {error})"
             ) from None

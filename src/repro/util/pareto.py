@@ -19,10 +19,12 @@ of the paper's Table 2:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence, TypeVar
 
+import numpy as np
+
+from repro import obs
 from repro.errors import ExplorationError
 
 T = TypeVar("T")
@@ -47,21 +49,59 @@ def dominates(a: Vector, b: Vector) -> bool:
     return no_worse and strictly_better
 
 
+def _rows(vectors: Sequence[Vector], dims: int) -> np.ndarray:
+    """``vectors`` as a float matrix of ``dims`` columns."""
+    for vector in vectors:
+        if len(vector) != dims:
+            raise ExplorationError(
+                f"dimension mismatch: {dims} vs {len(vector)}"
+            )
+    return np.asarray(vectors, dtype=float).reshape(len(vectors), dims)
+
+
 def pareto_indices(points: Sequence[Vector]) -> list[int]:
     """Indices of the non-dominated points of ``points``, in input order.
 
-    Duplicate coordinates are all retained (none of two equal points
-    dominates the other), mirroring the paper's plots where distinct
-    architectures may share a cost/latency pair.
+    The result is exactly the set of points that no other point
+    :func:`dominates`:
+
+    * duplicate coordinates are all retained (none of two equal points
+      dominates the other), mirroring the paper's plots where distinct
+      architectures may share a cost/latency pair;
+    * a point with a NaN on any axis is always kept and dominates
+      nothing, because every ``<=``/``<`` comparison with NaN is false;
+    * ``inf`` and ``-inf`` compare as ordinary floats (``inf <= inf``
+      holds, ``inf < inf`` does not);
+    * zero-dimensional vectors are all kept;
+    * vectors of different lengths raise :class:`ExplorationError`.
+
+    The points are sorted lexicographically and walked in that order,
+    each tested with NumPy row operations against the front kept so
+    far. That is exact: a dominating point sorts strictly before the
+    point it dominates, and a dominated dominator is itself dominated
+    by a kept point (dominance is transitive).
     """
-    indices: list[int] = []
-    for i, p in enumerate(points):
-        dominated = any(
-            dominates(q, p) for j, q in enumerate(points) if j != i
-        )
-        if not dominated:
-            indices.append(i)
-    return indices
+    dims = len(points[0]) if len(points) else 0
+    values = _rows(points, dims)
+    if len(values) < 2 or dims == 0:
+        return list(range(len(values)))
+    has_nan = np.isnan(values).any(axis=1)
+    comparable = np.flatnonzero(~has_nan)
+    order = comparable[np.lexsort(values[comparable].T[::-1])]
+    front = np.empty((len(order), dims))
+    kept = list(np.flatnonzero(has_nan))
+    size = 0
+    for index in order:
+        point = values[index]
+        head = front[:size]
+        # Everything in ``head`` sorts at or before ``point``, so a row
+        # no worse on every axis and not equal to it dominates it.
+        if ((head <= point).all(axis=1) & (head != point).any(axis=1)).any():
+            continue
+        front[size] = point
+        size += 1
+        kept.append(index)
+    return sorted(int(index) for index in kept)
 
 
 def pareto_front(
@@ -71,11 +111,16 @@ def pareto_front(
 
     ``key`` maps an item to its objective vector (all axes minimized).
     The result preserves input order, so deterministic exploration runs
-    yield deterministic fronts.
+    yield deterministic fronts. Records the ``pareto.front`` span and
+    the ``pareto.points_in`` / ``pareto.points_kept`` counters.
     """
     materialized = list(items)
-    vectors = [tuple(key(item)) for item in materialized]
-    return [materialized[i] for i in pareto_indices(vectors)]
+    with obs.span("pareto.front"):
+        vectors = [tuple(key(item)) for item in materialized]
+        front = [materialized[i] for i in pareto_indices(vectors)]
+    obs.incr("pareto.points_in", len(materialized))
+    obs.incr("pareto.points_kept", len(front))
+    return front
 
 
 def is_pareto_point(point: Vector, points: Sequence[Vector]) -> bool:
@@ -108,23 +153,38 @@ class ParetoCoverage:
         return 100.0 * self.coverage
 
 
-def _matches(a: Vector, b: Vector, rel_tol: float) -> bool:
-    return all(
-        math.isclose(x, y, rel_tol=rel_tol, abs_tol=1e-12)
-        for x, y in zip(a, b)
-    )
+def _matches(ref: np.ndarray, explored: np.ndarray, rel_tol: float) -> bool:
+    """Does some row of ``explored`` match ``ref`` on every axis?
 
-
-def _closest(point: Vector, candidates: Sequence[Vector]) -> Vector:
-    """Candidate minimizing the summed relative deviation to ``point``."""
-
-    def rel_dev(c: Vector) -> float:
-        return sum(
-            abs(x - y) / abs(y) if y else abs(x - y)
-            for x, y in zip(c, point)
+    Per axis this is ``math.isclose(x, y, rel_tol=rel_tol,
+    abs_tol=1e-12)`` on whole columns: equal values (``inf`` included)
+    match, an infinite value matches only itself, NaN matches nothing.
+    """
+    with np.errstate(invalid="ignore", over="ignore"):
+        diff = np.abs(explored - ref)
+        tolerance = np.maximum(
+            np.abs(rel_tol * explored), np.abs(rel_tol * ref)
         )
+        close = (diff <= tolerance) | (diff <= 1e-12)
+    close &= ~(np.isinf(explored) | np.isinf(ref))
+    close |= explored == ref
+    return bool(close.all(axis=1).any())
 
-    return min(candidates, key=rel_dev)
+
+def _closest(point: Sequence[float], candidates: np.ndarray) -> int:
+    """Index of the candidate minimizing the summed relative deviation.
+
+    Like ``min(..., key=...)``: the first minimum wins, a NaN deviation
+    is never smaller than another, and a NaN first deviation is kept.
+    """
+    total = np.zeros(len(candidates))
+    with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
+        for axis, y in enumerate(point):
+            deviation = np.abs(candidates[:, axis] - y)
+            total += deviation / abs(y) if y else deviation
+    if np.isnan(total[0]):
+        return 0
+    return int(np.argmin(np.where(np.isnan(total), np.inf, total)))
 
 
 def average_axis_distance(
@@ -144,9 +204,10 @@ def average_axis_distance(
     if not explored:
         raise ExplorationError("cannot measure distance to an empty exploration")
     dims = len(missed[0])
+    candidates = _rows(explored, dims)
     totals = [0.0] * dims
     for ref in missed:
-        near = _closest(ref, explored)
+        near = explored[_closest(ref, candidates)]
         for axis in range(dims):
             denom = abs(ref[axis]) or 1.0
             totals[axis] += 100.0 * abs(near[axis] - ref[axis]) / denom
@@ -163,21 +224,28 @@ def pareto_coverage(
     ``reference`` should already be a pareto front (typically produced by
     full simulation of the design space); ``explored`` is whatever the
     heuristic produced. A reference point counts as *found* when some
-    explored point matches it within ``rel_tol`` on every axis.
+    explored point matches it within ``rel_tol`` on every axis, as
+    ``math.isclose`` with ``abs_tol=1e-12`` decides. Vectors of
+    different lengths raise :class:`ExplorationError`.
     """
     if not reference:
         raise ExplorationError("reference pareto front is empty")
+    dims = len(reference[0])
+    references = [tuple(ref) for ref in reference]
+    explored = [tuple(e) for e in explored]
+    reference_rows = _rows(references, dims)
+    rows = _rows(explored, dims)
+    if explored and rel_tol < 0:
+        raise ValueError("tolerances must be non-negative")
     found: list[tuple[float, ...]] = []
     missed: list[tuple[float, ...]] = []
-    for ref in reference:
-        ref_t = tuple(ref)
-        if any(_matches(ref_t, tuple(e), rel_tol) for e in explored):
-            found.append(ref_t)
+    for ref, ref_row in zip(references, reference_rows):
+        if _matches(ref_row, rows, rel_tol):
+            found.append(ref)
         else:
-            missed.append(ref_t)
-    dims = len(reference[0])
+            missed.append(ref)
     if missed:
-        distances = average_axis_distance(missed, [tuple(e) for e in explored])
+        distances = average_axis_distance(missed, explored)
     else:
         distances = tuple(0.0 for _ in range(dims))
     return ParetoCoverage(

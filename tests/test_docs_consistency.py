@@ -4,8 +4,8 @@ Guards against doc rot: the experiment index's benchmark files, the
 README's example commands, the packages named in the architecture
 docs, and the ``REPRO_*`` knobs the prose names must all exist, the
 ``Settings`` docstring table must list every field, and the figures
-``docs/performance.md`` quotes from ``BENCH_parallel.json`` and
-``BENCH_runtime.json`` must match their benchmark records.
+``docs/performance.md`` quotes from the ``BENCH_*.json`` records must
+match those records.
 """
 
 import pathlib
@@ -357,3 +357,47 @@ class TestPerformanceDoc:
         if record_name == "columnar_phase1":
             # The only speedup in the row is the recorded one.
             assert re.findall(r"\d+(?:\.\d+)?×", rows[0]) == [expected[-1]]
+
+    def test_pareto_figures_match_the_json(self):
+        """The pareto-extraction table and trajectory row quote the
+        records of ``BENCH_pareto.json``."""
+        import json
+
+        records = json.loads(
+            (ROOT / "benchmarks/out/BENCH_pareto.json").read_text()
+        )
+        assert records and not any(r["smoke"] for r in records), records
+        lines = read("docs/performance.md").splitlines()
+        for record in records:
+            rows = [
+                line for line in lines
+                if line.startswith(f"| `{record['name']}` |")
+            ]
+            assert len(rows) == 1, (record["name"], rows)
+            cells = [cell.strip() for cell in rows[0].strip("|").split("|")]
+            assert cells[1:] == [
+                str(record["calls"]),
+                f"{record['points']:,}",
+                f"{record['largest_call']:,}",
+                str(record["kept"]),
+                f"{record['oracle_seconds']:.4f} s",
+                f"{record['sort_filter_seconds']:.4f} s",
+                f"{record['speedup']}×",
+                str(record["cpu_count"]),
+            ], rows[0]
+        spmv = next(r for r in records if r["name"] == "spmv_op")
+        rows = [
+            line for line in lines
+            if line.startswith("| pareto extraction (`BENCH_pareto.json`)")
+        ]
+        assert len(rows) == 1, rows
+        expected = [
+            f"{spmv['points']:,} points in {spmv['calls']} calls",
+            f"oracle {spmv['oracle_seconds']:.4f} s",
+            f"sort-and-filter {spmv['sort_filter_seconds']:.4f} s",
+            f"on {spmv['cpu_count']} CPUs",
+            f"{spmv['speedup']}×",
+        ]
+        missing = [figure for figure in expected if figure not in rows[0]]
+        assert not missing, missing
+        assert re.findall(r"\d+(?:\.\d+)?×", rows[0]) == [expected[-1]]

@@ -2,6 +2,8 @@
 
 import csv
 import json
+import struct
+import zipfile
 
 import pytest
 
@@ -112,6 +114,24 @@ class TestFingerprintPersistence:
     def test_missing_file_raises(self, tmp_path):
         with pytest.raises(TraceError):
             trace_fingerprint(tmp_path / "ghost.npz")
+
+    def test_corrupt_fingerprint_member_rejected(self, tiny_trace, tmp_path):
+        path = tmp_path / "t.npz"
+        save_trace(tiny_trace, path)
+        with zipfile.ZipFile(path) as archive:
+            member = archive.getinfo("fingerprint.npy")
+        blob = bytearray(path.read_bytes())
+        # The member's bytes follow its 30-byte local header, its name
+        # and its extra field.
+        name_length, extra_length = struct.unpack_from(
+            "<HH", blob, member.header_offset + 26
+        )
+        start = member.header_offset + 30 + name_length + extra_length
+        for index in range(start, start + min(20, member.compress_size)):
+            blob[index] ^= 0xFF
+        path.write_bytes(bytes(blob))
+        with pytest.raises(TraceError, match="not a trace file"):
+            trace_fingerprint(path)
 
     def test_tampered_columns_detected(self, tiny_trace, tmp_path):
         import numpy as np

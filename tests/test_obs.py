@@ -39,6 +39,7 @@ from repro.exec.cache import NullCache, SimulationCache
 from repro.exec.engine import SimulationJob, simulate_batch
 from repro.exec.runtime import ExecutionRuntime, RuntimeStats
 from repro.obs.registry import ObsSnapshot
+from repro.util.pareto import pareto_front
 
 from .test_exec_faults import _jobs
 
@@ -89,6 +90,15 @@ class TestSpans:
         count, wall, _ = obs.snapshot().spans["again"]
         assert count == 3
         assert wall >= 0.0
+
+    def test_pareto_front_records_its_span_and_counts(self, obs_on):
+        with obs.span("outer"):
+            front = pareto_front([(1, 2), (2, 1), (3, 3)], key=lambda p: p)
+        assert front == [(1, 2), (2, 1)]
+        snap = obs.snapshot()
+        assert snap.spans["outer/pareto.front"][0] == 1
+        assert snap.counters["pareto.points_in"] == 3
+        assert snap.counters["pareto.points_kept"] == 2
 
     def test_incr_is_thread_safe(self, obs_on):
         def bump():

@@ -1,9 +1,14 @@
 """Unit tests for pareto-front mathematics."""
 
+import math
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ExplorationError
 from repro.util.pareto import (
+    ParetoCoverage,
     average_axis_distance,
     dominates,
     is_pareto_point,
@@ -57,6 +62,131 @@ class TestParetoIndices:
     def test_preserves_input_order(self):
         points = [(4, 1), (1, 4), (2, 2)]
         assert pareto_indices(points) == [0, 1, 2]
+
+    def test_nan_row_kept_and_dominates_nothing(self):
+        points = [(1.0, 1.0), (math.nan, 0.0), (2.0, 2.0), (0.0, math.nan)]
+        assert pareto_indices(points) == [0, 1, 3]
+
+    def test_infinities_compare_as_floats(self):
+        points = [(math.inf, 1.0), (math.inf, 2.0), (-math.inf, math.inf)]
+        assert pareto_indices(points) == [0, 2]
+
+    def test_ragged_input_raises(self):
+        with pytest.raises(ExplorationError, match="dimension mismatch"):
+            pareto_indices([(1.0, 2.0), (1.0,)])
+
+    def test_empty_input(self):
+        assert pareto_indices([]) == []
+
+    def test_zero_dimensional_vectors_all_kept(self):
+        assert pareto_indices([(), (), ()]) == [0, 1, 2]
+
+
+def _all_pairs_oracle(points):
+    """The definition: indices no other point dominates, in input order."""
+    return [
+        i
+        for i, p in enumerate(points)
+        if not any(dominates(q, p) for j, q in enumerate(points) if j != i)
+    ]
+
+
+_objective = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, -0.0, 1.0, 2.0, math.inf, -math.inf, math.nan]),
+)
+
+
+@st.composite
+def _point_sets(draw):
+    dims = draw(st.integers(min_value=0, max_value=3))
+    vector = st.tuples(*[_objective] * dims)
+    points = draw(st.lists(vector, max_size=24))
+    # Force duplicates: re-append some drawn points.
+    if points:
+        extra = draw(st.lists(st.sampled_from(points), max_size=6))
+        points = points + extra
+        points = draw(st.permutations(points))
+    return points
+
+
+class TestParetoIndicesDifferential:
+    @settings(max_examples=300, deadline=None)
+    @given(_point_sets())
+    def test_matches_all_pairs_oracle(self, points):
+        assert pareto_indices(points) == _all_pairs_oracle(points)
+
+
+def _coverage_oracle(reference, explored, rel_tol):
+    """Table 2 metrics as scalar loops: ``math.isclose`` matching and
+    ``min(..., key=...)`` for the closest explored point."""
+    found, missed = [], []
+    for ref in map(tuple, reference):
+        if any(
+            all(
+                math.isclose(x, y, rel_tol=rel_tol, abs_tol=1e-12)
+                for x, y in zip(ref, e)
+            )
+            for e in explored
+        ):
+            found.append(ref)
+        else:
+            missed.append(ref)
+    dims = len(reference[0])
+    if not missed:
+        return ParetoCoverage(1.0, (0.0,) * dims, tuple(found), ())
+    if not explored:
+        raise ExplorationError("empty exploration")
+    totals = [0.0] * dims
+    for ref in missed:
+        near = min(
+            explored,
+            key=lambda c: sum(
+                abs(x - y) / abs(y) if y else abs(x - y)
+                for x, y in zip(c, ref)
+            ),
+        )
+        for axis in range(dims):
+            denom = abs(ref[axis]) or 1.0
+            totals[axis] += 100.0 * abs(near[axis] - ref[axis]) / denom
+    return ParetoCoverage(
+        len(found) / len(reference),
+        tuple(total / len(missed) for total in totals),
+        tuple(found),
+        tuple(missed),
+    )
+
+
+@st.composite
+def _coverage_cases(draw):
+    dims = draw(st.integers(min_value=1, max_value=3))
+    vector = st.tuples(*[_objective] * dims)
+    reference = draw(st.lists(vector, min_size=1, max_size=6))
+    explored = draw(st.lists(vector, max_size=8))
+    # Near copies of reference points, inside and outside the tolerance.
+    for ref in draw(st.lists(st.sampled_from(reference), max_size=3)):
+        scale = draw(
+            st.sampled_from([1.0, 1.0 + 1e-10, 1.0 + 1e-8, 1.01, 1.0101])
+        )
+        explored.append(tuple(x * scale for x in ref))
+    rel_tol = draw(st.sampled_from([0.0, 1e-9, 0.01]))
+    return reference, draw(st.permutations(explored)), rel_tol
+
+
+class TestCoverageDifferential:
+    @settings(max_examples=300, deadline=None)
+    @given(_coverage_cases())
+    def test_matches_scalar_oracle(self, case):
+        reference, explored, rel_tol = case
+        outcomes = []
+        for measure in (pareto_coverage, _coverage_oracle):
+            try:
+                # repr tells NaN, -0.0 and 0.0 apart, so equal reprs are
+                # equal bits.
+                outcomes.append(repr(measure(reference, explored, rel_tol)))
+            except ExplorationError:
+                outcomes.append("ExplorationError")
+        assert outcomes[0] == outcomes[1]
 
 
 class TestParetoFront:
