@@ -220,6 +220,17 @@ def record_pareto_timing(stem: str, **fields) -> dict:
     return _append_record(PARETO_TIMINGS, record)
 
 
+#: Machine-readable group-plan memo records (same replace-by-name
+#: convention as BENCH_parallel.json).
+GROUP_PLAN_TIMINGS = OUTPUT_DIR / "BENCH_group_plan.json"
+
+
+def record_group_plan_timing(stem: str, **fields) -> dict:
+    """Append one empty-vs-shared memo record to BENCH_group_plan.json."""
+    record = {"name": stem, **fields, "cpu_count": os.cpu_count()}
+    return _append_record(GROUP_PLAN_TIMINGS, record)
+
+
 def _append_record(path: pathlib.Path, record: dict) -> dict:
     """Write ``record`` to ``path``, replacing any same-name entry."""
     OUTPUT_DIR.mkdir(exist_ok=True)

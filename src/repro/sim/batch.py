@@ -7,21 +7,27 @@ candidates over one trace as same-memory-signature groups
 (:func:`evaluate_group`). Both go through the same three stages:
 
 * **per trace** — a :class:`TracePlan` holds sampling masks, the write
-  column, and the tick list backing the contention walks. The registry
-  behind :func:`trace_plan` keeps the few live traces for
-  :func:`evaluate_group`; a single run builds a private plan and drops
-  it with the run.
-* **per memory signature** — a :class:`GroupPlan` holds the module
-  outcomes, which the memory architecture alone determines. For
+  column, the tick list backing the contention walks, and a bounded
+  memo of module outcomes. An outcome is what one module does over
+  the structures routed to it, which its configuration alone
+  determines, so it is keyed by (``config_signature()``, served struct
+  ids) and shared by every architecture that has such a module. For
   batch-capable modules (see
-  :attr:`repro.memory.module.MemoryModule.supports_batch`) these are
-  whole-run ``access_many`` columns; for the tick-affine DMA engines a
+  :attr:`repro.memory.module.MemoryModule.supports_batch`) an outcome
+  is the ``access_many`` columns; for the tick-affine DMA engines a
   symbolic :class:`~repro.memory.module.ReplayTrace` recording
   (:meth:`~repro.memory.module.MemoryModule.record_replay`) whose
   stall terms are re-priced per member against its arrivals and
-  backing delay. Module state evolution is tick-independent, so one
-  merged DRAM open-row pass over the run's transactions (each access
-  makes at most one) is shared too.
+  backing delay. The registry behind :func:`trace_plan` keeps the few
+  live traces for :func:`evaluate_group`; a single run builds a private
+  plan and drops it with the run.
+* **per memory signature** — a :class:`GroupPlan` scatters its
+  modules' outcomes into whole-run columns and folds their counters.
+  Module state evolution is tick-independent, so one merged DRAM
+  open-row pass over the run's transactions (each access makes at most
+  one) serves every member too. A plan is built per group and not
+  retained: the outcomes it reads are the costly part, and the memo
+  keeps those.
 * **per member** — the delta pass: connectivity-priced transfer
   columns (:func:`_member_columns`), one walk, and the measured-window
   fold. The walk is :func:`_contended_pass` when no module of the group
@@ -64,7 +70,12 @@ from repro.memory.energy import (
     DRAM_PER_BYTE_NJ,
 )
 from repro.sim.metrics import SimulationResult
-from repro.sim.simulator import RunState, Simulator, reference_requested
+from repro.sim.simulator import (
+    RunState,
+    Simulator,
+    prime_module,
+    reference_requested,
+)
 from repro.timing.batch import transfer_timing_columns
 from repro.trace.events import AccessKind
 
@@ -98,8 +109,13 @@ class _JobLike(Protocol):
     posted_writes: bool
 
 
-#: Group plans retained per trace plan (distinct memory signatures).
-_GROUP_PLAN_LIMIT = 32
+#: Module outcomes retained per trace plan (distinct module configs
+#: over distinct served structures), least recently used first out. An
+#: outcome is never larger than the group plan that built it: at most
+#: 25 bytes a row for a batch module, and a replay recording plus 8,
+#: against a plan's whole-run columns (at least 58 bytes a row) plus
+#: its recordings. So the memo retains no more than 32 group plans did.
+_MODULE_OUTCOME_LIMIT = 32
 
 #: Trace plans retained process-wide (distinct trace fingerprints).
 _TRACE_PLAN_LIMIT = 4
@@ -153,8 +169,9 @@ class TracePlan:
     Holds the columns every candidate evaluation needs but no candidate
     changes: the write mask, sampling masks per distinct
     :meth:`~repro.sim.sampling.SamplingConfig.key`, the tick and write
-    lists for the walks (built on the first walk), and the
-    :class:`GroupPlan` cache keyed by memory-architecture signature.
+    lists for the walks (built on the first walk), and the memo of
+    module outcomes that every :class:`GroupPlan` over the trace
+    draws from (:meth:`module_outcome`).
     """
 
     def __init__(self, trace: "Trace") -> None:
@@ -162,7 +179,7 @@ class TracePlan:
         self.write_mask = trace.kinds == _WRITE_CODE
         self._sampling: dict = {}
         self._on_lists: dict = {}
-        self._groups: OrderedDict = OrderedDict()
+        self._outcomes: "OrderedDict[tuple, _ModuleOutcome]" = OrderedDict()
 
     @cached_property
     def ticks_l(self) -> list:
@@ -207,28 +224,113 @@ class TracePlan:
         return on_l
 
     def group_plan(self, memory: "MemoryArchitecture") -> "GroupPlan":
-        """The memory architecture's :class:`GroupPlan`, built on demand.
+        """A :class:`GroupPlan` for the memory architecture.
 
-        Keyed by :meth:`~repro.apex.architectures.MemoryArchitecture.signature`,
-        so signature-equal architectures (however many instances) share
-        one recording; a small LRU bounds retention when a sweep visits
-        many distinct signatures.
+        Every call builds a fresh plan; the modules it runs are shared
+        through :meth:`module_outcome`, so a plan whose modules earlier
+        plans already ran pays only its DRAM pass and counter folds.
         """
-        signature = memory.signature()
-        plan = self._groups.get(signature)
-        if plan is not None:
-            self._groups.move_to_end(signature)
-            if obs.enabled():
-                obs.incr("sim.batch.groupplan_hits")
-            return plan
         with obs.span("sim.batch.build_group_plan"):
             # A connectivity-free lead: routes and modules are all the
             # plan reads, and it validates once per group.
-            plan = GroupPlan(self, Simulator(self.trace, memory))
-        self._groups[signature] = plan
-        while len(self._groups) > _GROUP_PLAN_LIMIT:
-            self._groups.popitem(last=False)
-        return plan
+            return GroupPlan(self, Simulator(self.trace, memory))
+
+    def module_outcome(
+        self, module, struct_ids: tuple, positions: np.ndarray
+    ) -> "_ModuleOutcome | None":
+        """``module``'s outcome over the rows of ``struct_ids``, memoised.
+
+        Keyed by ``(module.config_signature(), struct_ids)``: an outcome
+        is computed from a freshly reset (and, for a DMA engine,
+        freshly primed) module over exactly those rows, so any module
+        of equal configuration serving the same structures reproduces
+        it. A replay recording is symbolic in the backing delay, which
+        :meth:`~repro.memory.module.MemoryModule.config_signature`
+        leaves out, so members with different delays share it too.
+        ``positions`` are the rows of ``struct_ids`` in trace order.
+        ``None`` when the module can be neither batched nor recorded.
+        """
+        key = (module.config_signature(), struct_ids)
+        outcome = self._outcomes.get(key)
+        if outcome is not None:
+            self._outcomes.move_to_end(key)
+            if obs.enabled():
+                obs.incr("sim.batch.module_outcome_hits")
+            return outcome
+        outcome = _run_module(self.trace, module, struct_ids, positions)
+        if outcome is None:
+            return None
+        self._outcomes[key] = outcome
+        while len(self._outcomes) > _MODULE_OUTCOME_LIMIT:
+            self._outcomes.popitem(last=False)
+        if obs.enabled():
+            obs.incr("sim.batch.module_outcome_builds")
+        return outcome
+
+
+class _ModuleOutcome:
+    """One module's columns over its rows, shared by every group plan.
+
+    ``off`` is the off-critical-path backing traffic (writeback plus
+    prefetch bytes, or ``None`` when the module has neither);
+    ``replay`` is the :class:`~repro.memory.module.ReplayTrace` of a
+    tick-affine DMA engine, ``None`` for a batch-capable module. Every
+    column is made read-only, since every plan that hits the memo
+    shares it.
+    """
+
+    __slots__ = ("latency", "hit", "refill", "off", "replay", "node_size")
+
+    def __init__(self, latency, hit, refill, off, replay=None, node_size=0):
+        self.latency = latency
+        self.hit = hit
+        self.refill = refill
+        self.off = off
+        self.replay = replay
+        self.node_size = node_size
+        columns = [latency, hit, refill, off]
+        if replay is not None:
+            columns += [getattr(replay, name) for name in replay.__slots__]
+        for column in columns:
+            if column is not None:
+                column.flags.writeable = False
+
+
+def _run_module(
+    trace: "Trace", module, struct_ids: tuple, positions: np.ndarray
+) -> _ModuleOutcome | None:
+    """Reset, prime and run ``module`` over the rows ``positions``."""
+    prime_module(module, trace, struct_ids)
+    sizes = trace.sizes[positions].astype(np.int64)
+    kinds = trace.kinds[positions]
+    if getattr(type(module), "supports_batch", False):
+        batch = module.access_many(trace.addresses[positions], sizes, kinds)
+        writeback = batch.writeback_bytes
+        prefetch = batch.prefetch_bytes
+        if writeback is None:
+            off = prefetch
+        elif prefetch is None:
+            off = writeback
+        else:
+            off = writeback + prefetch
+        return _ModuleOutcome(
+            batch.latency, batch.hit, batch.refill_bytes, off
+        )
+    recording = (
+        module.record_replay(sizes, kinds)
+        if getattr(type(module), "supports_replay", False)
+        else None
+    )
+    if recording is None:
+        return None
+    return _ModuleOutcome(
+        recording.latency,
+        recording.hit,
+        recording.refill_bytes,
+        recording.writeback_bytes + recording.prefetch_bytes,
+        recording,
+        int(getattr(module, "node_size", 0)),
+    )
 
 
 class _WalkLists:
@@ -246,18 +348,22 @@ class _WalkLists:
 
 
 class GroupPlan:
-    """Shared module outcomes for one (trace, memory signature) group.
+    """The shared columns of one (trace, memory signature) group.
 
     Built from a *lead* :class:`Simulator` over the group's memory
-    architecture, whose modules it primes and advances: module
-    behaviour (state evolution, hit and byte columns) is
-    memory-determined, and architectures with equal signatures have
-    identical module names, routes, and channel sets, so the recording
-    transfers to every member verbatim. Only the stall *latency* of a
-    replay module depends on the member — kept symbolic in the
-    recording and re-priced per member. ``replay_ok`` is false when a
-    module (or the DRAM) can be neither batched nor recorded; the plan
-    then holds nothing else and its members run the reference loop.
+    architecture. Each routed module's outcome comes from the trace
+    plan's memo (:meth:`TracePlan.module_outcome`), which runs the
+    lead's module only when no earlier plan ran an equally configured
+    one on the same structures. Module behaviour (state evolution, hit
+    and byte columns) is configuration-determined, and architectures
+    with equal signatures have identical module names, routes, and
+    channel sets, so the columns transfer to every member verbatim.
+    Only the stall *latency* of a replay module depends on the member —
+    kept symbolic in the recording and re-priced per member. The DRAM
+    is reset and its open-row pass run for every plan. ``replay_ok`` is
+    false when a module (or the DRAM) can be neither batched nor
+    recorded; the plan then holds nothing else and its members run the
+    reference loop.
     """
 
     def __init__(self, plan: TracePlan, lead: Simulator) -> None:
@@ -270,7 +376,7 @@ class GroupPlan:
         )
         if not self.replay_ok:
             return
-        lead._prime_modules()
+        memory.dram.reset()
         n = len(trace)
         gid_col = struct_group[trace.struct_ids]
         self.sizes64 = sizes64 = trace.sizes.astype(np.int64)
@@ -302,38 +408,21 @@ class GroupPlan:
                      None, None, 0, None, None, 0, 0)
                 )
                 continue
-            g_kinds = trace.kinds[positions]
-            if group.batchable:
-                outcome = module.access_many(
-                    trace.addresses[positions], g_sizes, g_kinds
-                )
-                writeback = outcome.writeback_bytes
-                prefetch = outcome.prefetch_bytes
-                if writeback is None:
-                    off = prefetch
-                elif prefetch is None:
-                    off = writeback
-                else:
-                    off = writeback + prefetch
-                latency = outcome.latency
-                refill_col = outcome.refill_bytes
-                hit = outcome.hit
-            else:
-                recording = (
-                    module.record_replay(g_sizes, g_kinds)
-                    if getattr(type(module), "supports_replay", False)
-                    else None
-                )
-                if recording is None:
-                    self.replay_ok = False
-                    return
-                self.replay[gid] = recording
-                self.node_sizes[gid] = int(getattr(module, "node_size", 0))
-                latency = recording.latency
-                refill_col = recording.refill_bytes
-                off = recording.writeback_bytes + recording.prefetch_bytes
-                hit = recording.hit
-            mlat[positions] = latency
+            outcome = plan.module_outcome(
+                module,
+                tuple(np.flatnonzero(struct_group == gid).tolist()),
+                positions,
+            )
+            if outcome is None:
+                self.replay_ok = False
+                return
+            if outcome.replay is not None:
+                self.replay[gid] = outcome.replay
+                self.node_sizes[gid] = outcome.node_size
+            refill_col = outcome.refill
+            off = outcome.off
+            hit = outcome.hit
+            mlat[positions] = outcome.latency
             r_pos = r_bytes = bg_pos = bg_bytes = None
             r_sum = off_sum = bg_count = 0
             if group.backing_state is not None:
@@ -451,11 +540,13 @@ def evaluate_single(sim: Simulator) -> SimulationResult | None:
 
     Uses a private :class:`TracePlan` (never the registry, so separate
     runs stay independent and a long trace's walk lists die with the
-    run) and ``sim`` itself as the group plan's lead. Returns ``None``
-    when a module can be neither batched nor recorded; the caller then
-    runs the reference loop, which re-primes every module.
+    run) and ``sim`` itself as the group plan's lead, so its own modules
+    run and its DMA engines carry this run's backing hint. Returns
+    ``None`` when a module can be neither batched nor recorded; the
+    caller then runs the reference loop, which re-primes every module.
     """
     plan = TracePlan(sim.trace)
+    sim._install_backing_hints()
     gplan = GroupPlan(plan, sim)
     if not gplan.replay_ok:
         return None

@@ -40,7 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -51,6 +51,7 @@ from repro.connectivity.architecture import ConnectivityArchitecture
 from repro.errors import SimulationError
 from repro.memory.dma import SelfIndirectDma
 from repro.memory.energy import dram_transaction_energy_nj
+from repro.memory.module import MemoryModule
 from repro.sim.metrics import (
     ChannelTraffic,
     ModuleStats,
@@ -151,6 +152,25 @@ class RunState:
         }
         self.struct_counts = [0] * len(simulator._routes)
         self.struct_latency = [0] * len(simulator._routes)
+
+
+def prime_module(
+    module: MemoryModule, trace: Trace, struct_ids: Sequence[int]
+) -> None:
+    """Reset ``module``; prime a DMA engine with the chain it will chase.
+
+    ``struct_ids`` are the trace structures routed to the module. A DMA
+    engine is primed with their accesses' addresses in trace order, so
+    the module's outcome over the trace depends on its configuration
+    and those structures alone.
+    """
+    module.reset()
+    if isinstance(module, SelfIndirectDma):
+        if len(struct_ids) == 1:
+            mask = trace.struct_ids == struct_ids[0]
+        else:
+            mask = np.isin(trace.struct_ids, struct_ids)
+        module.prime(trace.addresses[mask].tolist())
 
 
 class Simulator:
@@ -256,29 +276,25 @@ class Simulator:
                 )
             )
 
+    def _served_structs(self, target: str) -> list[int]:
+        """Ids of the trace structures routed to ``target``."""
+        return [
+            struct_id
+            for struct_id, route in enumerate(self._routes)
+            if route.target == target
+        ]
+
     def _prime_modules(self) -> None:
         """Reset modules; prime DMA engines with their access chains."""
-        self.memory.reset()
-        dma_targets: dict[str, list[int]] = {}
+        self.memory.dram.reset()
+        for name, module in self.memory.modules.items():
+            prime_module(module, self.trace, self._served_structs(name))
+        self._install_backing_hints()
+
+    def _install_backing_hints(self) -> None:
+        """Set every DMA engine's ``backing_latency_hint`` for this run."""
         for name, module in self.memory.modules.items():
             if isinstance(module, SelfIndirectDma):
-                dma_targets[name] = []
-        if dma_targets:
-            addresses = self.trace.addresses
-            struct_ids = self.trace.struct_ids
-            for name in dma_targets:
-                serving = np.flatnonzero(
-                    np.array([r.target == name for r in self._routes])
-                )
-                if len(serving) == 1:
-                    mask = struct_ids == serving[0]
-                else:
-                    mask = np.isin(struct_ids, serving)
-                dma_targets[name] = addresses[mask].tolist()
-            for name, sequence in dma_targets.items():
-                module = self.memory.modules[name]
-                assert isinstance(module, SelfIndirectDma)
-                module.prime(sequence)
                 module.backing_latency_hint = self._dma_backing_delay(
                     name, module.node_size
                 )

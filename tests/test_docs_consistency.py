@@ -401,3 +401,33 @@ class TestPerformanceDoc:
         missing = [figure for figure in expected if figure not in rows[0]]
         assert not missing, missing
         assert re.findall(r"\d+(?:\.\d+)?×", rows[0]) == [expected[-1]]
+
+    def test_group_plan_row_matches_the_json(self):
+        """The group-plan trajectory row quotes the record of
+        ``BENCH_group_plan.json``."""
+        import json
+
+        records = json.loads(
+            (ROOT / "benchmarks/out/BENCH_group_plan.json").read_text()
+        )
+        assert len(records) == 1 and not records[0]["smoke"], records
+        record = records[0]
+        rows = [
+            line
+            for line in read("docs/performance.md").splitlines()
+            if line.startswith("| group plans (`BENCH_group_plan.json`")
+        ]
+        assert len(rows) == 1, rows
+        expected = [
+            f"{record['groups']} groups, {record['members']} members",
+            f"empty memo {record['fresh_build_seconds']:.4f} s "
+            f"({record['fresh_outcome_builds']} module runs)",
+            f"shared memo {record['shared_build_seconds']:.4f} s "
+            f"({record['shared_outcome_builds']} module runs, "
+            f"{record['shared_outcome_hits']} memo hits)",
+            f"on {record['cpu_count']} CPUs",
+            f"{record['build_speedup']}×",
+        ]
+        missing = [figure for figure in expected if figure not in rows[0]]
+        assert not missing, missing
+        assert re.findall(r"\d+(?:\.\d+)?×", rows[0]) == [expected[-1]]
