@@ -8,6 +8,9 @@ simulation work):
 
 * **Enabled overhead** — the same batch timed with recording off and
   on; the enabled wall time must stay within 5% of the disabled one.
+  The two legs alternate run by run (and so does which leg of a pair
+  runs first), each keeping its best of N, so drift within the process
+  falls on both legs alike instead of on whichever ran second.
   While enabled, every memory-signature group records its
   ``sim.batch.group`` span, every simulation its run counters, and the
   engine the batch accounting — the full instrumentation cost.
@@ -36,7 +39,7 @@ from repro.workloads import get_workload
 
 TRACE_SCALE = 0.3 if SMOKE else 2.0
 
-#: Best-of-N timing repeats per mode.
+#: Best-of-N timing repeats per leg.
 REPEATS = 2 if SMOKE else 5
 
 #: Disabled-mode microbenchmark iterations (span + incr per loop).
@@ -60,13 +63,30 @@ def _jobs():
     return jobs
 
 
-def _time_batch(trace, jobs) -> float:
-    best = float("inf")
-    for _ in range(REPEATS):
-        start = time.perf_counter()
-        simulate_batch(trace, jobs, workers=1, cache=NullCache())
-        best = min(best, time.perf_counter() - start)
-    return best
+def _time_legs(trace, jobs) -> tuple[float, float]:
+    """Best-of-``REPEATS`` seconds with recording off and on.
+
+    Each repeat times one batch per leg, the disabled leg first on even
+    repeats and the enabled leg first on odd ones. Only the enabled
+    batches record, so the registry ends up holding exactly
+    ``REPEATS`` batches' spans and counters.
+    """
+    best = {False: float("inf"), True: float("inf")}
+    try:
+        for repeat in range(REPEATS):
+            for enabled in (repeat % 2 == 1, repeat % 2 == 0):
+                if enabled:
+                    obs.enable()
+                else:
+                    obs.disable()
+                start = time.perf_counter()
+                simulate_batch(trace, jobs, workers=1, cache=NullCache())
+                best[enabled] = min(
+                    best[enabled], time.perf_counter() - start
+                )
+    finally:
+        obs.disable()
+    return best[False], best[True]
 
 
 def _disabled_call_cost() -> float:
@@ -85,16 +105,9 @@ def regenerate() -> str:
 
     obs.disable()
     obs.reset()
-    disabled_seconds = _time_batch(trace, jobs)
+    disabled_seconds, enabled_seconds = _time_legs(trace, jobs)
+    snapshot = obs.snapshot()
     per_call = _disabled_call_cost()
-
-    obs.enable()
-    try:
-        obs.reset()
-        enabled_seconds = _time_batch(trace, jobs)
-        snapshot = obs.snapshot()
-    finally:
-        obs.disable()
 
     # Every span records one paired call site and every counter key at
     # least one incr; REPEATS identical batches ran while enabled.

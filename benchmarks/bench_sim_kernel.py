@@ -7,9 +7,11 @@ architectures, asserting exact result equality on every pair. Each
 workload runs with the paper's time-sampling configuration, and
 *compress*, *li*, and *vocoder* add unsampled pairs covering the
 whole-trace regime the batched contention walk (perf5) targets.
-*compress* also adds one DMA pair (a ``si_dma_32`` self-indirect DMA
-engine, sampled, AMBA connectivity), which runs the engine's replay
-walk over every access. The full run uses million-access traces for
+*compress* also adds two DMA pairs (a ``si_dma_32`` self-indirect DMA
+engine): one sampled under AMBA connectivity, which walks every
+access, on- and off-window, and one unsampled under ideal
+connectivity, the walk most Phase II member runs of a compress
+exploration take. The full run uses million-access traces for
 *compress* and *li*; ``REPRO_BENCH_SMOKE=1`` shrinks the scales to CI
 size (equality still asserted, timing thresholds skipped).
 
@@ -135,9 +137,9 @@ def regenerate() -> str:
                     conn="amba",
                 )
             )
-            # A single DMA run: the replay walk visits every access,
-            # on- and off-window, since a DMA stall depends on the
-            # engine's own earlier arrivals.
+            # DMA runs: the walk visits every access, on- and
+            # off-window, since a DMA stall depends on the engine's own
+            # earlier arrivals.
             dma_memory = mixed_architecture(
                 trace, common.MEMORY_LIBRARY, dma_preset="si_dma_32"
             )
@@ -150,6 +152,17 @@ def regenerate() -> str:
                     SAMPLING,
                     sampled=True,
                     conn="amba",
+                    dma="si_dma_32",
+                )
+            )
+            records.append(
+                _time_pair(
+                    "compress_dma_unsampled",
+                    trace,
+                    dma_memory,
+                    None,
+                    None,
+                    sampled=False,
                     dma="si_dma_32",
                 )
             )

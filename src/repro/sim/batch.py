@@ -7,7 +7,7 @@ candidates over one trace as same-memory-signature groups
 (:func:`evaluate_group`). Both go through the same three stages:
 
 * **per trace** — a :class:`TracePlan` holds sampling masks, the write
-  column, the tick list backing the contention walks, and a bounded
+  column, the tick list backing the contention walk, and a bounded
   memo of module outcomes. An outcome is what one module does over
   the structures routed to it, which its configuration alone
   determines, so it is keyed by (``config_signature()``, served struct
@@ -29,16 +29,17 @@ candidates over one trace as same-memory-signature groups
   retained: the outcomes it reads are the costly part, and the memo
   keeps those.
 * **per member** — the delta pass: connectivity-priced transfer
-  columns (:func:`_member_columns`), one walk, and the measured-window
-  fold. The walk is :func:`_contended_pass` when no module of the group
-  replays — a pure vector fold under ideal connectivity, a lean integer
-  loop over the on-window rows otherwise — and :func:`_replay_pass`
-  when one does, which walks every row because a replay module's
-  latency depends on its own arrivals.
+  columns (:func:`_member_columns`), the contention walk, and the
+  measured-window fold. Under ideal connectivity with no module that
+  replays, latency is a pure vector fold and nothing walks. Otherwise
+  :func:`_walk`, one integer loop driven by the run's sampling spans,
+  walks the on-window rows — or every row when a module of the group
+  replays, since a replay module's latency depends on its own
+  arrivals.
 
 Results are **bit-identical** to the scalar reference loop
 (:meth:`Simulator.run(reference=True) <repro.sim.simulator.Simulator.run>`):
-the walks replicate the reference recurrence's update order over the
+the walk replicates the reference recurrence's update order over the
 shared columns, and where energy is accumulated columnar the vector
 expressions replicate the reference loop's float accumulation order
 term by term (``np.cumsum`` is a sequential left fold, and adding an
@@ -169,7 +170,7 @@ class TracePlan:
     Holds the columns every candidate evaluation needs but no candidate
     changes: the write mask, sampling masks per distinct
     :meth:`~repro.sim.sampling.SamplingConfig.key`, the tick and write
-    lists for the walks (built on the first walk), and the memo of
+    lists for the walk (built on the first walk), and the memo of
     module outcomes that every :class:`GroupPlan` over the trace
     draws from (:meth:`module_outcome`).
     """
@@ -178,7 +179,6 @@ class TracePlan:
         self.trace = trace
         self.write_mask = trace.kinds == _WRITE_CODE
         self._sampling: dict = {}
-        self._on_lists: dict = {}
         self._outcomes: "OrderedDict[tuple, _ModuleOutcome]" = OrderedDict()
 
     @cached_property
@@ -211,17 +211,6 @@ class TracePlan:
                 columns = (on_mask, counted, int(np.count_nonzero(counted)))
             self._sampling[key] = columns
         return columns
-
-    def on_list(self, sampling: "SamplingConfig | None") -> list | None:
-        """The on-window mask as a Python list, for the replay walk."""
-        if sampling is None:
-            return None
-        key = sampling.key()
-        on_l = self._on_lists.get(key)
-        if on_l is None:
-            on_l = self.sampling_columns(sampling)[0].tolist()
-            self._on_lists[key] = on_l
-        return on_l
 
     def group_plan(self, memory: "MemoryArchitecture") -> "GroupPlan":
         """A :class:`GroupPlan` for the memory architecture.
@@ -334,11 +323,12 @@ def _run_module(
 
 
 class _WalkLists:
-    """A group plan's per-row Python lists for the contention walks.
+    """A group plan's per-row Python lists for the contention walk.
 
     Plain list indexing beats any per-row tuple machinery in CPython;
     the rarely-read lists are only indexed on the rows needing them.
-    The replay lists exist only when the group has a replay module.
+    The replay lists, and the module-latency list an ideal-connectivity
+    walk serves from, exist only when the group has a replay module.
     """
 
     __slots__ = (
@@ -660,22 +650,15 @@ def _evaluate_member(
     # dram_free or the wait/busy counters, and on- and off-window
     # accesses alike complete in exactly their contention-free latency.
     no_walk = not gplan.has_replay and sim.connectivity is None
-    if gplan.has_replay:
-        latency = _replay_pass(
-            sim, state, groups, plan, gplan, cols, plan.on_list(sampling)
-        )
-    else:
+    if no_walk:
         latency = cols.u_partial + gplan.core
-        if not no_walk:
-            spans = [(0, n, True)] if sampling is None else sampling.windows(n)
-            _contended_pass(
-                sim, state, groups, plan, gplan, cols, latency, spans, on_mask
-            )
-        elif int(latency.min()) < 1:
+        if int(latency.min()) < 1:
             bad = int(np.argmax(latency < 1))
             raise SimulationError(
                 f"access {bad} completed in {int(latency[bad])} cycles"
             )
+    else:
+        latency = _walk(sim, state, groups, plan, gplan, cols, on_mask)
     if sim.posted_writes:
         eff = np.where(plan.write_mask, np.int64(1), latency)
     else:
@@ -928,76 +911,87 @@ def _accumulate_energy(
     state.energy_wires += float(np.cumsum(wire_triples.ravel())[-1])
 
 
-# -- the walks --------------------------------------------------------------
+# -- the walk ---------------------------------------------------------------
 
 
-def _contended_pass(
+def _walk(
     sim: Simulator,
     state: RunState,
     groups: list[_Group],
     plan: TracePlan,
     gplan: GroupPlan,
     cols: _Columns,
-    latency: np.ndarray,
-    spans: list[tuple[int, int, bool]],
     on_mask: np.ndarray | None,
-) -> None:
-    """Serial contention walk over the on-window accesses (no replay).
+) -> np.ndarray:
+    """The member's contention walk; returns its raw latency column.
 
-    ``latency`` enters as the contention-free column. Off-window spans
-    reduce to slice sums of it; on-window spans run a lean integer loop
-    that replays the reference recurrence's state updates in the exact
-    reference order over the precomputed columns (no ``timing()``
-    calls, no module calls, no response allocations), overwriting the
-    on-window entries of ``latency`` and adding the wait/busy sums to
-    the channel states. An unsampled walk reads the group plan's
-    whole-run lists; a sampled walk converts only its on-window rows.
+    One integer loop replays the reference recurrence's state updates
+    in the exact reference order over the precomputed columns (no
+    ``timing()`` calls, no module calls, no response allocations),
+    pricing each replay hit's stall from its affine term against this
+    member's arrivals and backing delay. It leaves ``state`` and the
+    channel counters exactly as the reference loop would; the returned
+    column is pre posted-write folding.
+
+    The run's sampling spans drive the loop (one ``(0, n, True)`` span
+    when unsampled). Without a replay module an off-window span
+    reduces to slice sums of the contention-free column, so the loop
+    reads only the on-window rows (whole-run lists when unsampled,
+    lists of just those rows when sampled). A replay module's latency
+    depends on its own arrivals, so with one the loop walks every row
+    of every span. Whether a span is on is folded into the per-group
+    routing constants the loop unpacks, so no row tests it.
     """
     channels = sim._channels
     posted = sim.posted_writes
     page_hit_latency = sim.memory.dram.page_hit_latency
-    write_mask = plan.write_mask
-    u = latency
+    n = len(sim.trace)
+    spans = [(0, n, True)] if sim.sampling is None else sim.sampling.windows(n)
 
+    # Per-group routing constants for on- and off-window spans. Off the
+    # window nothing queues and no timeline moves, so both connections
+    # count as uncontended there; an uncontended transfer with no
+    # component has zero base latency and zero beats, so one sum prices
+    # both cases.
     channel_of = {id(channel): i for i, channel in enumerate(channels)}
-    ginfo = []
-    for group in groups:
+    on_info = []
+    off_info = []
+    for gid, group in enumerate(groups):
         cpu = group.cpu_state
         component = cpu.component
         back = group.backing_state
         back_component = back.component if back is not None else None
-        ginfo.append(
-            (
-                group.module is None,
-                cpu.cluster_index,
-                channel_of[id(cpu)],
-                bool(component.split_transactions),
-                component.base_latency,
-                back.cluster_index if back is not None else 0,
-                channel_of[id(back)] if back is not None else 0,
-                (
-                    bool(back_component.split_transactions)
-                    if back_component is not None
-                    else False
-                ),
-                (
-                    back_component.base_latency
-                    if back_component is not None
-                    else 0
-                ),
-            )
+        uncached = group.module is None
+        replay = not group.batchable
+        delay = (
+            sim._dma_backing_delay(group.target, gplan.node_sizes.get(gid, 0))
+            if replay
+            else 0
         )
+        info = [
+            uncached,
+            replay,
+            component is not None,
+            cpu.cluster_index,
+            channel_of[id(cpu)],
+            component is not None and bool(component.split_transactions),
+            component.base_latency if component is not None else 0,
+            back_component is not None,
+            back.cluster_index if back is not None else 0,
+            channel_of[id(back)] if back is not None else 0,
+            back_component is not None
+            and bool(back_component.split_transactions),
+            back_component.base_latency if back_component is not None else 0,
+            delay,
+        ]
+        on_info.append(tuple(info))
+        info[2] = info[7] = False
+        off_info.append(tuple(info))
 
-    on_idx = None if on_mask is None else np.flatnonzero(on_mask)
-    sel = slice(None) if on_idx is None else on_idx
-    # No replay rows here, so a hit's arrival tick is never needed on
-    # its own — the wire and module latencies fold into one column.
-    serve_l = (cols.conn + cols.mlat)[sel].tolist()
-    occ_l = cols.occ[sel].tolist()
-    dbeats_l = cols.dbeats[sel].tolist()
-    docc_l = cols.docc[sel].tolist()
-    bgocc_l = cols.bgocc[sel].tolist()
+    has_replay = gplan.has_replay
+    on_idx = None if has_replay or on_mask is None else np.flatnonzero(on_mask)
     if on_idx is None:
+        sel = slice(None)
         lists = gplan.walk_lists
         ticks_l = plan.ticks_l
         gid_l = lists.gid
@@ -1006,16 +1000,39 @@ def _contended_pass(
         bg_l = lists.bg
         dch_l = lists.dch
         write_l = plan.write_l if posted else None
+        rsrc_l = lists.rsrc
+        ralpha_l = lists.ralpha
+        rbeta_l = lists.rbeta
     else:
+        # The contention-free column; the walk overwrites its on rows.
+        latency = cols.u_partial + gplan.core
+        sel = on_idx
         ticks_l = sim.trace.ticks[sel].tolist()
         gid_l = cols.gid[sel].tolist()
         refill_l = (cols.refill[sel] > 0).tolist()
         core_l = gplan.core[sel].tolist()
         bg_l = (cols.offpath[sel] > 0).tolist()
         dch_l = gplan.dram_channels(sel, len(ticks_l))
-        write_l = write_mask[sel].tolist() if posted else None
-    lat_out = [0] * len(ticks_l)
+        write_l = plan.write_mask[sel].tolist() if posted else None
+    if sim.connectivity is None:
+        # Every transfer costs zero cycles: the serve column is the
+        # module latency and the transfer lists share one zero list.
+        # Only a replay group walks without connectivity, so the whole-
+        # run module-latency list exists.
+        serve_l = lists.mlat
+        conn_l = occ_l = dbeats_l = docc_l = bgocc_l = [0] * n
+    else:
+        # A row's wire and module latencies fold into one serve column;
+        # only a replay hit needs its arrival tick on its own.
+        serve_l = (cols.conn + cols.mlat)[sel].tolist()
+        conn_l = cols.conn.tolist() if has_replay else None
+        occ_l = cols.occ[sel].tolist()
+        dbeats_l = cols.dbeats[sel].tolist()
+        docc_l = cols.docc[sel].tolist()
+        bgocc_l = cols.bgocc[sel].tolist()
 
+    lat_out = [0] * len(gid_l)
+    arrivals: list[list[int]] = [[] for _ in groups]
     cluster_free = state.cluster_free
     dram_free = state.dram_free
     lag = state.lag
@@ -1023,11 +1040,10 @@ def _contended_pass(
     busys = [0] * len(channels)
     cch = wait_acc = busy_acc = 0
 
-    k = 0
-    last_gid = -1
+    row = 0
     for span_start, span_stop, on in spans:
-        if not on:
-            segment = u[span_start:span_stop]
+        if on_idx is not None and not on:
+            segment = latency[span_start:span_stop]
             if int(segment.min()) < 1:
                 bad = int(np.argmax(segment < 1))
                 raise SimulationError(
@@ -1035,17 +1051,17 @@ def _contended_pass(
                     f"{int(segment[bad])} cycles"
                 )
             if posted:
-                eff = np.where(
-                    write_mask[span_start:span_stop],
+                segment = np.where(
+                    plan.write_mask[span_start:span_stop],
                     np.int64(1),
                     segment,
                 )
-                lag += int(eff.sum()) - (span_stop - span_start)
-            else:
-                lag += int(segment.sum()) - (span_stop - span_start)
+            lag += int(segment.sum()) - (span_stop - span_start)
             continue
-        stop_k = k + (span_stop - span_start)
-        for k in range(k, stop_k):
+        ginfo = on_info if on else off_info
+        last_gid = -1
+        stop = row + (span_stop - span_start)
+        for k in range(row, stop):
             gid = gid_l[k]
             if gid != last_gid:
                 # Routing constants change only on a group switch;
@@ -1059,88 +1075,101 @@ def _contended_pass(
                     busys[cch] += busy_acc
                     busy_acc = 0
                 (
-                    is_uncached,
-                    ci,
-                    cch,
-                    csplit,
-                    cbase,
-                    bci,
-                    bch,
-                    bsplit,
-                    bbase,
+                    uncached, replay, contend, ci, cch, csplit, cbase,
+                    bcontend, bci, bch, bsplit, bbase, delay,
                 ) = ginfo[gid]
                 last_gid = gid
             issue = ticks_l[k] + lag
-            if is_uncached:
-                free = cluster_free[ci]
-                start = issue if issue >= free else free
-                wait_acc += start - issue
-                command_done = start + cbase
-                dch = dch_l[k]
-                chfree = dram_free[dch]
-                dram_start = (
-                    command_done if command_done >= chfree else chfree
-                )
-                core_k = core_l[k]
-                completion = dram_start + core_k + dbeats_l[k]
-                dram_free[dch] = dram_start + core_k
-                busy_until = start + occ_l[k] if csplit else completion
-                busy_acc += busy_until - start
-                if busy_until > cluster_free[ci]:
-                    cluster_free[ci] = busy_until
-            else:
-                free = cluster_free[ci]
-                start = issue if issue >= free else free
-                wait = start - issue
-                served = start + serve_l[k]
-                completion = served
-                has_refill = refill_l[k]
-                if has_refill:
-                    free = cluster_free[bci]
-                    back_start = served if served >= free else free
-                    waits[bch] += back_start - served
-                    command_done = back_start + bbase
+            if uncached:
+                # Uncached: straight to DRAM over the off-chip wire.
+                if contend:
+                    free = cluster_free[ci]
+                    start = issue if issue >= free else free
+                    wait_acc += start - issue
+                    command_done = start + cbase
                     dch = dch_l[k]
                     chfree = dram_free[dch]
                     dram_start = (
-                        command_done
-                        if command_done >= chfree
-                        else chfree
+                        command_done if command_done >= chfree else chfree
                     )
                     core_k = core_l[k]
                     completion = dram_start + core_k + dbeats_l[k]
                     dram_free[dch] = dram_start + core_k
-                    busy_until = (
-                        back_start + docc_l[k] if bsplit else completion
-                    )
-                    delta = busy_until - back_start
-                    if delta > 0:
-                        busys[bch] += delta
-                    if busy_until > cluster_free[bci]:
-                        cluster_free[bci] = busy_until
-                if bg_l[k]:
+                    busy_until = start + occ_l[k] if csplit else completion
+                    busy_acc += busy_until - start
+                    if busy_until > cluster_free[ci]:
+                        cluster_free[ci] = busy_until
+                else:
+                    completion = issue + cbase + core_l[k] + dbeats_l[k]
+            else:
+                if contend:
+                    free = cluster_free[ci]
+                    start = issue if issue >= free else free
+                else:
+                    start = issue
+                served = start + serve_l[k]
+                if replay:
+                    # Replay: the stall is affine in the arrival of an
+                    # earlier access of the same module and the delay.
+                    arrival = start + conn_l[k]
+                    arr_list = arrivals[gid]
+                    arr_list.append(arrival)
+                    src = rsrc_l[k]
+                    if src >= 0:
+                        ready = (
+                            arr_list[src] + ralpha_l[k] * delay + rbeta_l[k]
+                        )
+                        if ready > arrival:
+                            served += ready - arrival
+                completion = served
+                if refill_l[k]:
+                    if bcontend:
+                        free = cluster_free[bci]
+                        back_start = served if served >= free else free
+                        waits[bch] += back_start - served
+                        command_done = back_start + bbase
+                        dch = dch_l[k]
+                        chfree = dram_free[dch]
+                        dram_start = (
+                            command_done if command_done >= chfree else chfree
+                        )
+                        core_k = core_l[k]
+                        completion = dram_start + core_k + dbeats_l[k]
+                        dram_free[dch] = dram_start + core_k
+                        busy_until = (
+                            back_start + docc_l[k] if bsplit else completion
+                        )
+                        delta = busy_until - back_start
+                        if delta > 0:
+                            busys[bch] += delta
+                        if busy_until > cluster_free[bci]:
+                            cluster_free[bci] = busy_until
+                    else:
+                        completion = served + bbase + core_l[k] + dbeats_l[k]
+                if bcontend and bg_l[k]:
                     free = cluster_free[bci]
                     bg_start = served if served >= free else free
                     occupancy = bgocc_l[k]
                     busys[bch] += occupancy
                     cluster_free[bci] = bg_start + occupancy
-                    dram_start = bg_start + bbase
                     dch = dch_l[k]
                     chfree = dram_free[dch]
+                    dram_start = bg_start + bbase
                     if dram_start < chfree:
                         dram_start = chfree
                     dram_free[dch] = dram_start + page_hit_latency
-                # Non-split bus held for the whole miss (the reference
-                # busy rule: completion == served exactly when there
-                # was no refill).
-                if csplit or not has_refill:
-                    busy_until = start + occ_l[k]
-                else:
-                    busy_until = completion
-                busy_acc += busy_until - start
-                if busy_until > cluster_free[ci]:
-                    cluster_free[ci] = busy_until
-                wait_acc += wait
+                if contend:
+                    # Reference busy rule: the bus is released after its
+                    # occupancy on a split bus or a refill-free access,
+                    # and held for the whole miss otherwise.
+                    if csplit or completion == served:
+                        busy_until = start + occ_l[k]
+                    else:
+                        busy_until = completion
+                    busy_acc += busy_until - start
+                    if busy_until > cluster_free[ci]:
+                        cluster_free[ci] = busy_until
+                    wait_acc += start - issue
 
             lat = completion - issue
             if lat < 1:
@@ -1152,417 +1181,7 @@ def _contended_pass(
             if posted and write_l[k]:
                 lat = 1
             lag += lat - 1
-        k = stop_k
-
-    if wait_acc:
-        waits[cch] += wait_acc
-    if busy_acc:
-        busys[cch] += busy_acc
-    state.lag = lag
-    for i, wait in enumerate(waits):
-        if wait:
-            channels[i].wait_cycles += wait
-    for i, busy in enumerate(busys):
-        if busy:
-            channels[i].busy_cycles += busy
-    lat_column = np.array(lat_out, dtype=np.int64)
-    if on_idx is None:
-        latency[:] = lat_column
-    else:
-        latency[on_idx] = lat_column
-
-
-def _replay_pass(
-    sim: Simulator,
-    state: RunState,
-    groups: list[_Group],
-    plan: TracePlan,
-    gplan: GroupPlan,
-    cols: _Columns,
-    on_l: list | None,
-) -> np.ndarray:
-    """The candidate's contention/stall walk over the shared columns.
-
-    Replicates the reference recurrence's update order for every row —
-    uncached, batch-column, and replay rows alike, on- and off-window —
-    reading module outcomes from the group plan and pricing each replay
-    hit's stall from its affine term against this candidate's arrivals
-    and backing delay. Returns the raw latency column (pre
-    posted-write folding) and leaves ``state``/channel counters exactly
-    as the reference loop would.
-    """
-    channels = sim._channels
-    page_hit_latency = sim.memory.dram.page_hit_latency
-    channel_of = {id(channel): i for i, channel in enumerate(channels)}
-    ginfo = []
-    binfo = []
-    for gid, group in enumerate(groups):
-        cpu = group.cpu_state
-        component = cpu.component
-        back = group.backing_state
-        back_component = back.component if back is not None else None
-        if group.module is None:
-            kind = 0
-        elif group.batchable:
-            kind = 1
-        else:
-            kind = 2
-        delay = (
-            sim._dma_backing_delay(group.target, gplan.node_sizes.get(gid, 0))
-            if kind == 2
-            else 0
-        )
-        ginfo.append(
-            (
-                kind,
-                component is not None,
-                cpu.cluster_index,
-                channel_of[id(cpu)],
-                (
-                    bool(component.split_transactions)
-                    if component is not None
-                    else False
-                ),
-                component.base_latency if component is not None else 0,
-                (
-                    0
-                    if back is None
-                    else (2 if back_component is not None else 1)
-                ),
-                delay,
-            )
-        )
-        binfo.append(
-            (
-                back.cluster_index if back is not None else 0,
-                channel_of[id(back)] if back is not None else 0,
-                (
-                    bool(back_component.split_transactions)
-                    if back_component is not None
-                    else False
-                ),
-                (
-                    back_component.base_latency
-                    if back_component is not None
-                    else 0
-                ),
-            )
-        )
-
-    conn_l = cols.conn.tolist()
-    occ_l = cols.occ.tolist()
-    dbeats_l = cols.dbeats.tolist()
-    docc_l = cols.docc.tolist()
-    bgocc_l = cols.bgocc.tolist()
-    lists = gplan.walk_lists
-    ticks_l = plan.ticks_l
-    gid_l = lists.gid
-    mlat_l = lists.mlat
-    refill_l = lists.refill
-    bg_l = lists.bg
-    core_l = lists.core
-    dch_l = lists.dch
-    rsrc_l = lists.rsrc
-    ralpha_l = lists.ralpha
-    rbeta_l = lists.rbeta
-    posted = sim.posted_writes
-    write_l = plan.write_l if posted else None
-
-    n = len(conn_l)
-    lat_out = [0] * n
-    arrivals: list[list[int]] = [[] for _ in groups]
-    cluster_free = state.cluster_free
-    dram_free = state.dram_free
-    lag = state.lag
-    waits = [0] * len(channels)
-    busys = [0] * len(channels)
-    cch = wait_acc = busy_acc = 0
-
-    last_gid = -1
-    if on_l is None:
-        # Unsampled fast path: every access is on-window, so the
-        # off-window branches (and the mask lookups) drop out entirely.
-        for k in range(n):
-            gid = gid_l[k]
-            if gid != last_gid:
-                # Routing constants change only on a group switch;
-                # traces run the same structure for long stretches, so
-                # the CPU channel's wait/busy sums also accumulate in
-                # locals and flush on the switch.
-                if wait_acc:
-                    waits[cch] += wait_acc
-                    wait_acc = 0
-                if busy_acc:
-                    busys[cch] += busy_acc
-                    busy_acc = 0
-                (
-                    kind, has_comp, ci, cch, csplit, cbase, back_kind,
-                    delay,
-                ) = ginfo[gid]
-                last_gid = gid
-            issue = ticks_l[k] + lag
-            if kind == 0:
-                # Uncached: straight to DRAM over the off-chip wire.
-                if not has_comp:
-                    completion = issue + core_l[k]
-                else:
-                    free = cluster_free[ci]
-                    start = issue if issue >= free else free
-                    wait_acc += start - issue
-                    command_done = start + cbase
-                    dch = dch_l[k]
-                    chfree = dram_free[dch]
-                    dram_start = (
-                        command_done
-                        if command_done >= chfree
-                        else chfree
-                    )
-                    core_k = core_l[k]
-                    completion = dram_start + core_k + dbeats_l[k]
-                    dram_free[dch] = dram_start + core_k
-                    busy_until = (
-                        start + occ_l[k] if csplit else completion
-                    )
-                    busy_acc += busy_until - start
-                    if busy_until > cluster_free[ci]:
-                        cluster_free[ci] = busy_until
-            else:
-                if has_comp:
-                    free = cluster_free[ci]
-                    start = issue if issue >= free else free
-                    wait = start - issue
-                else:
-                    start = issue
-                    wait = 0
-                arrival = start + conn_l[k]
-                response_latency = mlat_l[k]
-                if kind == 2:
-                    arr_list = arrivals[gid]
-                    arr_list.append(arrival)
-                    src = rsrc_l[k]
-                    if src >= 0:
-                        ready = (
-                            arr_list[src]
-                            + ralpha_l[k] * delay
-                            + rbeta_l[k]
-                        )
-                        if ready > arrival:
-                            response_latency += ready - arrival
-                served = arrival + response_latency
-                completion = served
-                if back_kind and refill_l[k]:
-                    if back_kind == 2:
-                        bci, bch, bsplit, bbase = binfo[gid]
-                        free = cluster_free[bci]
-                        back_start = served if served >= free else free
-                        waits[bch] += back_start - served
-                        command_done = back_start + bbase
-                        dch = dch_l[k]
-                        chfree = dram_free[dch]
-                        dram_start = (
-                            command_done
-                            if command_done >= chfree
-                            else chfree
-                        )
-                        core_k = core_l[k]
-                        completion = dram_start + core_k + dbeats_l[k]
-                        dram_free[dch] = dram_start + core_k
-                        busy_until = (
-                            back_start + docc_l[k]
-                            if bsplit
-                            else completion
-                        )
-                        delta = busy_until - back_start
-                        if delta > 0:
-                            busys[bch] += delta
-                        if busy_until > cluster_free[bci]:
-                            cluster_free[bci] = busy_until
-                    else:
-                        completion = served + core_l[k]
-                if back_kind == 2 and bg_l[k]:
-                    bci, bch, bsplit, bbase = binfo[gid]
-                    free = cluster_free[bci]
-                    bg_start = served if served >= free else free
-                    occupancy = bgocc_l[k]
-                    busys[bch] += occupancy
-                    cluster_free[bci] = bg_start + occupancy
-                    dch = dch_l[k]
-                    chfree = dram_free[dch]
-                    dram_start = bg_start + bbase
-                    if dram_start < chfree:
-                        dram_start = chfree
-                    dram_free[dch] = dram_start + page_hit_latency
-                if has_comp:
-                    # Reference busy rule: the bus is released after its
-                    # occupancy on a split bus or a refill-free access,
-                    # and held for the whole miss otherwise.
-                    if csplit or completion == served:
-                        busy_until = start + occ_l[k]
-                    else:
-                        busy_until = completion
-                    busy_acc += busy_until - start
-                    if busy_until > cluster_free[ci]:
-                        cluster_free[ci] = busy_until
-                wait_acc += wait
-
-            lat = completion - issue
-            if lat < 1:
-                raise SimulationError(
-                    f"access {k} completed in {lat} cycles"
-                )
-            lat_out[k] = lat
-            if posted and write_l[k]:
-                lat = 1
-            lag += lat - 1
-    else:
-        for k in range(n):
-            gid = gid_l[k]
-            if gid != last_gid:
-                if wait_acc:
-                    waits[cch] += wait_acc
-                    wait_acc = 0
-                if busy_acc:
-                    busys[cch] += busy_acc
-                    busy_acc = 0
-                (
-                    kind, has_comp, ci, cch, csplit, cbase, back_kind,
-                    delay,
-                ) = ginfo[gid]
-                last_gid = gid
-            issue = ticks_l[k] + lag
-            on = on_l[k]
-            if kind == 0:
-                # Uncached: straight to DRAM over the off-chip wire.
-                if not has_comp:
-                    completion = issue + core_l[k]
-                else:
-                    if on:
-                        free = cluster_free[ci]
-                        start = issue if issue >= free else free
-                    else:
-                        start = issue
-                    wait_acc += start - issue
-                    command_done = start + cbase
-                    if on:
-                        dch = dch_l[k]
-                        chfree = dram_free[dch]
-                        dram_start = (
-                            command_done
-                            if command_done >= chfree
-                            else chfree
-                        )
-                    else:
-                        dram_start = command_done
-                    core_k = core_l[k]
-                    completion = dram_start + core_k + dbeats_l[k]
-                    if on:
-                        dram_free[dch] = dram_start + core_k
-                        busy_until = (
-                            start + occ_l[k] if csplit else completion
-                        )
-                        busy_acc += busy_until - start
-                        if busy_until > cluster_free[ci]:
-                            cluster_free[ci] = busy_until
-            else:
-                if has_comp:
-                    if on:
-                        free = cluster_free[ci]
-                        start = issue if issue >= free else free
-                    else:
-                        start = issue
-                    wait = start - issue
-                else:
-                    start = issue
-                    wait = 0
-                arrival = start + conn_l[k]
-                response_latency = mlat_l[k]
-                if kind == 2:
-                    arr_list = arrivals[gid]
-                    arr_list.append(arrival)
-                    src = rsrc_l[k]
-                    if src >= 0:
-                        ready = (
-                            arr_list[src]
-                            + ralpha_l[k] * delay
-                            + rbeta_l[k]
-                        )
-                        if ready > arrival:
-                            response_latency += ready - arrival
-                served = arrival + response_latency
-                completion = served
-                if back_kind and refill_l[k]:
-                    if back_kind == 2:
-                        bci, bch, bsplit, bbase = binfo[gid]
-                        if on:
-                            free = cluster_free[bci]
-                            back_start = (
-                                served if served >= free else free
-                            )
-                        else:
-                            back_start = served
-                        waits[bch] += back_start - served
-                        command_done = back_start + bbase
-                        if on:
-                            dch = dch_l[k]
-                            chfree = dram_free[dch]
-                            dram_start = (
-                                command_done
-                                if command_done >= chfree
-                                else chfree
-                            )
-                        else:
-                            dram_start = command_done
-                        core_k = core_l[k]
-                        completion = dram_start + core_k + dbeats_l[k]
-                        if on:
-                            dram_free[dch] = dram_start + core_k
-                            busy_until = (
-                                back_start + docc_l[k]
-                                if bsplit
-                                else completion
-                            )
-                            delta = busy_until - back_start
-                            if delta > 0:
-                                busys[bch] += delta
-                            if busy_until > cluster_free[bci]:
-                                cluster_free[bci] = busy_until
-                    else:
-                        completion = served + core_l[k]
-                if back_kind == 2 and bg_l[k] and on:
-                    bci, bch, bsplit, bbase = binfo[gid]
-                    free = cluster_free[bci]
-                    bg_start = served if served >= free else free
-                    occupancy = bgocc_l[k]
-                    busys[bch] += occupancy
-                    cluster_free[bci] = bg_start + occupancy
-                    dch = dch_l[k]
-                    chfree = dram_free[dch]
-                    dram_start = bg_start + bbase
-                    if dram_start < chfree:
-                        dram_start = chfree
-                    dram_free[dch] = dram_start + page_hit_latency
-                if has_comp and on:
-                    # Reference busy rule: the bus is released after its
-                    # occupancy on a split bus or a refill-free access,
-                    # and held for the whole miss otherwise.
-                    if csplit or completion == served:
-                        busy_until = start + occ_l[k]
-                    else:
-                        busy_until = completion
-                    busy_acc += busy_until - start
-                    if busy_until > cluster_free[ci]:
-                        cluster_free[ci] = busy_until
-                wait_acc += wait
-
-            lat = completion - issue
-            if lat < 1:
-                raise SimulationError(
-                    f"access {k} completed in {lat} cycles"
-                )
-            lat_out[k] = lat
-            if posted and write_l[k]:
-                lat = 1
-            lag += lat - 1
+        row = stop
 
     if wait_acc:
         waits[cch] += wait_acc
@@ -1575,4 +1194,8 @@ def _replay_pass(
     for index, busy in enumerate(busys):
         if busy:
             channels[index].busy_cycles += busy
-    return np.array(lat_out, dtype=np.int64)
+    lat_column = np.array(lat_out, dtype=np.int64)
+    if on_idx is None:
+        return lat_column
+    latency[on_idx] = lat_column
+    return latency

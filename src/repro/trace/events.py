@@ -24,9 +24,9 @@ import numpy as np
 from repro.errors import TraceError
 from repro.trace import shm as shm_registry
 
-#: Column attributes of a :class:`Trace`, in storage order. The shared
-#: export packs exactly these, and :meth:`Trace.from_packed` rebuilds
-#: them by name.
+#: Column attributes of a :class:`Trace`, in storage order. The shared-
+#: memory and file exports pack exactly these, and
+#: :meth:`Trace.from_packed` rebuilds them by name.
 TRACE_COLUMNS = ("addresses", "sizes", "kinds", "struct_ids", "ticks")
 
 #: Byte alignment of each column inside a shared block.
@@ -261,31 +261,16 @@ class Trace:
     ) -> None:
         """Copy every column into ``buffer`` at its packed offset.
 
-        The one writer of the packed layout. ``buffer`` is any writable,
-        zero-initialized buffer of the packed size — a ``bytearray``, a
-        shared-memory block's ``buf`` or a writable mapping of the
-        export file — so no transport stages a second copy of the trace.
+        The one writer of the packed layout. ``buffer`` is a writable,
+        zero-initialized buffer of the packed size — a shared-memory
+        block's ``buf`` or a writable mapping of the export file — so no
+        transport stages a second copy of the trace.
         """
         for column, dtype, offset, count in specs:
             target = np.frombuffer(
                 buffer, dtype=np.dtype(dtype), count=count, offset=offset
             )
             target[...] = getattr(self, column)
-
-    def pack_columns(self) -> "tuple[tuple[tuple[str, str, int, int], ...], bytes]":
-        """The trace columns as one contiguous buffer plus its layout.
-
-        The byte layout is exactly the one :meth:`export_shared` writes
-        into a shared block, so network transports (the ``repro
-        worker`` protocol) and shared memory describe traces with the
-        same ``(column, dtype, offset, count)`` specs. The receiver
-        rebuilds the trace with :meth:`from_packed` — zero-copy views
-        over the received buffer.
-        """
-        specs, size = self._column_specs()
-        buffer = bytearray(size)
-        self._write_columns(specs, buffer)
-        return tuple(specs), bytes(buffer)
 
     @classmethod
     def from_packed(
@@ -298,11 +283,11 @@ class Trace:
     ) -> "Trace":
         """Rebuild a trace from the packed layout in ``buffer``.
 
-        The one reader of the layout: ``buffer`` is the
-        :meth:`pack_columns` bytes, or the mapped block of a shared
-        export (:meth:`attach_shared`). Columns are read-only views of
-        ``buffer`` (no copy); the sender's fingerprint is adopted
-        verbatim so cache keys match without re-hashing the columns.
+        The one reader of the layout: ``buffer`` is the mapped block of
+        a shared-memory or file export (:meth:`attach_shared`). Columns
+        are read-only views of ``buffer`` (no copy); the exporter's
+        fingerprint is adopted verbatim so cache keys match without
+        re-hashing the columns.
         """
         arrays = {
             column: np.frombuffer(

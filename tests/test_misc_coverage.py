@@ -157,6 +157,77 @@ class TestArchitectureEdges:
         with pytest.raises(SimulationError):
             simulate(tiny_trace, architecture)
 
+    @pytest.mark.parametrize("first_bad", [20, 36])
+    @pytest.mark.parametrize("dma", [False, True])
+    @pytest.mark.parametrize("sampled", [False, True])
+    @pytest.mark.parametrize("amba", [False, True])
+    def test_negative_latency_guard_every_walk(
+        self, mem_library, conn_library, tiny_trace, amba, sampled, dma,
+        first_bad,
+    ):
+        """Every guard of the engine names the reference loop's access.
+
+        The ``stream`` reads sit at even trace indices; from
+        ``first_bad`` on, the SRAM serving them answers with a nonsense
+        latency. Under the sampling below access 20 is off-window and
+        access 36 on-window, so the grid reaches the vectorized guard
+        (ideal, no DMA), the off-window span fold (AMBA, sampled, no
+        DMA) and the walk's per-row guard over compacted on-window rows
+        or, with a replaying DMA engine in the group, over every row.
+        """
+        from repro.errors import SimulationError
+        from repro.memory.sram import Sram
+        from repro.sim.sampling import SamplingConfig
+        from repro.sim.simulator import Simulator
+        from tests.conftest import simple_connectivity
+
+        bad_from = 0x1000 + 2 * first_bad
+
+        class BrokenSram(Sram):
+            def access(self, address, size, kind, tick):
+                response = super().access(address, size, kind, tick)
+                if address < bad_from:
+                    return response
+                return type(response)(hit=True, latency=-100)
+
+            def access_many(self, addresses, sizes, kinds):
+                response = super().access_many(addresses, sizes, kinds)
+                latency = np.where(
+                    addresses >= bad_from, -100, response.latency
+                )
+                return type(response)(hit=response.hit, latency=latency)
+
+        def simulator():
+            modules = [BrokenSram("bad", 4096)]
+            mapping = {"stream": "bad"}
+            if dma:
+                modules.append(
+                    mem_library.get("si_dma_32").instantiate("dma")
+                )
+                mapping["table"] = "dma"
+            memory = MemoryArchitecture(
+                "b", modules, mem_library.get("dram").instantiate(),
+                mapping, "dram",
+            )
+            connectivity = (
+                simple_connectivity(memory, tiny_trace, conn_library)
+                if amba
+                else None
+            )
+            sampling = (
+                SamplingConfig(on_window=8, off_ratio=3, warmup=2)
+                if sampled
+                else None
+            )
+            return Simulator(tiny_trace, memory, connectivity, sampling)
+
+        with pytest.raises(SimulationError) as reference:
+            simulator().run(reference=True)
+        with pytest.raises(SimulationError) as engine:
+            simulator().run(reference=False)
+        assert str(reference.value).startswith(f"access {first_bad} ")
+        assert str(engine.value) == str(reference.value)
+
 
 class TestWorkloadRegistryCompleteness:
     def test_all_seven_registered(self):
