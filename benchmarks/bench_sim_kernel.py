@@ -1,17 +1,21 @@
 """perf2/perf5 — reference-vs-engine single-process simulation timing.
 
-Times one ``Simulator.run()`` per workload twice — once through the
-scalar reference loop (``reference=True``) and once through the
-simulation engine (the default) — on mixed cache/stream/SRAM/uncached
-architectures, asserting exact result equality on every pair. Each
+Times ``Simulator.run()`` per workload through the scalar reference
+loop (``reference=True``) and through the simulation engine (the
+default) on mixed cache/stream/SRAM/uncached architectures, asserting
+exact result equality on every pair. Each leg is timed best-of-3, the
+two legs alternating which runs first (one repetition in smoke mode),
+so host noise between consecutive runs does not land on one leg. Each
 workload runs with the paper's time-sampling configuration, and
 *compress*, *li*, and *vocoder* add unsampled pairs covering the
 whole-trace regime the batched contention walk (perf5) targets.
 *compress* also adds two DMA pairs (a ``si_dma_32`` self-indirect DMA
 engine): one sampled under AMBA connectivity, which walks every
 access, on- and off-window, and one unsampled under ideal
-connectivity, the walk most Phase II member runs of a compress
-exploration take. The full run uses million-access traces for
+connectivity, which never walks: the engine resolves the DMA stalls
+from stall-free issue times, visiting only the accesses that can
+stall. Ideal-connectivity DMA runs are the APEX candidate runs of a
+compress exploration. The full run uses million-access traces for
 *compress* and *li*; ``REPRO_BENCH_SMOKE=1`` shrinks the scales to CI
 size (equality still asserted, timing thresholds skipped).
 
@@ -59,6 +63,9 @@ SAMPLING = SamplingConfig()
 #: Tolerated timer noise on the "no slowdown on any workload" check.
 NOISE_FLOOR = 0.9
 
+#: Timed repetitions per leg; each leg keeps its fastest.
+REPEATS = 1 if SMOKE else 3
+
 
 def _prewarm_memory(budget_bytes: int) -> None:
     """Touch-and-free ``budget_bytes`` of RAM before timing anything.
@@ -100,16 +107,23 @@ def _amba_connectivity(memory, trace):
 
 
 def _time_pair(stem, trace, memory, connectivity, sampling, **extra):
+    """Best-of-``REPEATS`` seconds per leg, legs alternating first."""
     simulator = Simulator(trace, memory, connectivity, sampling)
-    start = time.perf_counter()
-    reference = simulator.run(reference=True)
-    reference_seconds = time.perf_counter() - start
-    start = time.perf_counter()
-    kernel = simulator.run(reference=False)
-    kernel_seconds = time.perf_counter() - start
-    assert kernel == reference, f"engine diverged from reference on {stem}"
+    seconds = {True: float("inf"), False: float("inf")}
+    for repeat in range(REPEATS):
+        results = {}
+        for reference in (True, False) if repeat % 2 == 0 else (False, True):
+            start = time.perf_counter()
+            results[reference] = simulator.run(reference=reference)
+            seconds[reference] = min(
+                seconds[reference], time.perf_counter() - start
+            )
+        assert results[False] == results[True], (
+            f"engine diverged from reference on {stem}"
+        )
     return common.record_kernel_timing(
-        stem, reference_seconds, kernel_seconds, len(trace), **extra
+        stem, seconds[True], seconds[False], len(trace), repeats=REPEATS,
+        **extra,
     )
 
 

@@ -30,12 +30,14 @@ candidates over one trace as same-memory-signature groups
   keeps those.
 * **per member** — the delta pass: connectivity-priced transfer
   columns (:func:`_member_columns`), the contention walk, and the
-  measured-window fold. Under ideal connectivity with no module that
-  replays, latency is a pure vector fold and nothing walks. Otherwise
-  :func:`_walk`, one integer loop driven by the run's sampling spans,
-  walks the on-window rows — or every row when a module of the group
-  replays, since a replay module's latency depends on its own
-  arrivals.
+  measured-window fold. Under ideal connectivity nothing walks:
+  latency is a vector fold, and replay stalls are resolved by
+  :func:`_ideal_latency_column`, which visits only the replay hits
+  whose slack against their stall-free issue times is positive. A
+  priced member runs :func:`_walk`, one integer loop driven by the
+  run's sampling spans, over the on-window rows — or every row when a
+  module of the group replays, since a replay module's latency depends
+  on its own arrivals.
 
 Results are **bit-identical** to the scalar reference loop
 (:meth:`Simulator.run(reference=True) <repro.sim.simulator.Simulator.run>`):
@@ -327,13 +329,11 @@ class _WalkLists:
 
     Plain list indexing beats any per-row tuple machinery in CPython;
     the rarely-read lists are only indexed on the rows needing them.
-    The replay lists, and the module-latency list an ideal-connectivity
-    walk serves from, exist only when the group has a replay module.
+    The replay lists exist only when the group has a replay module.
     """
 
     __slots__ = (
-        "gid", "refill", "bg", "core", "dch", "mlat", "rsrc", "ralpha",
-        "rbeta",
+        "gid", "refill", "bg", "core", "dch", "rsrc", "ralpha", "rbeta",
     )
 
 
@@ -476,7 +476,7 @@ class GroupPlan:
         lists.bg = (self.offpath > 0).tolist()
         lists.core = self.core.tolist()
         lists.dch = self.dram_channels(slice(None), len(lists.gid))
-        lists.mlat = lists.rsrc = lists.ralpha = lists.rbeta = None
+        lists.rsrc = lists.ralpha = lists.rbeta = None
         if self.has_replay:
             n = len(self.gid)
             stall_src = np.full(n, -1, dtype=np.int64)
@@ -487,7 +487,6 @@ class GroupPlan:
                 stall_src[positions] = recording.stall_src
                 stall_alpha[positions] = recording.stall_alpha
                 stall_beta[positions] = recording.stall_beta
-            lists.mlat = self.mlat.tolist()
             lists.rsrc = stall_src.tolist()
             lists.ralpha = stall_alpha.tolist()
             lists.rbeta = stall_beta.tolist()
@@ -641,28 +640,27 @@ def _evaluate_member(
             "batch group plan does not match the candidate's routing"
         )
     state = RunState(sim)
-    cols = _member_columns(state, gplan, groups, sim.connectivity is not None)
+    no_walk = sim.connectivity is None
+    cols = _member_columns(state, gplan, groups, not no_walk)
     n = len(sim.trace)
     sampling = sim.sampling
     on_mask, counted, measured = plan.sampling_columns(sampling)
-    # Ideal connectivity without replay needs no walk: no channel has a
-    # component, so the reference loop never touches cluster_free,
-    # dram_free or the wait/busy counters, and on- and off-window
-    # accesses alike complete in exactly their contention-free latency.
-    no_walk = not gplan.has_replay and sim.connectivity is None
+    # Ideal connectivity needs no walk: no channel has a component, so
+    # the reference loop never touches cluster_free, dram_free or the
+    # wait/busy counters, and on- and off-window accesses alike complete
+    # in their contention-free latency plus any replay stall.
+    posted = plan.write_mask if sim.posted_writes else None
     if no_walk:
-        latency = cols.u_partial + gplan.core
-        if int(latency.min()) < 1:
-            bad = int(np.argmax(latency < 1))
-            raise SimulationError(
-                f"access {bad} completed in {int(latency[bad])} cycles"
-            )
+        rows = srcs = ready = None
+        if gplan.has_replay:
+            rows, srcs, ready = _replay_terms(sim, gplan)
+        latency = _ideal_latency_column(
+            sim.trace.ticks, gplan.mlat + gplan.core, posted, rows, srcs,
+            ready,
+        )
     else:
         latency = _walk(sim, state, groups, plan, gplan, cols, on_mask)
-    if sim.posted_writes:
-        eff = np.where(plan.write_mask, np.int64(1), latency)
-    else:
-        eff = latency
+    eff = latency if posted is None else np.where(posted, np.int64(1), latency)
     if no_walk:
         state.lag += int(eff.sum()) - n
     _fold_measured(sim, state, groups, gplan, cols, eff, counted, measured)
@@ -688,7 +686,7 @@ def _member_columns(
     per-gid amounts into this member's state, and only the
     connectivity-priced transfer columns are computed fresh. Without
     connectivity (``priced`` false) every transfer costs zero cycles,
-    so the transfer columns share one zero column.
+    so the transfer columns share one zero column and no member walks.
     """
     cols = _Columns()
     cols.gid = gplan.gid
@@ -773,13 +771,11 @@ def _member_columns(
     cols.dbeats = dbeats
     cols.docc = docc
     cols.bgocc = bgocc
-    if not gplan.has_replay:
+    if priced and not gplan.has_replay:
         # Contention-free latency minus the DRAM core term: connection
         # transfer + module latency + backing command/data cycles. The
         # replay walk rebuilds latencies row by row instead.
-        cols.u_partial = (
-            conn + cols.mlat + dbase + dbeats if priced else cols.mlat
-        )
+        cols.u_partial = conn + cols.mlat + dbase + dbeats
     return cols
 
 
@@ -911,6 +907,117 @@ def _accumulate_energy(
     state.energy_wires += float(np.cumsum(wire_triples.ravel())[-1])
 
 
+# -- ideal connectivity -----------------------------------------------------
+
+
+def _replay_terms(
+    sim: Simulator, gplan: GroupPlan
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(rows, srcs, ready)`` of every replay hit of the group.
+
+    A hit at trace row ``rows[i]`` stalls until ``srcs[i]``'s arrival
+    plus ``ready[i]``: the recording's local ``stall_src`` mapped to
+    trace rows through the group's positions, and its affine term
+    priced under this member's backing delay. Rows are in trace order
+    across every replay module of the group.
+    """
+    rows, srcs, ready = [], [], []
+    for gid, recording in gplan.replay.items():
+        positions = gplan.positions_of[gid]
+        local = np.flatnonzero(recording.stall_src >= 0)
+        delay = sim._dma_backing_delay(
+            gplan.targets[gid], gplan.node_sizes[gid]
+        )
+        rows.append(positions[local])
+        srcs.append(positions[recording.stall_src[local]])
+        ready.append(
+            recording.stall_alpha[local] * delay
+            + recording.stall_beta[local]
+        )
+    if len(rows) == 1:
+        return rows[0], srcs[0], ready[0]
+    rows = np.concatenate(rows)
+    order = np.argsort(rows, kind="stable")
+    return (
+        rows[order],
+        np.concatenate(srcs)[order],
+        np.concatenate(ready)[order],
+    )
+
+
+def _ideal_latency_column(
+    ticks: np.ndarray,
+    base: np.ndarray,
+    posted: np.ndarray | None,
+    rows: np.ndarray | None,
+    srcs: np.ndarray | None,
+    ready: np.ndarray | None,
+) -> np.ndarray:
+    """The raw latency column of a run in which no channel contends.
+
+    ``base`` is each row's stall-free latency, ``posted`` marks the
+    rows the CPU does not wait for (``None`` when writes block), and
+    the replay terms (:func:`_replay_terms`, or ``None``) say that row
+    ``rows[i]`` is served no earlier than ``issue[srcs[i]] + ready[i]``,
+    where ``issue`` is the tick plus the lag the row is issued at.
+
+    Stalls only add to the lag. With ``issue0`` the issue times had no
+    row stalled (one cumsum), a hit's *slack* is ``d = issue0[src] +
+    ready - issue0[row]``, and its stall is ``max(0, d - (S[row] -
+    S[src]))``, where ``S`` sums the lag-moving stalls before a row (a
+    posted row's stall does not move the lag). ``S`` never decreases,
+    so a hit with ``d <= 0`` never stalls, and only the others are
+    visited, in trace order. Raises the reference loop's
+    :class:`SimulationError` for the first row completing in under one
+    cycle; every row up to it is exact.
+    """
+    latency = base
+    if rows is not None and len(rows):
+        step = base - 1
+        if posted is not None:
+            step = np.where(posted, 0, step)
+        issue0 = ticks + (np.cumsum(step) - step)
+        slack = issue0[srcs] + ready - issue0[rows]
+        hot = np.flatnonzero(slack > 0)
+        if obs.enabled():
+            obs.incr("sim.kernel.replay_stall_rows", len(hot))
+        if len(hot):
+            hot_rows = rows[hot]
+            latency = base.copy()
+            latency[hot_rows] += _resolve_stalls(
+                slack[hot].tolist(),
+                # S[src]: the stalls of the hot rows before the source.
+                np.searchsorted(hot_rows, srcs[hot]).tolist(),
+                None if posted is None else posted[hot_rows].tolist(),
+            )
+    if int(latency.min()) < 1:
+        bad = int(np.argmax(latency < 1))
+        raise SimulationError(
+            f"access {bad} completed in {int(latency[bad])} cycles"
+        )
+    return latency
+
+
+def _resolve_stalls(slack: list, src_hot: list, posted: list | None) -> list:
+    """Each hot row's stall, in trace order.
+
+    ``src_hot[i]`` counts the hot rows before row ``i``'s source, so
+    ``moved[src_hot[i]]`` is ``S`` at the source; ``posted`` marks the
+    hot rows whose stall does not move the lag (``None``: none).
+    """
+    stalls = [0] * len(slack)
+    moved = [0] * (len(slack) + 1)
+    total = 0
+    for i, d in enumerate(slack):
+        stall = d - total + moved[src_hot[i]]
+        if stall > 0:
+            stalls[i] = stall
+            if posted is None or not posted[i]:
+                total += stall
+        moved[i + 1] = total
+    return stalls
+
+
 # -- the walk ---------------------------------------------------------------
 
 
@@ -923,15 +1030,17 @@ def _walk(
     cols: _Columns,
     on_mask: np.ndarray | None,
 ) -> np.ndarray:
-    """The member's contention walk; returns its raw latency column.
+    """A priced member's contention walk; returns its raw latency column.
 
-    One integer loop replays the reference recurrence's state updates
-    in the exact reference order over the precomputed columns (no
-    ``timing()`` calls, no module calls, no response allocations),
-    pricing each replay hit's stall from its affine term against this
-    member's arrivals and backing delay. It leaves ``state`` and the
-    channel counters exactly as the reference loop would; the returned
-    column is pre posted-write folding.
+    Only members with connectivity walk (see
+    :func:`_ideal_latency_column` for the rest). One integer loop
+    replays the reference recurrence's state updates in the exact
+    reference order over the precomputed columns (no ``timing()``
+    calls, no module calls, no response allocations), pricing each
+    replay hit's stall from its affine term against this member's
+    arrivals and backing delay. It leaves ``state`` and the channel
+    counters exactly as the reference loop would; the returned column
+    is pre posted-write folding.
 
     The run's sampling spans drive the loop (one ``(0, n, True)`` span
     when unsampled). Without a replay module an off-window span
@@ -1014,22 +1123,14 @@ def _walk(
         bg_l = (cols.offpath[sel] > 0).tolist()
         dch_l = gplan.dram_channels(sel, len(ticks_l))
         write_l = plan.write_mask[sel].tolist() if posted else None
-    if sim.connectivity is None:
-        # Every transfer costs zero cycles: the serve column is the
-        # module latency and the transfer lists share one zero list.
-        # Only a replay group walks without connectivity, so the whole-
-        # run module-latency list exists.
-        serve_l = lists.mlat
-        conn_l = occ_l = dbeats_l = docc_l = bgocc_l = [0] * n
-    else:
-        # A row's wire and module latencies fold into one serve column;
-        # only a replay hit needs its arrival tick on its own.
-        serve_l = (cols.conn + cols.mlat)[sel].tolist()
-        conn_l = cols.conn.tolist() if has_replay else None
-        occ_l = cols.occ[sel].tolist()
-        dbeats_l = cols.dbeats[sel].tolist()
-        docc_l = cols.docc[sel].tolist()
-        bgocc_l = cols.bgocc[sel].tolist()
+    # A row's wire and module latencies fold into one serve column;
+    # only a replay hit needs its arrival tick on its own.
+    serve_l = (cols.conn + cols.mlat)[sel].tolist()
+    conn_l = cols.conn.tolist() if has_replay else None
+    occ_l = cols.occ[sel].tolist()
+    dbeats_l = cols.dbeats[sel].tolist()
+    docc_l = cols.docc[sel].tolist()
+    bgocc_l = cols.bgocc[sel].tolist()
 
     lat_out = [0] * len(gid_l)
     arrivals: list[list[int]] = [[] for _ in groups]

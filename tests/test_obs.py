@@ -273,6 +273,74 @@ class TestWorkerMerge:
         assert second.counters["cache.hits"] >= len(jobs)
 
 
+class TestKernelCounters:
+    @staticmethod
+    def _dma_simulator(trace, mem_library, conn_library=None):
+        """A cache and a DMA engine, under ideal connectivity unless a
+        connectivity library is given."""
+        from repro.apex.architectures import MemoryArchitecture
+        from repro.sim.simulator import Simulator
+        from tests.conftest import simple_connectivity
+
+        memory = MemoryArchitecture(
+            "dma",
+            [
+                mem_library.get("cache_8k_32b_2w").instantiate("cache"),
+                mem_library.get("si_dma_32").instantiate("dma"),
+            ],
+            mem_library.get("dram").instantiate(),
+            {"stream": "dma", "table": "cache"},
+            "dram",
+        )
+        connectivity = (
+            None
+            if conn_library is None
+            else simple_connectivity(memory, trace, conn_library)
+        )
+        return Simulator(trace, memory, connectivity)
+
+    def test_replay_stall_rows_counts_the_hits_that_can_stall(
+        self, tiny_trace, mem_library, obs_on
+    ):
+        """The ideal-connectivity resolver visits exactly the DMA hits
+        whose slack against the stall-free issue times is positive."""
+        from repro.sim.batch import GroupPlan, TracePlan, _replay_terms
+
+        simulator = self._dma_simulator(tiny_trace, mem_library)
+        simulator.run(reference=False)
+        visited = obs.snapshot().counters["sim.kernel.replay_stall_rows"]
+        # The same count from a scalar pass over the stall-free run.
+        simulator._install_backing_hints()
+        gplan = GroupPlan(TracePlan(tiny_trace), simulator)
+        rows, srcs, ready = _replay_terms(simulator, gplan)
+        issue, lag = [], 0
+        base = (gplan.mlat + gplan.core).tolist()
+        for tick, latency in zip(tiny_trace.ticks.tolist(), base):
+            issue.append(tick + lag)
+            lag += latency - 1
+        expected = sum(
+            issue[src] + offset > issue[row]
+            for row, src, offset in zip(
+                rows.tolist(), srcs.tolist(), ready.tolist()
+            )
+        )
+        assert visited == expected > 0
+
+    def test_priced_and_dma_free_runs_visit_no_stall_rows(
+        self, tiny_trace, mem_library, conn_library, cache_architecture,
+        obs_on,
+    ):
+        from repro.sim.simulator import Simulator
+
+        self._dma_simulator(tiny_trace, mem_library, conn_library).run(
+            reference=False
+        )
+        Simulator(tiny_trace, cache_architecture).run(reference=False)
+        snap = obs.snapshot()
+        assert snap.counters["sim.runs"] == 2
+        assert "sim.kernel.replay_stall_rows" not in snap.counters
+
+
 class TestExport:
     def test_as_dict_shape(self, obs_on):
         obs.incr("e.count", 2)
