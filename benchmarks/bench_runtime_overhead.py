@@ -48,7 +48,7 @@ from repro.conex.brg import build_brg
 from repro.conex.clustering import clustering_levels
 from repro.conex.estimator import estimate_design, estimate_plan
 from repro.conex.explorer import ConExConfig
-from repro.exec import NullCache, PoolBackend, SimulationJob, simulate_batch
+from repro.exec import NullCache, SimulationJob, simulate_batch
 from repro.exec.runtime import FAULT_INJECT_ENV, ExecutionRuntime
 from repro.sim.sampling import SamplingConfig
 from repro.workloads import get_workload
@@ -99,7 +99,7 @@ def _cold_pool_batch(trace, batch):
     """One batch on a fresh runtime: pool start-up and export per batch."""
     with ExecutionRuntime(workers=WORKERS) as runtime:
         return simulate_batch(
-            trace, batch, cache=NullCache(), backend=PoolBackend(runtime)
+            trace, batch, cache=NullCache(), backend=runtime
         )
 
 
@@ -123,7 +123,7 @@ def _dispatch_overhead(trace):
         persistent_seconds, persistent_results = _time_batches(
             batches,
             lambda batch: simulate_batch(
-                trace, batch, cache=NullCache(), backend=PoolBackend(runtime)
+                trace, batch, cache=NullCache(), backend=runtime
             ),
         )
 
@@ -156,7 +156,7 @@ def _crash_recovery(trace):
     with ExecutionRuntime(workers=WORKERS) as runtime:
         start = time.perf_counter()
         clean = simulate_batch(
-            trace, jobs, cache=NullCache(), backend=PoolBackend(runtime)
+            trace, jobs, cache=NullCache(), backend=runtime
         )
         clean_seconds = time.perf_counter() - start
 
@@ -167,7 +167,7 @@ def _crash_recovery(trace):
                 start = time.perf_counter()
                 faulted = simulate_batch(
                     trace, jobs, cache=NullCache(),
-                    backend=PoolBackend(runtime),
+                    backend=runtime,
                 )
                 faulted_seconds = time.perf_counter() - start
         finally:

@@ -29,8 +29,12 @@ from repro.workloads import get_workload
 #: size. The one parse of the knob; every benchmark imports this flag.
 SMOKE = current_settings().bench_smoke
 
-#: Directory where each benchmark writes its rendered table/figure.
+#: Directory where each benchmark writes its rendered table/figure and
+#: its ``BENCH_*.json`` records. Smoke runs write under ``out/smoke/``
+#: (gitignored), so their figures never overwrite the committed records.
 OUTPUT_DIR = pathlib.Path(__file__).parent / "out"
+if SMOKE:
+    OUTPUT_DIR = OUTPUT_DIR / "smoke"
 
 #: Trace scales per workload (fractions of the default input sizes).
 SCALES = {
@@ -101,7 +105,7 @@ def conex_result(name: str, traditional: bool = False) -> ConExResult:
 
 def write_output(stem: str, text: str) -> None:
     """Persist a rendered table/figure and echo it to stdout."""
-    OUTPUT_DIR.mkdir(exist_ok=True)
+    OUTPUT_DIR.mkdir(parents=True, exist_ok=True)
     path = OUTPUT_DIR / f"{stem}.txt"
     path.write_text(text + "\n")
     print()
@@ -153,17 +157,7 @@ OBS_TIMINGS = OUTPUT_DIR / "BENCH_obs.json"
 def record_obs_timing(stem: str, **fields) -> dict:
     """Append one observability-overhead record to BENCH_obs.json."""
     record = {"name": stem, **fields, "cpu_count": os.cpu_count()}
-    OUTPUT_DIR.mkdir(exist_ok=True)
-    records = []
-    if OBS_TIMINGS.exists():
-        try:
-            records = json.loads(OBS_TIMINGS.read_text())
-        except ValueError:
-            records = []
-    records = [r for r in records if r.get("name") != stem]
-    records.append(record)
-    OBS_TIMINGS.write_text(json.dumps(records, indent=2) + "\n")
-    return record
+    return _append_record(OBS_TIMINGS, record)
 
 
 #: Machine-readable execution-runtime overhead records (same
@@ -180,17 +174,7 @@ def record_runtime_timing(stem: str, **fields) -> dict:
     machine fairly.
     """
     record = {"name": stem, **fields, "cpu_count": os.cpu_count()}
-    OUTPUT_DIR.mkdir(exist_ok=True)
-    records = []
-    if RUNTIME_TIMINGS.exists():
-        try:
-            records = json.loads(RUNTIME_TIMINGS.read_text())
-        except ValueError:
-            records = []
-    records = [r for r in records if r.get("name") != stem]
-    records.append(record)
-    RUNTIME_TIMINGS.write_text(json.dumps(records, indent=2) + "\n")
-    return record
+    return _append_record(RUNTIME_TIMINGS, record)
 
 
 #: Machine-readable DRAM channel-scaling records (same replace-by-name
@@ -233,7 +217,7 @@ def record_group_plan_timing(stem: str, **fields) -> dict:
 
 def _append_record(path: pathlib.Path, record: dict) -> dict:
     """Write ``record`` to ``path``, replacing any same-name entry."""
-    OUTPUT_DIR.mkdir(exist_ok=True)
+    OUTPUT_DIR.mkdir(parents=True, exist_ok=True)
     records = []
     if path.exists():
         try:

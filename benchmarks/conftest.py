@@ -2,7 +2,8 @@
 
 Each benchmark runs its pipeline exactly once (rounds=1) — these are
 table/figure regenerations, not micro-benchmarks — and prints the
-rendered artifact, which is also written under ``benchmarks/out/``.
+rendered artifact, which is also written under ``benchmarks/out/``
+(``benchmarks/out/smoke/`` under ``REPRO_BENCH_SMOKE=1``).
 
 ``pytest benchmarks/ --jobs N`` forwards N into the ``REPRO_WORKERS``
 environment variable, so every exploration stage dispatches its

@@ -32,9 +32,9 @@ Package layout:
   contribution).
 * :mod:`repro.core` — the MemorEx pipeline, exploration strategies,
   and report rendering.
-* :mod:`repro.exec` — batch evaluation (``simulate_batch``) through
-  pluggable execution backends, and the content-addressed simulation
-  result cache.
+* :mod:`repro.exec` — batch evaluation (``simulate_batch``), in
+  process or on a persistent worker-pool runtime, and the
+  content-addressed simulation result cache.
 * :mod:`repro.config` — the typed :class:`Settings` snapshot of every
   ``REPRO_*`` environment variable.
 * :mod:`repro.obs` — spans, counters, gauges, and profiling hooks

@@ -233,7 +233,7 @@ def explore_memory_architectures(
     hints: Mapping[str, AccessPattern] | None = None,
     workers: int | None = None,
     cache: SimulationCache | None = None,
-    backend: "ExecutionBackend | str | None" = None,
+    backend: "ExecutionRuntime | str | None" = None,
 ) -> ApexResult:
     """Run the APEX exploration on ``trace``.
 
@@ -243,8 +243,8 @@ def explore_memory_architectures(
     through :func:`repro.exec.simulate_batch` — parallel when
     ``workers`` (or ``REPRO_WORKERS``) asks for it, cached so the
     strategy comparisons re-profile each architecture only once, and
-    dispatched through ``backend`` when an execution backend is
-    given — ``PoolBackend(runtime)`` to reuse a persistent pool.
+    placed by ``backend`` when one is given — pass an
+    :class:`~repro.exec.ExecutionRuntime` to reuse a persistent pool.
     """
     config = config or ApexConfig()
     if config.select_count < 1:

@@ -42,8 +42,7 @@ from repro.core.strategies import (
     run_pruned,
 )
 from repro.errors import ReproError
-from repro.exec.backend import ExecutionBackend, resolve_backend
-from repro.exec.runtime import ExecutionRuntime
+from repro.exec.runtime import ExecutionRuntime, resolve_placement
 from repro.io import (
     export_design_points_csv,
     export_design_points_json,
@@ -103,8 +102,8 @@ def _add_backend_argument(parser: argparse.ArgumentParser) -> None:
         "--backend",
         choices=("serial", "pool"),
         default=None,
-        help="execution backend for simulation batches (default: serial "
-        "for one simulation worker and the pool for more)",
+        help="where simulation batches run: serial (in process) or pool "
+        "(default: serial for one simulation worker and the pool for more)",
     )
 
 
@@ -336,19 +335,15 @@ def _print_runtime_faults(runtime: ExecutionRuntime) -> None:
 @contextlib.contextmanager
 def _command_execution(
     args: argparse.Namespace,
-) -> "Iterator[ExecutionBackend]":
-    """The command's backend, resolved once over the command's runtime.
+) -> "Iterator[ExecutionRuntime | str]":
+    """The command's placement: its runtime, or ``"serial"``.
 
-    ``--backend`` (else the default rule) is resolved once, so a pool is
-    built at most once for every batch of the command; it is closed on
-    exit — as the service runner does per job.
+    ``--backend`` (else the default rule) is resolved once over the
+    command's runtime, so a pool is built at most once for every batch
+    of the command; the runtime is closed on exit.
     """
     with ExecutionRuntime(workers=args.jobs) as runtime:
-        backend = resolve_backend(args.backend, args.jobs, runtime)
-        try:
-            yield backend
-        finally:
-            backend.close()
+        yield resolve_placement(args.backend, args.jobs, runtime)
         _print_runtime_faults(runtime)
         args._runtime_stats = runtime.stats.as_dict()
 
@@ -419,9 +414,8 @@ def _cmd_coverage(args: argparse.Namespace) -> None:
         TABLE2_APEX,
         TABLE2_CONEX,
     )
-    # One backend over one persistent runtime serves all three
-    # strategies: the pool is built once and the trace is exported to
-    # shared memory once.
+    # One persistent runtime serves all three strategies: the pool is
+    # built once and the trace is exported to shared memory once.
     with _command_execution(args) as backend:
         pruned = run_pruned(
             *common, hints=hints, workers=args.jobs, backend=backend,

@@ -186,7 +186,7 @@ def connectivity_exploration(
     columnar :func:`repro.conex.estimator.estimate_plan` — architecture
     objects are only materialized lazily, for the points a caller
     actually inspects. Estimation is analytic and runs in-process;
-    only Phase II goes through an execution backend.
+    only Phase II goes through :func:`repro.exec.simulate_batch`.
     """
     memory = memory_eval.architecture
     profile = memory_eval.result
@@ -238,7 +238,7 @@ def explore_connectivity(
     config: ConExConfig | None = None,
     workers: int | None = None,
     cache: SimulationCache | None = None,
-    backend: "ExecutionBackend | str | None" = None,
+    backend: "ExecutionRuntime | str | None" = None,
 ) -> ConExResult:
     """Run the full ConEx algorithm (Phases I and II).
 
@@ -248,10 +248,10 @@ def explore_connectivity(
     ``cache`` (default: the process-wide cache, so a repeated identical
     exploration re-simulates nothing), with candidates sharing a memory
     architecture evaluated as one group so connectivity-only variants
-    pay just the contention delta pass. Pass
-    ``backend=PoolBackend(runtime)`` over a persistent
-    :class:`repro.exec.ExecutionRuntime` to reuse one worker pool (and
-    one shared trace export) across repeated explorations.
+    pay just the contention delta pass. Pass a persistent
+    :class:`repro.exec.ExecutionRuntime` as ``backend=`` to reuse one
+    worker pool (and one shared trace export) across repeated
+    explorations.
     """
     config = config or ConExConfig()
     if not selected_memories:

@@ -43,7 +43,7 @@ def run_memorex(
     config: MemorExConfig | None = None,
     workers: int | None = None,
     cache: SimulationCache | None = None,
-    backend: "ExecutionBackend | str | None" = None,
+    backend: "ExecutionRuntime | str | None" = None,
     library: str | None = None,
 ) -> MemorExResult:
     """Run the full exploration on one workload.

@@ -41,15 +41,15 @@ def explore_portfolio(
     config: MemorExConfig | None = None,
     workers: int | None = None,
     cache: SimulationCache | None = None,
-    backend: "ExecutionBackend | str | None" = None,
+    backend: "ExecutionRuntime | str | None" = None,
 ) -> list[MemorExResult]:
     """Run MemorEx over a workload portfolio with a shared engine setup.
 
     Each workload's exploration goes through :mod:`repro.exec` with the
     same ``workers`` / ``cache`` / ``backend`` triple, so designs shared
     between workload variants (same trace fingerprint) simulate only
-    once, and one backend (``PoolBackend(runtime)`` for a persistent
-    worker pool) serves every workload.
+    once, and one placement (a runtime, for a persistent worker pool)
+    serves every workload.
     """
     if not workloads:
         raise ExplorationError("no workloads in portfolio")

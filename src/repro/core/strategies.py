@@ -136,7 +136,7 @@ def run_pruned(
     hints: dict[str, AccessPattern] | None = None,
     workers: int | None = None,
     cache: SimulationCache | None = None,
-    backend: "ExecutionBackend | str | None" = None,
+    backend: "ExecutionRuntime | str | None" = None,
 ) -> StrategyOutcome:
     """The paper's pruned exploration (the MemorEx default)."""
     cache = _resolve_cache(cache)
@@ -188,7 +188,7 @@ def run_neighborhood(
     hints: dict[str, AccessPattern] | None = None,
     workers: int | None = None,
     cache: SimulationCache | None = None,
-    backend: "ExecutionBackend | str | None" = None,
+    backend: "ExecutionRuntime | str | None" = None,
 ) -> StrategyOutcome:
     """Pruned plus the neighbourhood of every selected design."""
     with obs.span("strategy.neighborhood"):
@@ -276,7 +276,7 @@ def run_full(
     hints: dict[str, AccessPattern] | None = None,
     workers: int | None = None,
     cache: SimulationCache | None = None,
-    backend: "ExecutionBackend | str | None" = None,
+    backend: "ExecutionRuntime | str | None" = None,
 ) -> StrategyOutcome:
     """Brute force: fully simulate every design point in the space.
 

@@ -68,7 +68,7 @@ def _run_sweep(
     jobs: Sequence[SimulationJob],
     workers: int | None,
     cache: SimulationCache | None,
-    backend: "ExecutionBackend | str | None" = None,
+    backend: "ExecutionRuntime | str | None" = None,
 ) -> list[SweepPoint]:
     """Dispatch one sweep's job list and pair results with settings."""
     with obs.span("sweep.run"):
@@ -92,7 +92,7 @@ def sweep_cache_size(
     offchip_preset: str = "offchip_16",
     workers: int | None = None,
     cache: SimulationCache | None = None,
-    backend: "ExecutionBackend | str | None" = None,
+    backend: "ExecutionRuntime | str | None" = None,
 ) -> list[SweepPoint]:
     """Simulate cache-only architectures across ``cache_presets``.
 
@@ -126,7 +126,7 @@ def sweep_cpu_bus(
     offchip_preset: str = "offchip_16",
     workers: int | None = None,
     cache: SimulationCache | None = None,
-    backend: "ExecutionBackend | str | None" = None,
+    backend: "ExecutionRuntime | str | None" = None,
 ) -> list[SweepPoint]:
     """Simulate ``memory`` under each CPU-side connection preset.
 
@@ -159,7 +159,7 @@ def sweep_offchip_bus(
     cpu_preset: str = "ahb",
     workers: int | None = None,
     cache: SimulationCache | None = None,
-    backend: "ExecutionBackend | str | None" = None,
+    backend: "ExecutionRuntime | str | None" = None,
 ) -> list[SweepPoint]:
     """Simulate ``memory`` under each off-chip bus preset."""
     if not offchip_presets:

@@ -6,26 +6,26 @@ connectivity) design points. This package makes that the fast path:
 
 * :mod:`repro.exec.engine` — :func:`simulate_batch`: cache lookups,
   in-batch dedup, memory-signature grouping, and deterministic
-  job-index result ordering, with exactly one backend call per batch
-  for the misses. Phase-I estimates are not dispatched here; they run
+  job-index result ordering, with exactly one dispatch per batch for
+  the misses. Phase-I estimates are not dispatched here; they run
   in-process through :func:`repro.conex.estimator.estimate_plan`.
-* :mod:`repro.exec.backend` — the :class:`ExecutionBackend` interface
-  every batch dispatches through: :class:`SerialBackend` (in-process,
-  the reference) and :class:`PoolBackend` (the runtime below). Select
-  with ``backend=`` (``"serial"``/``"pool"``); unnamed, a batch runs
-  serially for one worker (``REPRO_WORKERS`` unset) and on the pool
-  otherwise. ``backend=`` is the one execution handle the drivers take: a caller
-  that owns a runtime passes ``PoolBackend(runtime)``.
 * :mod:`repro.exec.runtime` — the persistent
-  :class:`ExecutionRuntime`: a long-lived worker pool reused across
-  batches, with traces exported once per fingerprint to shared memory
-  so workers attach zero-copy instead of unpickling them. Its recovery
-  loop survives worker deaths and chunks past their timeout budget
-  (``REPRO_JOB_TIMEOUT`` × the jobs a chunk carries): it re-dispatches
-  only the unfinished work, and after ``REPRO_MAX_RETRIES`` retries
-  the batch degrades to :class:`SerialBackend` instead of failing. A
-  batch of at most one group runs in process on the runtime, with no
-  pool. Pools are capped at the machine's CPU count.
+  :class:`ExecutionRuntime`, the one thing a batch runs on besides the
+  in-process path: a long-lived worker pool reused across batches,
+  with traces exported once per fingerprint to shared memory so
+  workers attach zero-copy instead of unpickling them. ``backend=`` is
+  the one execution handle the drivers take: ``"serial"`` runs in
+  process, ``"pool"`` on the process-wide default runtime, and a
+  caller that owns a runtime passes the runtime itself; unnamed, a
+  batch runs in process for one worker (``REPRO_WORKERS`` unset) and
+  on the default runtime otherwise (:func:`resolve_placement`). Its
+  recovery loop survives worker deaths and chunks past their timeout
+  budget (``REPRO_JOB_TIMEOUT`` × the jobs a chunk carries): it
+  re-dispatches only the unfinished work, and after
+  ``REPRO_MAX_RETRIES`` retries the batch degrades to the in-process
+  path instead of failing. A batch of at most one group runs in
+  process on the runtime, with no pool. Pools are capped at the
+  machine's CPU count.
 * :mod:`repro.exec.cache` — a content-addressed
   :class:`SimulationCache` keyed by trace fingerprint, architecture
   signatures, sampling config, and write model, layered as memory →
@@ -35,12 +35,6 @@ connectivity) design points. This package makes that the fast path:
 See ``docs/performance.md`` for the knobs and invalidation rules.
 """
 
-from repro.exec.backend import (
-    ExecutionBackend,
-    PoolBackend,
-    SerialBackend,
-    resolve_backend,
-)
 from repro.exec.cache import (
     CACHE_DIR_ENV,
     KERNEL_PLAN_VERSION,
@@ -69,6 +63,7 @@ from repro.exec.runtime import (
     effective_pool_workers,
     resolve_job_timeout,
     resolve_max_retries,
+    resolve_placement,
     resolve_workers,
     set_default_runtime,
 )
@@ -77,16 +72,13 @@ __all__ = [
     "CACHE_DIR_ENV",
     "DispatchStats",
     "EngineReport",
-    "ExecutionBackend",
     "ExecutionRuntime",
     "JOB_TIMEOUT_ENV",
     "KERNEL_PLAN_VERSION",
     "MAX_RETRIES_ENV",
     "NULL_CACHE",
     "NullCache",
-    "PoolBackend",
     "RuntimeStats",
-    "SerialBackend",
     "SimulationCache",
     "SimulationJob",
     "WORKERS_ENV",
@@ -94,9 +86,9 @@ __all__ = [
     "default_runtime",
     "effective_pool_workers",
     "key_digest",
-    "resolve_backend",
     "resolve_job_timeout",
     "resolve_max_retries",
+    "resolve_placement",
     "resolve_workers",
     "sampling_signature",
     "set_default_cache",

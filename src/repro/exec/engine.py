@@ -7,9 +7,9 @@ This module turns those loops into batch jobs:
 * :func:`simulate_batch` — run a list of :class:`SimulationJob` specs
   over one trace against the content-addressed result cache. The
   misses are deduplicated, partitioned into same-memory-signature
-  groups, and handed to one :class:`~repro.exec.backend.ExecutionBackend`
-  call; each group shares its trace plan and module columns
-  (:func:`repro.sim.batch.evaluate_group`).
+  groups, and run in one call, in process or on an
+  :class:`~repro.exec.runtime.ExecutionRuntime`; each group shares its
+  trace plan and module columns (:func:`repro.sim.batch.evaluate_group`).
 
 Phase-I estimates do not come through here: they are analytic and
 columnar (:func:`repro.conex.estimator.estimate_plan`) and run
@@ -21,23 +21,20 @@ always corresponds to ``jobs[i]``, and the simulator itself is
 deterministic, so a parallel run is bit-identical to a serial run of
 the same job list.
 
-Where a batch runs is its ``backend=``: an
-:class:`~repro.exec.backend.ExecutionBackend` instance, or a name that
-:func:`repro.exec.backend.resolve_backend` turns into one, which the
-batch closes again before it returns. Unnamed,
-a batch with one worker (``REPRO_WORKERS`` unset) runs in-process on a
-:class:`~repro.exec.backend.SerialBackend`, and any other batch on a
-:class:`~repro.exec.backend.PoolBackend` over the process-wide default
-runtime. A caller that owns a runtime passes
-``backend=PoolBackend(runtime)``. The pool is built once per runtime
-and the trace is exported once per (runtime, trace-fingerprint) to
-shared memory, so a batch moves only the (small) architecture
-descriptions; a batch of at most one group runs in-process on the
-runtime and builds neither.
+Where a batch runs is its ``backend=``: ``"serial"``, ``"pool"``, an
+:class:`~repro.exec.runtime.ExecutionRuntime`, or ``None``, which
+:func:`repro.exec.runtime.resolve_placement` turns into in process or a
+runtime. Unnamed, a batch with one worker (``REPRO_WORKERS`` unset)
+runs in process, and any other batch on the process-wide default
+runtime. A caller that owns a runtime passes ``backend=runtime``. The
+pool is built once per runtime and the trace is exported once per
+(runtime, trace-fingerprint) to shared memory, so a batch moves only
+the (small) architecture descriptions; a batch of at most one group
+runs in process on the runtime and builds neither.
 
 The simulation engine is bit-identical to the scalar reference loop,
 so path selection needs no cache-key component: cached results mix
-freely across backends and across ``REPRO_REFERENCE_SIM`` settings
+freely across placements and across ``REPRO_REFERENCE_SIM`` settings
 (the opt-out env var propagates to pool workers like any other).
 """
 
@@ -50,10 +47,14 @@ from typing import Sequence
 from repro import obs
 from repro.apex.architectures import MemoryArchitecture
 from repro.connectivity.architecture import ConnectivityArchitecture
-from repro.errors import ExecutionError
-from repro.exec.backend import ExecutionBackend, PoolBackend, resolve_backend
 from repro.exec.cache import SimulationCache, default_cache, simulation_key
-from repro.exec.runtime import resolve_workers
+from repro.exec.runtime import (
+    ExecutionRuntime,
+    default_runtime,
+    resolve_placement,
+    resolve_workers,
+    run_in_process,
+)
 from repro.sim.metrics import SimulationResult
 from repro.sim.sampling import SamplingConfig
 from repro.stats import BatchStats, StatsReport
@@ -92,15 +93,15 @@ class EngineReport(StatsReport):
     candidates ran the shared-column delta pass (as opposed to falling
     back to independent full runs).
 
-    ``backend`` is the :attr:`~repro.exec.backend.ExecutionBackend.name`
-    of the backend that ran the batch (``"serial"`` or ``"pool"``).
-    ``bytes_sent`` / ``bytes_received`` always read 0: no backend moves
-    a batch over a wire. They stay because the ``perfbench`` tracer
-    reads them; ROADMAP item 8 replaces that tracer with ``repro.obs``.
+    ``backend`` names where the batch was placed: ``"serial"`` (in
+    process) or ``"pool"`` (a runtime, which still runs a batch of one
+    worker or one group in process).
+    ``bytes_sent`` / ``bytes_received`` always read 0: no batch moves
+    over a wire. They stay because the ``perfbench`` tracer reads them;
+    ROADMAP item 4 replaces that tracer with ``repro.obs``.
     ``cache_memory_hits`` / ``cache_disk_hits`` split ``cache_hits`` by
     the :class:`~repro.exec.cache.SimulationCache` layer that served
-    each hit (both stay zero for cache objects that predate the
-    layering).
+    each hit.
     """
 
     results: tuple
@@ -186,27 +187,26 @@ def _record_batch(report: EngineReport) -> None:
     obs.incr("runtime.degraded_batches", int(report.degraded))
 
 
-def _cache_layers(cache: SimulationCache) -> tuple[int, int]:
-    """Per-layer hit counters, zero for pre-layering cache objects."""
-    return getattr(cache, "memory_hits", 0), getattr(cache, "disk_hits", 0)
-
-
 def _dispatch(
-    backend: ExecutionBackend,
+    where: "ExecutionRuntime | str",
+    workers: int,
     trace: Trace,
     groups: Sequence[Sequence[SimulationJob]],
 ):
-    """Run the batch's one backend call; return its outcomes and accounting."""
-    values = backend.run_groups(trace, groups)
-    dispatch = backend.last_dispatch
-    accounting: dict = {"backend": backend.name}
-    if dispatch is not None:
-        accounting.update(
-            retries=dispatch.retries,
-            pool_rebuilds=dispatch.pool_rebuilds,
-            degraded=dispatch.degraded,
-        )
-    return values, accounting
+    """Run the batch's groups where they were placed.
+
+    Returns their outcomes and the fault accounting for the report.
+    """
+    if where == "serial":
+        return run_in_process(trace, groups), {}
+    runtime = default_runtime(workers) if where == "pool" else where
+    values = runtime.map_simulation_groups(trace, groups)
+    dispatch = runtime.last_dispatch
+    return values, {
+        "retries": dispatch.retries,
+        "pool_rebuilds": dispatch.pool_rebuilds,
+        "degraded": dispatch.degraded,
+    }
 
 
 def simulate_batch(
@@ -214,7 +214,7 @@ def simulate_batch(
     jobs: Sequence[SimulationJob],
     workers: int | None = None,
     cache: SimulationCache | None = None,
-    backend: "ExecutionBackend | str | None" = None,
+    backend: "ExecutionRuntime | str | None" = None,
 ) -> EngineReport:
     """Simulate every job over ``trace``; results ordered like ``jobs``.
 
@@ -225,8 +225,8 @@ def simulate_batch(
     groups, each evaluated through :func:`repro.sim.batch.evaluate_group`
     so the group shares the trace plan, module outcome columns, and
     the merged DRAM open-row pass, and each candidate pays only its
-    connectivity/sampling delta pass. All groups go to the backend in
-    one call; a group is never split (splitting would forfeit the
+    connectivity/sampling delta pass. All groups run in one call; a
+    group is never split (splitting would forfeit the
     sharing), which makes it the unit a pool chunk carries.
 
     Args:
@@ -234,37 +234,28 @@ def simulate_batch(
             per runtime).
         jobs: picklable job specs; duplicates are simulated once and
             share the cached result.
-        workers: process count; ``None`` consults the runtime of a
-            passed :class:`~repro.exec.backend.PoolBackend`, else
-            ``REPRO_WORKERS``, and falls back to 1.
+        workers: process count; ``None`` consults a passed runtime,
+            else ``REPRO_WORKERS``, and falls back to 1.
         cache: result cache; ``None`` selects the process-wide default
             (:func:`repro.exec.cache.default_cache`). Pass
             :data:`repro.exec.cache.NULL_CACHE` to force fresh runs.
-        backend: an :class:`~repro.exec.backend.ExecutionBackend`
-            instance, used as given and left open (pass
-            ``PoolBackend(runtime)`` to dispatch through a runtime you
-            own), or a name (``"serial"``/``"pool"``);
-            ``None`` applies the default rule of
-            :func:`~repro.exec.backend.resolve_backend`. A
-            backend resolved here from a name is closed on return.
+        backend: ``"serial"`` (in process), ``"pool"`` (the process-wide
+            default runtime), an
+            :class:`~repro.exec.runtime.ExecutionRuntime` you own and
+            want every batch to reuse, or ``None`` for the default
+            rule of :func:`~repro.exec.runtime.resolve_placement`.
+
+    Raises:
+        ExecutionError: ``backend`` is an unknown name or a closed
+            runtime; raised before any cache lookup, so a batch is
+            never half-served.
     """
-    if isinstance(backend, PoolBackend):
-        # A held backend can outlive its runtime: fail before any cache
-        # lookup rather than half-serve the batch.
-        if backend.runtime.closed:
-            raise ExecutionError(
-                "cannot dispatch simulate_batch through a closed runtime"
-            )
-        if workers is None:
-            workers = backend.runtime.workers
+    where = resolve_placement(backend, workers)
+    if workers is None and isinstance(where, ExecutionRuntime):
+        workers = where.workers
     workers = resolve_workers(workers)
     with obs.span("exec.simulate_batch"):
-        active = resolve_backend(backend, workers)
-        try:
-            report = _simulate_batch(trace, jobs, workers, cache, active)
-        finally:
-            if active is not backend:
-                active.close()
+        report = _simulate_batch(trace, jobs, workers, cache, where)
     if obs.enabled():
         _record_batch(report)
     return report
@@ -275,11 +266,11 @@ def _simulate_batch(
     jobs: Sequence[SimulationJob],
     workers: int,
     cache: SimulationCache | None,
-    active: ExecutionBackend,
+    where: "ExecutionRuntime | str",
 ) -> EngineReport:
     start = time.perf_counter()
     cache = cache if cache is not None else default_cache()
-    layers_before = _cache_layers(cache)
+    memory_before, disk_before = cache.memory_hits, cache.disk_hits
     results: list[SimulationResult | None] = [None] * len(jobs)
     pending: list[int] = []
     keys: list[tuple] = []
@@ -294,10 +285,8 @@ def _simulate_batch(
             pending.append(index)
         else:
             results[index] = _relabel(cached, job)
-    memory_hits, disk_hits = (
-        after - before
-        for after, before in zip(_cache_layers(cache), layers_before)
-    )
+    memory_hits = cache.memory_hits - memory_before
+    disk_hits = cache.disk_hits - disk_before
 
     # Duplicate keys inside one batch run once; later copies reuse.
     first_of: dict[tuple, int] = {}
@@ -320,11 +309,11 @@ def _simulate_batch(
         else:
             groups[slot].append(index)
 
-    accounting: dict = {"backend": active.name}
+    accounting: dict = {}
     delta_candidates = 0
     if groups:
         group_jobs = [[jobs[i] for i in group] for group in groups]
-        outcomes, accounting = _dispatch(active, trace, group_jobs)
+        outcomes, accounting = _dispatch(where, workers, trace, group_jobs)
         for group, (group_results, delta) in zip(groups, outcomes):
             delta_candidates += delta
             for index, result in zip(group, group_results):
@@ -348,6 +337,7 @@ def _simulate_batch(
         delta_pass_candidates=delta_candidates,
         cache_memory_hits=memory_hits,
         cache_disk_hits=disk_hits,
+        backend="serial" if where == "serial" else "pool",
         **accounting,
     )
 

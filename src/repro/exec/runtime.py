@@ -7,10 +7,8 @@ process start-up and megabytes of pickling every time, so
 :class:`ExecutionRuntime` amortizes all of it:
 
 * the worker pool is created once (lazily, on first parallel dispatch)
-  and reused by every batch routed through the runtime — the engine
-  reaches it only through :class:`~repro.exec.backend.PoolBackend`,
-  which is how a caller that owns a runtime hands it down
-  (``backend=PoolBackend(runtime)``);
+  and reused by every batch routed through the runtime — a caller that
+  owns a runtime hands it down as ``backend=runtime``;
 * each distinct trace is exported once per (runtime, fingerprint) to
   shared memory (:meth:`repro.trace.events.Trace.export_shared`);
   workers attach to the columns zero-copy on first use and keep the
@@ -42,13 +40,16 @@ PID-tagged names and a sidecar manifest (:mod:`repro.trace.shm`),
 SIGTERM/SIGINT unlink whatever is still registered, and runtime
 construction sweeps blocks leaked by dead processes.
 
-``workers=1`` runs in process on
-:class:`~repro.exec.backend.SerialBackend` (the one in-process path):
-no pool, no export, bit-identical results — the determinism contract
-of :mod:`repro.exec.engine` is unchanged because results stay keyed by
-index and the simulator is deterministic. A batch of at most one group
-takes the same in-process path at any worker count: one group is never
-split, so a pool could only add the export and the round trip.
+``workers=1`` runs in process (:func:`run_in_process`, the one
+in-process path): no pool, no export, bit-identical results — the
+determinism contract of :mod:`repro.exec.engine` is unchanged because
+results stay keyed by index and the simulator is deterministic. A batch
+of at most one group takes the same in-process path at any worker
+count: one group is never split, so a pool could only add the export
+and the round trip.
+
+Where a batch runs is decided in one place, :func:`resolve_placement`:
+in process, or on a runtime.
 """
 
 from __future__ import annotations
@@ -97,7 +98,9 @@ __all__ = [
     "effective_pool_workers",
     "resolve_job_timeout",
     "resolve_max_retries",
+    "resolve_placement",
     "resolve_workers",
+    "run_in_process",
     "set_default_runtime",
 ]
 
@@ -181,7 +184,7 @@ def dispatch_chunksize(pending: int, workers: int) -> int:
 
 @dataclass
 class DispatchStats(StatsReport):
-    """Fault accounting for one backend's ``run_groups`` call.
+    """Fault accounting for one ``map_simulation_groups`` call.
 
     Attributes:
         jobs: jobs the call was asked to run (not groups).
@@ -251,6 +254,24 @@ class RuntimeStats(StatsReport):
             f"{self.retries} retry round(s), "
             f"{self.timeouts} timeout(s){degraded}"
         )
+
+
+def run_in_process(
+    trace: Trace, groups: "Sequence[Sequence[SimulationJob]]"
+) -> list:
+    """Evaluate whole same-signature groups here, ordered like ``groups``.
+
+    The one in-process path: a serial batch, a runtime's one-worker or
+    one-group batch, and a degraded remainder all run here. Returns one
+    ``(results, delta_candidates)`` pair per group — the
+    :func:`repro.sim.batch.evaluate_group` contract. Both batch
+    functions are looked up on the module at call time, so a patched
+    ``trace_plan`` or ``evaluate_group`` sees every group.
+    """
+    if not groups:
+        return []
+    plan = batch.trace_plan(trace)
+    return [batch.evaluate_group(trace, group, plan) for group in groups]
 
 
 # -- worker-process side ----------------------------------------------------
@@ -348,8 +369,8 @@ class ExecutionRuntime:
     Construct one per exploration session (the CLI does this per
     command, each service runner thread once) or rely on
     :func:`default_runtime`. Hand it to ``simulate_batch`` and the
-    drivers as ``backend=PoolBackend(runtime)``; every batch then
-    reuses the same pool and the same shared trace blocks.
+    drivers as ``backend=runtime``; every batch then reuses the same
+    pool and the same shared trace blocks.
 
     Dispatch is fault tolerant: worker deaths and job timeouts rebuild
     the pool and re-dispatch only the unfinished jobs (see the module
@@ -467,12 +488,9 @@ class ExecutionRuntime:
         returns exactly what an undisturbed one would. A round that
         leaves groups unfinished spends one retry, and the next round
         re-dispatches only those. Once ``max_retries`` retries are
-        spent, the remainder degrades to
-        :class:`~repro.exec.backend.SerialBackend`. Job-raised errors
-        are not faults: they propagate unchanged.
+        spent, the remainder degrades to :func:`run_in_process`.
+        Job-raised errors are not faults: they propagate unchanged.
         """
-        from repro.exec.backend import SerialBackend  # backend imports us
-
         stats = DispatchStats(jobs=sum(len(group) for group in groups))
         results: list = [None] * len(groups)
         pending = list(range(len(groups)))
@@ -486,7 +504,7 @@ class ExecutionRuntime:
             stats.retries += 1
         if pending:
             stats.degraded = True
-            values = SerialBackend().run_groups(
+            values = run_in_process(
                 trace, [groups[index] for index in pending]
             )
             for index, value in zip(pending, values):
@@ -566,18 +584,16 @@ class ExecutionRuntime:
         are shared — and is never split across workers. Returns one
         ``(results, delta_candidates)`` pair per group, ordered like
         ``groups``, inner result lists ordered like each group's jobs.
-        With one worker, or at most one group, the groups run here in
-        process on :class:`~repro.exec.backend.SerialBackend`: no pool
-        is built and no trace is exported.
+        With one worker, or at most one group, the groups run here
+        (:func:`run_in_process`): no pool is built and no trace is
+        exported.
         """
-        from repro.exec.backend import SerialBackend  # backend imports us
-
         self._ensure_open()
         if self.workers <= 1 or len(groups) <= 1:
-            serial = SerialBackend()
-            results = serial.run_groups(trace, groups)
-            self.last_dispatch = serial.last_dispatch
-            return results
+            self.last_dispatch = DispatchStats(
+                jobs=sum(len(group) for group in groups)
+            )
+            return run_in_process(trace, groups)
         items = [tuple(group) for group in groups]
         collect = obs.enabled()
         handle = self.share_trace(trace)
@@ -663,6 +679,51 @@ def set_default_runtime(
     global _DEFAULT_RUNTIME
     previous, _DEFAULT_RUNTIME = _DEFAULT_RUNTIME, runtime
     return previous
+
+
+def resolve_placement(
+    backend: "ExecutionRuntime | str | None" = None,
+    workers: int | None = None,
+    runtime: ExecutionRuntime | None = None,
+) -> "ExecutionRuntime | str":
+    """Where a batch runs: ``"serial"`` (in process) or a runtime.
+
+    The one place that turns a ``backend=`` argument into a placement.
+    First match wins:
+
+    * an :class:`ExecutionRuntime` is used as given;
+    * ``"serial"`` runs in process;
+    * ``None`` applies the default rule: one worker runs in process,
+      and more run exactly as for ``"pool"``;
+    * ``"pool"`` runs on ``runtime`` when one is passed. Otherwise it
+      stays ``"pool"``: the process-wide default runtime sized for
+      ``workers``, which the engine looks up only when a batch has
+      misses to run, so a batch that dispatches nothing never builds
+      or replaces the default.
+
+    ``workers=None`` takes the size of a passed ``runtime``. The answer
+    is a fixed point, so a caller may resolve once and pass the result
+    down as ``backend=``.
+
+    Raises:
+        ExecutionError: an unknown name, or a runtime that is closed.
+    """
+    if isinstance(backend, ExecutionRuntime):
+        backend, runtime = "pool", backend
+    if backend is None:
+        if workers is None and runtime is not None:
+            workers = runtime.workers
+        backend = "serial" if resolve_workers(workers) <= 1 else "pool"
+    if backend not in ("serial", "pool"):
+        raise ExecutionError(
+            f"unknown backend {backend!r}: expected 'serial', 'pool', "
+            f"or an ExecutionRuntime"
+        )
+    if backend == "serial" or runtime is None:
+        return backend
+    if runtime.closed:
+        raise ExecutionError("cannot dispatch a batch through a closed runtime")
+    return runtime
 
 
 @atexit.register

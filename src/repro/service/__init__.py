@@ -1,7 +1,7 @@
 """Exploration-as-a-service: the daemon behind ``python -m repro serve``.
 
-The package turns the persistent execution stack — runtimes, pluggable
-backends, the layered simulation cache — into a long-lived HTTP/JSON
+The package turns the persistent execution stack — runtimes and the
+layered simulation cache — into a long-lived HTTP/JSON
 daemon that many clients (and many tenants) share:
 
 * :mod:`repro.service.schemas` — wire formats: validated job specs.

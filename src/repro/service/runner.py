@@ -14,7 +14,7 @@ seams the one-shot call doesn't have:
 * **per-tenant caches** — each tenant's jobs run against that tenant's
   :class:`~repro.exec.cache.SimulationCache` namespace
   (:class:`TenantCaches`), so one tenant's workloads warm only their
-  own cache while the runtime/backend (compute, not results) is shared.
+  own cache while the runtime (compute, not results) is shared.
 
 Results are plain JSON: an ``explore`` job's ``design_points`` rows
 are exactly what ``repro explore --json`` writes for the same spec,
@@ -31,9 +31,8 @@ from repro.apex.explorer import ApexConfig, explore_memory_architectures
 from repro.conex.explorer import ConExConfig, explore_connectivity
 from repro.core.design_point import summarize
 from repro.errors import ReproError
-from repro.exec.backend import ExecutionBackend, resolve_backend
 from repro.exec.cache import SimulationCache
-from repro.exec.runtime import ExecutionRuntime
+from repro.exec.runtime import ExecutionRuntime, resolve_placement
 from repro.service import jobs as jobstates
 from repro.service.jobs import Job, JobStore
 from repro.workloads import get_workload
@@ -119,7 +118,7 @@ def execute_job(
     store: JobStore,
     caches: TenantCaches,
     runtime: ExecutionRuntime | None = None,
-    default_backend: "ExecutionBackend | str | None" = None,
+    default_backend: str | None = None,
 ) -> None:
     """Run one job to a terminal state, recording progress events.
 
@@ -131,17 +130,12 @@ def execute_job(
     try:
         store.transition(job, jobstates.RUNNING)
         cache = caches.get(spec.tenant)
-        backend_spec = spec.backend or default_backend or None
-        # The backend is resolved once per job, so the pool is the
-        # runner thread's runtime for every batch of the job.
-        backend = resolve_backend(backend_spec, spec.workers, runtime)
-        try:
-            result = _run_spec(job, store, cache, backend)
-        finally:
-            # Close only a backend this job resolved; an injected
-            # instance belongs to the caller.
-            if backend is not backend_spec:
-                backend.close()
+        # Placed once per job, so the pool is the runner thread's
+        # runtime for every batch of the job.
+        backend = resolve_placement(
+            spec.backend or default_backend, spec.workers, runtime
+        )
+        result = _run_spec(job, store, cache, backend)
         _checkpoint(job)
         job.result = result
         store.transition(job, jobstates.DONE)
@@ -160,7 +154,7 @@ def _run_spec(
     job: Job,
     store: JobStore,
     cache: SimulationCache,
-    backend: ExecutionBackend,
+    backend: "ExecutionRuntime | str",
 ) -> dict:
     spec = job.spec
     collect = obs.enabled()

@@ -91,33 +91,30 @@ class TestNamedBackend:
         self, monkeypatch, capsys
     ):
         import repro.cli
-        from repro.exec.backend import PoolBackend
+        from repro.exec.runtime import ExecutionRuntime, set_default_runtime
 
-        resolved = []
-        resolve = repro.cli.resolve_backend
+        built = []
 
-        def counting_resolve(*args, **kwargs):
-            backend = resolve(*args, **kwargs)
-            resolved.append(backend)
-            return backend
+        class RecordingRuntime(ExecutionRuntime):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self)
 
-        closed = []
-        close = PoolBackend.close
-
-        def recording_close(self):
-            closed.append(self)
-            close(self)
-
-        monkeypatch.setattr(repro.cli, "resolve_backend", counting_resolve)
-        monkeypatch.setattr(PoolBackend, "close", recording_close)
-        code = main(
-            ["coverage", "vocoder", "--scale", "0.1", "--backend", "pool",
-             "--jobs", "2"]
-        )
+        monkeypatch.setattr(repro.cli, "ExecutionRuntime", RecordingRuntime)
+        previous = set_default_runtime(None)
+        try:
+            code = main(
+                ["coverage", "vocoder", "--scale", "0.1", "--backend",
+                 "pool", "--jobs", "2"]
+            )
+        finally:
+            default = set_default_runtime(previous)
         assert code == 0
         assert "Pareto coverage" in capsys.readouterr().out
-        # Every batch of the three strategies ran on one backend, and
-        # the command closed it on exit.
-        assert len(resolved) == 1
-        assert isinstance(resolved[0], PoolBackend)
-        assert closed == resolved
+        # Every batch of the three strategies ran on the command's one
+        # runtime, never on the process-wide default, and the command
+        # closed it on exit.
+        assert default is None
+        assert len(built) == 1
+        assert built[0].stats.batches >= 1
+        assert built[0].closed

@@ -27,7 +27,6 @@ from repro.conex.explorer import (
 )
 from repro.errors import ExplorationError
 from repro.exec.cache import NullCache
-from repro.exec.backend import PoolBackend
 from repro.exec.runtime import ExecutionRuntime
 from repro.sim.simulator import simulate
 from repro.util.pareto import pareto_front
@@ -212,7 +211,7 @@ class TestExplorerEquivalence:
         with ExecutionRuntime(workers=2) as runtime:
             pooled = self._explore(
                 compress_trace, apex, conn_library, workers=2,
-                backend=PoolBackend(runtime),
+                backend=runtime,
             )
         assert serial == pooled
 
@@ -222,12 +221,12 @@ class TestExplorerEquivalence:
         with ExecutionRuntime(workers=2) as runtime:
             first = self._explore(
                 compress_trace, apex, conn_library,
-                backend=PoolBackend(runtime),
+                backend=runtime,
             )
             pool = runtime._pool
             second = self._explore(
                 compress_trace, apex, conn_library,
-                backend=PoolBackend(runtime),
+                backend=runtime,
             )
             assert runtime._pool is pool
             assert len(runtime._exports) == 1

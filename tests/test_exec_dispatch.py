@@ -1,5 +1,6 @@
 """The dispatch policy: a per-job timeout budget, a jobs count that
-means the same on every backend, and job errors that are not faults.
+means the same in process and on the pool, and job errors that are not
+faults.
 
 A pool chunk carries whole memory-signature groups, and its timeout
 budget is ``job_timeout`` × the *jobs* inside them. These tests slow
@@ -14,12 +15,8 @@ import time
 import pytest
 
 from repro.apex.architectures import MemoryArchitecture
-from repro.exec import (
-    ExecutionRuntime,
-    PoolBackend,
-    SerialBackend,
-    SimulationJob,
-)
+from repro.exec import ExecutionRuntime, SimulationJob
+from repro.exec.runtime import run_in_process
 from repro.sim import batch as sim_batch
 
 #: Seconds every job sleeps, and the per-job timeout (5× a job).
@@ -72,10 +69,10 @@ class TestJobBudget:
         """Three groups of 20 jobs: each chunk holds a group that takes
         4× the per-job timeout, and must still finish undisturbed."""
         groups = _groups(mem_library, (20, 20, 20))
-        reference = SerialBackend().run_groups(tiny_trace, groups)
+        reference = run_in_process(tiny_trace, groups)
         slow_jobs()
         with ExecutionRuntime(workers=2, job_timeout=JOB_TIMEOUT) as runtime:
-            results = PoolBackend(runtime).run_groups(tiny_trace, groups)
+            results = runtime.map_simulation_groups(tiny_trace, groups)
             dispatch = runtime.last_dispatch
         assert results == reference
         assert dispatch.timeouts == 0
@@ -85,17 +82,15 @@ class TestJobBudget:
 
 
 class TestJobsCount:
-    """``DispatchStats.jobs`` counts jobs, whichever backend ran them."""
+    """``DispatchStats.jobs`` counts jobs, in process or on the pool."""
 
     def test_every_backend_counts_jobs(self, tiny_trace, mem_library):
         groups = _groups(mem_library, (3, 2))
-        serial = SerialBackend()
-        with ExecutionRuntime(workers=2) as runtime:
-            pool = PoolBackend(runtime)
-            for backend in (serial, pool):
-                backend.run_groups(tiny_trace, groups)
-                assert backend.last_dispatch.jobs == 5, backend.name
-            assert runtime.stats.jobs == 5
+        for workers in (1, 2):
+            with ExecutionRuntime(workers=workers) as runtime:
+                runtime.map_simulation_groups(tiny_trace, groups)
+                assert runtime.last_dispatch.jobs == 5, workers
+        assert runtime.stats.jobs == 5
 
 
 class TestJobErrors:
@@ -113,7 +108,7 @@ class TestJobErrors:
         groups = _groups(mem_library, (2, 2))
         with ExecutionRuntime(workers=2) as runtime:
             with pytest.raises(ValueError, match="job blew up"):
-                PoolBackend(runtime).run_groups(tiny_trace, groups)
+                runtime.map_simulation_groups(tiny_trace, groups)
             assert runtime._pool is not None
             assert runtime.stats.pool_rebuilds == 0
             assert runtime.stats.retries == 0

@@ -24,7 +24,6 @@ import pytest
 
 from repro.apex.architectures import MemoryArchitecture
 from repro.errors import ExecutionError, ExplorationError
-from repro.exec.backend import PoolBackend
 from repro.exec.cache import NullCache
 from repro.exec.engine import SimulationJob, simulate_batch
 from repro.exec.runtime import (
@@ -88,7 +87,7 @@ class TestCrashRecovery:
         with ExecutionRuntime(workers=2) as runtime:
             report = simulate_batch(
                 tiny_trace, jobs, cache=NullCache(),
-                backend=PoolBackend(runtime),
+                backend=runtime,
             )
             assert runtime.stats.pool_rebuilds >= 1
             assert runtime.stats.degraded_batches == 0
@@ -110,7 +109,7 @@ class TestCrashRecovery:
         with ExecutionRuntime(workers=2, max_retries=1) as runtime:
             report = simulate_batch(
                 tiny_trace, jobs, cache=NullCache(),
-                backend=PoolBackend(runtime),
+                backend=runtime,
             )
             assert runtime.last_dispatch is not None
             assert runtime.last_dispatch.degraded
@@ -129,7 +128,7 @@ class TestCrashRecovery:
         with ExecutionRuntime(workers=2) as runtime:
             report = simulate_batch(
                 tiny_trace, jobs, cache=NullCache(),
-                backend=PoolBackend(runtime),
+                backend=runtime,
             )
             dispatch = runtime.last_dispatch
         assert report.results == serial.results
@@ -146,7 +145,7 @@ class TestJobTimeout:
         with ExecutionRuntime(workers=2, job_timeout=1.0) as runtime:
             report = simulate_batch(
                 tiny_trace, jobs, cache=NullCache(),
-                backend=PoolBackend(runtime),
+                backend=runtime,
             )
             assert runtime.stats.timeouts >= 1
             assert runtime.stats.pool_rebuilds >= 1
@@ -181,12 +180,11 @@ class TestEagerClosedDispatch:
         self, tiny_trace, mem_library
     ):
         runtime = ExecutionRuntime(workers=2)
-        backend = PoolBackend(runtime)
         runtime.close()
         with pytest.raises(ExplorationError):
             simulate_batch(
                 tiny_trace, _jobs(mem_library), cache=NullCache(),
-                backend=backend,
+                backend=runtime,
             )
 
     def test_execution_error_is_an_exploration_error(self):
@@ -231,11 +229,15 @@ class TestDefaultRuntimeHealth:
         jobs = _jobs(mem_library)
         serial = simulate_batch(tiny_trace, jobs, workers=1, cache=NullCache())
         with ExecutionRuntime(workers=2) as runtime:
-            first = PoolBackend(runtime).run_simulations(tiny_trace, jobs)
+            first = simulate_batch(
+                tiny_trace, jobs, cache=NullCache(), backend=runtime
+            )
             for process in runtime._pool._processes.values():
                 process.kill()
-            second = PoolBackend(runtime).run_simulations(tiny_trace, jobs)
-        assert first == list(serial.results) == second
+            second = simulate_batch(
+                tiny_trace, jobs, cache=NullCache(), backend=runtime
+            )
+        assert first.results == serial.results == second.results
 
 
 class TestShmHygiene:
@@ -273,7 +275,10 @@ class TestShmHygiene:
     def test_runtime_close_leaves_no_blocks(self, tiny_trace, mem_library):
         preexisting = set(_stale_shm_blocks())
         with ExecutionRuntime(workers=2) as runtime:
-            PoolBackend(runtime).run_simulations(tiny_trace, _jobs(mem_library))
+            simulate_batch(
+                tiny_trace, _jobs(mem_library), cache=NullCache(),
+                backend=runtime,
+            )
         assert set(_stale_shm_blocks()) <= preexisting
 
     def test_fork_child_cleanup_spares_parent_blocks(self, tiny_trace):

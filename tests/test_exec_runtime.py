@@ -14,7 +14,6 @@ import pytest
 
 from repro.apex.architectures import MemoryArchitecture
 from repro.errors import ExplorationError
-from repro.exec.backend import PoolBackend
 from repro.exec.cache import NullCache
 from repro.exec.engine import SimulationJob, simulate_batch
 from repro.exec.runtime import (
@@ -85,8 +84,11 @@ class TestSharedTraceTransport:
 class TestRuntimeLifecycle:
     def test_serial_runtime_stays_inert(self, tiny_trace, mem_library):
         with ExecutionRuntime(workers=1) as runtime:
-            results = PoolBackend(runtime).run_simulations(tiny_trace, _jobs(mem_library))
-            assert len(results) == len(_PRESETS)
+            report = simulate_batch(
+                tiny_trace, _jobs(mem_library), cache=NullCache(),
+                backend=runtime,
+            )
+            assert len(report.results) == len(_PRESETS)
             assert runtime._pool is None
             assert not runtime._exports
 
@@ -95,7 +97,7 @@ class TestRuntimeLifecycle:
         runtime.close()
         assert runtime.closed
         with pytest.raises(ExplorationError):
-            PoolBackend(runtime).run_simulations(tiny_trace, _jobs(mem_library))
+            runtime.map_simulation_groups(tiny_trace, [_jobs(mem_library)])
         with pytest.raises(ExplorationError):
             runtime.share_trace(tiny_trace)
 
@@ -115,10 +117,14 @@ class TestRuntimeLifecycle:
     def test_pool_survives_across_batches(self, tiny_trace, mem_library):
         jobs = _jobs(mem_library)
         with ExecutionRuntime(workers=2) as runtime:
-            PoolBackend(runtime).run_simulations(tiny_trace, jobs[:2])
+            simulate_batch(
+                tiny_trace, jobs[:2], cache=NullCache(), backend=runtime
+            )
             pool = runtime._pool
             assert pool is not None
-            PoolBackend(runtime).run_simulations(tiny_trace, jobs[2:])
+            simulate_batch(
+                tiny_trace, jobs[2:], cache=NullCache(), backend=runtime
+            )
             assert runtime._pool is pool
 
 
@@ -131,7 +137,7 @@ class TestRuntimeDispatchEquivalence:
         with ExecutionRuntime(workers=2) as runtime:
             pooled = simulate_batch(
                 tiny_trace, jobs, cache=NullCache(),
-                backend=PoolBackend(runtime),
+                backend=runtime,
             )
         assert pooled.workers == 2
         assert serial.results == pooled.results
@@ -141,11 +147,11 @@ class TestRuntimeDispatchEquivalence:
         with ExecutionRuntime(workers=2) as runtime:
             first = simulate_batch(
                 tiny_trace, jobs, cache=NullCache(),
-                backend=PoolBackend(runtime),
+                backend=runtime,
             )
             second = simulate_batch(
                 tiny_trace, jobs, cache=NullCache(),
-                backend=PoolBackend(runtime),
+                backend=runtime,
             )
             assert len(runtime._exports) == 1
         assert first.results == second.results

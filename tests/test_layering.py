@@ -8,10 +8,10 @@ host: no module of it imports :mod:`socket`.
 
 The driver layer (:mod:`repro.apex`, :mod:`repro.conex`,
 :mod:`repro.core`) in turn takes one execution handle, ``backend=``,
-and never sees an :class:`~repro.exec.runtime.ExecutionRuntime`: only
-the entry points that own a runtime's lifetime (the CLI and the
-service) import :mod:`repro.exec.runtime`, and hand it down as
-``PoolBackend(runtime)``.
+and never imports :mod:`repro.exec.runtime`: only the entry points
+that own a runtime's lifetime (the CLI and the service) import it, and
+they pass the :class:`~repro.exec.runtime.ExecutionRuntime` itself
+down as ``backend=``.
 
 The checks read import statements from the source (including
 deferred, function-level and ``TYPE_CHECKING`` imports) without
@@ -79,7 +79,7 @@ def test_exec_does_not_import_socket(path):
 
 def test_exec_package_is_scanned():
     names = {path.name for path in EXEC_DIR.glob("*.py")}
-    assert {"backend.py", "cache.py", "engine.py", "runtime.py"} <= names
+    assert {"cache.py", "engine.py", "runtime.py"} <= names
 
 
 @pytest.mark.parametrize(

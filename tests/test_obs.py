@@ -34,7 +34,6 @@ from repro.config import (
     use_settings,
 )
 from repro.errors import ExecutionError, ExplorationError
-from repro.exec.backend import PoolBackend
 from repro.exec.cache import NullCache, SimulationCache
 from repro.exec.engine import SimulationJob, simulate_batch
 from repro.exec.runtime import ExecutionRuntime, RuntimeStats
@@ -196,7 +195,7 @@ class TestWorkerMerge:
         with ExecutionRuntime(workers=2) as runtime:
             report = simulate_batch(
                 tiny_trace, jobs, cache=NullCache(),
-                backend=PoolBackend(runtime),
+                backend=runtime,
             )
         assert len(report.results) == len(jobs)
         snap = obs.snapshot()
@@ -224,7 +223,7 @@ class TestWorkerMerge:
         with ExecutionRuntime(workers=2) as runtime:
             report = simulate_batch(
                 tiny_trace, jobs, cache=NullCache(),
-                backend=PoolBackend(runtime),
+                backend=runtime,
             )
             assert runtime.stats.pool_rebuilds >= 1
         assert (tmp_path / "obs.marker").exists(), "no fault was injected"
