@@ -1,26 +1,31 @@
 """perf9 — group plans: an empty module-outcome memo against a shared one.
 
-Every Phase II group and every APEX candidate is evaluated through a
-group plan (:meth:`repro.sim.batch.TracePlan.group_plan`). A plan runs
-each of its modules over the structures routed to it, unless an earlier
-plan over the same trace plan already ran an equally configured module
-on the same structures: the trace plan memoises module outcomes by
-``(config_signature(), served struct ids)``.
+Every candidate's modules run through the trace plan's memo of module
+outcomes (:meth:`repro.sim.batch.TracePlan.module_outcome`), keyed by
+``(config_signature(), served struct ids)``: a module runs over the
+structures routed to it unless an earlier candidate over the same
+trace plan already ran an equally configured module on the same
+structures. APEX's ideal-connectivity candidates read the memo from
+the blocked ideal pass; each Phase II group reads it from its group
+plan (:meth:`repro.sim.batch.TracePlan.group_plan`).
 
-This benchmark captures the groups of one cold compress exploration
-(scale 0.05, input 0, empty result cache: 245 groups) and evaluates
-them twice:
+This benchmark captures the dispatch units of one cold compress
+exploration (scale 0.05, input 0, empty result cache: one unit of the
+240 APEX candidates and one per Phase II memory signature, 6 in all)
+and evaluates them twice:
 
-* **fresh** — each group on a new :class:`~repro.sim.batch.TracePlan`,
-  so every plan runs every module (the memo is always empty);
-* **shared** — every group on one trace plan, as an exploration does.
+* **fresh** — each unit on a new :class:`~repro.sim.batch.TracePlan`,
+  so no unit sees another's outcomes (within the ideal unit its
+  candidates still share them);
+* **shared** — every unit on one trace plan, as an exploration does.
 
 It asserts the two give identical results, and records the seconds
-spent building group plans (the ``sim.batch.build_group_plan`` span),
-the evaluation seconds, the groups, and the memo's outcome builds and
-hits. Full runs take the best of :data:`REPEATS` and assert the shared
-builds are at least :data:`BUILD_SPEEDUP_FLOOR` times faster;
-``REPRO_BENCH_SMOKE=1`` checks equality only. The record lands in
+spent building group plans (the ``sim.batch.build_group_plan`` span,
+which only priced groups open), the evaluation seconds, the units, and
+the memo's outcome builds and hits. Full runs take the best of
+:data:`REPEATS` and assert the shared builds are at least
+:data:`BUILD_SPEEDUP_FLOOR` times faster; ``REPRO_BENCH_SMOKE=1``
+checks equality only. The record lands in
 ``benchmarks/out/BENCH_group_plan.json``.
 """
 
@@ -41,7 +46,7 @@ WORKLOAD, SCALE, INPUT = "compress", 0.05, 0
 
 
 def captured_groups() -> list[tuple]:
-    """``(trace, jobs)`` of every group one cold exploration evaluates."""
+    """``(trace, jobs)`` of every unit one cold exploration evaluates."""
     groups = []
     original = sim_batch.evaluate_group
 

@@ -121,16 +121,9 @@ class MemoryArchitecture:
                 raise ConfigurationError(
                     f"mapping mentions '{struct}' absent from trace '{trace.name}'"
                 )
-        footprints: dict[str, int] = {}
-        for struct in trace.structs:
-            mask = trace.struct_mask(struct)
-            addresses = trace.addresses[mask]
-            sizes = trace.sizes[mask]
-            footprints[struct] = int(
-                addresses.max() - addresses.min() + sizes.max()
-            )
         demand: dict[str, int] = {}
-        for struct, footprint in footprints.items():
+        for struct in trace.structs:
+            footprint = trace.footprint(struct)
             target = self.module_for(struct)
             if target != DRAM and isinstance(self.modules[target], Sram):
                 demand[target] = demand.get(target, 0) + footprint

@@ -5,7 +5,9 @@ The exploration layers (:mod:`repro.apex`, :mod:`repro.conex`,
 connectivity) design points. This package makes that the fast path:
 
 * :mod:`repro.exec.engine` — :func:`simulate_batch`: cache lookups,
-  in-batch dedup, memory-signature grouping, and deterministic
+  in-batch dedup, the partition into dispatch units (ideal-connectivity
+  misses in contiguous chunks, priced misses in memory-signature
+  groups), and deterministic
   job-index result ordering, with exactly one dispatch per batch for
   the misses. Phase-I estimates are not dispatched here; they run
   in-process through :func:`repro.conex.estimator.estimate_plan`.
@@ -23,7 +25,7 @@ connectivity) design points. This package makes that the fast path:
   budget (``REPRO_JOB_TIMEOUT`` × the jobs a chunk carries): it
   re-dispatches only the unfinished work, and after
   ``REPRO_MAX_RETRIES`` retries the batch degrades to the in-process
-  path instead of failing. A batch of at most one group runs in
+  path instead of failing. A batch of at most one unit runs in
   process on the runtime, with no pool. Pools are capped at the
   machine's CPU count.
 * :mod:`repro.exec.cache` — a content-addressed

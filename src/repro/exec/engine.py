@@ -6,10 +6,14 @@ This module turns those loops into batch jobs:
 
 * :func:`simulate_batch` — run a list of :class:`SimulationJob` specs
   over one trace against the content-addressed result cache. The
-  misses are deduplicated, partitioned into same-memory-signature
-  groups, and run in one call, in process or on an
-  :class:`~repro.exec.runtime.ExecutionRuntime`; each group shares its
-  trace plan and module columns (:func:`repro.sim.batch.evaluate_group`).
+  misses are deduplicated and partitioned into dispatch units: the
+  ideal-connectivity misses, whatever their memory signatures, into
+  contiguous chunks (one in process, about four per worker on a
+  pool), and the priced misses into same-memory-signature groups.
+  All units run in one call, in process or on an
+  :class:`~repro.exec.runtime.ExecutionRuntime`; each is one
+  :func:`repro.sim.batch.evaluate_group` call, which shares the trace
+  plan and module outcomes.
 
 Phase-I estimates do not come through here: they are analytic and
 columnar (:func:`repro.conex.estimator.estimate_plan`) and run
@@ -29,7 +33,7 @@ runs in process, and any other batch on the process-wide default
 runtime. A caller that owns a runtime passes ``backend=runtime``. The
 pool is built once per runtime and the trace is exported once per
 (runtime, trace-fingerprint) to shared memory, so a batch moves only
-the (small) architecture descriptions; a batch of at most one group
+the (small) architecture descriptions; a batch of at most one unit
 runs in process on the runtime and builds neither.
 
 The simulation engine is bit-identical to the scalar reference loop,
@@ -51,6 +55,7 @@ from repro.exec.cache import SimulationCache, default_cache, simulation_key
 from repro.exec.runtime import (
     ExecutionRuntime,
     default_runtime,
+    dispatch_chunksize,
     resolve_placement,
     resolve_workers,
     run_in_process,
@@ -88,14 +93,16 @@ class EngineReport(StatsReport):
     ``False`` on an undisturbed batch.
 
     ``batch_groups`` / ``delta_pass_candidates`` are filled by
-    simulation batches: how many same-memory-signature groups the
-    simulated misses were partitioned into, and how many of those
-    candidates ran the shared-column delta pass (as opposed to falling
-    back to independent full runs).
+    simulation batches: how many dispatch units the simulated misses
+    were partitioned into (chunks of ideal-connectivity misses plus
+    same-memory-signature groups of priced ones), and how many of
+    those candidates the engine served (as opposed to falling back to
+    independent reference runs).
 
-    ``backend`` names where the batch was placed: ``"serial"`` (in
-    process) or ``"pool"`` (a runtime, which still runs a batch of one
-    worker or one group in process).
+    ``backend`` says where the batch ran: ``"pool"`` when a runtime's
+    process pool ran it, else ``"serial"`` — in process, whether it
+    was placed there or on a runtime that ran it in process (one
+    worker or one dispatch unit), and for a batch of cache hits only.
     ``bytes_sent`` / ``bytes_received`` always read 0: no batch moves
     over a wire. They stay because the ``perfbench`` tracer reads them;
     ROADMAP item 4 replaces that tracer with ``repro.obs``.
@@ -188,25 +195,62 @@ def _record_batch(report: EngineReport) -> None:
 
 
 def _dispatch(
-    where: "ExecutionRuntime | str",
-    workers: int,
+    runtime: "ExecutionRuntime | None",
     trace: Trace,
     groups: Sequence[Sequence[SimulationJob]],
 ):
-    """Run the batch's groups where they were placed.
+    """Run the batch's dispatch units in process or on ``runtime``.
 
-    Returns their outcomes and the fault accounting for the report.
+    Returns their outcomes, where they ran (``"serial"`` unless a
+    pool ran them), and the fault accounting for the report.
     """
-    if where == "serial":
-        return run_in_process(trace, groups), {}
-    runtime = default_runtime(workers) if where == "pool" else where
+    if runtime is None:
+        return run_in_process(trace, groups), "serial", {}
     values = runtime.map_simulation_groups(trace, groups)
     dispatch = runtime.last_dispatch
-    return values, {
+    return values, "pool" if dispatch.pooled else "serial", {
         "retries": dispatch.retries,
         "pool_rebuilds": dispatch.pool_rebuilds,
         "degraded": dispatch.degraded,
     }
+
+
+def _partition(
+    jobs: Sequence[SimulationJob],
+    keys: list,
+    unique: list[int],
+    runtime: "ExecutionRuntime | None",
+) -> list[list[int]]:
+    """Split the batch's misses into dispatch units.
+
+    Ideal-connectivity misses, whatever their memory signatures, go
+    into contiguous runs in job order: the ideal pass evaluates any mix
+    in one call. In process, or on a one-worker runtime, that is one
+    run. On a pool the runs take the runtime's own granularity of
+    about four per worker (:func:`~repro.exec.runtime.dispatch_chunksize`):
+    a worker holds one unit's jobs and results at a time, so fewer,
+    larger units would raise every worker's peak memory. Priced misses
+    are grouped by memory-architecture signature — the grouping under
+    which a group plan's columns are shareable — in first-appearance
+    order, for deterministic dispatch.
+    """
+    ideal = [i for i in unique if jobs[i].connectivity is None]
+    size = max(1, len(ideal))
+    if runtime is not None and runtime.workers > 1:
+        size = dispatch_chunksize(len(ideal), runtime.workers)
+    units = [ideal[i : i + size] for i in range(0, len(ideal), size)]
+    group_of: dict = {}
+    for index in unique:
+        if jobs[index].connectivity is None:
+            continue
+        signature = keys[index][1]
+        slot = group_of.get(signature)
+        if slot is None:
+            group_of[signature] = len(units)
+            units.append([index])
+        else:
+            units[slot].append(index)
+    return units
 
 
 def simulate_batch(
@@ -221,13 +265,20 @@ def simulate_batch(
     ``results[i]`` corresponds to ``jobs[i]`` and is bit-identical to
     an independent :func:`~repro.sim.simulator.simulate` call. Cache
     hits are served directly; in-batch duplicates are simulated once.
-    The remaining misses are partitioned into same-memory-signature
-    groups, each evaluated through :func:`repro.sim.batch.evaluate_group`
-    so the group shares the trace plan, module outcome columns, and
-    the merged DRAM open-row pass, and each candidate pays only its
-    connectivity/sampling delta pass. All groups run in one call; a
-    group is never split (splitting would forfeit the
-    sharing), which makes it the unit a pool chunk carries.
+    The remaining misses are partitioned into dispatch units, each
+    evaluated through :func:`repro.sim.batch.evaluate_group`, which
+    shares the trace plan and its module outcomes across the unit:
+
+    * ideal-connectivity misses (every APEX candidate), whatever their
+      memory signatures, split into contiguous chunks in job order —
+      one chunk in process, about four per worker on a pool — and
+      each chunk runs the blocked ideal pass;
+    * priced misses are grouped by memory signature; a group shares
+      its group plan and merged DRAM open-row pass, and each member
+      pays only its connectivity/sampling delta pass. A group is
+      never split (splitting would forfeit the sharing).
+
+    All units run in one call, and a unit is what a pool chunk carries.
 
     Args:
         trace: the shared access trace (exported to pool workers once
@@ -295,25 +346,17 @@ def _simulate_batch(
         if keys[index] not in first_of:
             first_of[keys[index]] = index
             unique.append(index)
-    # Partition the misses by memory-architecture signature — the
-    # grouping under which module columns are shareable — keeping
-    # first-appearance order for deterministic dispatch.
-    group_of: dict = {}
     groups: list[list[int]] = []
-    for index in unique:
-        signature = keys[index][1]
-        slot = group_of.get(signature)
-        if slot is None:
-            group_of[signature] = len(groups)
-            groups.append([index])
-        else:
-            groups[slot].append(index)
-
     accounting: dict = {}
     delta_candidates = 0
-    if groups:
+    ran = "serial"
+    if unique:
+        runtime = None
+        if where != "serial":
+            runtime = default_runtime(workers) if where == "pool" else where
+        groups = _partition(jobs, keys, unique, runtime)
         group_jobs = [[jobs[i] for i in group] for group in groups]
-        outcomes, accounting = _dispatch(where, workers, trace, group_jobs)
+        outcomes, ran, accounting = _dispatch(runtime, trace, group_jobs)
         for group, (group_results, delta) in zip(groups, outcomes):
             delta_candidates += delta
             for index, result in zip(group, group_results):
@@ -337,7 +380,7 @@ def _simulate_batch(
         delta_pass_candidates=delta_candidates,
         cache_memory_hits=memory_hits,
         cache_disk_hits=disk_hits,
-        backend="serial" if where == "serial" else "pool",
+        backend=ran,
         **accounting,
     )
 

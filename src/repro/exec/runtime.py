@@ -18,8 +18,9 @@ process start-up and megabytes of pickling every time, so
   the shared blocks; a process-wide default runtime
   (:func:`default_runtime`) is closed automatically at exit.
 
-The runtime dispatches one kind of work: whole same-signature
-simulation groups (:meth:`ExecutionRuntime.map_simulation_groups`).
+The runtime dispatches one kind of work: whole simulation dispatch
+units — chunks of ideal-connectivity jobs and same-signature groups of
+priced ones (:meth:`ExecutionRuntime.map_simulation_groups`).
 
 **Fault tolerance.** A worker death (OOM kill, segfault, SIGKILL)
 breaks a ``ProcessPoolExecutor`` permanently: every in-flight and
@@ -44,9 +45,9 @@ construction sweeps blocks leaked by dead processes.
 in-process path): no pool, no export, bit-identical results — the
 determinism contract of :mod:`repro.exec.engine` is unchanged because
 results stay keyed by index and the simulator is deterministic. A batch
-of at most one group takes the same in-process path at any worker
-count: one group is never split, so a pool could only add the export
-and the round trip.
+of at most one dispatch unit takes the same in-process path at any
+worker count: a unit is never split, so a pool could only add the
+export and the round trip.
 
 Where a batch runs is decided in one place, :func:`resolve_placement`:
 in process, or on a runtime.
@@ -196,6 +197,8 @@ class DispatchStats(StatsReport):
             budget (``REPRO_JOB_TIMEOUT`` × the jobs they carry).
         degraded: the retry budget ran out and the remaining groups
             finished on the serial in-process path.
+        pooled: the call dispatched to the process pool (``False``:
+            it ran in process, with one worker or one unit).
     """
 
     jobs: int = 0
@@ -203,6 +206,7 @@ class DispatchStats(StatsReport):
     pool_rebuilds: int = 0
     timeouts: int = 0
     degraded: bool = False
+    pooled: bool = False
 
 
 def _job_budget(
@@ -259,10 +263,10 @@ class RuntimeStats(StatsReport):
 def run_in_process(
     trace: Trace, groups: "Sequence[Sequence[SimulationJob]]"
 ) -> list:
-    """Evaluate whole same-signature groups here, ordered like ``groups``.
+    """Evaluate whole dispatch units here, ordered like ``groups``.
 
     The one in-process path: a serial batch, a runtime's one-worker or
-    one-group batch, and a degraded remainder all run here. Returns one
+    one-unit batch, and a degraded remainder all run here. Returns one
     ``(results, delta_candidates)`` pair per group — the
     :func:`repro.sim.batch.evaluate_group` contract. Both batch
     functions are looked up on the module at call time, so a patched
@@ -491,7 +495,9 @@ class ExecutionRuntime:
         spent, the remainder degrades to :func:`run_in_process`.
         Job-raised errors are not faults: they propagate unchanged.
         """
-        stats = DispatchStats(jobs=sum(len(group) for group in groups))
+        stats = DispatchStats(
+            jobs=sum(len(group) for group in groups), pooled=True
+        )
         results: list = [None] * len(groups)
         pending = list(range(len(groups)))
         while pending:
@@ -577,14 +583,16 @@ class ExecutionRuntime:
         trace: Trace,
         groups: "Sequence[Sequence[SimulationJob]]",
     ) -> "list[tuple[list[SimulationResult], int]]":
-        """Run every same-signature candidate group over ``trace``.
+        """Run every dispatch unit of candidates over ``trace``.
 
-        Each group is one :func:`repro.sim.batch.evaluate_group` unit of
-        work — the granularity at which trace plans and module columns
-        are shared — and is never split across workers. Returns one
+        Each unit (a chunk of ideal-connectivity jobs, or a
+        same-signature group of priced ones; see
+        :func:`repro.exec.engine.simulate_batch`) is one
+        :func:`repro.sim.batch.evaluate_group` call and is never split
+        across workers. Returns one
         ``(results, delta_candidates)`` pair per group, ordered like
         ``groups``, inner result lists ordered like each group's jobs.
-        With one worker, or at most one group, the groups run here
+        With one worker, or at most one unit, the units run here
         (:func:`run_in_process`): no pool is built and no trace is
         exported.
         """

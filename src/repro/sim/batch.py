@@ -1,55 +1,64 @@
-"""The simulation engine: shared trace plans, group plans, delta passes.
+"""The simulation engine: shared trace plans, the ideal pass, group plans.
 
 Every non-reference simulation runs here. :meth:`Simulator.run
-<repro.sim.simulator.Simulator.run>` evaluates itself as a group of one
-(:func:`evaluate_single`), and Phase II explorations evaluate many
-candidates over one trace as same-memory-signature groups
-(:func:`evaluate_group`). Both go through the same three stages:
+<repro.sim.simulator.Simulator.run>` evaluates itself as a batch of one
+(:func:`evaluate_single`), and explorations evaluate many candidates
+over one trace (:func:`evaluate_group`). A candidate is either *ideal*
+(``connectivity=None``, every APEX candidate) or *priced* (a Phase II
+design), and each kind has exactly one path:
 
 * **per trace** — a :class:`TracePlan` holds sampling masks, the write
-  column, the tick list backing the contention walk, and a bounded
-  memo of module outcomes. An outcome is what one module does over
-  the structures routed to it, which its configuration alone
-  determines, so it is keyed by (``config_signature()``, served struct
-  ids) and shared by every architecture that has such a module. For
-  batch-capable modules (see
+  column, each structure's rows, the tick list backing the contention
+  walk, and a bounded memo of module outcomes. An outcome is what one
+  module does over the structures routed to it, which its
+  configuration alone determines, so it is keyed by
+  (``config_signature()``, served struct ids) and shared by every
+  architecture that has such a module. For batch-capable modules (see
   :attr:`repro.memory.module.MemoryModule.supports_batch`) an outcome
   is the ``access_many`` columns; for the tick-affine DMA engines a
   symbolic :class:`~repro.memory.module.ReplayTrace` recording
   (:meth:`~repro.memory.module.MemoryModule.record_replay`) whose
   stall terms are re-priced per member against its arrivals and
-  backing delay. The registry behind :func:`trace_plan` keeps the few
-  live traces for :func:`evaluate_group`; a single run builds a private
-  plan and drops it with the run.
-* **per memory signature** — a :class:`GroupPlan` scatters its
-  modules' outcomes into whole-run columns and folds their counters.
-  Module state evolution is tick-independent, so one merged DRAM
-  open-row pass over the run's transactions (each access makes at most
-  one) serves every member too. A plan is built per group and not
-  retained: the outcomes it reads are the costly part, and the memo
-  keeps those.
-* **per member** — the delta pass: connectivity-priced transfer
-  columns (:func:`_member_columns`), the contention walk, and the
-  measured-window fold. Under ideal connectivity nothing walks:
-  latency is a vector fold, and replay stalls are resolved by
-  :func:`_ideal_latency_column`, which visits only the replay hits
-  whose slack against their stall-free issue times is positive. A
-  priced member runs :func:`_walk`, one integer loop driven by the
-  run's sampling spans, over the on-window rows — or every row when a
-  module of the group replays, since a replay module's latency depends
-  on its own arrivals.
+  backing delay. An outcome also carries its scalar counter folds
+  (hits, byte sums, transaction counts), computed once. The registry
+  behind :func:`trace_plan` keeps the few live traces for
+  :func:`evaluate_group`; a single run builds a private plan and drops
+  it with the run.
+* **ideal members, any memory signatures** — one blocked pass
+  (:func:`_evaluate_ideal`). Per member: one :class:`Simulator`, its
+  outcomes from the memo, its counter folds and its DRAM open-row
+  pass. Per block of members (:data:`_IDEAL_BLOCK_ELEMENTS`): the
+  outcome columns are scattered into member × row arrays, one 2-D
+  cumsum gives every DMA member's stall-free issue times, and
+  :func:`_add_replay_stalls` visits only the replay hits whose slack
+  against them is positive. Members are sub-blocked by (sampling,
+  posted writes), and each sub-block folds its latency, per-structure
+  sums and energy column-wise. No channel contends, so nothing walks.
+* **priced members, per memory signature** — a :class:`GroupPlan`
+  scatters its modules' outcomes into whole-run columns. Module state
+  evolution is tick-independent, so one merged DRAM open-row pass over
+  the run's transactions (each access makes at most one) serves every
+  member too. A plan is built per group and not retained: the
+  outcomes it reads are the costly part, and the memo keeps those.
+  Each member then runs the delta pass: connectivity-priced transfer
+  columns (:func:`_member_columns`), :func:`_walk` — one integer loop
+  driven by the run's sampling spans, over the on-window rows, or
+  every row when a module of the group replays, since a replay
+  module's latency depends on its own arrivals — and the
+  measured-window fold.
 
 Results are **bit-identical** to the scalar reference loop
 (:meth:`Simulator.run(reference=True) <repro.sim.simulator.Simulator.run>`):
 the walk replicates the reference recurrence's update order over the
 shared columns, and where energy is accumulated columnar the vector
 expressions replicate the reference loop's float accumulation order
-term by term (``np.cumsum`` is a sequential left fold, and adding an
-exact ``0.0`` is the identity). ``tests/test_sim_kernel_equivalence.py``
-asserts it.
+term by term (``np.cumsum`` is a sequential left fold, also along
+a block's rows, and adding an exact ``0.0`` is the identity).
+``tests/test_sim_kernel_equivalence.py`` and
+``tests/test_ideal_pass.py`` assert it.
 
 The reference loop is the only other path. It runs when
-``REPRO_REFERENCE_SIM=1`` requests it, and when a group contains a
+``REPRO_REFERENCE_SIM=1`` requests it, and for a candidate with a
 module that is neither batch-capable nor replay-recordable (or a
 non-batchable DRAM), so correctness never depends on a module opting
 in.
@@ -58,9 +67,10 @@ in.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
-from typing import TYPE_CHECKING, Protocol, Sequence
+from itertools import islice
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Protocol, Sequence
 
 import numpy as np
 
@@ -123,6 +133,11 @@ _MODULE_OUTCOME_LIMIT = 32
 #: Trace plans retained process-wide (distinct trace fingerprints).
 _TRACE_PLAN_LIMIT = 4
 
+#: Elements of each member × row array of the ideal pass: a block
+#: holds ``max(1, _IDEAL_BLOCK_ELEMENTS // len(trace))`` members, so
+#: its arrays stay at 128 KiB (int64) whatever the trace length.
+_IDEAL_BLOCK_ELEMENTS = 1 << 14
+
 
 @dataclass
 class _Group:
@@ -133,12 +148,14 @@ class _Group:
     cpu_state: object  # the simulator's CPU-side channel state
     backing_state: object | None  # its DRAM-side channel state, if any
     batchable: bool
+    struct_ids: tuple = ()  # the trace structures routed here
 
 
 def _build_groups(sim: Simulator) -> tuple[list[_Group], np.ndarray]:
     """One :class:`_Group` per routing target, plus the struct→gid map."""
     channels = sim._channels
     groups: list[_Group] = []
+    served: list[list[int]] = []
     index_of: dict[str, int] = {}
     struct_group = np.empty(len(sim._routes), dtype=np.int64)
     for struct_id, route in enumerate(sim._routes):
@@ -162,8 +179,82 @@ def _build_groups(sim: Simulator) -> tuple[list[_Group], np.ndarray]:
                     ),
                 )
             )
+            served.append([])
         struct_group[struct_id] = gid
+        served[gid].append(struct_id)
+    for group, struct_ids in zip(groups, served):
+        group.struct_ids = tuple(struct_ids)
     return groups, struct_group
+
+
+class _Fold(NamedTuple):
+    """One routing target's counter folds.
+
+    Everything a member adds to its run state and channel counters
+    apart from transfer timing: accesses, hits, CPU-side bytes, and
+    the refill and background transactions and bytes on the backing
+    channel.
+    """
+
+    gid: int
+    uncached: bool
+    count: int
+    hits: int
+    size_sum: int
+    r_count: int
+    r_sum: int
+    bg_count: int
+    off_sum: int
+
+
+def _target_fold(
+    plan: "TracePlan",
+    gid: int,
+    group: _Group,
+    outcome: "_ModuleOutcome | None",
+) -> _Fold:
+    """``group``'s counter folds from the plan's per-structure sums and
+    its module outcome (``None`` for a direct-DRAM route)."""
+    count, size_sum = plan.served_totals(group.struct_ids)
+    if outcome is None:
+        return _Fold(gid, True, count, 0, size_sum, 0, 0, 0, 0)
+    if group.backing_state is None:
+        # A module without a DRAM channel never misses to DRAM.
+        return _Fold(gid, False, count, outcome.hits, size_sum, 0, 0, 0, 0)
+    return _Fold(
+        gid, False, count, outcome.hits, size_sum,
+        outcome.r_count, outcome.r_sum, outcome.bg_count,
+        outcome.off_sum,
+    )
+
+
+def _fold_counters(
+    state: RunState, groups: list[_Group], folds: "Iterable[_Fold]"
+) -> None:
+    """Add every target's counter folds to one member's run state."""
+    for fold in folds:
+        group = groups[fold.gid]
+        count = fold.count
+        if fold.uncached:
+            # Uncached: straight to DRAM over the off-chip connection.
+            counts = state.module_counts[DRAM]
+            counts[0] += count
+            counts[2] += count
+            state.misses += count
+        else:
+            counts = state.module_counts[group.target]
+            counts[0] += count
+            counts[1] += fold.hits
+            counts[2] += count - fold.hits
+            state.misses += count - fold.hits
+            back_state = group.backing_state
+            if back_state is not None:
+                back_state.bytes_moved += fold.r_sum + fold.off_sum
+                back_state.transactions += fold.r_count
+                back_state.background_transactions += fold.bg_count
+        cpu_state = group.cpu_state
+        cpu_state.bytes_moved += fold.size_sum
+        cpu_state.transactions += count
 
 
 class TracePlan:
@@ -171,10 +262,11 @@ class TracePlan:
 
     Holds the columns every candidate evaluation needs but no candidate
     changes: the write mask, sampling masks per distinct
-    :meth:`~repro.sim.sampling.SamplingConfig.key`, the tick and write
-    lists for the walk (built on the first walk), and the memo of
-    module outcomes that every :class:`GroupPlan` over the trace
-    draws from (:meth:`module_outcome`).
+    :meth:`~repro.sim.sampling.SamplingConfig.key`, each structure's
+    rows, the tick and write lists for the walk (built on the first
+    walk), and the memo of module outcomes that the ideal pass and
+    every :class:`GroupPlan` over the trace draw from
+    (:meth:`module_outcome`).
     """
 
     def __init__(self, trace: "Trace") -> None:
@@ -182,6 +274,45 @@ class TracePlan:
         self.write_mask = trace.kinds == _WRITE_CODE
         self._sampling: dict = {}
         self._outcomes: "OrderedDict[tuple, _ModuleOutcome]" = OrderedDict()
+
+    @cached_property
+    def sizes64(self) -> np.ndarray:
+        """The access sizes as int64 (read-only)."""
+        sizes = self.trace.sizes.astype(np.int64)
+        sizes.flags.writeable = False
+        return sizes
+
+    @cached_property
+    def _struct_rows(self) -> tuple[list, list, list]:
+        """Per structure: its rows in trace order, count and byte sum."""
+        struct_ids = self.trace.struct_ids
+        order = np.argsort(struct_ids, kind="stable")
+        order.flags.writeable = False
+        bounds = np.searchsorted(
+            struct_ids[order], np.arange(len(self.trace.structs) + 1)
+        ).tolist()
+        rows = [order[a:b] for a, b in zip(bounds, bounds[1:])]
+        sizes = self.sizes64
+        return (
+            rows,
+            [len(r) for r in rows],
+            [int(sizes[r].sum()) for r in rows],
+        )
+
+    def rows_of(self, struct_ids: tuple) -> np.ndarray:
+        """The rows of the structures ``struct_ids``, in trace order."""
+        rows = self._struct_rows[0]
+        if len(struct_ids) == 1:
+            return rows[struct_ids[0]]
+        return np.sort(np.concatenate([rows[s] for s in struct_ids]))
+
+    def served_totals(self, struct_ids: tuple) -> tuple[int, int]:
+        """``(accesses, bytes)`` of the structures ``struct_ids``."""
+        _, counts, byte_sums = self._struct_rows
+        return (
+            sum(counts[s] for s in struct_ids),
+            sum(byte_sums[s] for s in struct_ids),
+        )
 
     @cached_property
     def ticks_l(self) -> list:
@@ -260,17 +391,22 @@ class TracePlan:
 
 
 class _ModuleOutcome:
-    """One module's columns over its rows, shared by every group plan.
+    """One module's columns over its rows, shared by every member.
 
     ``off`` is the off-critical-path backing traffic (writeback plus
     prefetch bytes, or ``None`` when the module has neither);
     ``replay`` is the :class:`~repro.memory.module.ReplayTrace` of a
-    tick-affine DMA engine, ``None`` for a batch-capable module. Every
-    column is made read-only, since every plan that hits the memo
-    shares it.
+    tick-affine DMA engine, ``None`` for a batch-capable module. The
+    counter folds are computed once here: ``hits``, the refill
+    transactions ``r_count`` and bytes ``r_sum``, and the background
+    transactions ``bg_count`` and bytes ``off_sum``. Every column is
+    made read-only, since every member that hits the memo shares it.
     """
 
-    __slots__ = ("latency", "hit", "refill", "off", "replay", "node_size")
+    __slots__ = (
+        "latency", "hit", "refill", "off", "replay", "node_size",
+        "hits", "r_count", "r_sum", "bg_count", "off_sum",
+    )
 
     def __init__(self, latency, hit, refill, off, replay=None, node_size=0):
         self.latency = latency
@@ -279,6 +415,11 @@ class _ModuleOutcome:
         self.off = off
         self.replay = replay
         self.node_size = node_size
+        self.hits = int(np.count_nonzero(hit))
+        self.r_count = 0 if refill is None else int(np.count_nonzero(refill))
+        self.r_sum = 0 if refill is None else int(refill.sum(dtype=np.int64))
+        self.bg_count = 0 if off is None else int(np.count_nonzero(off))
+        self.off_sum = 0 if off is None else int(off.sum())
         columns = [latency, hit, refill, off]
         if replay is not None:
             columns += [getattr(replay, name) for name in replay.__slots__]
@@ -369,7 +510,7 @@ class GroupPlan:
         memory.dram.reset()
         n = len(trace)
         gid_col = struct_group[trace.struct_ids]
-        self.sizes64 = sizes64 = trace.sizes.astype(np.int64)
+        self.sizes64 = plan.sizes64
         uncached = np.zeros(n, dtype=bool)
         mlat = np.zeros(n, dtype=np.int64)
         refill = np.zeros(n, dtype=np.int64)
@@ -378,62 +519,43 @@ class GroupPlan:
         self.replay: dict[int, object] = {}
         self.node_sizes: dict[int, int] = {}
         self.positions_of: dict[int, np.ndarray] = {}
-        #: Per-gid counter folds: everything a member adds to its run
-        #: state and channel counters apart from transfer timing.
-        self.fold: list[tuple] = []
+        self.fold: list[_Fold] = []
+        #: gid -> (refill rows, their bytes, background rows, their
+        #: bytes), each ``None`` when the target has no such rows.
+        self.transfers: dict[int, tuple] = {}
 
         for gid, group in enumerate(groups):
-            positions = np.flatnonzero(gid_col == gid)
+            positions = plan.rows_of(group.struct_ids)
             if not len(positions):
                 continue
             self.positions_of[gid] = positions
-            g_sizes = sizes64[positions]
-            count = len(positions)
-            size_sum = int(g_sizes.sum())
             module = group.module
             if module is None:
                 uncached[positions] = True
-                self.fold.append(
-                    (gid, True, count, 0, size_sum,
-                     None, None, 0, None, None, 0, 0)
-                )
+                self.fold.append(_target_fold(plan, gid, group, None))
                 continue
-            outcome = plan.module_outcome(
-                module,
-                tuple(np.flatnonzero(struct_group == gid).tolist()),
-                positions,
-            )
+            outcome = plan.module_outcome(module, group.struct_ids, positions)
             if outcome is None:
                 self.replay_ok = False
                 return
             if outcome.replay is not None:
                 self.replay[gid] = outcome.replay
                 self.node_sizes[gid] = outcome.node_size
-            refill_col = outcome.refill
-            off = outcome.off
-            hit = outcome.hit
             mlat[positions] = outcome.latency
+            fold = _target_fold(plan, gid, group, outcome)
+            self.fold.append(fold)
             r_pos = r_bytes = bg_pos = bg_bytes = None
-            r_sum = off_sum = bg_count = 0
-            if group.backing_state is not None:
-                # A module without a DRAM channel never misses to DRAM.
-                if refill_col is not None and refill_col.any():
-                    refill[positions] = refill_col
-                    r_local = np.flatnonzero(refill_col)
-                    r_pos = positions[r_local]
-                    r_bytes = refill_col[r_local].astype(np.int64, copy=False)
-                    r_sum = int(r_bytes.sum())
-                if off is not None and off.any():
-                    offpath[positions] = off
-                    bg_local = np.flatnonzero(off)
-                    bg_pos = positions[bg_local]
-                    bg_bytes = off[bg_local].astype(np.int64, copy=False)
-                    off_sum = int(off.sum())
-                    bg_count = len(bg_local)
-            self.fold.append(
-                (gid, False, count, int(np.count_nonzero(hit)), size_sum,
-                 r_pos, r_bytes, r_sum, bg_pos, bg_bytes, off_sum, bg_count)
-            )
+            if fold.r_count:
+                refill[positions] = outcome.refill
+                r_local = np.flatnonzero(outcome.refill)
+                r_pos = positions[r_local]
+                r_bytes = outcome.refill[r_local].astype(np.int64)
+            if fold.bg_count:
+                offpath[positions] = outcome.off
+                bg_local = np.flatnonzero(outcome.off)
+                bg_pos = positions[bg_local]
+                bg_bytes = outcome.off[bg_local].astype(np.int64)
+            self.transfers[gid] = (r_pos, r_bytes, bg_pos, bg_bytes)
 
         self.gid = gid_col
         self.uncached = uncached
@@ -525,17 +647,21 @@ def clear_plan_registry() -> None:
 
 
 def evaluate_single(sim: Simulator) -> SimulationResult | None:
-    """:meth:`Simulator.run`'s engine path: ``sim`` as a group of one.
+    """:meth:`Simulator.run`'s engine path: ``sim`` as a batch of one.
 
     Uses a private :class:`TracePlan` (never the registry, so separate
     runs stay independent and a long trace's walk lists die with the
-    run) and ``sim`` itself as the group plan's lead, so its own modules
-    run and its DMA engines carry this run's backing hint. Returns
-    ``None`` when a module can be neither batched nor recorded; the
-    caller then runs the reference loop, which re-primes every module.
+    run) whose outcomes ``sim``'s own modules compute, and its DMA
+    engines carry this run's backing hint. An ideal ``sim`` is a block
+    of one in the ideal pass; a priced one is the lead of its own
+    group plan. Returns ``None`` when a module can be neither batched
+    nor recorded; the caller then runs the reference loop, which
+    re-primes every module.
     """
     plan = TracePlan(sim.trace)
     sim._install_backing_hints()
+    if sim.connectivity is None:
+        return _evaluate_ideal(plan, [sim])[0]
     gplan = GroupPlan(plan, sim)
     if not gplan.replay_ok:
         return None
@@ -547,16 +673,18 @@ def evaluate_group(
     jobs: "Sequence[_JobLike]",
     plan: TracePlan | None = None,
 ) -> tuple[list[SimulationResult], int]:
-    """Evaluate one same-memory-signature candidate group.
+    """Evaluate one dispatch unit of candidates over ``trace``.
 
-    Every job must carry a memory architecture whose
+    Ideal members (``connectivity is None``) may carry any memory
+    signatures: they all go through the blocked ideal pass. Priced
+    members must share one memory
     :meth:`~repro.apex.architectures.MemoryArchitecture.signature`
-    equals the first job's (the callers group by exactly that key).
-    Returns ``(results, delta_candidates)`` with ``results[i]``
-    bit-identical to ``Simulator(trace, ...).run()`` of ``jobs[i]``;
-    ``delta_candidates`` counts members served by the shared-column
-    delta pass — 0 when the group ran the reference loop (it was
-    requested, or a member module neither batches nor replays).
+    (the callers group them by exactly that key) and share one
+    :class:`GroupPlan`. Returns ``(results, delta_candidates)`` with
+    ``results[i]`` bit-identical to ``Simulator(trace, ...).run()`` of
+    ``jobs[i]``; ``delta_candidates`` counts the members the engine
+    served — the rest ran the reference loop (it was requested, or a
+    member module neither batches nor replays).
     """
     jobs = list(jobs)
     if not jobs:
@@ -565,30 +693,54 @@ def evaluate_group(
         plan = trace_plan(trace)
     if reference_requested():
         return [_reference_run(trace, job) for job in jobs], 0
-    gplan = plan.group_plan(jobs[0].memory)
-    if not gplan.replay_ok:
-        return [_reference_run(trace, job) for job in jobs], 0
-    with obs.span("sim.batch.group"):
-        results = [
-            _evaluate_member(
-                plan,
-                gplan,
+    results: list = [None] * len(jobs)
+    ideal = [i for i, job in enumerate(jobs) if job.connectivity is None]
+    priced = [i for i, job in enumerate(jobs) if job.connectivity is not None]
+    delta = 0
+    if ideal:
+        members = _evaluate_ideal(
+            plan,
+            (
                 Simulator(
-                    trace,
-                    job.memory,
-                    job.connectivity,
-                    job.sampling,
-                    job.posted_writes,
-                    validated=True,
-                ),
-            )
-            for job in jobs
-        ]
+                    trace, jobs[i].memory, None, jobs[i].sampling,
+                    jobs[i].posted_writes,
+                )
+                for i in ideal
+            ),
+        )
+        for i, result in zip(ideal, members):
+            if result is None:
+                result = _reference_run(trace, jobs[i])
+            else:
+                delta += 1
+            results[i] = result
+    if priced:
+        gplan = plan.group_plan(jobs[priced[0]].memory)
+        if gplan.replay_ok:
+            with obs.span("sim.batch.group"):
+                for i in priced:
+                    job = jobs[i]
+                    results[i] = _evaluate_member(
+                        plan,
+                        gplan,
+                        Simulator(
+                            trace,
+                            job.memory,
+                            job.connectivity,
+                            job.sampling,
+                            job.posted_writes,
+                            validated=True,
+                        ),
+                    )
+            delta += len(priced)
+        else:
+            for i in priced:
+                results[i] = _reference_run(trace, jobs[i])
     if obs.enabled():
         obs.incr("sim.batch.groups")
         obs.incr("sim.batch.module_column_group_size", len(jobs))
-        obs.incr("sim.batch.delta_pass_candidates", len(jobs))
-    return results, len(jobs)
+        obs.incr("sim.batch.delta_pass_candidates", delta)
+    return results, delta
 
 
 def _reference_run(trace: "Trace", job: "_JobLike") -> SimulationResult:
@@ -602,7 +754,407 @@ def _reference_run(trace: "Trace", job: "_JobLike") -> SimulationResult:
     ).run(reference=True)
 
 
-# -- the delta pass ---------------------------------------------------------
+# -- the ideal pass ---------------------------------------------------------
+
+
+@dataclass
+class _IdealMember:
+    """One ideal member's layout over the trace plan.
+
+    ``entries`` pairs each routing target that has rows with its rows
+    and its module outcome (``None`` for a direct-DRAM route). The
+    ``targets``, ``replay``, ``positions_of`` and ``node_sizes``
+    attributes mirror a :class:`GroupPlan`'s, for :func:`_replay_terms`.
+    """
+
+    sim: Simulator
+    state: RunState
+    targets: list
+    entries: list = field(default_factory=list)
+    replay: dict = field(default_factory=dict)
+    positions_of: dict = field(default_factory=dict)
+    node_sizes: dict = field(default_factory=dict)
+
+
+def _ideal_member(plan: TracePlan, sim: Simulator) -> _IdealMember | None:
+    """``sim``'s layout, its counters folded into a fresh run state.
+
+    ``None`` when its DRAM or one of its modules can be neither
+    batched nor recorded.
+    """
+    if not getattr(type(sim.memory.dram), "supports_batch", False):
+        return None
+    groups, _ = _build_groups(sim)
+    folds = []
+    member = _IdealMember(sim, None, [group.target for group in groups])
+    for gid, group in enumerate(groups):
+        positions = plan.rows_of(group.struct_ids)
+        if not len(positions):
+            continue
+        outcome = None
+        if group.module is not None:
+            outcome = plan.module_outcome(
+                group.module, group.struct_ids, positions
+            )
+            if outcome is None:
+                return None
+            if outcome.replay is not None:
+                member.replay[gid] = outcome.replay
+                member.node_sizes[gid] = outcome.node_size
+        member.positions_of[gid] = positions
+        member.entries.append((group, positions, outcome))
+        folds.append(_target_fold(plan, gid, group, outcome))
+    member.state = RunState(sim)
+    _fold_counters(member.state, groups, folds)
+    return member
+
+
+def _evaluate_ideal(
+    plan: TracePlan, sims: Iterable[Simulator]
+) -> list[SimulationResult | None]:
+    """Every ideal-connectivity simulator in ``sims``, block by block.
+
+    Results are ordered like ``sims``; ``None`` marks a member that
+    must run the reference loop (see :func:`_ideal_member`). Blocks
+    take consecutive members, so errors surface in member order within
+    a block and block by block.
+    """
+    per_block = max(1, _IDEAL_BLOCK_ELEMENTS // len(plan.trace))
+    sims = iter(sims)
+    results: list = []
+    with obs.span("sim.batch.ideal"):
+        while True:
+            block = list(islice(sims, per_block))
+            if not block:
+                return results
+            results += _ideal_block(plan, block)
+
+
+def _ideal_block(
+    plan: TracePlan, sims: list[Simulator]
+) -> list[SimulationResult | None]:
+    """One block of the ideal pass; see the module docstring."""
+    trace = plan.trace
+    n = len(trace)
+    members = [_ideal_member(plan, sim) for sim in sims]
+    # Rows grouped by (sampling schedule, posted writes), so every
+    # sub-block is a contiguous slice sharing its masks.
+    by_key: dict = {}
+    for member in members:
+        if member is not None:
+            sim = member.sim
+            key = (
+                None if sim.sampling is None else sim.sampling.key(),
+                sim.posted_writes,
+            )
+            by_key.setdefault(key, []).append(member)
+    rows_of_key = list(by_key.values())
+    live = [member for rows in rows_of_key for member in rows]
+    if not live:
+        return [None] * len(members)
+
+    k = len(live)
+    # ``latency`` starts as the module latency and becomes the raw
+    # (pre posted-write) latency in place.
+    latency = np.zeros((k, n), dtype=np.int64)
+    core = np.zeros((k, n), dtype=np.int64)
+    dram_mask = np.zeros((k, n), dtype=bool)
+    # Uncached rows move their own size; the others' refill bytes are
+    # read only where ``dram_mask`` is set.
+    dram_bytes = np.repeat(plan.sizes64[None, :], k, axis=0)
+    offpath = np.zeros((k, n), dtype=np.int64)
+    module_nj = np.zeros((k, n), dtype=np.float64)
+    page_hit_latency = np.empty((k, 1), dtype=np.int64)
+    merged = []
+    for row, member in enumerate(live):
+        for group, positions, outcome in member.entries:
+            if outcome is None:
+                dram_mask[row, positions] = True
+                continue
+            latency[row, positions] = outcome.latency
+            module_nj[row, positions] = group.module.access_energy_nj
+            if group.backing_state is None:
+                continue
+            if outcome.r_count:
+                dram_bytes[row, positions] = outcome.refill
+                dram_mask[row, positions] = outcome.refill > 0
+            if outcome.bg_count:
+                offpath[row, positions] = outcome.off
+        # The member's open-row pass: each access makes at most one
+        # DRAM transaction (uncached or refill), and background bursts
+        # never touch row state.
+        dram = member.sim.memory.dram
+        dram.reset()
+        dram_rows = np.flatnonzero(dram_mask[row])
+        if len(dram_rows):
+            core[row, dram_rows] = dram.open_row_latencies(
+                trace.addresses[dram_rows]
+            )
+        merged.append(len(dram_rows))
+        page_hit_latency[row] = dram.page_hit_latency
+    latency += core
+    _add_replay_stalls(
+        trace.ticks,
+        latency,
+        [plan.write_mask if m.sim.posted_writes else None for m in live],
+        [_replay_terms(m.sim, m) if m.replay else None for m in live],
+    )
+    lowest = latency.min(axis=1).tolist()
+
+    # The DRAM energy terms, built in place (IEEE addition commutes)
+    # and the integer columns they come from dropped, to keep the
+    # block's peak memory down.
+    e_dram1 = DRAM_PER_BYTE_NJ * dram_bytes
+    e_dram1 += DRAM_PAGE_ACCESS_NJ
+    np.add(
+        e_dram1, DRAM_ACTIVATE_NJ, out=e_dram1,
+        where=core != page_hit_latency,
+    )
+    np.copyto(e_dram1, 0.0, where=~dram_mask)
+    del dram_bytes, core, dram_mask
+    e_dram2 = DRAM_PER_BYTE_NJ * offpath
+    e_dram2 += DRAM_PAGE_ACCESS_NJ
+    np.copyto(e_dram2, 0.0, where=offpath == 0)
+    del offpath
+    start = 0
+    for rows in rows_of_key:
+        stop = start + len(rows)
+        _fold_ideal_measured(
+            plan,
+            rows,
+            latency[start:stop],
+            e_dram1[start:stop],
+            e_dram2[start:stop],
+            module_nj[start:stop],
+        )
+        start = stop
+
+    if obs.enabled():
+        obs.incr("sim.batch.ideal_members", k)
+        for member, count in zip(live, merged):
+            if count:
+                obs.incr("sim.kernel.openrow_merged_passes")
+                obs.incr("sim.kernel.openrow_merged_accesses", count)
+            if not member.replay:
+                on_mask, _, _ = plan.sampling_columns(member.sim.sampling)
+                n_on = n if on_mask is None else int(np.count_nonzero(on_mask))
+                obs.incr("sim.kernel.onwindow_batched", n_on)
+                if member.sim.sampling is None:
+                    obs.incr("sim.kernel.unsampled_batched_spans")
+    row_of = {id(member): row for row, member in enumerate(live)}
+    results: list = []
+    for member in members:
+        if member is None:
+            results.append(None)
+            continue
+        row = row_of[id(member)]
+        if lowest[row] < 1:
+            _check_latency(latency[row])
+        results.append(member.sim._finalize(member.state))
+    return results
+
+
+def _fold_ideal_measured(
+    plan: TracePlan,
+    members: list[_IdealMember],
+    latency: np.ndarray,
+    e_dram1: np.ndarray,
+    e_dram2: np.ndarray,
+    e_module: np.ndarray,
+) -> None:
+    """Fold one sub-block's lag and measured-window statistics.
+
+    Every member shares one sampling schedule and posted-write mode,
+    and the energy columns are overwritten. The block counterpart of
+    :func:`_fold_measured`: under ideal
+    connectivity every wire energy term is an exact ``0.0``, so each
+    access's energy is ``(refill-or-uncached DRAM + background DRAM) +
+    module`` and the wire total stays ``0.0``.
+    """
+    trace = plan.trace
+    n = len(trace)
+    sim = members[0].sim
+    _, counted, measured = plan.sampling_columns(sim.sampling)
+    eff = (
+        np.where(plan.write_mask, np.int64(1), latency)
+        if sim.posted_writes
+        else latency
+    )
+    lags = (eff.sum(axis=1) - n).tolist()
+    for member, lag in zip(members, lags):
+        member.state.lag += lag
+        member.state.measured += measured
+    if not measured:
+        return
+    if counted is not None:
+        eff = eff[:, counted]
+        e_dram1 = e_dram1[:, counted]
+        e_dram2 = e_dram2[:, counted]
+        e_module = e_module[:, counted]
+    struct_col = (
+        trace.struct_ids if counted is None else trace.struct_ids[counted]
+    )
+    n_structs = len(trace.structs)
+    counts = np.bincount(struct_col, minlength=n_structs).tolist()
+    k = len(members)
+    # float64 bincount weights stay exact below 2**53.
+    totals = (
+        np.bincount(
+            (struct_col + n_structs * np.arange(k)[:, None]).ravel(),
+            weights=eff.ravel(),
+            minlength=k * n_structs,
+        )
+        .astype(np.int64)
+        .reshape(k, n_structs)
+        .tolist()
+    )
+    latency_sums = eff.sum(axis=1).tolist()
+    # Each access's DRAM terms in reference order: refill-or-uncached,
+    # then background. The running sums are taken in place: the block's
+    # columns are not read again.
+    dram_pairs = np.empty((k, e_dram1.shape[1], 2))
+    dram_pairs[:, :, 0] = e_dram1
+    dram_pairs[:, :, 1] = e_dram2
+    dram_pairs = dram_pairs.reshape(k, -1)
+    energy = e_dram1
+    energy += e_dram2
+    energy += e_module
+    energy_sums = np.cumsum(energy, axis=1, out=energy)[:, -1].tolist()
+    module_sums = np.cumsum(e_module, axis=1, out=e_module)[:, -1].tolist()
+    dram_sums = np.cumsum(dram_pairs, axis=1, out=dram_pairs)[:, -1].tolist()
+    for i, member in enumerate(members):
+        state = member.state
+        state.latency_sum += latency_sums[i]
+        struct_counts = state.struct_counts
+        struct_latency = state.struct_latency
+        for struct_id, count in enumerate(counts):
+            if count:
+                struct_counts[struct_id] += count
+                struct_latency[struct_id] += totals[i][struct_id]
+        state.energy_sum += energy_sums[i]
+        state.energy_modules += module_sums[i]
+        state.energy_dram += dram_sums[i]
+
+
+def _replay_terms(
+    sim: Simulator, layout
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(rows, srcs, ready)`` of every replay hit of one member.
+
+    ``layout`` is the member's :class:`GroupPlan` or
+    :class:`_IdealMember`. A hit at trace row ``rows[i]`` stalls until
+    ``srcs[i]``'s arrival plus ``ready[i]``: the recording's local
+    ``stall_src`` mapped to trace rows through the target's positions,
+    and its affine term priced under this member's backing delay. Rows
+    are in trace order across every replay module of the member.
+    """
+    rows, srcs, ready = [], [], []
+    for gid, recording in layout.replay.items():
+        positions = layout.positions_of[gid]
+        local = np.flatnonzero(recording.stall_src >= 0)
+        delay = sim._dma_backing_delay(
+            layout.targets[gid], layout.node_sizes[gid]
+        )
+        rows.append(positions[local])
+        srcs.append(positions[recording.stall_src[local]])
+        ready.append(
+            recording.stall_alpha[local] * delay
+            + recording.stall_beta[local]
+        )
+    if len(rows) == 1:
+        return rows[0], srcs[0], ready[0]
+    rows = np.concatenate(rows)
+    order = np.argsort(rows, kind="stable")
+    return (
+        rows[order],
+        np.concatenate(srcs)[order],
+        np.concatenate(ready)[order],
+    )
+
+
+def _add_replay_stalls(
+    ticks: np.ndarray,
+    latency: np.ndarray,
+    posted: list,
+    terms: list,
+) -> None:
+    """Add each member's replay stalls to its row of ``latency``.
+
+    ``latency`` is a members × rows block of stall-free latencies of
+    runs in which no channel contends, updated in place. ``posted[k]``
+    marks the rows member ``k`` does not wait for (``None`` when its
+    writes block), and ``terms[k]`` is its :func:`_replay_terms` (or
+    ``None``): row ``rows[i]`` is served no earlier than
+    ``issue[srcs[i]] + ready[i]``, where ``issue`` is the tick plus
+    the lag the row is issued at.
+
+    Stalls only add to the lag. With ``issue0`` the issue times had no
+    row stalled (one 2-D cumsum over the members with replay hits), a
+    hit's *slack* is ``d = issue0[src] + ready - issue0[row]``, and its
+    stall is ``max(0, d - (S[row] - S[src]))``, where ``S`` sums the
+    lag-moving stalls before a row (a posted row's stall does not move
+    the lag). ``S`` never decreases, so a hit with ``d <= 0`` never
+    stalls, and only the others are visited, in trace order. Every row
+    up to a member's first row under one cycle (:func:`_check_latency`)
+    is exact.
+    """
+    stalling = [
+        k for k, term in enumerate(terms) if term is not None and len(term[0])
+    ]
+    if not stalling:
+        return
+    step = latency[stalling] - 1
+    for i, k in enumerate(stalling):
+        if posted[k] is not None:
+            step[i, posted[k]] = 0
+    issue0 = ticks + (np.cumsum(step, axis=1) - step)
+    for i, k in enumerate(stalling):
+        rows, srcs, ready = terms[k]
+        slack = issue0[i, srcs] + ready - issue0[i, rows]
+        hot = np.flatnonzero(slack > 0)
+        if obs.enabled():
+            obs.incr("sim.kernel.replay_stall_rows", len(hot))
+        if len(hot):
+            hot_rows = rows[hot]
+            latency[k, hot_rows] += _resolve_stalls(
+                slack[hot].tolist(),
+                # S[src]: the stalls of the hot rows before the source.
+                np.searchsorted(hot_rows, srcs[hot]).tolist(),
+                None if posted[k] is None else posted[k][hot_rows].tolist(),
+            )
+
+
+def _check_latency(latency: np.ndarray) -> None:
+    """Raise the reference loop's :class:`SimulationError` for the
+    first row of a member's raw latency column under one cycle."""
+    if int(latency.min()) < 1:
+        bad = int(np.argmax(latency < 1))
+        raise SimulationError(
+            f"access {bad} completed in {int(latency[bad])} cycles"
+        )
+
+
+def _resolve_stalls(slack: list, src_hot: list, posted: list | None) -> list:
+    """Each hot row's stall, in trace order.
+
+    ``src_hot[i]`` counts the hot rows before row ``i``'s source, so
+    ``moved[src_hot[i]]`` is ``S`` at the source; ``posted`` marks the
+    hot rows whose stall does not move the lag (``None``: none).
+    """
+    stalls = [0] * len(slack)
+    moved = [0] * (len(slack) + 1)
+    total = 0
+    for i, d in enumerate(slack):
+        stall = d - total + moved[src_hot[i]]
+        if stall > 0:
+            stalls[i] = stall
+            if posted is None or not posted[i]:
+                total += stall
+        moved[i + 1] = total
+    return stalls
+
+
+# -- the delta pass of priced members ---------------------------------------
 
 
 class _Columns:
@@ -633,36 +1185,22 @@ class _Columns:
 def _evaluate_member(
     plan: TracePlan, gplan: GroupPlan, sim: Simulator
 ) -> SimulationResult:
-    """One member's delta pass against the group's shared columns."""
+    """One priced member's delta pass against the group's columns."""
     groups, _ = _build_groups(sim)
     if [group.target for group in groups] != gplan.targets:
         raise SimulationError(
             "batch group plan does not match the candidate's routing"
         )
     state = RunState(sim)
-    no_walk = sim.connectivity is None
-    cols = _member_columns(state, gplan, groups, not no_walk)
+    cols = _member_columns(state, gplan, groups)
     n = len(sim.trace)
-    sampling = sim.sampling
-    on_mask, counted, measured = plan.sampling_columns(sampling)
-    # Ideal connectivity needs no walk: no channel has a component, so
-    # the reference loop never touches cluster_free, dram_free or the
-    # wait/busy counters, and on- and off-window accesses alike complete
-    # in their contention-free latency plus any replay stall.
-    posted = plan.write_mask if sim.posted_writes else None
-    if no_walk:
-        rows = srcs = ready = None
-        if gplan.has_replay:
-            rows, srcs, ready = _replay_terms(sim, gplan)
-        latency = _ideal_latency_column(
-            sim.trace.ticks, gplan.mlat + gplan.core, posted, rows, srcs,
-            ready,
-        )
-    else:
-        latency = _walk(sim, state, groups, plan, gplan, cols, on_mask)
-    eff = latency if posted is None else np.where(posted, np.int64(1), latency)
-    if no_walk:
-        state.lag += int(eff.sum()) - n
+    on_mask, counted, measured = plan.sampling_columns(sim.sampling)
+    latency = _walk(sim, state, groups, plan, gplan, cols, on_mask)
+    eff = (
+        np.where(plan.write_mask, np.int64(1), latency)
+        if sim.posted_writes
+        else latency
+    )
     _fold_measured(sim, state, groups, gplan, cols, eff, counted, measured)
     if obs.enabled():
         if gplan.merged_dram:
@@ -671,22 +1209,18 @@ def _evaluate_member(
         if not gplan.has_replay:
             n_on = n if on_mask is None else int(np.count_nonzero(on_mask))
             obs.incr("sim.kernel.onwindow_batched", n_on)
-            if sampling is None and no_walk:
-                obs.incr("sim.kernel.unsampled_batched_spans")
     return sim._finalize(state)
 
 
 def _member_columns(
-    state: RunState, gplan: GroupPlan, groups: list[_Group], priced: bool
+    state: RunState, gplan: GroupPlan, groups: list[_Group]
 ) -> _Columns:
-    """One member's column set over the group's shared arrays.
+    """One priced member's column set over the group's shared arrays.
 
     The shared, candidate-independent columns are taken from the group
-    plan by reference, the counter folds replay the plan's precomputed
-    per-gid amounts into this member's state, and only the
-    connectivity-priced transfer columns are computed fresh. Without
-    connectivity (``priced`` false) every transfer costs zero cycles,
-    so the transfer columns share one zero column and no member walks.
+    plan by reference, the plan's counter folds are added to this
+    member's state, and only the connectivity-priced transfer columns
+    are computed fresh.
     """
     cols = _Columns()
     cols.gid = gplan.gid
@@ -695,29 +1229,22 @@ def _member_columns(
     cols.refill = gplan.refill
     cols.offpath = gplan.offpath
     cols.dram_mask = gplan.dram_mask
+    _fold_counters(state, groups, gplan.fold)
 
     n = len(gplan.gid)
-    if priced:
-        conn = np.zeros(n, dtype=np.int64)
-        occ = np.zeros(n, dtype=np.int64)
-        dbase = np.zeros(n, dtype=np.int64)
-        dbeats = np.zeros(n, dtype=np.int64)
-        docc = np.zeros(n, dtype=np.int64)
-        bgocc = np.zeros(n, dtype=np.int64)
-    else:
-        conn = occ = dbase = dbeats = docc = bgocc = np.zeros(
-            n, dtype=np.int64
-        )
-
-    for (gid, uncached, count, hits, size_sum, r_pos, r_bytes, r_sum,
-         bg_pos, bg_bytes, off_sum, bg_count) in gplan.fold:
-        group = groups[gid]
-        positions = gplan.positions_of[gid]
-        cpu_state = group.cpu_state
-        component = cpu_state.component
+    conn = np.zeros(n, dtype=np.int64)
+    occ = np.zeros(n, dtype=np.int64)
+    dbase = np.zeros(n, dtype=np.int64)
+    dbeats = np.zeros(n, dtype=np.int64)
+    docc = np.zeros(n, dtype=np.int64)
+    bgocc = np.zeros(n, dtype=np.int64)
+    for fold in gplan.fold:
+        group = groups[fold.gid]
+        component = group.cpu_state.component
         if component is not None:
+            positions = gplan.positions_of[fold.gid]
             g_sizes = gplan.sizes64[positions]
-        if uncached:
+        if fold.uncached:
             # Uncached: straight to DRAM over the off-chip connection.
             if component is not None:
                 lat_col, occ_col = transfer_timing_columns(
@@ -726,52 +1253,34 @@ def _member_columns(
                 dbase[positions] = component.base_latency
                 dbeats[positions] = lat_col - component.base_latency
                 occ[positions] = occ_col
-            counts = state.module_counts[DRAM]
-            counts[0] += count
-            counts[2] += count
-            state.misses += count
-        else:
-            counts = state.module_counts[group.target]
-            counts[0] += count
-            counts[1] += hits
-            counts[2] += count - hits
-            state.misses += count - hits
-            if component is not None:
-                conn_col, occ_col = transfer_timing_columns(
-                    component, g_sizes
-                )
-                conn[positions] = conn_col
-                occ[positions] = occ_col
-            back_state = group.backing_state
-            if r_pos is not None:
-                back_component = back_state.component
-                if back_component is not None:
-                    lat_col, occ_col = transfer_timing_columns(
-                        back_component, r_bytes
-                    )
-                    dbase[r_pos] = back_component.base_latency
-                    dbeats[r_pos] = lat_col - back_component.base_latency
-                    docc[r_pos] = occ_col
-                back_state.bytes_moved += r_sum
-                back_state.transactions += len(r_pos)
-            if bg_pos is not None:
-                back_component = back_state.component
-                if back_component is not None:
-                    _, occ_col = transfer_timing_columns(
-                        back_component, bg_bytes
-                    )
-                    bgocc[bg_pos] = occ_col
-                back_state.bytes_moved += off_sum
-                back_state.background_transactions += bg_count
-        cpu_state.bytes_moved += size_sum
-        cpu_state.transactions += count
+            continue
+        if component is not None:
+            conn_col, occ_col = transfer_timing_columns(component, g_sizes)
+            conn[positions] = conn_col
+            occ[positions] = occ_col
+        r_pos, r_bytes, bg_pos, bg_bytes = gplan.transfers[fold.gid]
+        back_component = (
+            group.backing_state.component
+            if group.backing_state is not None
+            else None
+        )
+        if back_component is None:
+            continue
+        if r_pos is not None:
+            lat_col, occ_col = transfer_timing_columns(back_component, r_bytes)
+            dbase[r_pos] = back_component.base_latency
+            dbeats[r_pos] = lat_col - back_component.base_latency
+            docc[r_pos] = occ_col
+        if bg_pos is not None:
+            _, occ_col = transfer_timing_columns(back_component, bg_bytes)
+            bgocc[bg_pos] = occ_col
 
     cols.conn = conn
     cols.occ = occ
     cols.dbeats = dbeats
     cols.docc = docc
     cols.bgocc = bgocc
-    if priced and not gplan.has_replay:
+    if not gplan.has_replay:
         # Contention-free latency minus the DRAM core term: connection
         # transfer + module latency + backing command/data cycles. The
         # replay walk rebuilds latencies row by row instead.
@@ -907,117 +1416,6 @@ def _accumulate_energy(
     state.energy_wires += float(np.cumsum(wire_triples.ravel())[-1])
 
 
-# -- ideal connectivity -----------------------------------------------------
-
-
-def _replay_terms(
-    sim: Simulator, gplan: GroupPlan
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(rows, srcs, ready)`` of every replay hit of the group.
-
-    A hit at trace row ``rows[i]`` stalls until ``srcs[i]``'s arrival
-    plus ``ready[i]``: the recording's local ``stall_src`` mapped to
-    trace rows through the group's positions, and its affine term
-    priced under this member's backing delay. Rows are in trace order
-    across every replay module of the group.
-    """
-    rows, srcs, ready = [], [], []
-    for gid, recording in gplan.replay.items():
-        positions = gplan.positions_of[gid]
-        local = np.flatnonzero(recording.stall_src >= 0)
-        delay = sim._dma_backing_delay(
-            gplan.targets[gid], gplan.node_sizes[gid]
-        )
-        rows.append(positions[local])
-        srcs.append(positions[recording.stall_src[local]])
-        ready.append(
-            recording.stall_alpha[local] * delay
-            + recording.stall_beta[local]
-        )
-    if len(rows) == 1:
-        return rows[0], srcs[0], ready[0]
-    rows = np.concatenate(rows)
-    order = np.argsort(rows, kind="stable")
-    return (
-        rows[order],
-        np.concatenate(srcs)[order],
-        np.concatenate(ready)[order],
-    )
-
-
-def _ideal_latency_column(
-    ticks: np.ndarray,
-    base: np.ndarray,
-    posted: np.ndarray | None,
-    rows: np.ndarray | None,
-    srcs: np.ndarray | None,
-    ready: np.ndarray | None,
-) -> np.ndarray:
-    """The raw latency column of a run in which no channel contends.
-
-    ``base`` is each row's stall-free latency, ``posted`` marks the
-    rows the CPU does not wait for (``None`` when writes block), and
-    the replay terms (:func:`_replay_terms`, or ``None``) say that row
-    ``rows[i]`` is served no earlier than ``issue[srcs[i]] + ready[i]``,
-    where ``issue`` is the tick plus the lag the row is issued at.
-
-    Stalls only add to the lag. With ``issue0`` the issue times had no
-    row stalled (one cumsum), a hit's *slack* is ``d = issue0[src] +
-    ready - issue0[row]``, and its stall is ``max(0, d - (S[row] -
-    S[src]))``, where ``S`` sums the lag-moving stalls before a row (a
-    posted row's stall does not move the lag). ``S`` never decreases,
-    so a hit with ``d <= 0`` never stalls, and only the others are
-    visited, in trace order. Raises the reference loop's
-    :class:`SimulationError` for the first row completing in under one
-    cycle; every row up to it is exact.
-    """
-    latency = base
-    if rows is not None and len(rows):
-        step = base - 1
-        if posted is not None:
-            step = np.where(posted, 0, step)
-        issue0 = ticks + (np.cumsum(step) - step)
-        slack = issue0[srcs] + ready - issue0[rows]
-        hot = np.flatnonzero(slack > 0)
-        if obs.enabled():
-            obs.incr("sim.kernel.replay_stall_rows", len(hot))
-        if len(hot):
-            hot_rows = rows[hot]
-            latency = base.copy()
-            latency[hot_rows] += _resolve_stalls(
-                slack[hot].tolist(),
-                # S[src]: the stalls of the hot rows before the source.
-                np.searchsorted(hot_rows, srcs[hot]).tolist(),
-                None if posted is None else posted[hot_rows].tolist(),
-            )
-    if int(latency.min()) < 1:
-        bad = int(np.argmax(latency < 1))
-        raise SimulationError(
-            f"access {bad} completed in {int(latency[bad])} cycles"
-        )
-    return latency
-
-
-def _resolve_stalls(slack: list, src_hot: list, posted: list | None) -> list:
-    """Each hot row's stall, in trace order.
-
-    ``src_hot[i]`` counts the hot rows before row ``i``'s source, so
-    ``moved[src_hot[i]]`` is ``S`` at the source; ``posted`` marks the
-    hot rows whose stall does not move the lag (``None``: none).
-    """
-    stalls = [0] * len(slack)
-    moved = [0] * (len(slack) + 1)
-    total = 0
-    for i, d in enumerate(slack):
-        stall = d - total + moved[src_hot[i]]
-        if stall > 0:
-            stalls[i] = stall
-            if posted is None or not posted[i]:
-                total += stall
-        moved[i + 1] = total
-    return stalls
-
-
 # -- the walk ---------------------------------------------------------------
 
 
@@ -1032,8 +1430,8 @@ def _walk(
 ) -> np.ndarray:
     """A priced member's contention walk; returns its raw latency column.
 
-    Only members with connectivity walk (see
-    :func:`_ideal_latency_column` for the rest). One integer loop
+    Only members with connectivity walk (ideal ones take the ideal
+    pass, :func:`_evaluate_ideal`). One integer loop
     replays the reference recurrence's state updates in the exact
     reference order over the precomputed columns (no ``timing()``
     calls, no module calls, no response allocations), pricing each

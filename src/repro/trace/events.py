@@ -169,6 +169,7 @@ class Trace:
         for arrays in (addresses, sizes, kinds, struct_ids, ticks):
             arrays.setflags(write=False)
         self._fingerprint: str | None = None
+        self._footprints: dict[str, int] = {}
 
     def __len__(self) -> int:
         return len(self.addresses)
@@ -239,6 +240,23 @@ class Trace:
     def struct_mask(self, struct: str) -> np.ndarray:
         """Boolean mask selecting the accesses of one data structure."""
         return self.struct_ids == self.struct_id(struct)
+
+    def footprint(self, struct: str) -> int:
+        """Bytes one data structure spans: its highest address minus
+        its lowest, plus its largest access.
+
+        Cached per structure on first use; the columns are write-locked,
+        so a footprint never changes.
+        """
+        footprint = self._footprints.get(struct)
+        if footprint is None:
+            mask = self.struct_mask(struct)
+            addresses = self.addresses[mask]
+            footprint = int(
+                addresses.max() - addresses.min() + self.sizes[mask].max()
+            )
+            self._footprints[struct] = footprint
+        return footprint
 
     def counts_by_struct(self) -> Mapping[str, int]:
         """Access counts keyed by data-structure name."""

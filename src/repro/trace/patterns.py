@@ -83,10 +83,9 @@ class PatternProfile:
 def _features(trace: Trace, struct: str) -> PatternProfile:
     mask = trace.struct_mask(struct)
     addresses = trace.addresses[mask]
-    sizes = trace.sizes[mask]
     kinds = trace.kinds[mask]
     count = len(addresses)
-    footprint = int(addresses.max() - addresses.min() + sizes.max())
+    footprint = trace.footprint(struct)
     read_fraction = float(np.mean(kinds == 0)) if count else 0.0
     if count > 1:
         strides = np.diff(addresses)

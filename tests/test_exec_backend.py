@@ -54,7 +54,9 @@ def _arch(mem_library, preset: str, name: str) -> MemoryArchitecture:
 
 
 def _jobs(mem_library) -> list[SimulationJob]:
-    """One job per preset, so each job is its own signature group."""
+    """One ideal-connectivity job per preset, each its own memory
+    signature; a batch on a pool splits them into about four contiguous
+    chunks per worker, and one in process."""
     return [
         SimulationJob(memory=_arch(mem_library, preset, f"m{i}"))
         for i, preset in enumerate(_PRESETS)
@@ -122,7 +124,8 @@ RUNTIME = "runtime"
 
 @dataclass(frozen=True)
 class Batch:
-    """One ``simulate_batch`` call over ``groups`` signature groups."""
+    """One ``simulate_batch`` call over ``groups`` jobs, each of its own
+    memory signature."""
 
     backend: str | None
     workers: int
@@ -132,7 +135,7 @@ class Batch:
 
 @dataclass(frozen=True)
 class Job:
-    """One service job, whose APEX phase runs a batch of four groups.
+    """One service job, whose APEX phase runs a batch of four jobs.
 
     ``backend`` and ``workers`` are the job spec's, ``daemon`` is the
     daemon's ``--backend``, and ``runner`` the size of the runner
@@ -146,12 +149,16 @@ class Job:
     ran: str
 
 
-# ``ran`` reads "<EngineReport.backend>/<EngineReport.workers> <where>",
-# where <where> is "in process" when no pool ran the batch and no
-# default runtime was built; "runtime pool" when the passed (or runner)
-# runtime's pool ran it; "default pool" when the process-wide default
-# runtime was built and its pool ran it; and "default idle" when the
-# default was built but ran the batch in process.
+# ``ran`` reads "<placement>/<EngineReport.workers> <where>", where
+# <placement> is "pool" when the batch was handed to a runtime (the
+# passed or runner runtime, or the process-wide default) and "serial"
+# when it never left the caller; <where> is "in process" when no pool
+# ran the batch and no default runtime was built; "runtime pool" when
+# the passed (or runner) runtime's pool ran it; "default pool" when the
+# process-wide default runtime was built and its pool ran it; and
+# "default idle" when the default was built but ran the batch in
+# process. ``EngineReport.backend`` says where the batch ran: "pool"
+# exactly when <where> names a pool that ran it, else "serial".
 BATCHES = [
     Batch(None, 1, 1, "serial/1 in process"),
     Batch(None, 1, 4, "serial/1 in process"),
@@ -227,7 +234,12 @@ def _ran(report, runtime: ExecutionRuntime | None) -> str:
     if default is not None:
         where.append("default pool" if default.stats.batches else "default idle")
         default.close()
-    return f"{report.backend}/{report.workers} " + (
+    placed = default is not None or (
+        runtime is not None and runtime.last_dispatch is not None
+    )
+    pooled = any(entry.endswith(" pool") for entry in where)
+    assert report.backend == ("pool" if pooled else "serial")
+    return f"{'pool' if placed else 'serial'}/{report.workers} " + (
         " + ".join(where) or "in process"
     )
 
@@ -353,8 +365,11 @@ class TestEngineSelection:
         one_group = simulate_batch(
             tiny_trace, jobs[:1], workers=2, cache=NullCache()
         )
+        pooled = simulate_batch(tiny_trace, jobs, workers=2, cache=NullCache())
         assert serial.backend == "serial"
-        assert one_group.backend == "pool"
+        # Placed on the default runtime, which runs one job in process.
+        assert one_group.backend == "serial"
+        assert pooled.backend == "pool"
 
     def test_all_hit_batch_leaves_the_default_runtime_alone(
         self, tiny_trace, mem_library
@@ -368,7 +383,8 @@ class TestEngineSelection:
             report = simulate_batch(
                 tiny_trace, jobs, workers=2, cache=cache, backend=backend
             )
-            assert report.backend == "pool"
+            # Nothing was dispatched, so no pool ran the batch.
+            assert report.backend == "serial"
             assert report.cache_hits == len(jobs)
             assert report.results == warm.results
         assert set_default_runtime(None) is None
@@ -401,7 +417,7 @@ class TestEngineSelection:
             assert runtime._pool is None
             assert not runtime._exports
         assert report.results == serial.results
-        assert report.backend == "pool"
+        assert report.backend == "serial"
         assert report.workers == 2
 
 

@@ -1,10 +1,12 @@
 """Ideal-connectivity replay stalls: the walk-free resolver vs the oracles.
 
 Under ideal connectivity no member walks. A DMA engine's replay stalls
-are priced by :func:`repro.sim.batch._ideal_latency_column`, which
-computes stall-free issue times with one cumsum and visits only the
-replay hits whose slack against them is positive. These tests hold it
-to the two oracles it must reproduce bit for bit:
+are priced by :func:`repro.sim.batch._add_replay_stalls`, which
+computes a block of members' stall-free issue times with one cumsum
+and visits only the replay hits whose slack against them is positive;
+:func:`repro.sim.batch._check_latency` then raises for a row under one
+cycle. These tests hold them to the two oracles they must reproduce
+bit for bit:
 
 * a scalar recurrence over random affine recordings (the reference
   loop's lag update with the :class:`~repro.memory.module.ReplayTrace`
@@ -32,7 +34,8 @@ from repro.memory.library import default_memory_library, mixed_architecture
 from repro.sim.batch import (
     GroupPlan,
     TracePlan,
-    _ideal_latency_column,
+    _add_replay_stalls,
+    _check_latency,
     _replay_terms,
 )
 from repro.sim.sampling import SamplingConfig
@@ -52,6 +55,14 @@ def _trace(workload: str):
 
 
 # -- the resolver against a scalar recurrence -------------------------------
+
+
+def _ideal_latency_column(ticks, base, posted, rows, srcs, ready):
+    """One member's raw latency column: a block of one."""
+    latency = base[None, :].copy()
+    _add_replay_stalls(ticks, latency, [posted], [(rows, srcs, ready)])
+    _check_latency(latency[0])
+    return latency[0]
 
 
 def _scalar_recurrence(ticks, base, posted, terms):
@@ -127,11 +138,10 @@ def test_property_resolver_matches_scalar_recurrence(recording):
             _ideal_latency_column(ticks, base, posted, rows, srcs, ready)
         assert str(raised.value) == str(error)
         return
-    before = base.copy()
     latency = _ideal_latency_column(ticks, base, posted, rows, srcs, ready)
     assert latency.tolist() == expected
-    # The base column is the caller's and stays untouched.
-    assert np.array_equal(base, before)
+    # Stalls only ever add to the stall-free latency.
+    assert np.all(latency >= base)
 
 
 # -- single DMA engines against the reference loop --------------------------
@@ -156,7 +166,7 @@ def test_ideal_dma_matches_reference(dma_preset, posted, sampling_mode):
 
 
 def test_ideal_dma_group_matches_reference():
-    """One group plan serves ideal DMA members of every run mode."""
+    """One ideal-pass unit serves ideal DMA members of every run mode."""
     trace = _trace("li")
     memory = mixed_architecture(trace, MEM_LIBRARY, dma_preset="si_dma_32")
     jobs = [

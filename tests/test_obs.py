@@ -200,12 +200,13 @@ class TestWorkerMerge:
         assert len(report.results) == len(jobs)
         snap = obs.snapshot()
         # Worker-side recordings travelled back through the job-result
-        # channel: each job (its own memory signature, so its own group)
-        # ran exactly one simulation in some worker.
+        # channel: the four ideal jobs split into four chunks (about
+        # four per worker), and each job ran exactly one simulation in
+        # some worker.
         assert snap.counters["sim.runs"] == len(jobs)
         assert snap.counters["sim.accesses"] == len(jobs) * len(tiny_trace)
-        assert "sim.batch.group" in snap.spans
-        assert snap.spans["sim.batch.group"][0] == len(jobs)
+        assert snap.spans["sim.batch.ideal"][0] == len(jobs)
+        assert snap.counters["sim.batch.ideal_members"] == len(jobs)
         # Engine-side accounting was recorded in the parent.
         assert snap.counters["exec.jobs"] == len(jobs)
         assert snap.counters["runtime.dispatches"] >= 1

@@ -420,7 +420,8 @@ def test_simulate_batch_matches_run_and_reference(
         for mode in CONNECTIVITY_MODES
     ]
     report = simulate_batch(trace, jobs, workers=1, cache=NullCache())
-    assert report.batch_groups == 1  # one memory signature → one group
+    # The ideal member is one unit, the priced ones share a group plan.
+    assert report.batch_groups == 2
     assert len(report.results) == len(jobs)
     for job, result in zip(jobs, report.results):
         independent = simulate(
@@ -471,7 +472,9 @@ def test_simulate_batch_mixed_groups_and_dma_members():
     )
     clear_plan_registry()  # cover the cold plan build too
     report = simulate_batch(trace, jobs, workers=1, cache=NullCache())
-    assert report.batch_groups == 3
+    # The two ideal members are one unit; the priced ones make three
+    # memory-signature groups.
+    assert report.batch_groups == 4
     assert len(report.results) == len(jobs)
     for job, result in zip(jobs, report.results):
         independent = simulate(
@@ -532,7 +535,8 @@ def test_property_batch_partitioning_order_independent(order):
     pool, expected = _permutation_pool()
     jobs = [pool[i] for i in order]
     report = simulate_batch(_trace("li"), jobs, workers=1, cache=NullCache())
-    assert report.batch_groups == 2
+    # One unit of the two ideal jobs, one group per priced signature.
+    assert report.batch_groups == 3
     for position, original in enumerate(order):
         assert report.results[position] == expected[original]
 

@@ -240,8 +240,10 @@ def test_dma_delays_share_one_recording(family, counting, conn_library):
     assert len(delays) == 3
     results, _ = evaluate_group(TRACE, jobs[:2], plan)
     slow_results, _ = evaluate_group(TRACE, jobs[2:], plan)
+    # The fast ideal member records; the fast priced member's group
+    # plan and the slow ideal member each hit that recording.
     assert counting("sim.batch.module_outcome_builds") == 1
-    assert counting("sim.batch.module_outcome_hits") == 1
+    assert counting("sim.batch.module_outcome_hits") == 2
     (outcome,) = plan._outcomes.values()
     (recording,) = plan.group_plan(slow).replay.values()
     assert recording is outcome.replay
