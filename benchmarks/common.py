@@ -215,6 +215,17 @@ def record_group_plan_timing(stem: str, **fields) -> dict:
     return _append_record(GROUP_PLAN_TIMINGS, record)
 
 
+#: Machine-readable fresh-interpreter start-up records (same
+#: replace-by-name convention as BENCH_parallel.json).
+STARTUP_TIMINGS = OUTPUT_DIR / "BENCH_startup.json"
+
+
+def record_startup_timing(stem: str, **fields) -> dict:
+    """Append one start-up record to BENCH_startup.json."""
+    record = {"name": stem, **fields, "cpu_count": os.cpu_count()}
+    return _append_record(STARTUP_TIMINGS, record)
+
+
 def _append_record(path: pathlib.Path, record: dict) -> dict:
     """Write ``record`` to ``path``, replacing any same-name entry."""
     OUTPUT_DIR.mkdir(parents=True, exist_ok=True)

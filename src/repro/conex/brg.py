@@ -15,14 +15,15 @@ cache lowers the cache↔DRAM arc's label.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
-
-import networkx as nx
+from typing import TYPE_CHECKING, Mapping
 
 from repro.apex.architectures import MemoryArchitecture
 from repro.channels import Channel
 from repro.errors import ExplorationError
 from repro.sim.metrics import SimulationResult
+
+if TYPE_CHECKING:  # pragma: no cover - annotation-only import
+    import networkx as nx
 
 
 @dataclass(frozen=True)
@@ -91,7 +92,13 @@ class BandwidthRequirementGraph:
         return tuple(c for c in self.channels if c.crosses_chip)
 
     def to_networkx(self) -> nx.DiGraph:
-        """The BRG as a :class:`networkx.DiGraph` (for analysis/plots)."""
+        """The BRG as a :class:`networkx.DiGraph` (for analysis/plots).
+
+        networkx is imported here, on first call, so an exploration
+        that never exports a graph never loads it.
+        """
+        import networkx as nx
+
         graph = nx.DiGraph(memory=self.memory_name, duration=self.duration)
         for channel, profile in self._arcs.items():
             graph.add_edge(

@@ -49,6 +49,12 @@ of at most one dispatch unit takes the same in-process path at any
 worker count: a unit is never split, so a pool could only add the
 export and the round trip.
 
+The process-pool stack (``concurrent.futures.process``, which loads
+``multiprocessing``, ``socket`` and ``logging``) is imported only when
+a runtime builds its pool or a pool round collects its chunks. A
+process that runs every batch in process, such as a serial
+``run_memorex`` or a one-worker CLI command, never loads it.
+
 Where a batch runs is decided in one place, :func:`resolve_placement`:
 in process, or on a runtime.
 """
@@ -59,9 +65,6 @@ import atexit
 import os
 import signal
 import time
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures import TimeoutError as FuturesTimeoutError
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
@@ -83,6 +86,8 @@ from repro.trace import shm as shm_registry
 from repro.trace.events import SharedTraceExport, SharedTraceHandle, Trace
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
+    from concurrent.futures import ProcessPoolExecutor
+
     from repro.exec.engine import SimulationJob
 
 __all__ = [
@@ -438,6 +443,8 @@ class ExecutionRuntime:
             self.stats.pool_rebuilds += 1
             obs.incr("runtime.pool_rebuilds")
         if self._pool is None:
+            from concurrent.futures import ProcessPoolExecutor
+
             self._pool = ProcessPoolExecutor(
                 max_workers=effective_pool_workers(self.workers)
             )
@@ -533,6 +540,9 @@ class ExecutionRuntime:
         kept, and the pool is torn down so the next round builds a
         fresh one.
         """
+        from concurrent.futures import TimeoutError as FuturesTimeoutError
+        from concurrent.futures.process import BrokenProcessPool
+
         size = dispatch_chunksize(len(pending), self.workers)
         chunks = [pending[i : i + size] for i in range(0, len(pending), size)]
         futures: list[tuple] = []
@@ -703,11 +713,12 @@ def resolve_placement(
     * ``"serial"`` runs in process;
     * ``None`` applies the default rule: one worker runs in process,
       and more run exactly as for ``"pool"``;
-    * ``"pool"`` runs on ``runtime`` when one is passed. Otherwise it
-      stays ``"pool"``: the process-wide default runtime sized for
-      ``workers``, which the engine looks up only when a batch has
-      misses to run, so a batch that dispatches nothing never builds
-      or replaces the default.
+    * ``"pool"`` runs on ``runtime`` when one is passed. Otherwise one
+      worker runs in process, since a one-worker default runtime could
+      only ever run batches here, and more stay ``"pool"``: the
+      process-wide default runtime sized for ``workers``, which the
+      engine looks up only when a batch has misses to run, so a batch
+      that dispatches nothing never builds or replaces the default.
 
     ``workers=None`` takes the size of a passed ``runtime``. The answer
     is a fixed point, so a caller may resolve once and pass the result
@@ -718,9 +729,9 @@ def resolve_placement(
     """
     if isinstance(backend, ExecutionRuntime):
         backend, runtime = "pool", backend
-    if backend is None:
-        if workers is None and runtime is not None:
-            workers = runtime.workers
+    if backend is None and workers is None and runtime is not None:
+        workers = runtime.workers
+    if backend is None or (backend == "pool" and runtime is None):
         backend = "serial" if resolve_workers(workers) <= 1 else "pool"
     if backend not in ("serial", "pool"):
         raise ExecutionError(

@@ -431,3 +431,32 @@ class TestPerformanceDoc:
         missing = [figure for figure in expected if figure not in rows[0]]
         assert not missing, missing
         assert re.findall(r"\d+(?:\.\d+)?×", rows[0]) == [expected[-1]]
+
+    def test_startup_rows_match_the_json(self):
+        """The start-up table quotes every record of
+        ``BENCH_startup.json``, this tree's and the baseline's."""
+        import json
+
+        records = json.loads(
+            (ROOT / "benchmarks/out/BENCH_startup.json").read_text()
+        )
+        assert records and not any(r["smoke"] for r in records), records
+        lines = read("docs/performance.md").splitlines()
+        for record in records:
+            rows = [
+                line for line in lines
+                if line.startswith(f"| `{record['name']}` |")
+            ]
+            assert len(rows) == 1, (record["name"], rows)
+            cells = [cell.strip() for cell in rows[0].strip("|").split("|")]
+            run = record["run_s"]
+            assert cells[1:] == [
+                record["source"],
+                f"{record['process_s']:.3f} s",
+                f"{record['import_s']:.3f} s",
+                "—" if run is None else f"{run:.3f} s",
+                f"{record['peak_rss_mb']:.1f} MB",
+                str(record["modules"]),
+                ", ".join(record["heavy_modules"]) or "none",
+                str(record["cpu_count"]),
+            ], rows[0]

@@ -168,8 +168,8 @@ BATCHES = [
     Batch("serial", 1, 4, "serial/1 in process"),
     Batch("serial", 2, 1, "serial/2 in process"),
     Batch("serial", 2, 4, "serial/2 in process"),
-    Batch("pool", 1, 1, "pool/1 default idle"),
-    Batch("pool", 1, 4, "pool/1 default idle"),
+    Batch("pool", 1, 1, "serial/1 in process"),
+    Batch("pool", 1, 4, "serial/1 in process"),
     Batch("pool", 2, 1, "pool/2 default idle"),
     Batch("pool", 2, 4, "pool/2 default pool"),
     Batch(RUNTIME, 1, 1, "pool/1 in process"),
@@ -185,7 +185,7 @@ JOBS = [
     Job(None, None, "serial", None, "serial/1 in process"),
     Job(None, None, "serial", 1, "serial/1 in process"),
     Job(None, None, "serial", 2, "serial/1 in process"),
-    Job(None, None, "pool", None, "pool/1 default idle"),
+    Job(None, None, "pool", None, "serial/1 in process"),
     Job(None, None, "pool", 1, "pool/1 in process"),
     Job(None, None, "pool", 2, "pool/2 runtime pool"),
     Job(None, 1, None, None, "serial/1 in process"),
@@ -194,7 +194,7 @@ JOBS = [
     Job(None, 1, "serial", None, "serial/1 in process"),
     Job(None, 1, "serial", 1, "serial/1 in process"),
     Job(None, 1, "serial", 2, "serial/1 in process"),
-    Job(None, 1, "pool", None, "pool/1 default idle"),
+    Job(None, 1, "pool", None, "serial/1 in process"),
     Job(None, 1, "pool", 1, "pool/1 in process"),
     Job(None, 1, "pool", 2, "pool/1 runtime pool"),
     Job(None, 2, None, None, "pool/2 default pool"),
@@ -213,10 +213,10 @@ JOBS = [
     Job("serial", 1, "pool", 2, "serial/1 in process"),
     Job("serial", 2, "pool", None, "serial/2 in process"),
     Job("serial", 2, "pool", 2, "serial/2 in process"),
-    Job("pool", None, "serial", None, "pool/1 default idle"),
+    Job("pool", None, "serial", None, "serial/1 in process"),
     Job("pool", None, "serial", 1, "pool/1 in process"),
     Job("pool", None, "serial", 2, "pool/2 runtime pool"),
-    Job("pool", 1, "serial", None, "pool/1 default idle"),
+    Job("pool", 1, "serial", None, "serial/1 in process"),
     Job("pool", 1, "serial", 1, "pool/1 in process"),
     Job("pool", 1, "serial", 2, "pool/1 runtime pool"),
     Job("pool", 2, "serial", None, "pool/2 default pool"),
@@ -321,7 +321,9 @@ class TestResolveBackend:
 
     def test_names_resolve(self):
         assert resolve_placement("serial") == "serial"
-        assert resolve_placement("pool", workers=1) == "pool"
+        assert resolve_placement("pool", workers=2) == "pool"
+        # A one-worker default runtime could only run in process.
+        assert resolve_placement("pool", workers=1) == "serial"
         with ExecutionRuntime(workers=2) as runtime:
             assert resolve_placement("serial", 2, runtime) == "serial"
 
