@@ -5,9 +5,9 @@ outcomes (:meth:`repro.sim.batch.TracePlan.module_outcome`), keyed by
 ``(config_signature(), served struct ids)``: a module runs over the
 structures routed to it unless an earlier candidate over the same
 trace plan already ran an equally configured module on the same
-structures. APEX's ideal-connectivity candidates read the memo from
-the blocked ideal pass; each Phase II group reads it from its group
-plan (:meth:`repro.sim.batch.TracePlan.group_plan`).
+structures. Every memory layout reads it: each APEX ideal-connectivity
+candidate's own :class:`~repro.sim.batch.GroupPlan`, and each Phase II
+group's shared one (:meth:`repro.sim.batch.TracePlan.group_plan`).
 
 This benchmark captures the dispatch units of one cold compress
 exploration (scale 0.05, input 0, empty result cache: one unit of the
@@ -19,13 +19,15 @@ and evaluates them twice:
   candidates still share them);
 * **shared** — every unit on one trace plan, as an exploration does.
 
-It asserts the two give identical results, and records the seconds
-spent building group plans (the ``sim.batch.build_group_plan`` span,
-which only priced groups open), the evaluation seconds, the units, and
-the memo's outcome builds and hits. Full runs take the best of
-:data:`REPEATS` and assert the shared builds are at least
-:data:`BUILD_SPEEDUP_FLOOR` times faster; ``REPRO_BENCH_SMOKE=1``
-checks equality only. The record lands in
+It asserts the two give identical results and that the shared memo
+runs strictly fewer modules than the empty one (a deterministic count,
+so smoke runs assert it too). It also records the seconds spent
+building priced group plans (the ``sim.batch.build_group_plan`` span,
+which only the Phase II groups open), the evaluation seconds, the
+units, and the memo's outcome hits; full runs take the best of
+:data:`REPEATS` (``REPRO_BENCH_SMOKE=1``: one). The timings are not
+gated: the span covers only a few milliseconds of builds, too short to
+clear the host's run-to-run drift. The record lands in
 ``benchmarks/out/BENCH_group_plan.json``.
 """
 
@@ -39,8 +41,6 @@ from repro.exec.cache import SimulationCache
 from repro.workloads import get_workload
 
 REPEATS = 1 if SMOKE else 3
-
-BUILD_SPEEDUP_FLOOR = 2.0
 
 WORKLOAD, SCALE, INPUT = "compress", 0.05, 0
 
@@ -156,6 +156,7 @@ def regenerate() -> str:
 def test_group_plan_memo(benchmark):
     text = benchmark.pedantic(regenerate, rounds=1, iterations=1)
     common.write_output("group_plan", text)
-    if not SMOKE:
-        record = regenerate.record
-        assert record["build_speedup"] >= BUILD_SPEEDUP_FLOOR, record
+    record = regenerate.record
+    assert (
+        record["shared_outcome_builds"] < record["fresh_outcome_builds"]
+    ), record

@@ -248,7 +248,7 @@ def explore_connectivity(
     ``cache`` (default: the process-wide cache, so a repeated identical
     exploration re-simulates nothing), with candidates sharing a memory
     architecture evaluated as one group so connectivity-only variants
-    pay just the contention delta pass. Pass a persistent
+    pay just the contention walk. Pass a persistent
     :class:`repro.exec.ExecutionRuntime` as ``backend=`` to reuse one
     worker pool (and one shared trace export) across repeated
     explorations.

@@ -224,14 +224,14 @@ def _partition(
     """Split the batch's misses into dispatch units.
 
     Ideal-connectivity misses, whatever their memory signatures, go
-    into contiguous runs in job order: the ideal pass evaluates any mix
-    in one call. In process, or on a one-worker runtime, that is one
+    into contiguous runs in job order: the block evaluator takes any
+    mix in one call. In process, or on a one-worker runtime, that is one
     run. On a pool the runs take the runtime's own granularity of
     about four per worker (:func:`~repro.exec.runtime.dispatch_chunksize`):
     a worker holds one unit's jobs and results at a time, so fewer,
     larger units would raise every worker's peak memory. Priced misses
     are grouped by memory-architecture signature — the grouping under
-    which a group plan's columns are shareable — in first-appearance
+    which one memory layout's columns are shareable — in first-appearance
     order, for deterministic dispatch.
     """
     ideal = [i for i in unique if jobs[i].connectivity is None]
@@ -272,11 +272,12 @@ def simulate_batch(
     * ideal-connectivity misses (every APEX candidate), whatever their
       memory signatures, split into contiguous chunks in job order —
       one chunk in process, about four per worker on a pool — and
-      each chunk runs the blocked ideal pass;
+      each member of a chunk lays out its own memory inside its block;
     * priced misses are grouped by memory signature; a group shares
-      its group plan and merged DRAM open-row pass, and each member
-      pays only its connectivity/sampling delta pass. A group is
-      never split (splitting would forfeit the sharing).
+      one memory layout (module columns, merged DRAM open-row pass,
+      memory-only energy terms), and each member pays only its
+      connectivity/sampling walk. A group is never split (splitting
+      would forfeit the sharing).
 
     All units run in one call, and a unit is what a pool chunk carries.
 

@@ -1,11 +1,11 @@
-"""The simulation engine: shared trace plans, the ideal pass, group plans.
+"""The simulation engine: shared trace plans, one member layout, two latency rules.
 
 Every non-reference simulation runs here. :meth:`Simulator.run
 <repro.sim.simulator.Simulator.run>` evaluates itself as a batch of one
 (:func:`evaluate_single`), and explorations evaluate many candidates
 over one trace (:func:`evaluate_group`). A candidate is either *ideal*
 (``connectivity=None``, every APEX candidate) or *priced* (a Phase II
-design), and each kind has exactly one path:
+design), and both kinds take one path:
 
 * **per trace** — a :class:`TracePlan` holds sampling masks, the write
   column, each structure's rows, the tick list backing the contention
@@ -24,33 +24,35 @@ design), and each kind has exactly one path:
   behind :func:`trace_plan` keeps the few live traces for
   :func:`evaluate_group`; a single run builds a private plan and drops
   it with the run.
-* **ideal members, any memory signatures** — one blocked pass
-  (:func:`_evaluate_ideal`). Per member: one :class:`Simulator`, its
-  outcomes from the memo, its counter folds and its DRAM open-row
-  pass. Per block of members (:data:`_IDEAL_BLOCK_ELEMENTS`): the
-  outcome columns are scattered into member × row arrays, one 2-D
-  cumsum gives every DMA member's stall-free issue times, and
-  :func:`_add_replay_stalls` visits only the replay hits whose slack
-  against them is positive. Members are sub-blocked by (sampling,
-  posted writes), and each sub-block folds its latency, per-structure
-  sums and energy column-wise. No channel contends, so nothing walks.
-* **priced members, per memory signature** — a :class:`GroupPlan`
-  scatters its modules' outcomes into whole-run columns. Module state
-  evolution is tick-independent, so one merged DRAM open-row pass over
-  the run's transactions (each access makes at most one) serves every
-  member too. A plan is built per group and not retained: the
+* **one layout per memory architecture** — a :class:`GroupPlan`
+  scatters the architecture's module outcomes into whole-run columns
+  and folds their counters. Module state evolution is
+  tick-independent, so one merged DRAM open-row pass over the run's
+  transactions (each access makes at most one) serves every member of
+  the layout, and with it each row's memory-only energy terms. A
+  priced memory-signature group builds one layout that its members
+  share; an ideal member builds its own inside its block, which drops
+  it once the member's rows are filled. No layout is retained: the
   outcomes it reads are the costly part, and the memo keeps those.
-  Each member then runs the delta pass: connectivity-priced transfer
-  columns (:func:`_member_columns`), :func:`_walk` — one integer loop
-  driven by the run's sampling spans, over the on-window rows, or
-  every row when a module of the group replays, since a replay
-  module's latency depends on its own arrivals — and the
-  measured-window fold.
+* **one block evaluator, two latency rules** — members go through
+  blocks of member × row arrays (:data:`_BLOCK_ELEMENTS`). An ideal
+  member's latency is its layout's stall-free column: one 2-D cumsum
+  gives every DMA member's stall-free issue times, and
+  :func:`_add_replay_stalls` visits only the replay hits whose slack
+  against them is positive. No channel contends, so nothing walks. A
+  priced member walks (:func:`_walk`): one integer loop over its
+  connectivity-priced transfer columns, driven by the run's sampling
+  spans, over the on-window rows, or every row when a module of the
+  layout replays, since a replay module's latency depends on its own
+  arrivals, and adds its wire energy terms to its per-access energy
+  (:func:`_priced_energy`). Members are then sub-blocked by
+  (sampling, posted writes), and each sub-block folds its lag,
+  per-structure sums and energy column-wise (:func:`_fold_measured`).
 
 Results are **bit-identical** to the scalar reference loop
 (:meth:`Simulator.run(reference=True) <repro.sim.simulator.Simulator.run>`):
 the walk replicates the reference recurrence's update order over the
-shared columns, and where energy is accumulated columnar the vector
+shared columns, and the energy fold's vector
 expressions replicate the reference loop's float accumulation order
 term by term (``np.cumsum`` is a sequential left fold, also along
 a block's rows, and adding an exact ``0.0`` is the identity).
@@ -67,7 +69,7 @@ in.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
 from typing import TYPE_CHECKING, Iterable, NamedTuple, Protocol, Sequence
@@ -133,10 +135,10 @@ _MODULE_OUTCOME_LIMIT = 32
 #: Trace plans retained process-wide (distinct trace fingerprints).
 _TRACE_PLAN_LIMIT = 4
 
-#: Elements of each member × row array of the ideal pass: a block
-#: holds ``max(1, _IDEAL_BLOCK_ELEMENTS // len(trace))`` members, so
-#: its arrays stay at 128 KiB (int64) whatever the trace length.
-_IDEAL_BLOCK_ELEMENTS = 1 << 14
+#: Elements of each member × row array of a block: a block holds
+#: ``max(1, _BLOCK_ELEMENTS // len(trace))`` members, so its arrays
+#: stay at 128 KiB (int64) whatever the trace length.
+_BLOCK_ELEMENTS = 1 << 14
 
 
 @dataclass
@@ -264,8 +266,8 @@ class TracePlan:
     changes: the write mask, sampling masks per distinct
     :meth:`~repro.sim.sampling.SamplingConfig.key`, each structure's
     rows, the tick and write lists for the walk (built on the first
-    walk), and the memo of module outcomes that the ideal pass and
-    every :class:`GroupPlan` over the trace draw from
+    walk), and the memo of module outcomes that every
+    :class:`GroupPlan` over the trace draws from
     (:meth:`module_outcome`).
     """
 
@@ -479,50 +481,51 @@ class _WalkLists:
 
 
 class GroupPlan:
-    """The shared columns of one (trace, memory signature) group.
+    """One memory architecture's layout over a :class:`TracePlan`.
 
-    Built from a *lead* :class:`Simulator` over the group's memory
-    architecture. Each routed module's outcome comes from the trace
-    plan's memo (:meth:`TracePlan.module_outcome`), which runs the
-    lead's module only when no earlier plan ran an equally configured
-    one on the same structures. Module behaviour (state evolution, hit
-    and byte columns) is configuration-determined, and architectures
-    with equal signatures have identical module names, routes, and
-    channel sets, so the columns transfer to every member verbatim.
-    Only the stall *latency* of a replay module depends on the member —
-    kept symbolic in the recording and re-priced per member. The DRAM
-    is reset and its open-row pass run for every plan. ``replay_ok`` is
-    false when a module (or the DRAM) can be neither batched nor
-    recorded; the plan then holds nothing else and its members run the
-    reference loop.
+    Built from a *lead* :class:`Simulator` over the architecture: once
+    per priced memory-signature group, whose members share it, and once
+    per ideal member, from that member's own simulator. Each routed
+    module's outcome comes from the trace plan's memo
+    (:meth:`TracePlan.module_outcome`), which runs the lead's module
+    only when no earlier layout ran an equally configured one on the
+    same structures. Module behaviour (state evolution, hit and byte
+    columns) is configuration-determined, and architectures with equal
+    signatures have identical module names, routes, and channel sets,
+    so the columns transfer to every member verbatim. Only the stall
+    *latency* of a replay module depends on the member — kept symbolic
+    in the recording and re-priced per member. The DRAM is reset and
+    its open-row pass run for every layout, and each row's memory-only
+    energy terms follow from it: ``e_dram`` (rows × 2: the
+    refill-or-uncached DRAM transaction, then the background burst in
+    page mode, the reference loop's order) and ``e_module`` (the module
+    access), each ``0.0`` where absent.
+    ``replay_ok`` is false when a module (or the DRAM) can be neither
+    batched nor recorded; the layout then holds nothing else and its
+    members run the reference loop.
     """
 
     def __init__(self, plan: TracePlan, lead: Simulator) -> None:
         trace = plan.trace
-        memory = lead.memory
+        dram = lead.memory.dram
         groups, struct_group = _build_groups(lead)
         self.targets = [group.target for group in groups]
-        self.replay_ok = bool(
-            getattr(type(memory.dram), "supports_batch", False)
-        )
+        self.replay_ok = bool(getattr(type(dram), "supports_batch", False))
         if not self.replay_ok:
             return
-        memory.dram.reset()
+        dram.reset()
         n = len(trace)
-        gid_col = struct_group[trace.struct_ids]
         self.sizes64 = plan.sizes64
         uncached = np.zeros(n, dtype=bool)
         mlat = np.zeros(n, dtype=np.int64)
         refill = np.zeros(n, dtype=np.int64)
         offpath = np.zeros(n, dtype=np.int64)
+        module_nj = np.zeros(n, dtype=np.float64)
         #: gid -> ReplayTrace for the tick-affine modules.
         self.replay: dict[int, object] = {}
         self.node_sizes: dict[int, int] = {}
         self.positions_of: dict[int, np.ndarray] = {}
         self.fold: list[_Fold] = []
-        #: gid -> (refill rows, their bytes, background rows, their
-        #: bytes), each ``None`` when the target has no such rows.
-        self.transfers: dict[int, tuple] = {}
 
         for gid, group in enumerate(groups):
             positions = plan.rows_of(group.struct_ids)
@@ -542,22 +545,16 @@ class GroupPlan:
                 self.replay[gid] = outcome.replay
                 self.node_sizes[gid] = outcome.node_size
             mlat[positions] = outcome.latency
+            module_nj[positions] = module.access_energy_nj
             fold = _target_fold(plan, gid, group, outcome)
             self.fold.append(fold)
-            r_pos = r_bytes = bg_pos = bg_bytes = None
             if fold.r_count:
                 refill[positions] = outcome.refill
-                r_local = np.flatnonzero(outcome.refill)
-                r_pos = positions[r_local]
-                r_bytes = outcome.refill[r_local].astype(np.int64)
             if fold.bg_count:
                 offpath[positions] = outcome.off
-                bg_local = np.flatnonzero(outcome.off)
-                bg_pos = positions[bg_local]
-                bg_bytes = outcome.off[bg_local].astype(np.int64)
-            self.transfers[gid] = (r_pos, r_bytes, bg_pos, bg_bytes)
 
-        self.gid = gid_col
+        self._struct_group = struct_group
+        self._struct_ids = trace.struct_ids
         self.uncached = uncached
         self.mlat = mlat
         self.refill = refill
@@ -571,17 +568,40 @@ class GroupPlan:
         dram_idx = np.flatnonzero(self.dram_mask)
         self.merged_dram = int(len(dram_idx))
         if self.merged_dram:
-            self.core[dram_idx] = memory.dram.open_row_latencies(
+            self.core[dram_idx] = dram.open_row_latencies(
                 trace.addresses[dram_idx]
             )
         self.has_replay = bool(self.replay)
         self._channel_column = (
-            memory.dram.channel_column if memory.dram.channels > 1 else None
+            dram.channel_column if dram.channels > 1 else None
         )
         self._addresses = trace.addresses
-        #: Candidate-independent energy terms, memoized by
-        #: :func:`_accumulate_energy` on first use.
-        self.energy_statics: dict = {}
+        # Priced as the reference loop prices them: a transaction pays
+        # an activation unless it hits the open row, and a background
+        # burst runs in page mode.
+        self.e_dram = np.zeros((n, 2), dtype=np.float64)
+        transaction = DRAM_PAGE_ACCESS_NJ + DRAM_PER_BYTE_NJ * self.dram_bytes
+        np.add(
+            transaction, DRAM_ACTIVATE_NJ, out=transaction,
+            where=self.core != dram.page_hit_latency,
+        )
+        self.e_dram[self.dram_mask, 0] = transaction[self.dram_mask]
+        background = offpath > 0
+        self.e_dram[background, 1] = (
+            DRAM_PAGE_ACCESS_NJ + DRAM_PER_BYTE_NJ * offpath[background]
+        )
+        self.e_module = module_nj
+
+    @cached_property
+    def gid(self) -> np.ndarray:
+        """Each row's routing-target index (built for the first walk)."""
+        return self._struct_group[self._struct_ids]
+
+    @property
+    def dram_bytes(self) -> np.ndarray:
+        """Each row's DRAM transaction bytes, read where ``dram_mask``
+        is set: its size when uncached, its refill otherwise."""
+        return np.where(self.uncached, self.sizes64, self.refill)
 
     def dram_channels(self, sel, count: int) -> list:
         """DRAM channel indices of the ``count`` rows ``sel``, as a list."""
@@ -652,20 +672,13 @@ def evaluate_single(sim: Simulator) -> SimulationResult | None:
     Uses a private :class:`TracePlan` (never the registry, so separate
     runs stay independent and a long trace's walk lists die with the
     run) whose outcomes ``sim``'s own modules compute, and its DMA
-    engines carry this run's backing hint. An ideal ``sim`` is a block
-    of one in the ideal pass; a priced one is the lead of its own
-    group plan. Returns ``None`` when a module can be neither batched
+    engines carry this run's backing hint. ``sim`` is the lead of its
+    own layout. Returns ``None`` when a module can be neither batched
     nor recorded; the caller then runs the reference loop, which
     re-primes every module.
     """
-    plan = TracePlan(sim.trace)
     sim._install_backing_hints()
-    if sim.connectivity is None:
-        return _evaluate_ideal(plan, [sim])[0]
-    gplan = GroupPlan(plan, sim)
-    if not gplan.replay_ok:
-        return None
-    return _evaluate_member(plan, gplan, sim)
+    return _evaluate_block(TracePlan(sim.trace), [sim], None)[0]
 
 
 def evaluate_group(
@@ -676,7 +689,7 @@ def evaluate_group(
     """Evaluate one dispatch unit of candidates over ``trace``.
 
     Ideal members (``connectivity is None``) may carry any memory
-    signatures: they all go through the blocked ideal pass. Priced
+    signatures: each builds its own layout inside its block. Priced
     members must share one memory
     :meth:`~repro.apex.architectures.MemoryArchitecture.signature`
     (the callers group them by exactly that key) and share one
@@ -696,46 +709,32 @@ def evaluate_group(
     results: list = [None] * len(jobs)
     ideal = [i for i, job in enumerate(jobs) if job.connectivity is None]
     priced = [i for i, job in enumerate(jobs) if job.connectivity is not None]
-    delta = 0
     if ideal:
-        members = _evaluate_ideal(
-            plan,
-            (
-                Simulator(
-                    trace, jobs[i].memory, None, jobs[i].sampling,
-                    jobs[i].posted_writes,
-                )
-                for i in ideal
-            ),
-        )
-        for i, result in zip(ideal, members):
-            if result is None:
-                result = _reference_run(trace, jobs[i])
-            else:
-                delta += 1
+        with obs.span("sim.batch.ideal"):
+            served = _evaluate_members(
+                plan, (_job_simulator(trace, jobs[i]) for i in ideal)
+            )
+        for i, result in zip(ideal, served):
             results[i] = result
     if priced:
         gplan = plan.group_plan(jobs[priced[0]].memory)
-        if gplan.replay_ok:
-            with obs.span("sim.batch.group"):
-                for i in priced:
-                    job = jobs[i]
-                    results[i] = _evaluate_member(
-                        plan,
-                        gplan,
-                        Simulator(
-                            trace,
-                            job.memory,
-                            job.connectivity,
-                            job.sampling,
-                            job.posted_writes,
-                            validated=True,
-                        ),
-                    )
-            delta += len(priced)
+        with obs.span("sim.batch.group"):
+            served = _evaluate_members(
+                plan,
+                (
+                    _job_simulator(trace, jobs[i], validated=True)
+                    for i in priced
+                ),
+                gplan,
+            )
+        for i, result in zip(priced, served):
+            results[i] = result
+    delta = 0
+    for i, result in enumerate(results):
+        if result is None:
+            results[i] = _reference_run(trace, jobs[i])
         else:
-            for i in priced:
-                results[i] = _reference_run(trace, jobs[i])
+            delta += 1
     if obs.enabled():
         obs.incr("sim.batch.groups")
         obs.incr("sim.batch.module_column_group_size", len(jobs))
@@ -743,237 +742,184 @@ def evaluate_group(
     return results, delta
 
 
-def _reference_run(trace: "Trace", job: "_JobLike") -> SimulationResult:
-    """One job through the scalar reference loop."""
+def _job_simulator(
+    trace: "Trace", job: "_JobLike", validated: bool = False
+) -> Simulator:
+    """``job``'s simulator over ``trace``."""
     return Simulator(
         trace,
         job.memory,
         job.connectivity,
         job.sampling,
         job.posted_writes,
-    ).run(reference=True)
+        validated=validated,
+    )
 
 
-# -- the ideal pass ---------------------------------------------------------
+def _reference_run(trace: "Trace", job: "_JobLike") -> SimulationResult:
+    """One job through the scalar reference loop."""
+    return _job_simulator(trace, job).run(reference=True)
 
 
-@dataclass
-class _IdealMember:
-    """One ideal member's layout over the trace plan.
-
-    ``entries`` pairs each routing target that has rows with its rows
-    and its module outcome (``None`` for a direct-DRAM route). The
-    ``targets``, ``replay``, ``positions_of`` and ``node_sizes``
-    attributes mirror a :class:`GroupPlan`'s, for :func:`_replay_terms`.
-    """
-
-    sim: Simulator
-    state: RunState
-    targets: list
-    entries: list = field(default_factory=list)
-    replay: dict = field(default_factory=dict)
-    positions_of: dict = field(default_factory=dict)
-    node_sizes: dict = field(default_factory=dict)
+# -- the block evaluator ----------------------------------------------------
 
 
-def _ideal_member(plan: TracePlan, sim: Simulator) -> _IdealMember | None:
-    """``sim``'s layout, its counters folded into a fresh run state.
-
-    ``None`` when its DRAM or one of its modules can be neither
-    batched nor recorded.
-    """
-    if not getattr(type(sim.memory.dram), "supports_batch", False):
-        return None
-    groups, _ = _build_groups(sim)
-    folds = []
-    member = _IdealMember(sim, None, [group.target for group in groups])
-    for gid, group in enumerate(groups):
-        positions = plan.rows_of(group.struct_ids)
-        if not len(positions):
-            continue
-        outcome = None
-        if group.module is not None:
-            outcome = plan.module_outcome(
-                group.module, group.struct_ids, positions
-            )
-            if outcome is None:
-                return None
-            if outcome.replay is not None:
-                member.replay[gid] = outcome.replay
-                member.node_sizes[gid] = outcome.node_size
-        member.positions_of[gid] = positions
-        member.entries.append((group, positions, outcome))
-        folds.append(_target_fold(plan, gid, group, outcome))
-    member.state = RunState(sim)
-    _fold_counters(member.state, groups, folds)
-    return member
-
-
-def _evaluate_ideal(
-    plan: TracePlan, sims: Iterable[Simulator]
+def _evaluate_members(
+    plan: TracePlan,
+    sims: Iterable[Simulator],
+    gplan: GroupPlan | None = None,
 ) -> list[SimulationResult | None]:
-    """Every ideal-connectivity simulator in ``sims``, block by block.
+    """Every simulator in ``sims``, block by block.
 
+    ``gplan`` is the layout every member shares (a priced signature
+    group); with ``None`` each member builds its own inside its block.
     Results are ordered like ``sims``; ``None`` marks a member that
-    must run the reference loop (see :func:`_ideal_member`). Blocks
-    take consecutive members, so errors surface in member order within
-    a block and block by block.
+    must run the reference loop (its layout is not ``replay_ok``).
+    Blocks take consecutive members, so errors surface in member order
+    within a block and block by block.
     """
-    per_block = max(1, _IDEAL_BLOCK_ELEMENTS // len(plan.trace))
+    per_block = max(1, _BLOCK_ELEMENTS // len(plan.trace))
     sims = iter(sims)
     results: list = []
-    with obs.span("sim.batch.ideal"):
-        while True:
-            block = list(islice(sims, per_block))
-            if not block:
-                return results
-            results += _ideal_block(plan, block)
+    while True:
+        block = list(islice(sims, per_block))
+        if not block:
+            return results
+        results += _evaluate_block(plan, block, gplan)
 
 
-def _ideal_block(
-    plan: TracePlan, sims: list[Simulator]
+def _evaluate_block(
+    plan: TracePlan, sims: list[Simulator], gplan: GroupPlan | None
 ) -> list[SimulationResult | None]:
-    """One block of the ideal pass; see the module docstring."""
+    """One block of members; see the module docstring."""
     trace = plan.trace
     n = len(trace)
-    members = [_ideal_member(plan, sim) for sim in sims]
     # Rows grouped by (sampling schedule, posted writes), so every
     # sub-block is a contiguous slice sharing its masks.
     by_key: dict = {}
-    for member in members:
-        if member is not None:
-            sim = member.sim
-            key = (
-                None if sim.sampling is None else sim.sampling.key(),
-                sim.posted_writes,
-            )
-            by_key.setdefault(key, []).append(member)
-    rows_of_key = list(by_key.values())
-    live = [member for rows in rows_of_key for member in rows]
-    if not live:
-        return [None] * len(members)
+    for index, sim in enumerate(sims):
+        key = (
+            None if sim.sampling is None else sim.sampling.key(),
+            sim.posted_writes,
+        )
+        by_key.setdefault(key, []).append(index)
+    sub_blocks = list(by_key.values())
+    order = [index for indices in sub_blocks for index in indices]
+    row_of = np.argsort(order).tolist()
 
-    k = len(live)
-    # ``latency`` starts as the module latency and becomes the raw
-    # (pre posted-write) latency in place.
-    latency = np.zeros((k, n), dtype=np.int64)
-    core = np.zeros((k, n), dtype=np.int64)
-    dram_mask = np.zeros((k, n), dtype=bool)
-    # Uncached rows move their own size; the others' refill bytes are
-    # read only where ``dram_mask`` is set.
-    dram_bytes = np.repeat(plan.sizes64[None, :], k, axis=0)
-    offpath = np.zeros((k, n), dtype=np.int64)
-    module_nj = np.zeros((k, n), dtype=np.float64)
-    page_hit_latency = np.empty((k, 1), dtype=np.int64)
-    merged = []
-    for row, member in enumerate(live):
-        for group, positions, outcome in member.entries:
-            if outcome is None:
-                dram_mask[row, positions] = True
-                continue
-            latency[row, positions] = outcome.latency
-            module_nj[row, positions] = group.module.access_energy_nj
-            if group.backing_state is None:
-                continue
-            if outcome.r_count:
-                dram_bytes[row, positions] = outcome.refill
-                dram_mask[row, positions] = outcome.refill > 0
-            if outcome.bg_count:
-                offpath[row, positions] = outcome.off
-        # The member's open-row pass: each access makes at most one
-        # DRAM transaction (uncached or refill), and background bursts
-        # never touch row state.
-        dram = member.sim.memory.dram
-        dram.reset()
-        dram_rows = np.flatnonzero(dram_mask[row])
-        if len(dram_rows):
-            core[row, dram_rows] = dram.open_row_latencies(
-                trace.addresses[dram_rows]
+    k = len(sims)
+    # A member left to the reference loop keeps an inert row.
+    latency = np.ones((k, n), dtype=np.int64)
+    energy = np.zeros((k, n), dtype=np.float64)
+    e_dram = np.zeros((k, n, 2), dtype=np.float64)
+    e_module = np.zeros((k, n), dtype=np.float64)
+    states: list = [None] * k
+    terms: list = [None] * k
+    # In member order, so the first walk to fail raises. A member's
+    # rows are filled as soon as its layout is built, so an ideal
+    # member's layout is dropped before the next one's is built.
+    for index, sim in enumerate(sims):
+        layout = GroupPlan(plan, sim) if gplan is None else gplan
+        if not layout.replay_ok:
+            continue
+        groups, _ = _build_groups(sim)
+        if [group.target for group in groups] != layout.targets:
+            raise SimulationError(
+                "batch group plan does not match the candidate's routing"
             )
-        merged.append(len(dram_rows))
-        page_hit_latency[row] = dram.page_hit_latency
-    latency += core
+        row = row_of[index]
+        state = states[row] = RunState(sim)
+        _fold_counters(state, groups, layout.fold)
+        e_dram[row] = layout.e_dram
+        e_module[row] = layout.e_module
+        on_mask, counted, _ = plan.sampling_columns(sim.sampling)
+        if sim.connectivity is None:
+            np.add(layout.mlat, layout.core, out=latency[row])
+            if layout.replay:
+                terms[row] = _replay_terms(sim, layout)
+            # Every wire term is an exact 0.0 under ideal connectivity,
+            # so leaving them out is bit-identical.
+            np.add(layout.e_dram[:, 0], layout.e_dram[:, 1], out=energy[row])
+            energy[row] += layout.e_module
+        else:
+            latency[row] = _walk(sim, state, groups, plan, layout, on_mask)
+            state.energy_wires += _priced_energy(
+                layout, groups, counted, energy[row]
+            )
+        if obs.enabled():
+            if sim.connectivity is None:
+                obs.incr("sim.batch.ideal_members")
+            if layout.merged_dram:
+                obs.incr("sim.kernel.openrow_merged_passes")
+                obs.incr(
+                    "sim.kernel.openrow_merged_accesses", layout.merged_dram
+                )
+            if not layout.has_replay:
+                n_on = n if on_mask is None else int(np.count_nonzero(on_mask))
+                obs.incr("sim.kernel.onwindow_batched", n_on)
     _add_replay_stalls(
         trace.ticks,
         latency,
-        [plan.write_mask if m.sim.posted_writes else None for m in live],
-        [_replay_terms(m.sim, m) if m.replay else None for m in live],
+        [
+            plan.write_mask if sims[index].posted_writes else None
+            for index in order
+        ],
+        terms,
     )
     lowest = latency.min(axis=1).tolist()
-
-    # The DRAM energy terms, built in place (IEEE addition commutes)
-    # and the integer columns they come from dropped, to keep the
-    # block's peak memory down.
-    e_dram1 = DRAM_PER_BYTE_NJ * dram_bytes
-    e_dram1 += DRAM_PAGE_ACCESS_NJ
-    np.add(
-        e_dram1, DRAM_ACTIVATE_NJ, out=e_dram1,
-        where=core != page_hit_latency,
-    )
-    np.copyto(e_dram1, 0.0, where=~dram_mask)
-    del dram_bytes, core, dram_mask
-    e_dram2 = DRAM_PER_BYTE_NJ * offpath
-    e_dram2 += DRAM_PAGE_ACCESS_NJ
-    np.copyto(e_dram2, 0.0, where=offpath == 0)
-    del offpath
     start = 0
-    for rows in rows_of_key:
-        stop = start + len(rows)
-        _fold_ideal_measured(
-            plan,
-            rows,
-            latency[start:stop],
-            e_dram1[start:stop],
-            e_dram2[start:stop],
-            module_nj[start:stop],
-        )
+    for indices in sub_blocks:
+        stop = start + len(indices)
+        if any(state is not None for state in states[start:stop]):
+            _fold_measured(
+                plan,
+                sims[indices[0]],
+                states[start:stop],
+                latency[start:stop],
+                energy[start:stop],
+                e_dram[start:stop],
+                e_module[start:stop],
+            )
         start = stop
 
-    if obs.enabled():
-        obs.incr("sim.batch.ideal_members", k)
-        for member, count in zip(live, merged):
-            if count:
-                obs.incr("sim.kernel.openrow_merged_passes")
-                obs.incr("sim.kernel.openrow_merged_accesses", count)
-            if not member.replay:
-                on_mask, _, _ = plan.sampling_columns(member.sim.sampling)
-                n_on = n if on_mask is None else int(np.count_nonzero(on_mask))
-                obs.incr("sim.kernel.onwindow_batched", n_on)
-                if member.sim.sampling is None:
-                    obs.incr("sim.kernel.unsampled_batched_spans")
-    row_of = {id(member): row for row, member in enumerate(live)}
     results: list = []
-    for member in members:
-        if member is None:
+    for sim, row in zip(sims, row_of):
+        state = states[row]
+        if state is None:
             results.append(None)
             continue
-        row = row_of[id(member)]
         if lowest[row] < 1:
             _check_latency(latency[row])
-        results.append(member.sim._finalize(member.state))
+        results.append(sim._finalize(state))
     return results
 
 
-def _fold_ideal_measured(
+def _fold_measured(
     plan: TracePlan,
-    members: list[_IdealMember],
+    sim: Simulator,
+    states: list,
     latency: np.ndarray,
-    e_dram1: np.ndarray,
-    e_dram2: np.ndarray,
+    energy: np.ndarray,
+    e_dram: np.ndarray,
     e_module: np.ndarray,
 ) -> None:
     """Fold one sub-block's lag and measured-window statistics.
 
-    Every member shares one sampling schedule and posted-write mode,
-    and the energy columns are overwritten. The block counterpart of
-    :func:`_fold_measured`: under ideal
-    connectivity every wire energy term is an exact ``0.0``, so each
-    access's energy is ``(refill-or-uncached DRAM + background DRAM) +
-    module`` and the wire total stays ``0.0``.
+    Every member shares ``sim``'s sampling schedule and posted-write
+    mode; ``states`` are their run states (``None`` for a row left to
+    the reference loop). ``latency`` holds the members' raw (pre
+    posted-write) latency rows, ``energy`` each access's energy, and
+    ``e_dram`` (members × rows × 2) and ``e_module`` their layouts'
+    memory-only energy terms.
+
+    Replicates the reference loop's accumulation order exactly: the
+    running totals are sequential left folds (``np.cumsum``) over the
+    counted rows, with each access's two DRAM terms in reference order
+    via a row-major reshape. They are taken in place: the block's
+    columns are not read again.
     """
     trace = plan.trace
     n = len(trace)
-    sim = members[0].sim
     _, counted, measured = plan.sampling_columns(sim.sampling)
     eff = (
         np.where(plan.write_mask, np.int64(1), latency)
@@ -981,22 +927,23 @@ def _fold_ideal_measured(
         else latency
     )
     lags = (eff.sum(axis=1) - n).tolist()
-    for member, lag in zip(members, lags):
-        member.state.lag += lag
-        member.state.measured += measured
+    for state, lag in zip(states, lags):
+        if state is not None:
+            state.lag += lag
+            state.measured += measured
     if not measured:
         return
     if counted is not None:
         eff = eff[:, counted]
-        e_dram1 = e_dram1[:, counted]
-        e_dram2 = e_dram2[:, counted]
+        energy = energy[:, counted]
+        e_dram = e_dram[:, counted]
         e_module = e_module[:, counted]
     struct_col = (
         trace.struct_ids if counted is None else trace.struct_ids[counted]
     )
     n_structs = len(trace.structs)
     counts = np.bincount(struct_col, minlength=n_structs).tolist()
-    k = len(members)
+    k = len(states)
     # float64 bincount weights stay exact below 2**53.
     totals = (
         np.bincount(
@@ -1009,21 +956,13 @@ def _fold_ideal_measured(
         .tolist()
     )
     latency_sums = eff.sum(axis=1).tolist()
-    # Each access's DRAM terms in reference order: refill-or-uncached,
-    # then background. The running sums are taken in place: the block's
-    # columns are not read again.
-    dram_pairs = np.empty((k, e_dram1.shape[1], 2))
-    dram_pairs[:, :, 0] = e_dram1
-    dram_pairs[:, :, 1] = e_dram2
-    dram_pairs = dram_pairs.reshape(k, -1)
-    energy = e_dram1
-    energy += e_dram2
-    energy += e_module
     energy_sums = np.cumsum(energy, axis=1, out=energy)[:, -1].tolist()
     module_sums = np.cumsum(e_module, axis=1, out=e_module)[:, -1].tolist()
-    dram_sums = np.cumsum(dram_pairs, axis=1, out=dram_pairs)[:, -1].tolist()
-    for i, member in enumerate(members):
-        state = member.state
+    e_dram = e_dram.reshape(k, -1)
+    dram_sums = np.cumsum(e_dram, axis=1, out=e_dram)[:, -1].tolist()
+    for i, state in enumerate(states):
+        if state is None:
+            continue
         state.latency_sum += latency_sums[i]
         struct_counts = state.struct_counts
         struct_latency = state.struct_latency
@@ -1037,12 +976,12 @@ def _fold_ideal_measured(
 
 
 def _replay_terms(
-    sim: Simulator, layout
+    sim: Simulator, layout: GroupPlan
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``(rows, srcs, ready)`` of every replay hit of one member.
 
-    ``layout`` is the member's :class:`GroupPlan` or
-    :class:`_IdealMember`. A hit at trace row ``rows[i]`` stalls until
+    ``layout`` is the member's :class:`GroupPlan`. A hit at trace row
+    ``rows[i]`` stalls until
     ``srcs[i]``'s arrival plus ``ready[i]``: the recording's local
     ``stall_src`` mapped to trace rows through the target's positions,
     and its affine term priced under this member's backing delay. Rows
@@ -1154,206 +1093,74 @@ def _resolve_stalls(slack: list, src_hot: list, posted: list | None) -> list:
     return stalls
 
 
-# -- the delta pass of priced members ---------------------------------------
+# -- the priced latency rule ------------------------------------------------
 
 
-class _Columns:
-    """One member's whole-run per-access columns.
+def _transfer_columns(gplan: GroupPlan, groups: list[_Group]) -> tuple:
+    """One priced member's connectivity-priced transfer columns.
 
-    The module-outcome columns (``gid``, ``uncached``, ``mlat``,
-    ``refill``, ``offpath``, ``dram_mask``) are the group plan's,
-    shared by reference and never mutated; the transfer-timing columns
-    are priced under the member's connectivity.
+    ``(conn, occ, dbase, dbeats, docc, bgocc)`` over the whole run: a
+    cached access's CPU-side transfer latency, and its (or an uncached
+    access's) CPU-side occupancy; each DRAM transaction's off-chip
+    command latency, data-beat cycles and occupancy; and each
+    background burst's occupancy. Zero where a route has no component.
     """
-
-    __slots__ = (
-        "gid",
-        "uncached",
-        "mlat",
-        "refill",
-        "offpath",
-        "dram_mask",
-        "conn",
-        "occ",
-        "dbeats",
-        "docc",
-        "bgocc",
-        "u_partial",
+    n = len(gplan.mlat)
+    conn, occ, dbase, dbeats, docc, bgocc = (
+        np.zeros(n, dtype=np.int64) for _ in range(6)
     )
-
-
-def _evaluate_member(
-    plan: TracePlan, gplan: GroupPlan, sim: Simulator
-) -> SimulationResult:
-    """One priced member's delta pass against the group's columns."""
-    groups, _ = _build_groups(sim)
-    if [group.target for group in groups] != gplan.targets:
-        raise SimulationError(
-            "batch group plan does not match the candidate's routing"
-        )
-    state = RunState(sim)
-    cols = _member_columns(state, gplan, groups)
-    n = len(sim.trace)
-    on_mask, counted, measured = plan.sampling_columns(sim.sampling)
-    latency = _walk(sim, state, groups, plan, gplan, cols, on_mask)
-    eff = (
-        np.where(plan.write_mask, np.int64(1), latency)
-        if sim.posted_writes
-        else latency
-    )
-    _fold_measured(sim, state, groups, gplan, cols, eff, counted, measured)
-    if obs.enabled():
-        if gplan.merged_dram:
-            obs.incr("sim.kernel.openrow_merged_passes")
-            obs.incr("sim.kernel.openrow_merged_accesses", gplan.merged_dram)
-        if not gplan.has_replay:
-            n_on = n if on_mask is None else int(np.count_nonzero(on_mask))
-            obs.incr("sim.kernel.onwindow_batched", n_on)
-    return sim._finalize(state)
-
-
-def _member_columns(
-    state: RunState, gplan: GroupPlan, groups: list[_Group]
-) -> _Columns:
-    """One priced member's column set over the group's shared arrays.
-
-    The shared, candidate-independent columns are taken from the group
-    plan by reference, the plan's counter folds are added to this
-    member's state, and only the connectivity-priced transfer columns
-    are computed fresh.
-    """
-    cols = _Columns()
-    cols.gid = gplan.gid
-    cols.uncached = gplan.uncached
-    cols.mlat = gplan.mlat
-    cols.refill = gplan.refill
-    cols.offpath = gplan.offpath
-    cols.dram_mask = gplan.dram_mask
-    _fold_counters(state, groups, gplan.fold)
-
-    n = len(gplan.gid)
-    conn = np.zeros(n, dtype=np.int64)
-    occ = np.zeros(n, dtype=np.int64)
-    dbase = np.zeros(n, dtype=np.int64)
-    dbeats = np.zeros(n, dtype=np.int64)
-    docc = np.zeros(n, dtype=np.int64)
-    bgocc = np.zeros(n, dtype=np.int64)
     for fold in gplan.fold:
         group = groups[fold.gid]
+        positions = gplan.positions_of[fold.gid]
         component = group.cpu_state.component
         if component is not None:
-            positions = gplan.positions_of[fold.gid]
-            g_sizes = gplan.sizes64[positions]
-        if fold.uncached:
-            # Uncached: straight to DRAM over the off-chip connection.
-            if component is not None:
-                lat_col, occ_col = transfer_timing_columns(
-                    component, g_sizes
-                )
+            lat_col, occ[positions] = transfer_timing_columns(
+                component, gplan.sizes64[positions]
+            )
+            if fold.uncached:
+                # Uncached: straight to DRAM over the off-chip connection.
                 dbase[positions] = component.base_latency
                 dbeats[positions] = lat_col - component.base_latency
-                occ[positions] = occ_col
+            else:
+                conn[positions] = lat_col
+        back = group.backing_state
+        back_component = None if back is None else back.component
+        if fold.uncached or back_component is None:
             continue
-        if component is not None:
-            conn_col, occ_col = transfer_timing_columns(component, g_sizes)
-            conn[positions] = conn_col
-            occ[positions] = occ_col
-        r_pos, r_bytes, bg_pos, bg_bytes = gplan.transfers[fold.gid]
-        back_component = (
-            group.backing_state.component
-            if group.backing_state is not None
-            else None
-        )
-        if back_component is None:
-            continue
-        if r_pos is not None:
-            lat_col, occ_col = transfer_timing_columns(back_component, r_bytes)
-            dbase[r_pos] = back_component.base_latency
-            dbeats[r_pos] = lat_col - back_component.base_latency
-            docc[r_pos] = occ_col
-        if bg_pos is not None:
-            _, occ_col = transfer_timing_columns(back_component, bg_bytes)
-            bgocc[bg_pos] = occ_col
-
-    cols.conn = conn
-    cols.occ = occ
-    cols.dbeats = dbeats
-    cols.docc = docc
-    cols.bgocc = bgocc
-    if not gplan.has_replay:
-        # Contention-free latency minus the DRAM core term: connection
-        # transfer + module latency + backing command/data cycles. The
-        # replay walk rebuilds latencies row by row instead.
-        cols.u_partial = conn + cols.mlat + dbase + dbeats
-    return cols
+        if fold.r_count:
+            rows = positions[np.flatnonzero(gplan.refill[positions])]
+            lat_col, docc[rows] = transfer_timing_columns(
+                back_component, gplan.refill[rows]
+            )
+            dbase[rows] = back_component.base_latency
+            dbeats[rows] = lat_col - back_component.base_latency
+        if fold.bg_count:
+            rows = positions[np.flatnonzero(gplan.offpath[positions])]
+            _, bgocc[rows] = transfer_timing_columns(
+                back_component, gplan.offpath[rows]
+            )
+    return conn, occ, dbase, dbeats, docc, bgocc
 
 
-def _fold_measured(
-    sim: Simulator,
-    state: RunState,
-    groups: list[_Group],
+def _priced_energy(
     gplan: GroupPlan,
-    cols: _Columns,
-    eff: np.ndarray,
-    counted: np.ndarray | None,
-    measured: int,
-) -> None:
-    """Fold the measured-window statistics of an effective-latency column.
-
-    ``eff`` is the whole-run effective (post-posted-write) latency
-    column, ``counted`` the measured mask (``None`` for unsampled runs)
-    and ``measured`` its popcount.
-    """
-    trace = sim.trace
-    state.measured += measured
-    if not measured:
-        return
-    eff_counted = eff if counted is None else eff[counted]
-    state.latency_sum += int(eff_counted.sum())
-    struct_col = (
-        trace.struct_ids if counted is None else trace.struct_ids[counted]
-    )
-    n_structs = len(sim._routes)
-    counts = np.bincount(struct_col, minlength=n_structs)
-    # float64 bincount weights stay exact below 2**53.
-    totals = np.bincount(
-        struct_col, weights=eff_counted, minlength=n_structs
-    ).astype(np.int64)
-    struct_counts = state.struct_counts
-    struct_latency = state.struct_latency
-    for struct_id, count in enumerate(counts.tolist()):
-        if count:
-            struct_counts[struct_id] += count
-            struct_latency[struct_id] += int(totals[struct_id])
-    _accumulate_energy(sim, state, groups, gplan, cols, counted)
-
-
-def _accumulate_energy(
-    sim: Simulator,
-    state: RunState,
     groups: list[_Group],
-    gplan: GroupPlan,
-    cols: _Columns,
     counted: np.ndarray | None,
-) -> None:
-    """Vectorized energy accounting over the measured accesses.
+    out: np.ndarray,
+) -> float:
+    """One priced member's per-access energy, into ``out``, and its
+    wire energy over the ``counted`` rows (``None``: every row).
 
-    Replicates the reference loop's accumulation order exactly: each
-    access's energy is the reference's nested pair sums (absent terms
-    contribute an exact ``0.0``, the float identity), and the running
-    totals are sequential left folds (``np.cumsum``) over the counted
-    rows, with the per-transaction DRAM/wire terms interleaved in
-    reference order via row-major ravels.
-
-    Only the wire terms depend on the member (per-byte channel energies
-    follow the connectivity assignment); the DRAM and module terms
-    follow the memory architecture alone, so the group plan's
-    ``energy_statics`` memoizes them — same expressions, same floats —
-    across the group's members.
+    The wire terms of an access, in reference order: the
+    refill-or-uncached transfer, the background burst and the CPU-side
+    transfer, each priced at its channel's energy per byte under the
+    member's connectivity. An access's energy is the reference loop's
+    nested pair sums over them and the layout's memory-only terms
+    (absent terms contribute an exact ``0.0``, the float identity);
+    the wire total is a sequential left fold (``np.cumsum``) over the
+    counted rows' terms in reference order, ``0.0`` with none.
     """
-    n = len(gplan.core)
-    sizes64 = gplan.sizes64
-    statics = gplan.energy_statics
+    n = len(gplan.mlat)
     cpu_epb = np.zeros(n, dtype=np.float64)
     back_epb = np.zeros(n, dtype=np.float64)
     for gid, positions in gplan.positions_of.items():
@@ -1361,59 +1168,21 @@ def _accumulate_energy(
         cpu_epb[positions] = group.cpu_state.energy_per_byte
         if group.backing_state is not None:
             back_epb[positions] = group.backing_state.energy_per_byte
-    if not statics:
-        module_nj = np.zeros(n, dtype=np.float64)
-        for gid, positions in gplan.positions_of.items():
-            module = groups[gid].module
-            if module is not None:
-                module_nj[positions] = module.access_energy_nj
-        page_hit = gplan.core == sim.memory.dram.page_hit_latency
-        dram_bytes = np.where(cols.uncached, sizes64, cols.refill)
-        e_dram1 = DRAM_PAGE_ACCESS_NJ + DRAM_PER_BYTE_NJ * dram_bytes
-        e_dram1 = np.where(page_hit, e_dram1, e_dram1 + DRAM_ACTIVATE_NJ)
-        statics["dram_bytes"] = dram_bytes
-        statics["e_dram1"] = np.where(cols.dram_mask, e_dram1, 0.0)
-        statics["e_dram2"] = np.where(
-            cols.offpath > 0,
-            DRAM_PAGE_ACCESS_NJ + DRAM_PER_BYTE_NJ * cols.offpath,
-            0.0,
-        )
-        statics["e_module"] = np.where(cols.uncached, 0.0, module_nj)
-    dram_bytes = statics["dram_bytes"]
-    e_dram1 = statics["e_dram1"]
-    e_dram2 = statics["e_dram2"]
-    e_module = statics["e_module"]
-
-    e_wire1 = dram_bytes * np.where(cols.uncached, cpu_epb, back_epb)
-    e_wire2 = cols.offpath * back_epb
-    e_wire3 = np.where(cols.uncached, 0.0, sizes64 * cpu_epb)
-    # Reference per-access order: (refill-or-uncached DRAM + wire) then
-    # (background DRAM + wire) then (module + CPU wire); zero terms are
-    # exact identities, so one expression covers every path.
-    energy = ((e_dram1 + e_wire1) + (e_dram2 + e_wire2)) + (
-        e_module + e_wire3
+    wires = np.empty((n, 3), dtype=np.float64)
+    wires[:, 0] = gplan.dram_bytes * np.where(
+        gplan.uncached, cpu_epb, back_epb
     )
-
-    wire_triples = np.column_stack((e_wire1, e_wire2, e_wire3))
+    wires[:, 1] = gplan.offpath * back_epb
+    wires[:, 2] = np.where(gplan.uncached, 0.0, gplan.sizes64 * cpu_epb)
+    # (refill-or-uncached DRAM + wire) + (background DRAM + wire), then
+    # + (module + CPU wire).
+    np.add(gplan.e_dram[:, 0], wires[:, 0], out=out)
+    out += gplan.e_dram[:, 1] + wires[:, 1]
+    out += gplan.e_module + wires[:, 2]
     if counted is not None:
-        energy = energy[counted]
-        e_module = e_module[counted]
-        dram_pairs = np.column_stack((e_dram1, e_dram2))[counted]
-        wire_triples = wire_triples[counted]
-        state.energy_sum += float(np.cumsum(energy)[-1])
-        state.energy_modules += float(np.cumsum(e_module)[-1])
-        state.energy_dram += float(np.cumsum(dram_pairs.ravel())[-1])
-        state.energy_wires += float(np.cumsum(wire_triples.ravel())[-1])
-        return
-    state.energy_sum += float(np.cumsum(energy)[-1])
-    if "module_sum" not in statics:
-        statics["module_sum"] = float(np.cumsum(e_module)[-1])
-        statics["dram_sum"] = float(
-            np.cumsum(np.column_stack((e_dram1, e_dram2)).ravel())[-1]
-        )
-    state.energy_modules += statics["module_sum"]
-    state.energy_dram += statics["dram_sum"]
-    state.energy_wires += float(np.cumsum(wire_triples.ravel())[-1])
+        wires = wires[counted]
+    folded = np.cumsum(wires.ravel())
+    return float(folded[-1]) if len(folded) else 0.0
 
 
 # -- the walk ---------------------------------------------------------------
@@ -1425,20 +1194,20 @@ def _walk(
     groups: list[_Group],
     plan: TracePlan,
     gplan: GroupPlan,
-    cols: _Columns,
     on_mask: np.ndarray | None,
 ) -> np.ndarray:
     """A priced member's contention walk; returns its raw latency column.
 
-    Only members with connectivity walk (ideal ones take the ideal
-    pass, :func:`_evaluate_ideal`). One integer loop
-    replays the reference recurrence's state updates in the exact
-    reference order over the precomputed columns (no ``timing()``
-    calls, no module calls, no response allocations), pricing each
-    replay hit's stall from its affine term against this member's
-    arrivals and backing delay. It leaves ``state`` and the channel
-    counters exactly as the reference loop would; the returned column
-    is pre posted-write folding.
+    Only members with connectivity walk (ideal ones take
+    :func:`_add_replay_stalls`). One integer loop replays the
+    reference recurrence's state updates in the exact reference order
+    over the layout's columns and the member's transfer columns
+    (:func:`_transfer_columns`; no ``timing()`` calls, no module calls,
+    no response allocations), pricing each replay hit's stall from its
+    affine term against this member's arrivals and backing delay. It
+    leaves the channel timelines and counters exactly as the reference
+    loop would; the returned column is pre posted-write folding, and
+    the lag it implies is folded from it (:func:`_fold_measured`).
 
     The run's sampling spans drive the loop (one ``(0, n, True)`` span
     when unsampled). Without a replay module an off-window span
@@ -1452,6 +1221,7 @@ def _walk(
     channels = sim._channels
     posted = sim.posted_writes
     page_hit_latency = sim.memory.dram.page_hit_latency
+    conn, occ, dbase, dbeats, docc, bgocc = _transfer_columns(gplan, groups)
     n = len(sim.trace)
     spans = [(0, n, True)] if sim.sampling is None else sim.sampling.windows(n)
 
@@ -1511,30 +1281,32 @@ def _walk(
         ralpha_l = lists.ralpha
         rbeta_l = lists.rbeta
     else:
-        # The contention-free column; the walk overwrites its on rows.
-        latency = cols.u_partial + gplan.core
+        # The contention-free column: connection transfer + module
+        # latency + backing command/data cycles + DRAM core. The walk
+        # overwrites its on rows.
+        latency = conn + gplan.mlat + dbase + dbeats + gplan.core
         sel = on_idx
         ticks_l = sim.trace.ticks[sel].tolist()
-        gid_l = cols.gid[sel].tolist()
-        refill_l = (cols.refill[sel] > 0).tolist()
+        gid_l = gplan.gid[sel].tolist()
+        refill_l = (gplan.refill[sel] > 0).tolist()
         core_l = gplan.core[sel].tolist()
-        bg_l = (cols.offpath[sel] > 0).tolist()
+        bg_l = (gplan.offpath[sel] > 0).tolist()
         dch_l = gplan.dram_channels(sel, len(ticks_l))
         write_l = plan.write_mask[sel].tolist() if posted else None
     # A row's wire and module latencies fold into one serve column;
     # only a replay hit needs its arrival tick on its own.
-    serve_l = (cols.conn + cols.mlat)[sel].tolist()
-    conn_l = cols.conn.tolist() if has_replay else None
-    occ_l = cols.occ[sel].tolist()
-    dbeats_l = cols.dbeats[sel].tolist()
-    docc_l = cols.docc[sel].tolist()
-    bgocc_l = cols.bgocc[sel].tolist()
+    serve_l = (conn + gplan.mlat)[sel].tolist()
+    conn_l = conn.tolist() if has_replay else None
+    occ_l = occ[sel].tolist()
+    dbeats_l = dbeats[sel].tolist()
+    docc_l = docc[sel].tolist()
+    bgocc_l = bgocc[sel].tolist()
 
     lat_out = [0] * len(gid_l)
     arrivals: list[list[int]] = [[] for _ in groups]
     cluster_free = state.cluster_free
     dram_free = state.dram_free
-    lag = state.lag
+    lag = 0
     waits = [0] * len(channels)
     busys = [0] * len(channels)
     cch = wait_acc = busy_acc = 0
@@ -1686,7 +1458,6 @@ def _walk(
         waits[cch] += wait_acc
     if busy_acc:
         busys[cch] += busy_acc
-    state.lag = lag
     for index, wait in enumerate(waits):
         if wait:
             channels[index].wait_cycles += wait

@@ -107,7 +107,7 @@ class _ChannelState:
 class RunState:
     """Mutable whole-run accumulators of one run.
 
-    The reference loop and the engine's delta pass
+    The reference loop and the engine's block evaluator
     (:mod:`repro.sim.batch`) both fill this record, and
     :meth:`Simulator._finalize` folds it into the result. Creating one
     starts a run: it zeroes the simulator's channel counters, so one

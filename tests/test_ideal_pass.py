@@ -1,13 +1,13 @@
 """The ideal-connectivity pass against the scalar reference loop.
 
 Every ``connectivity=None`` candidate — each APEX candidate, and an
-ideal :meth:`Simulator.run` — goes through one blocked pass
-(:func:`repro.sim.batch._evaluate_ideal`), whatever its memory
-signature. This file is its differential case table: each
-:class:`Case` row is a trace slice × a memory family × sampling on or
-off × posted writes on or off, and every member must equal
-``Simulator.run(reference=True)`` bit for bit, alone and inside
-batches that cross the pass's block boundary. It also covers a
+ideal :meth:`Simulator.run` — goes through the block evaluator
+(:func:`repro.sim.batch._evaluate_members`) on its own layout,
+whatever its memory signature. This file is its differential case
+table: each :class:`Case` row is a trace slice × a memory family ×
+sampling on or off × posted writes on or off, and every member must
+equal ``Simulator.run(reference=True)`` bit for bit, alone and inside
+batches that cross the block boundary. It also covers a
 same-signature :func:`~repro.sim.batch.evaluate_group` call that mixes
 ideal and priced members, the chunked dispatch of ideal misses over a
 2-worker runtime, and the reference loop's error for an access
@@ -164,7 +164,7 @@ def _cases_of(trace: str) -> list[Case]:
 
 
 def _block_size(trace: str) -> int:
-    return max(1, batch._IDEAL_BLOCK_ELEMENTS // len(_trace(trace)))
+    return max(1, batch._BLOCK_ELEMENTS // len(_trace(trace)))
 
 
 def _served(jobs: int) -> int:
@@ -252,10 +252,12 @@ def test_engine_runs_one_ideal_group():
 # -- ideal and priced members of one signature ------------------------------
 
 
-@pytest.mark.parametrize("family", ["cache", "si_dma", "two_dma"])
+@pytest.mark.parametrize(
+    "family", ["cache", "mcdram_2ch", "stream_buffers", "si_dma", "two_dma"]
+)
 def test_mixed_ideal_and_priced_members(family, conn_library):
-    """One ``evaluate_group`` call: the ideal members take the ideal
-    pass and the priced ones share a group plan."""
+    """One ``evaluate_group`` call: each ideal member builds its own
+    layout and the priced ones share one, and one fold serves both."""
     trace = _trace("compress")
     memory = FAMILIES[family](trace)
     connectivity = simple_connectivity(memory, trace, conn_library)

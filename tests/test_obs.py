@@ -340,6 +340,56 @@ class TestKernelCounters:
         assert snap.counters["sim.runs"] == 2
         assert "sim.kernel.replay_stall_rows" not in snap.counters
 
+    def test_mixed_unit_counts_like_its_members_one_by_one(
+        self, tiny_trace, mem_library, conn_library, cache_architecture,
+        obs_on,
+    ):
+        """A unit of ideal and priced members emits exactly the kernel
+        counters its members emit run one at a time."""
+        from repro.sim.batch import TracePlan, evaluate_group
+        from repro.sim.sampling import SamplingConfig
+        from repro.sim.simulator import Simulator
+        from tests.conftest import simple_connectivity
+
+        dma = self._dma_simulator(tiny_trace, mem_library).memory
+        connectivity = simple_connectivity(
+            cache_architecture, tiny_trace, conn_library
+        )
+        sampling = SamplingConfig(on_window=16, off_ratio=1, warmup=4)
+        jobs = [
+            SimulationJob(memory, conn, schedule, posted)
+            for memory, conn in (
+                (dma, None),
+                (cache_architecture, None),
+                (cache_architecture, connectivity),
+            )
+            for schedule, posted in ((None, False), (sampling, True))
+        ]
+
+        def kernel_counters() -> dict:
+            counters = obs.snapshot().counters
+            obs.reset()
+            return {
+                name: value
+                for name, value in counters.items()
+                if name.startswith("sim.kernel.")
+            }
+
+        evaluate_group(tiny_trace, jobs, TracePlan(tiny_trace))
+        unit = kernel_counters()
+        for job in jobs:
+            Simulator(
+                tiny_trace, job.memory, job.connectivity, job.sampling,
+                job.posted_writes,
+            ).run(reference=False)
+        assert unit == kernel_counters()
+        assert set(unit) == {
+            "sim.kernel.openrow_merged_passes",
+            "sim.kernel.openrow_merged_accesses",
+            "sim.kernel.onwindow_batched",
+            "sim.kernel.replay_stall_rows",
+        }
+
 
 class TestExport:
     def test_as_dict_shape(self, obs_on):
