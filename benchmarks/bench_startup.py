@@ -28,7 +28,6 @@ two repeats and writes under ``benchmarks/out/smoke/``.
 
 import argparse
 import json
-import os
 import pathlib
 import platform
 import statistics
@@ -41,8 +40,6 @@ import common
 from common import SMOKE
 
 REPEATS = 2 if SMOKE else 7
-
-ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 LEGS = ("import", "serial_dct")
 
@@ -80,18 +77,12 @@ print(json.dumps({{
 
 
 def _run_once(leg: str, src: pathlib.Path) -> dict:
-    env = {
-        key: value
-        for key, value in os.environ.items()
-        if not key.startswith("REPRO_")
-    }
-    env["PYTHONPATH"] = str(src)
     start = time.perf_counter()
     probe = subprocess.run(
         [sys.executable, "-c", _CHILD, leg],
         capture_output=True,
         text=True,
-        env=env,
+        env=common.fresh_env(src),
         timeout=300,
     )
     process_s = time.perf_counter() - start
@@ -122,30 +113,12 @@ def _record(name: str, source: str, leg: str, samples: list[dict]) -> dict:
     )
 
 
-def _extract_src(revision: str, into: pathlib.Path) -> pathlib.Path:
-    """``src/`` of ``revision``, extracted under ``into``."""
-    archive = subprocess.run(
-        ["git", "-C", str(ROOT), "archive", "--format=tar", revision, "src"],
-        capture_output=True,
-        check=True,
-    ).stdout
-    subprocess.run(["tar", "-x", "-C", str(into)], input=archive, check=True)
-    return into / "src"
-
-
 def regenerate(baseline: str | None = None) -> str:
     with tempfile.TemporaryDirectory(prefix="startup-") as scratch:
-        trees = [("", "working tree", ROOT / "src")]
+        trees = [("", "working tree", common.REPO_ROOT / "src")]
         if baseline is not None:
-            revision = subprocess.run(
-                ["git", "-C", str(ROOT), "rev-parse", "--short", baseline],
-                capture_output=True,
-                text=True,
-                check=True,
-            ).stdout.strip()
-            trees.append(
-                ("baseline_", revision, _extract_src(revision, pathlib.Path(scratch)))
-            )
+            revision, src = common.revision_src(baseline, pathlib.Path(scratch))
+            trees.append(("baseline_", revision, src))
         samples = {(prefix, leg): [] for prefix, _, _ in trees for leg in LEGS}
         for repeat in range(REPEATS):
             order = trees if repeat % 2 == 0 else trees[::-1]

@@ -16,6 +16,7 @@ import functools
 import json
 import os
 import pathlib
+import subprocess
 
 from repro.apex.explorer import ApexConfig, ApexResult, explore_memory_architectures
 from repro.conex.explorer import ConExConfig, ConExResult, explore_connectivity
@@ -101,6 +102,40 @@ def conex_result(name: str, traditional: bool = False) -> ConExResult:
     return explore_connectivity(
         trace(name), apex.selected, CONNECTIVITY_LIBRARY, FULL_CONEX
     )
+
+
+#: The checkout this benchmark directory belongs to.
+REPO_ROOT = pathlib.Path(__file__).resolve().parent.parent
+
+
+def fresh_env(src: pathlib.Path) -> dict:
+    """Environment for a fresh interpreter of the ``src`` tree: this
+    one's, with every ``REPRO_*`` variable removed."""
+    env = {
+        key: value
+        for key, value in os.environ.items()
+        if not key.startswith("REPRO_")
+    }
+    env["PYTHONPATH"] = str(src)
+    return env
+
+
+def revision_src(revision: str, into: pathlib.Path) -> tuple[str, pathlib.Path]:
+    """The short name of git ``revision`` and its ``src/``, extracted
+    under ``into`` (for ``--baseline REV`` legs)."""
+    short = subprocess.run(
+        ["git", "-C", str(REPO_ROOT), "rev-parse", "--short", revision],
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout.strip()
+    archive = subprocess.run(
+        ["git", "-C", str(REPO_ROOT), "archive", "--format=tar", short, "src"],
+        capture_output=True,
+        check=True,
+    ).stdout
+    subprocess.run(["tar", "-x", "-C", str(into)], input=archive, check=True)
+    return short, into / "src"
 
 
 def write_output(stem: str, text: str) -> None:
@@ -224,6 +259,17 @@ def record_startup_timing(stem: str, **fields) -> dict:
     """Append one start-up record to BENCH_startup.json."""
     record = {"name": stem, **fields, "cpu_count": os.cpu_count()}
     return _append_record(STARTUP_TIMINGS, record)
+
+
+#: Machine-readable daemon memory-soak records (same replace-by-name
+#: convention as BENCH_parallel.json).
+SERVICE_MEMORY = OUTPUT_DIR / "BENCH_service_memory.json"
+
+
+def record_service_memory(stem: str, **fields) -> dict:
+    """Append one memory-soak record to BENCH_service_memory.json."""
+    record = {"name": stem, **fields, "cpu_count": os.cpu_count()}
+    return _append_record(SERVICE_MEMORY, record)
 
 
 def _append_record(path: pathlib.Path, record: dict) -> dict:

@@ -30,6 +30,12 @@ from typing import Iterator, Sequence
 from repro import obs, registry
 from repro.apex.explorer import ApexConfig, explore_memory_architectures
 from repro.conex.explorer import ConExConfig
+from repro.config import (
+    DEFAULT_HOST,
+    DEFAULT_JOBS,
+    DEFAULT_PORT,
+    DEFAULT_QUEUE_MAX,
+)
 from repro.connectivity.library import default_connectivity_library
 from repro.core.memorex import MemorExConfig, run_memorex
 from repro.core.report import render_full_report
@@ -49,12 +55,6 @@ from repro.io import (
     save_trace,
 )
 from repro.memory.library import default_memory_library
-from repro.service.server import (
-    DEFAULT_HOST,
-    DEFAULT_JOBS,
-    DEFAULT_PORT,
-    DEFAULT_QUEUE_MAX,
-)
 from repro.trace.profiler import profile_trace
 from repro.workloads import get_workload, workload_names
 

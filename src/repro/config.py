@@ -65,6 +65,16 @@ BENCH_SMOKE_ENV = "REPRO_BENCH_SMOKE"
 #: Truthy enables the observability layer (:mod:`repro.obs`) at import.
 OBS_ENV = "REPRO_OBS"
 
+#: The service daemon's defaults; ``repro serve`` flags and constructor
+#: arguments override them, and ``ServiceClient`` falls back to the
+#: host and port. They live here, not in :mod:`repro.service.server`,
+#: so the CLI can name them without loading the HTTP stack.
+DEFAULT_HOST = "127.0.0.1"
+DEFAULT_PORT = 8753
+DEFAULT_JOBS = 1
+DEFAULT_QUEUE_MAX = 64
+DEFAULT_DRAIN_TIMEOUT = 30.0
+
 _TRUTHY = frozenset({"1", "true", "yes", "on"})
 
 

@@ -13,7 +13,11 @@ process start-up and megabytes of pickling every time, so
   shared memory (:meth:`repro.trace.events.Trace.export_shared`);
   workers attach to the columns zero-copy on first use and keep the
   attached trace in a per-process registry, so a batch dispatch moves
-  only job specs and a tiny :class:`~repro.trace.events.SharedTraceHandle`;
+  only job specs and a tiny :class:`~repro.trace.events.SharedTraceHandle`.
+  Both sides keep as many traces as a process keeps trace plans
+  (:data:`repro.sim.batch._TRACE_PLAN_LIMIT`), least recently used
+  first out, so a long-lived runtime (a service runner's) does not
+  grow with every trace it has seen;
 * ``close()`` (or the context manager) shuts the pool down and unlinks
   the shared blocks; a process-wide default runtime
   (:func:`default_runtime`) is closed automatically at exit.
@@ -65,6 +69,7 @@ import atexit
 import os
 import signal
 import time
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
@@ -285,19 +290,25 @@ def run_in_process(
 
 # -- worker-process side ----------------------------------------------------
 
-#: Traces this worker has attached, keyed by fingerprint. Entries live
-#: for the worker's lifetime: the exporting runtime unlinks the blocks
-#: only after the pool has shut down, and an attached mapping survives
-#: the unlink anyway (POSIX semantics).
-_ATTACHED_TRACES: dict[str, Trace] = {}
+#: Traces this worker has attached, keyed by fingerprint, least
+#: recently used first. A worker keeps only ``_TRACE_PLAN_LIMIT`` trace
+#: plans, so an attachment beyond that many could not be reused
+#: without rebuilding its plan anyway. An attached mapping survives
+#: the exporter's unlink (POSIX semantics), so a kept entry stays
+#: valid after its runtime releases the export.
+_ATTACHED_TRACES: "OrderedDict[str, Trace]" = OrderedDict()
 
 
 def _attached_trace(handle: SharedTraceHandle) -> Trace:
     """This worker's view of the shared trace, attached on first use."""
     trace = _ATTACHED_TRACES.get(handle.fingerprint)
-    if trace is None:
-        trace = Trace.attach_shared(handle)
-        _ATTACHED_TRACES[handle.fingerprint] = trace
+    if trace is not None:
+        _ATTACHED_TRACES.move_to_end(handle.fingerprint)
+        return trace
+    trace = Trace.attach_shared(handle)
+    _ATTACHED_TRACES[handle.fingerprint] = trace
+    while len(_ATTACHED_TRACES) > batch._TRACE_PLAN_LIMIT:
+        _ATTACHED_TRACES.popitem(last=False)
     return trace
 
 
@@ -407,7 +418,7 @@ class ExecutionRuntime:
         self.job_timeout = resolve_job_timeout(job_timeout)
         self.max_retries = resolve_max_retries(max_retries)
         self._pool: ProcessPoolExecutor | None = None
-        self._exports: dict[str, SharedTraceExport] = {}
+        self._exports: OrderedDict[str, SharedTraceExport] = OrderedDict()
         self._closed = False
         self.stats = RuntimeStats()
         self.last_dispatch: DispatchStats | None = None
@@ -474,14 +485,27 @@ class ExecutionRuntime:
                     pass
 
     def share_trace(self, trace: Trace) -> SharedTraceHandle:
-        """The trace's shared handle, exported once per fingerprint."""
+        """The trace's shared handle, exported once per fingerprint.
+
+        At most ``_TRACE_PLAN_LIMIT`` exports stay open: a new
+        fingerprint closes and unlinks the least recently shared one.
+        A runtime runs one dispatch at a time, and the newest export
+        always belongs to the dispatch in flight, so no dispatch loses
+        its trace; a later dispatch of an evicted trace exports it
+        again.
+        """
         self._ensure_open()
         fingerprint = trace.fingerprint()
         export = self._exports.get(fingerprint)
-        if export is None:
-            export = trace.export_shared()
-            self._exports[fingerprint] = export
-            obs.incr("runtime.shm_exports")
+        if export is not None:
+            self._exports.move_to_end(fingerprint)
+            return export.handle
+        export = trace.export_shared()
+        self._exports[fingerprint] = export
+        obs.incr("runtime.shm_exports")
+        while len(self._exports) > batch._TRACE_PLAN_LIMIT:
+            _, oldest = self._exports.popitem(last=False)
+            oldest.close()
         return export.handle
 
     # -- fault-tolerant dispatch core ----------------------------------
@@ -641,7 +665,7 @@ class ExecutionRuntime:
                 pool.shutdown(wait=True)
             except Exception:  # pragma: no cover - broken-pool shutdown
                 pass
-        exports, self._exports = self._exports, {}
+        exports, self._exports = self._exports, OrderedDict()
         for export in exports.values():
             export.close()
 

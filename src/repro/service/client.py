@@ -20,10 +20,9 @@ import urllib.error
 import urllib.request
 from urllib.parse import quote, urlencode
 
-from repro.config import current_settings
+from repro.config import DEFAULT_HOST, DEFAULT_PORT, current_settings
 from repro.errors import ServiceError
 from repro.service.jobs import TERMINAL_STATES
-from repro.service.server import DEFAULT_HOST, DEFAULT_PORT
 
 __all__ = ["ServiceClient"]
 

@@ -30,7 +30,15 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, urlparse
 
 from repro import obs
-from repro.config import current_settings, positive_finite
+from repro.config import (
+    DEFAULT_DRAIN_TIMEOUT,
+    DEFAULT_HOST,
+    DEFAULT_JOBS,
+    DEFAULT_PORT,
+    DEFAULT_QUEUE_MAX,
+    current_settings,
+    positive_finite,
+)
 from repro.errors import ServiceError
 from repro.exec.runtime import ExecutionRuntime
 from repro.service import jobs as jobstates
@@ -49,15 +57,6 @@ __all__ = [
     "ServiceServer",
     "serve",
 ]
-
-#: The daemon's defaults; ``repro serve`` flags and constructor
-#: arguments override them, and ``ServiceClient`` falls back to the
-#: host and port.
-DEFAULT_HOST = "127.0.0.1"
-DEFAULT_PORT = 8753
-DEFAULT_JOBS = 1
-DEFAULT_QUEUE_MAX = 64
-DEFAULT_DRAIN_TIMEOUT = 30.0
 
 SERVING = "serving"
 DRAINING = "draining"

@@ -133,6 +133,8 @@ class _JobLike(Protocol):
 _MODULE_OUTCOME_LIMIT = 32
 
 #: Trace plans retained process-wide (distinct trace fingerprints).
+#: :mod:`repro.exec.runtime` bounds a runtime's shared trace exports
+#: and a worker's attached traces by the same count.
 _TRACE_PLAN_LIMIT = 4
 
 #: Elements of each member × row array of a block: a block holds
@@ -737,7 +739,6 @@ def evaluate_group(
             delta += 1
     if obs.enabled():
         obs.incr("sim.batch.groups")
-        obs.incr("sim.batch.module_column_group_size", len(jobs))
         obs.incr("sim.batch.delta_pass_candidates", delta)
     return results, delta
 

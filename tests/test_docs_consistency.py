@@ -432,6 +432,37 @@ class TestPerformanceDoc:
         assert not missing, missing
         assert re.findall(r"\d+(?:\.\d+)?×", rows[0]) == [expected[-1]]
 
+    def test_service_memory_rows_match_the_json(self):
+        """The memory-soak table quotes every record of
+        ``BENCH_service_memory.json``, this tree's and the baseline's."""
+        import json
+
+        records = json.loads(
+            (ROOT / "benchmarks/out/BENCH_service_memory.json").read_text()
+        )
+        assert records and not any(r["smoke"] for r in records), records
+        lines = read("docs/performance.md").splitlines()
+        for record in records:
+            rows = [
+                line for line in lines
+                if line.startswith(f"| `{record['name']}` |")
+            ]
+            assert len(rows) == 1, (record["name"], rows)
+            cells = [cell.strip() for cell in rows[0].strip("|").split("|")]
+            daemon, children = record["self_mb"], record["children_mb"]
+            assert cells[1:] == [
+                record["source"],
+                str(record["misses"]),
+                f"{daemon[0]:.1f} → {daemon[-1]:.1f} MB",
+                f"{children[0]:.1f} → {children[-1]:.1f} MB",
+                f"{record['growth_mb_per_miss']:.3f} MB/miss",
+                f"{record['tree_growth_mb_per_miss']:.3f} MB/miss",
+                str(record["memory_entries"]),
+                f"{record['hit_s_p50']:.4f} s",
+                f"{record['miss_s_p50']:.3f} s",
+                str(record["cpu_count"]),
+            ], rows[0]
+
     def test_startup_rows_match_the_json(self):
         """The start-up table quotes every record of
         ``BENCH_startup.json``, this tree's and the baseline's."""

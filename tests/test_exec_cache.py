@@ -4,11 +4,15 @@ import os
 import pickle
 import subprocess
 import sys
+import threading
+import time
+from collections import OrderedDict
 
 import pytest
 
 from repro.apex.architectures import MemoryArchitecture
 from repro.config import CACHE_MAX_MB_ENV
+from repro.exec import cache as cache_module
 from repro.exec.cache import (
     CACHE_DIR_ENV,
     NULL_CACHE,
@@ -23,6 +27,19 @@ from repro.exec.cache import (
 from repro.exec.engine import SimulationJob, simulate_batch
 from repro.sim.metrics import SimulationResult
 from repro.sim.sampling import SamplingConfig
+
+
+@pytest.fixture
+def obs_on():
+    from repro import obs
+
+    was_enabled = obs.enabled()
+    obs.reset()
+    obs.enable()
+    yield obs
+    if not was_enabled:
+        obs.disable()
+    obs.reset()
 
 
 def _arch(mem_library, preset: str, name: str) -> MemoryArchitecture:
@@ -231,6 +248,116 @@ class TestLayerCounters:
         assert cold.misses == 0
 
 
+class TestMemoryLayerBudget:
+    """Over a disk layer the memory layer is an LRU of ``_MEMORY_LIMIT``
+    results; a memory-only cache keeps everything."""
+
+    @pytest.fixture(autouse=True)
+    def _small_budget(self, monkeypatch):
+        monkeypatch.setattr(cache_module, "_MEMORY_LIMIT", 3)
+
+    def test_hits_loads_and_puts_make_a_key_most_recent(self, tmp_path):
+        SimulationCache(tmp_path).put(("disk",), _result("disk"))
+        cache = SimulationCache(tmp_path)
+        for name in ("k0", "k1", "k2"):
+            cache.put((name,), _result(name))
+        assert cache.get(("k0",)) is not None  # memory hit
+        assert list(cache._memory) == [("k1",), ("k2",), ("k0",)]
+        assert cache.get(("disk",)) is not None  # disk load evicts k1
+        assert list(cache._memory) == [("k2",), ("k0",), ("disk",)]
+        cache.put(("k2",), _result("k2"))  # a put refreshes too
+        cache.put(("k3",), _result("k3"))  # ... so k0 leaves
+        assert list(cache._memory) == [("disk",), ("k2",), ("k3",)]
+        assert len(cache) == 3
+
+    def test_evicted_key_is_served_by_the_disk_layer(self, tmp_path, obs_on):
+        cache = SimulationCache(tmp_path)
+        for i in range(5):
+            cache.put((f"k{i}",), _result(f"r{i}"))
+        assert ("k0",) not in cache._memory
+        assert obs_on.snapshot().counters["cache.memory_evictions"] == 2
+        found = cache.get(("k0",))
+        assert found is not None and found.memory_name == "r0"
+        assert cache.layer_counts() == {
+            "memory_hits": 0,
+            "disk_hits": 1,
+            "hits": 1,
+            "misses": 0,
+        }
+
+    def test_evicted_results_are_never_simulated_again(
+        self, tmp_path, tiny_trace, mem_library
+    ):
+        presets = (
+            "cache_4k_16b_1w",
+            "cache_8k_32b_1w",
+            "cache_8k_32b_2w",
+            "cache_16k_32b_2w",
+            "cache_32k_32b_2w",
+        )
+        jobs = [
+            SimulationJob(memory=_arch(mem_library, preset, f"m{i}"))
+            for i, preset in enumerate(presets)
+        ]
+        cache = SimulationCache(tmp_path)
+        first = simulate_batch(tiny_trace, jobs, cache=cache)
+        assert first.cache_misses == len(jobs)
+        assert len(cache) == 3
+        again = simulate_batch(tiny_trace, jobs, cache=cache)
+        assert (again.cache_misses, again.batch_groups) == (0, 0)
+        assert again.cache_disk_hits >= len(jobs) - 3
+        assert again.results == first.results
+
+    def test_memory_only_cache_never_evicts(self):
+        cache = SimulationCache()
+        for i in range(10):
+            cache.put((f"k{i}",), _result(f"r{i}"))
+        assert len(cache) == 10
+        assert all(cache.get((f"k{i}",)) is not None for i in range(10))
+
+    def test_two_threads_share_one_directory_backed_cache(self, tmp_path):
+        """Two service runner threads may share one tenant's cache: LRU
+        reordering and eviction must never race into a ``KeyError``.
+
+        The memory layer yields the GIL inside every reorder, which
+        opens the window between a lookup and its reorder as wide as a
+        thread switch.
+        """
+
+        class YieldingLayer(OrderedDict):
+            def move_to_end(self, key, last=True):
+                time.sleep(0)
+                super().move_to_end(key, last)
+
+        cache = SimulationCache(tmp_path)
+        cache._memory = YieldingLayer()
+        keys = [(f"k{i}",) for i in range(6)]
+        for key in keys:
+            cache.put(key, _result(key[0]))
+        errors = []
+
+        def hammer(offset: int) -> None:
+            try:
+                for round_number in range(300):
+                    key = keys[(round_number + offset) % len(keys)]
+                    if round_number % 5 == 0:
+                        cache.put(key, _result(key[0]))
+                    assert cache.get(key) is not None
+            except Exception as error:  # noqa: BLE001 - reported below
+                errors.append(error)
+
+        threads = [
+            threading.Thread(target=hammer, args=(offset,))
+            for offset in (0, 3)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert errors == []
+        assert len(cache) <= 3
+
+
 class TestDiskCap:
     def _entry_size(self, tmp_path) -> int:
         probe = SimulationCache(tmp_path / "probe")
@@ -359,18 +486,6 @@ class TestConcurrentDiskAccess:
 
 class TestFailedDiskWrites:
     """A disk layer that cannot be written never fails a finished batch."""
-
-    @pytest.fixture
-    def obs_on(self):
-        from repro import obs
-
-        was_enabled = obs.enabled()
-        obs.reset()
-        obs.enable()
-        yield obs
-        if not was_enabled:
-            obs.disable()
-        obs.reset()
 
     def _jobs(self, mem_library):
         return [

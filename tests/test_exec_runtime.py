@@ -4,11 +4,13 @@ Covers the shared-trace transport (export/attach roundtrips over every
 transport), the runtime lifecycle (lazy pool, close idempotence,
 closed-state errors, export memoization), dispatch equivalence (runtime
 results bit-identical to serial), the process-wide default runtime's
-grow-on-demand semantics, and the engine's batch accounting
+grow-on-demand semantics, the bounds on a runtime's exports and a
+worker's attached traces, and the engine's batch accounting
 (hits + misses + in-batch duplicates cover every job).
 """
 
 import pickle
+from collections import OrderedDict
 
 import pytest
 
@@ -16,11 +18,13 @@ from repro.apex.architectures import MemoryArchitecture
 from repro.errors import ExplorationError
 from repro.exec.cache import NullCache
 from repro.exec.engine import SimulationJob, simulate_batch
+from repro.exec import runtime as runtime_module
 from repro.exec.runtime import (
     ExecutionRuntime,
     default_runtime,
     set_default_runtime,
 )
+from repro.sim.batch import _TRACE_PLAN_LIMIT
 from repro.trace.events import TRACE_COLUMNS, Trace
 
 
@@ -155,6 +159,83 @@ class TestRuntimeDispatchEquivalence:
             )
             assert len(runtime._exports) == 1
         assert first.results == second.results
+
+
+def _distinct_traces(trace: Trace, count: int) -> list[Trace]:
+    """``count`` traces with distinct fingerprints (suffixes of ``trace``)."""
+    return [trace.slice(i, len(trace)) for i in range(count)]
+
+
+class TestBoundedTraceStores:
+    def test_exports_stay_at_the_plan_limit(self, tiny_trace):
+        traces = _distinct_traces(tiny_trace, _TRACE_PLAN_LIMIT + 2)
+        with ExecutionRuntime(workers=2) as runtime:
+            exports = []
+            for trace in traces:
+                runtime.share_trace(trace)
+                exports.append(runtime._exports[trace.fingerprint()])
+                assert len(runtime._exports) <= _TRACE_PLAN_LIMIT
+            assert len(runtime._exports) == _TRACE_PLAN_LIMIT
+            assert [export.closed for export in exports] == (
+                [True, True] + [False] * _TRACE_PLAN_LIMIT
+            )
+            # Evicted blocks are unlinked, not just forgotten.
+            with pytest.raises(OSError):
+                Trace.attach_shared(exports[0].handle)
+
+    def test_sharing_again_makes_an_export_most_recent(self, tiny_trace):
+        traces = _distinct_traces(tiny_trace, _TRACE_PLAN_LIMIT + 1)
+        with ExecutionRuntime(workers=2) as runtime:
+            for trace in traces[:-1]:
+                runtime.share_trace(trace)
+            first = runtime._exports[traces[0].fingerprint()]
+            runtime.share_trace(traces[0])
+            runtime.share_trace(traces[-1])
+            assert not first.closed
+            assert traces[1].fingerprint() not in runtime._exports
+
+    def test_dispatch_over_more_traces_than_the_limit(
+        self, tiny_trace, mem_library
+    ):
+        """Evicted exports never break a dispatch: a trace shared again
+        is exported again, and results match serial bit for bit."""
+        jobs = _jobs(mem_library)
+        traces = _distinct_traces(tiny_trace, _TRACE_PLAN_LIMIT + 2)
+        traces.append(traces[0])
+        with ExecutionRuntime(workers=2) as runtime:
+            for trace in traces:
+                pooled = simulate_batch(
+                    trace, jobs, cache=NullCache(), backend=runtime
+                )
+                serial = simulate_batch(
+                    trace, jobs, workers=1, cache=NullCache()
+                )
+                assert pooled.results == serial.results
+                assert len(runtime._exports) <= _TRACE_PLAN_LIMIT
+            assert runtime.stats.batches == len(traces)
+
+    def test_worker_attachments_stay_at_the_plan_limit(
+        self, tiny_trace, monkeypatch
+    ):
+        attached = OrderedDict()
+        monkeypatch.setattr(runtime_module, "_ATTACHED_TRACES", attached)
+        traces = _distinct_traces(tiny_trace, _TRACE_PLAN_LIMIT + 2)
+        exports = [trace.export_shared() for trace in traces]
+        try:
+            for export in exports:
+                runtime_module._attached_trace(export.handle)
+                assert len(attached) <= _TRACE_PLAN_LIMIT
+            assert list(attached) == [
+                trace.fingerprint() for trace in traces[2:]
+            ]
+            # A repeat attach is a hit, and makes the trace most recent.
+            kept = attached[traces[2].fingerprint()]
+            assert runtime_module._attached_trace(exports[2].handle) is kept
+            assert next(reversed(attached)) == traces[2].fingerprint()
+        finally:
+            attached.clear()
+            for export in exports:
+                export.close()
 
 
 class TestDefaultRuntime:

@@ -5,7 +5,9 @@ load networkx (used only by
 :meth:`~repro.conex.brg.BandwidthRequirementGraph.to_networkx`) or the
 process-pool stack (``concurrent.futures.process`` and, through it,
 ``multiprocessing``), which only a runtime that builds its pool needs.
-Each costs every CLI run start-up time and resident memory
+``import repro.cli`` must not load the service daemon's HTTP stack
+(``http.server``), which only ``repro serve`` and the client commands
+use. Each costs every CLI run start-up time and resident memory
 (``benchmarks/out/BENCH_startup.json``).
 
 The check runs in a fresh interpreter: this test process has long
@@ -40,7 +42,8 @@ print(json.dumps({{
 """
 
 
-def test_serial_run_loads_neither_networkx_nor_the_pool_stack():
+def _fresh_report(script: str) -> dict:
+    """Run ``script`` in a fresh interpreter; its last stdout line."""
     env = {
         key: value
         for key, value in os.environ.items()
@@ -50,15 +53,29 @@ def test_serial_run_loads_neither_networkx_nor_the_pool_stack():
         filter(None, [str(SRC), env.get("PYTHONPATH")])
     )
     probe = subprocess.run(
-        [sys.executable, "-c", _SCRIPT],
+        [sys.executable, "-c", script],
         capture_output=True,
         text=True,
         env=env,
         timeout=300,
     )
     assert probe.returncode == 0, probe.stderr
-    report = json.loads(probe.stdout.strip().splitlines()[-1])
+    return json.loads(probe.stdout.strip().splitlines()[-1])
+
+
+def test_serial_run_loads_neither_networkx_nor_the_pool_stack():
+    report = _fresh_report(_SCRIPT)
     assert report["loaded"] == []
     # The export still works, and it is what loads networkx.
     assert report["edges"] == report["arcs"] > 0
     assert report["networkx_after_export"]
+
+
+def test_cli_import_loads_no_http_stack():
+    report = _fresh_report(
+        "import json, sys\n"
+        "import repro.cli\n"
+        "names = ('http.server', 'repro.service')\n"
+        "print(json.dumps({'loaded': [n for n in names if n in sys.modules]}))\n"
+    )
+    assert report["loaded"] == []
